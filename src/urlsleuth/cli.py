@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus
-from .charlm import LmScorePair
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, DataError, UrlsleuthError
 from .evaluation import (
@@ -35,18 +34,7 @@ from .evaluation import (
 )
 from .fileio import write_json_atomic, write_text_atomic
 from .models import FAMILIES, ModelSpec, fit_model
-from .pipeline import (
-    PipelineArtifact,
-    apply_projection,
-    apply_scaler,
-    apply_selector,
-    fit_projection,
-    fit_scaler,
-    fit_selector,
-    grid_search,
-    load_pipeline,
-    save_pipeline,
-)
+from .pipeline import PipelineArtifact, fit_chain, grid_search, load_pipeline, save_pipeline
 from .synth import BENIGN_LABEL_NAME, MALICIOUS_LABEL_NAME
 from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
 
@@ -157,46 +145,26 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-class _FittedStages:
-    """Preprocessing fitted once on the pooled training rows and shared
-    by every model family."""
-
-    def __init__(self, cfg: RunConfig, train_datasets: list[corpus.Dataset]):
-        pooled = corpus.pool_records(train_datasets)
-        self.urls, self.labels = _urls_and_labels(pooled)
-        self.lm_pair = LmScorePair(order=cfg.lm.order, k=cfg.lm.smoothing_k).fit(
-            self.urls, self.labels
-        )
-        X = np.hstack([extract_matrix(self.urls), self.lm_pair.transform(self.urls)])
-        self.scaler = fit_scaler(X)
-        X = apply_scaler(self.scaler, X)
-        top_k = cfg.features.selector_top_k if cfg.features.use_selector else X.shape[1]
-        self.selector = fit_selector(X, self.labels, top_k)
-        X = apply_selector(self.selector, X)
-        self.projection = None
-        if cfg.features.use_projection:
-            self.projection = fit_projection(X, cfg.features.variance_target)
-            X = apply_projection(self.projection, X)
-        self.train_matrix = X
-
-    def transform(self, urls: list[str]) -> np.ndarray:
-        X = np.hstack([extract_matrix(urls), self.lm_pair.transform(urls)])
-        X = apply_scaler(self.scaler, X)
-        X = apply_selector(self.selector, X)
-        if self.projection is not None:
-            X = apply_projection(self.projection, X)
-        return X
-
-
 def cmd_train(args) -> int:
     cfg, out_dir, seed = _resolve(args)
     datasets = _load_datasets(cfg)
     plan, by_id = _partition(cfg, datasets)
-    stages = _FittedStages(cfg, [by_id[i] for i in plan.train_ids])
+    train_urls, train_labels = _urls_and_labels(
+        corpus.pool_records([by_id[i] for i in plan.train_ids])
+    )
+    chain, train_matrix = fit_chain(
+        train_urls,
+        train_labels,
+        lm_order=cfg.lm.order,
+        lm_smoothing=cfg.lm.smoothing_k,
+        top_k=cfg.features.selector_top_k if cfg.features.use_selector else None,
+        use_projection=cfg.features.use_projection,
+        variance_target=cfg.features.variance_target,
+    )
     val_sets = []
     for ds_id in plan.val_ids:
         urls, labels = _urls_and_labels(by_id[ds_id].records)
-        val_sets.append((stages.transform(urls), labels))
+        val_sets.append((chain.transform(urls), labels))
 
     families = [args.model] if args.model else list(FAMILIES)
     models_dir = out_dir / "models"
@@ -206,20 +174,13 @@ def cmd_train(args) -> int:
         grid = cfg.grid_for(family)
         if grid:
             spec = grid_search(
-                family, grid, (stages.train_matrix, stages.labels), val_sets,
+                family, grid, (train_matrix, train_labels), val_sets,
                 target_metric=cfg.tuning_metric, seed=seed,
             )
         else:
             spec = ModelSpec(family=family, hyperparameters={}, seed=seed)
-        model = fit_model(spec, stages.train_matrix, stages.labels, CATALOG_VERSION)
-        artifact = PipelineArtifact(
-            lm_pair=stages.lm_pair,
-            scaler=stages.scaler,
-            selector=stages.selector,
-            projection=stages.projection,
-            model=model,
-        )
-        save_pipeline(artifact, models_dir / f"{family}.json")
+        model = fit_model(spec, train_matrix, train_labels, CATALOG_VERSION)
+        save_pipeline(PipelineArtifact(chain, model), models_dir / f"{family}.json")
         chosen[family] = {"hyperparameters": spec.hyperparameters, "seed": spec.seed}
         print(f"trained {family}: {spec.hyperparameters}")
     write_json_atomic(

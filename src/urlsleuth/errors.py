@@ -18,7 +18,7 @@ class ModelError(UrlsleuthError):
 
 
 class CatalogMismatchError(UrlsleuthError):
-    """A feature vector's catalog version does not match the consumer's."""
+    """A feature catalog version does not match the one this build extracts."""
 
 
 class ArtifactError(UrlsleuthError):

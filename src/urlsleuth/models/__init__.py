@@ -1,9 +1,9 @@
 """Eleven classifier families behind one train/predict contract.
 
 ``ModelSpec`` names a family, its hyperparameters, and a seed;
-``fit_model`` turns a spec plus data into an immutable ``TrainedModel``
-whose ``predict_label``/``predict_score`` enforce the catalog version of
-the features it was trained on.
+``fit_model`` turns a spec plus a feature matrix into an immutable
+``TrainedModel`` that scores matrices of the same layout and records the
+catalog version of the features it was trained on.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import CatalogMismatchError, ModelError
-from ..urlfeat import FeatureVector
+from ..errors import ModelError
 from .base import (
     FAMILIES,
     SUPERVISED_FAMILIES,
@@ -99,20 +98,6 @@ class TrainedModel:
     catalog_version: str
     cluster_label_map: dict[int, int] | None = None
 
-    def _check_vector(self, x: FeatureVector) -> np.ndarray:
-        if x.catalog_version != self.catalog_version:
-            raise CatalogMismatchError(
-                f"feature vector catalog {x.catalog_version!r} does not match "
-                f"model catalog {self.catalog_version!r}"
-            )
-        return x.values.reshape(1, -1)
-
-    def predict_label(self, x: FeatureVector) -> int:
-        return int(self.classifier.predict_batch(self._check_vector(x))[0])
-
-    def predict_score(self, x: FeatureVector) -> float:
-        return float(self.classifier.score_batch(self._check_vector(x))[0])
-
     def predict_labels(self, X) -> np.ndarray:
         return self.classifier.predict_batch(X)
 
@@ -134,14 +119,6 @@ def fit_model(spec: ModelSpec, X, y, catalog_version: str) -> TrainedModel:
         catalog_version=catalog_version,
         cluster_label_map=label_map,
     )
-
-
-def predict_label(model: TrainedModel, x: FeatureVector) -> int:
-    return model.predict_label(x)
-
-
-def predict_score(model: TrainedModel, x: FeatureVector) -> float:
-    return model.predict_score(x)
 
 
 __all__ = [
@@ -166,6 +143,4 @@ __all__ = [
     "GaussianMixtureDetector",
     "make_classifier",
     "fit_model",
-    "predict_label",
-    "predict_score",
 ]

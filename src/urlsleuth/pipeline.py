@@ -1,10 +1,12 @@
-"""Fitted preprocessing chain and hyperparameter grid search.
+"""Fitted feature chain, pipeline artifacts and hyperparameter grid search.
 
 Stage order is fixed: extract the 78 lexical features, append the two
 language-model scores (80 columns), z-scale, select by mutual
 information, optionally project onto principal components, then hand the
-matrix to a model.  Every stage is fitted on training rows only and is a
-pure function afterwards.
+matrix to a model.  ``fit_chain`` fits every stage on training rows only
+and returns them as one ``FeatureChain``, a pure function afterwards.  A
+``PipelineArtifact`` is that chain plus one trained model; ``train``
+shares a single chain across every family of a run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charlm import LmScorePair
-from .errors import ArtifactError, ConfigError, DataError, ModelError
+from .errors import ArtifactError, CatalogMismatchError, ConfigError, DataError, ModelError
 from .evaluation import compute_metrics
 from .fileio import read_json, write_json_atomic
 from .models import ModelSpec, TrainedModel, fit_model
@@ -161,18 +163,16 @@ def apply_projection(projection: Projection, X) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PipelineArtifact:
-    """Everything needed to score a raw URL: both language models, the
-    fitted preprocessing stages, and the trained model."""
+class FeatureChain:
+    """The fitted stages from raw URLs to a model's input: both language
+    models, the scaler, the selector and the optional projection."""
 
     lm_pair: LmScorePair
     scaler: Scaler
     selector: Selector
     projection: Projection | None
-    model: TrainedModel
-    catalog_version: str = CATALOG_VERSION
 
-    def featurize(self, urls) -> np.ndarray:
+    def transform(self, urls) -> np.ndarray:
         """Raw URLs to the model's input space (78 lexical + 2 LM scores,
         then scale/select/project)."""
         X = np.hstack([extract_matrix(urls), self.lm_pair.transform(urls)])
@@ -181,6 +181,51 @@ class PipelineArtifact:
         if self.projection is not None:
             X = apply_projection(self.projection, X)
         return X
+
+
+def fit_chain(
+    urls,
+    labels,
+    *,
+    lm_order: int = 3,
+    lm_smoothing: float = 1.0,
+    top_k: int | None = None,
+    use_projection: bool = False,
+    variance_target: float = 0.95,
+) -> tuple[FeatureChain, np.ndarray]:
+    """Fit every stage on the given training rows only; returns the chain
+    and the training matrix it produced along the way.
+
+    ``top_k=None`` keeps all features (the selector still reports its
+    scores, so the chain shape never changes with the toggle).
+    """
+    urls = list(urls)
+    y = np.asarray(labels)
+    lm_pair = LmScorePair(order=lm_order, k=lm_smoothing).fit(urls, y)
+    X = np.hstack([extract_matrix(urls), lm_pair.transform(urls)])
+    scaler = fit_scaler(X)
+    X = apply_scaler(scaler, X)
+    selector = fit_selector(X, y, top_k if top_k is not None else X.shape[1])
+    X = apply_selector(selector, X)
+    projection = None
+    if use_projection:
+        projection = fit_projection(X, variance_target)
+        X = apply_projection(projection, X)
+    return FeatureChain(lm_pair, scaler, selector, projection), X
+
+
+@dataclass(frozen=True)
+class PipelineArtifact:
+    """Everything needed to score a raw URL: the fitted feature chain and
+    the model trained on its output."""
+
+    chain: FeatureChain
+    model: TrainedModel
+    catalog_version: str = CATALOG_VERSION
+
+    def featurize(self, urls) -> np.ndarray:
+        """Raw URLs to this artifact's model input (``chain.transform``)."""
+        return self.chain.transform(urls)
 
     def predict(self, urls) -> tuple[np.ndarray, np.ndarray]:
         """(labels, scores) for raw URLs."""
@@ -200,31 +245,12 @@ def fit_pipeline(
     use_projection: bool = False,
     variance_target: float = 0.95,
 ) -> PipelineArtifact:
-    """Fit every stage on the given training rows only.
-
-    ``top_k=None`` keeps all features (the selector still reports its
-    scores, so the chain shape never changes with the toggle).
-    """
-    urls = list(urls)
-    y = np.asarray(labels)
-    lm_pair = LmScorePair(order=lm_order, k=lm_smoothing).fit(urls, y)
-    X = np.hstack([extract_matrix(urls), lm_pair.transform(urls)])
-    scaler = fit_scaler(X)
-    X = apply_scaler(scaler, X)
-    selector = fit_selector(X, y, top_k if top_k is not None else X.shape[1])
-    X = apply_selector(selector, X)
-    projection = None
-    if use_projection:
-        projection = fit_projection(X, variance_target)
-        X = apply_projection(projection, X)
-    model = fit_model(spec, X, y, CATALOG_VERSION)
-    return PipelineArtifact(
-        lm_pair=lm_pair,
-        scaler=scaler,
-        selector=selector,
-        projection=projection,
-        model=model,
+    """``fit_chain`` plus one model of ``spec`` fitted on its output."""
+    chain, X = fit_chain(
+        urls, labels, lm_order=lm_order, lm_smoothing=lm_smoothing, top_k=top_k,
+        use_projection=use_projection, variance_target=variance_target,
     )
+    return PipelineArtifact(chain, fit_model(spec, X, np.asarray(labels), CATALOG_VERSION))
 
 
 def grid_search(
@@ -276,25 +302,26 @@ def grid_search(
 
 
 def pipeline_to_dict(artifact: PipelineArtifact) -> dict:
+    chain = artifact.chain
     proj = None
-    if artifact.projection is not None:
+    if chain.projection is not None:
         proj = {
-            "mean": artifact.projection.mean.tolist(),
-            "components": artifact.projection.components.tolist(),
-            "explained_variance": artifact.projection.explained_variance.tolist(),
+            "mean": chain.projection.mean.tolist(),
+            "components": chain.projection.components.tolist(),
+            "explained_variance": chain.projection.explained_variance.tolist(),
         }
     return {
         "artifact": PIPELINE_ARTIFACT_TAG,
         "format_version": PIPELINE_ARTIFACT_VERSION,
         "catalog_version": artifact.catalog_version,
-        "lm": artifact.lm_pair.to_dict(),
+        "lm": chain.lm_pair.to_dict(),
         "scaler": {
-            "mean": artifact.scaler.mean.tolist(),
-            "std": artifact.scaler.std.tolist(),
+            "mean": chain.scaler.mean.tolist(),
+            "std": chain.scaler.std.tolist(),
         },
         "selector": {
-            "retained_indices": artifact.selector.retained_indices.tolist(),
-            "score_per_feature": artifact.selector.score_per_feature.tolist(),
+            "retained_indices": chain.selector.retained_indices.tolist(),
+            "score_per_feature": chain.selector.score_per_feature.tolist(),
         },
         "projection": proj,
         "model": model_to_dict(artifact.model),
@@ -302,6 +329,8 @@ def pipeline_to_dict(artifact: PipelineArtifact) -> dict:
 
 
 def pipeline_from_dict(payload: dict) -> PipelineArtifact:
+    """Rebuild an artifact; one whose features come from another catalog
+    version raises ``CatalogMismatchError``."""
     try:
         tag = payload["artifact"]
         version = payload["format_version"]
@@ -338,16 +367,18 @@ def pipeline_from_dict(payload: dict) -> PipelineArtifact:
                     payload["projection"]["explained_variance"], dtype=np.float64
                 ),
             )
-        return PipelineArtifact(
-            lm_pair=LmScorePair.from_dict(payload["lm"]),
-            scaler=scaler,
-            selector=selector,
-            projection=projection,
-            model=model_from_dict(payload["model"]),
-            catalog_version=payload["catalog_version"],
-        )
+        chain = FeatureChain(LmScorePair.from_dict(payload["lm"]), scaler, selector, projection)
+        model = model_from_dict(payload["model"])
+        catalog_version = payload["catalog_version"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"pipeline artifact is malformed: {exc}") from exc
+    for what, version in (("artifact", catalog_version), ("model", model.catalog_version)):
+        if version != CATALOG_VERSION:
+            raise CatalogMismatchError(
+                f"{what} was built for feature catalog {version!r}; "
+                f"this build extracts {CATALOG_VERSION!r}"
+            )
+    return PipelineArtifact(chain, model, catalog_version)
 
 
 def save_pipeline(artifact: PipelineArtifact, path) -> None:

@@ -119,6 +119,20 @@ def _is_dotted_quad(host: str) -> bool:
     return True
 
 
+def _host_tld(host: str) -> tuple[bool, str | None]:
+    """(is the host a dotted-quad IP, its last label as TLD or None).
+
+    The TLD needs two or more labels and a non-IP host; no public-suffix
+    list is consulted.
+    """
+    if _is_dotted_quad(host):
+        return True, None
+    labels = host.split(".")
+    if len(labels) >= 2 and labels[-1]:
+        return False, labels[-1]
+    return False, None
+
+
 def _split(url: str) -> tuple[str | None, str, int | None, str, str, str | None, bool]:
     """Split a URL into (scheme, host, port, path, query, fragment, has_query).
 
@@ -163,9 +177,8 @@ def _split(url: str) -> tuple[str | None, str, int | None, str, str, str | None,
 def parse_url(url: str) -> UrlParts:
     """Lexically decompose ``url``; never raises.
 
-    Scheme-less inputs (``google.com``) parse with an absent scheme.  The
-    TLD is the last dot-separated host label when the host has two or more
-    labels and is not an IP literal; no public-suffix list is consulted.
+    Scheme-less inputs (``google.com``) parse with an absent scheme; the
+    TLD and IP-host flag come from ``_host_tld``.
     """
     scheme, host, port, path, query, fragment, _ = _split(url)
     segments = tuple(s for s in path.split("/") if s)
@@ -178,11 +191,7 @@ def parse_url(url: str) -> UrlParts:
             pairs.append((k, v))
         else:
             pairs.append((part, ""))
-    is_ip = _is_dotted_quad(host)
-    labels = host.split(".")
-    tld: str | None = None
-    if not is_ip and len(labels) >= 2 and labels[-1]:
-        tld = labels[-1]
+    is_ip, tld = _host_tld(host)
     return UrlParts(
         scheme=scheme,
         host=host,
@@ -235,11 +244,7 @@ def _feature_dict(url: str) -> dict[str, float]:
     host_labels = [l for l in host.split(".") if l]
     query_parts = [p for p in query.split("&") if p]
 
-    is_ip = _is_dotted_quad(host)
-    labels_all = host.split(".")
-    tld = ""
-    if not is_ip and len(labels_all) >= 2 and labels_all[-1]:
-        tld = labels_all[-1]
+    is_ip, tld = _host_tld(host)
 
     after_scheme = url[len(scheme) + 3:] if scheme else url
 
@@ -250,7 +255,7 @@ def _feature_dict(url: str) -> dict[str, float]:
     f["path_length"] = len(path)
     f["query_length"] = len(query)
     f["fragment_length"] = len(fragment) if fragment is not None else 0
-    f["tld_length"] = len(tld)
+    f["tld_length"] = len(tld or "")
     f["scheme_length"] = len(scheme) if scheme is not None else 0
     f["longest_path_segment_length"] = max((len(s) for s in segments), default=0)
     f["longest_token_length"] = max((len(t) for t in tokens), default=0)

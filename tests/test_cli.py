@@ -156,6 +156,17 @@ class TestTrain:
         for family in FAMILIES:
             assert (models_dir / f"{family}.json").exists(), family
 
+    def test_every_family_shares_one_feature_chain(self, workspace):
+        stage_keys = ("lm", "scaler", "selector", "projection")
+        payloads = [
+            json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted((workspace["out_dir"] / "models").glob("*.json"))
+        ]
+        assert len(payloads) == len(FAMILIES)
+        first = {key: payloads[0][key] for key in stage_keys}
+        for payload in payloads[1:]:
+            assert {key: payload[key] for key in stage_keys} == first
+
     def test_summary_partition_and_choices(self, workspace):
         summary = workspace["summary"]
         part = summary["partition"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from urlsleuth.errors import ArtifactError, CatalogMismatchError, ModelError
+from urlsleuth.errors import ArtifactError, ModelError
 from urlsleuth.models import (
     FAMILIES,
     STOCHASTIC_FAMILIES,
@@ -15,15 +15,13 @@ from urlsleuth.models import (
     TrainedModel,
     fit_model,
     make_classifier,
-    predict_label,
-    predict_score,
 )
 from urlsleuth.models.bayes import GaussianNaiveBayes
 from urlsleuth.models.linear import LogisticRegressionGD
 from urlsleuth.models.neighbors import KNearestNeighbors
 from urlsleuth.models.persist import load_model, model_from_dict, model_to_dict, save_model
 from urlsleuth.models.trees import DecisionTreeCART, RandomForest
-from urlsleuth.urlfeat import CATALOG_VERSION, FeatureVector
+from urlsleuth.urlfeat import CATALOG_VERSION
 
 # Small hyperparameters so the full cross-family sweeps stay fast.
 FAST_PARAMS: dict[str, dict] = {
@@ -312,32 +310,19 @@ class TestStochasticSeeding:
 
 
 class TestTrainedModelApi:
-    def _vector(self, values):
-        return FeatureVector(values=np.asarray(values, dtype=np.float64), catalog_version=CATALOG_VERSION)
-
     def test_fit_model_and_single_prediction(self, blob_data):
         x, y = blob_data
         model = fit_model(spec_for("LR"), x, y, CATALOG_VERSION)
         assert isinstance(model, TrainedModel)
-        vec = self._vector(x[0])
-        score = model.predict_score(vec)
+        score = model.predict_scores(x[:1])[0]
         assert 0.0 <= score <= 1.0
-        assert model.predict_label(vec) == int(score >= 0.5)
-        assert predict_label(model, vec) == model.predict_label(vec)
-        assert predict_score(model, vec) == model.predict_score(vec)
-
-    def test_catalog_version_mismatch_rejected(self, blob_data):
-        x, y = blob_data
-        model = fit_model(spec_for("LR"), x, y, CATALOG_VERSION)
-        stale = FeatureVector(values=x[0], catalog_version="lex78-v0")
-        with pytest.raises(CatalogMismatchError):
-            model.predict_score(stale)
+        assert model.predict_labels(x[:1])[0] == int(score >= 0.5)
 
     def test_batch_helpers_match_loop(self, blob_data):
         x, y = blob_data
         model = fit_model(spec_for("GNB"), x, y, CATALOG_VERSION)
         batch = model.predict_scores(x[:5])
-        single = [model.predict_score(self._vector(row)) for row in x[:5]]
+        single = [model.predict_scores(x[i:i + 1])[0] for i in range(5)]
         np.testing.assert_allclose(batch, single, atol=1e-12)
         assert np.array_equal(model.predict_labels(x[:5]), (batch >= 0.5).astype(np.int64))
 

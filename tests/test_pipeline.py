@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from urlsleuth.charlm import LmScorePair
-from urlsleuth.errors import ArtifactError, ConfigError, DataError
+from urlsleuth.errors import ArtifactError, CatalogMismatchError, ConfigError, DataError
+from urlsleuth.fileio import write_json_atomic
 from urlsleuth.models import ModelSpec
 from urlsleuth.pipeline import (
     MI_BIN_COUNT,
@@ -18,6 +19,7 @@ from urlsleuth.pipeline import (
     apply_projection,
     apply_scaler,
     apply_selector,
+    fit_chain,
     fit_pipeline,
     fit_projection,
     fit_scaler,
@@ -308,7 +310,7 @@ class TestFitPipeline:
             urls, labels, spec, top_k=30, use_projection=True, variance_target=0.9
         )
         width = artifact.featurize(urls[:2]).shape[1]
-        assert width == len(artifact.projection.components)
+        assert width == len(artifact.chain.projection.components)
         assert width < 30
 
     def test_featurize_equals_manual_stage_chain(self, url_corpus):
@@ -316,17 +318,17 @@ class TestFitPipeline:
         spec = ModelSpec(family="GNB", hyperparameters={}, seed=0)
         artifact = fit_pipeline(urls, labels, spec, top_k=20)
         probe = urls[:5]
-        manual = np.hstack([extract_matrix(probe), artifact.lm_pair.transform(probe)])
-        manual = apply_scaler(artifact.scaler, manual)
-        manual = apply_selector(artifact.selector, manual)
+        manual = np.hstack([extract_matrix(probe), artifact.chain.lm_pair.transform(probe)])
+        manual = apply_scaler(artifact.chain.scaler, manual)
+        manual = apply_selector(artifact.chain.selector, manual)
         np.testing.assert_array_equal(artifact.featurize(probe), manual)
 
     def test_lm_columns_sit_after_lexical_block(self, url_corpus):
         urls, labels = url_corpus
         spec = ModelSpec(family="GNB", hyperparameters={}, seed=0)
         artifact = fit_pipeline(urls, labels, spec)
-        assert isinstance(artifact.lm_pair, LmScorePair)
-        assert len(artifact.scaler.mean) == 80  # 78 lexical + 2 LM scores
+        assert isinstance(artifact.chain.lm_pair, LmScorePair)
+        assert len(artifact.chain.scaler.mean) == 80  # 78 lexical + 2 LM scores
 
     def test_preprocessing_fitted_on_training_rows_only(self, url_corpus):
         urls, labels = url_corpus
@@ -334,12 +336,24 @@ class TestFitPipeline:
         artifact = fit_pipeline(urls, labels, spec)
         lm = LmScorePair(order=3, k=1.0).fit(urls, labels)
         train_matrix = np.hstack([extract_matrix(urls), lm.transform(urls)])
-        np.testing.assert_allclose(artifact.scaler.mean, train_matrix.mean(axis=0))
+        np.testing.assert_allclose(artifact.chain.scaler.mean, train_matrix.mean(axis=0))
         # Growing the fit set must move the scaler: no frozen global stats.
         grown = fit_pipeline(
             urls + ["http://extra-row.example/" + "x" * 120], np.append(labels, 1), spec
         )
-        assert not np.array_equal(artifact.scaler.mean, grown.scaler.mean)
+        assert not np.array_equal(artifact.chain.scaler.mean, grown.chain.scaler.mean)
+
+
+class TestFitChain:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"top_k": None}, {"top_k": 20}, {"top_k": 30, "use_projection": True}],
+        ids=["all-features", "top20", "top30-projected"],
+    )
+    def test_returned_train_matrix_equals_replay(self, url_corpus, kwargs):
+        urls, labels = url_corpus
+        chain, X_train = fit_chain(urls, labels, **kwargs)
+        assert np.array_equal(X_train, chain.transform(urls))
 
 
 class TestPipelinePersistence:
@@ -385,4 +399,19 @@ class TestPipelinePersistence:
         path = tmp_path / "pipe.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ArtifactError):
+            load_pipeline(path)
+
+    @pytest.mark.parametrize(
+        "stale", [("artifact", "model"), ("artifact",), ("model",)], ids=["both", "artifact", "model"]
+    )
+    def test_stale_catalog_rejected_at_load(self, url_corpus, tmp_path, stale):
+        artifact, _ = self._artifact(url_corpus)
+        payload = pipeline_to_dict(artifact)
+        if "artifact" in stale:
+            payload["catalog_version"] = "lex78-v0"
+        if "model" in stale:
+            payload["model"]["catalog_version"] = "lex78-v0"
+        path = tmp_path / "stale.json"
+        write_json_atomic(payload, path)
+        with pytest.raises(CatalogMismatchError, match="lex78-v0"):
             load_pipeline(path)
