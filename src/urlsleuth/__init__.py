@@ -6,7 +6,7 @@ preprocessing pipeline, cross-dataset evaluation with rank tables, and a
 CLI that binds the workflow end to end.
 """
 
-from .charlm import CharGramModel, LmScorePair, ScorePair, score_pair, train_lm
+from .charlm import CharGramModel, LmScorePair
 from .corpus import Dataset, PartitionPlan, UrlRecord, load_dataset, partition
 from .errors import (
     ArtifactError,
@@ -27,7 +27,7 @@ from .evaluation import (
 )
 from .models import FAMILIES, ModelSpec, TrainedModel, fit_model
 from .pipeline import PipelineArtifact, fit_pipeline, grid_search, load_pipeline, save_pipeline
-from .urlfeat import CATALOG_VERSION, FeatureVector, catalog, extract_lexical, parse_url
+from .urlfeat import CATALOG_VERSION, catalog, extract_matrix, parse_url
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "FeatureVector",
     "LmScorePair",
     "MetricReport",
     "ModelError",
@@ -48,7 +47,6 @@ __all__ = [
     "PartitionPlan",
     "PipelineArtifact",
     "RankTable",
-    "ScorePair",
     "TrainedModel",
     "UrlRecord",
     "UrlsleuthError",
@@ -57,7 +55,7 @@ __all__ = [
     "beats_baseline",
     "catalog",
     "compute_metrics",
-    "extract_lexical",
+    "extract_matrix",
     "fit_model",
     "fit_pipeline",
     "grid_search",
@@ -67,6 +65,4 @@ __all__ = [
     "partition",
     "per_dataset_ranks",
     "save_pipeline",
-    "score_pair",
-    "train_lm",
 ]

@@ -110,7 +110,7 @@ class CharGramModel:
         return lp
 
     def score(self, url: str) -> float:
-        """Length-normalized log-likelihood: logprob / (len(url) + 1)."""
+        """Length-normalized log-likelihood: sequence_logprob / (len(url) + 1)."""
         return self.sequence_logprob(url) / (len(url) + 1)
 
     def to_dict(self) -> dict:
@@ -133,33 +133,6 @@ class CharGramModel:
             model._ctx_totals[ctx] = total
             model._ctx_counts[ctx] = {s: c for s, c in items}
         return model
-
-
-@dataclass(frozen=True)
-class ScorePair:
-    """Normalized log-likelihoods of one URL under the two models."""
-
-    benign_score: float
-    malicious_score: float
-
-
-def train_lm(corpus, order: int = 3, smoothing_k: float = 1.0) -> CharGramModel:
-    """Train an add-k character n-gram model on an iterable of strings."""
-    return CharGramModel(order=order, k=smoothing_k).fit(corpus)
-
-
-def logprob(lm: CharGramModel, text: str) -> float:
-    """Natural-log likelihood of ``text`` plus its end marker under ``lm``."""
-    return lm.sequence_logprob(text)
-
-
-def score_pair(benign: CharGramModel, malicious: CharGramModel, url: str) -> ScorePair:
-    """Score one URL under both models; the models must agree on order."""
-    if benign.order != malicious.order:
-        raise ModelError(
-            f"model orders differ: benign {benign.order}, malicious {malicious.order}"
-        )
-    return ScorePair(benign_score=benign.score(url), malicious_score=malicious.score(url))
 
 
 @dataclass
@@ -190,11 +163,6 @@ class LmScorePair:
         )
         return self
 
-    def scores(self, url: str) -> tuple[float, float]:
-        if self.benign is None or self.malicious is None:
-            raise ModelError("score pair is not fitted")
-        return self.benign.score(url), self.malicious.score(url)
-
     def transform(self, urls) -> np.ndarray:
         if self.benign is None or self.malicious is None:
             raise ModelError("score pair is not fitted")
@@ -216,9 +184,16 @@ class LmScorePair:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LmScorePair":
-        return cls(
+        """Rebuild a fitted pair; both models must have the pair's order."""
+        pair = cls(
             order=d["order"],
             k=d["k"],
             benign=CharGramModel.from_dict(d["benign"]),
             malicious=CharGramModel.from_dict(d["malicious"]),
         )
+        if pair.benign.order != pair.order or pair.malicious.order != pair.order:
+            raise ModelError(
+                f"model orders differ: pair {pair.order}, benign {pair.benign.order}, "
+                f"malicious {pair.malicious.order}"
+            )
+        return pair

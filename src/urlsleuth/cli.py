@@ -268,7 +268,10 @@ def cmd_classify(args) -> int:
         urls_path = Path(args.urls_file)
         if not urls_path.is_file():
             raise DataError(f"URL list not found: {urls_path}")
-        text = urls_path.read_text(encoding="utf-8")
+        try:
+            text = urls_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"URL list {urls_path} is not UTF-8 text: {exc}") from exc
     else:
         text = sys.stdin.read()
     urls = [line.strip() for line in text.splitlines() if line.strip()]

@@ -23,14 +23,6 @@ CSV_HEADER = ("url", "label")
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    """One row as it appears in a source file, before standardization."""
-
-    url: str
-    raw_label: str
-
-
-@dataclass(frozen=True)
 class UrlRecord:
     """One standardized observation: URL text, binary label, dataset id."""
 
@@ -70,9 +62,6 @@ class PartitionPlan:
     test_ids: tuple[str, ...]
     seed: int
 
-    def all_ids(self) -> set[str]:
-        return set(self.train_ids) | set(self.val_ids) | set(self.test_ids)
-
 
 def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | None = None) -> Dataset:
     """Read a ``url,label`` CSV and standardize it to binary labels.
@@ -80,8 +69,9 @@ def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | N
     ``label_map`` translates every source-specific label string (e.g.
     ``"bad"``, ``"1"``, ``"malicious"``) to 0 or 1.  Cells are trimmed of
     surrounding whitespace.  Row order is preserved.  Raises ``DataError``
-    naming the offending row for malformed rows and naming the offending
-    value for labels missing from ``label_map``.
+    naming the offending row for malformed rows, naming the offending
+    value for labels missing from ``label_map``, and naming the file when
+    it is not UTF-8 text.
     """
     for raw, mapped in label_map.items():
         if mapped not in (0, 1):
@@ -91,26 +81,29 @@ def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | N
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path!r}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header 'url,label'") from None
-        if tuple(cell.strip() for cell in header) != CSV_HEADER:
-            raise DataError(f"{path}: bad header {header!r}, expected 'url,label'")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataError(f"{path}: row {row_no}: expected 2 fields, got {len(row)}")
-            url = row[0].strip()
-            raw_label = row[1].strip()
-            if not url:
-                raise DataError(f"{path}: row {row_no}: empty URL")
-            if raw_label not in label_map:
-                raise DataError(
-                    f"{path}: row {row_no}: unmapped label {raw_label!r} (not in label map)"
-                )
-            records.append(UrlRecord(url=url, label=label_map[raw_label], source_id=id))
+    try:
+        with handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, expected header 'url,label'") from None
+            if tuple(cell.strip() for cell in header) != CSV_HEADER:
+                raise DataError(f"{path}: bad header {header!r}, expected 'url,label'")
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != 2:
+                    raise DataError(f"{path}: row {row_no}: expected 2 fields, got {len(row)}")
+                url = row[0].strip()
+                raw_label = row[1].strip()
+                if not url:
+                    raise DataError(f"{path}: row {row_no}: empty URL")
+                if raw_label not in label_map:
+                    raise DataError(
+                        f"{path}: row {row_no}: unmapped label {raw_label!r} (not in label map)"
+                    )
+                records.append(UrlRecord(url=url, label=label_map[raw_label], source_id=id))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     return Dataset(id=id, name=name if name is not None else id, records=tuple(records))
 
 

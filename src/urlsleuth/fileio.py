@@ -39,7 +39,7 @@ def read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"artifact file {path} is truncated or corrupt: {exc}") from exc
     if not isinstance(payload, dict):
         raise ArtifactError(f"artifact file {path} does not hold an object")

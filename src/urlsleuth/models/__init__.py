@@ -98,9 +98,6 @@ class TrainedModel:
     catalog_version: str
     cluster_label_map: dict[int, int] | None = None
 
-    def predict_labels(self, X) -> np.ndarray:
-        return self.classifier.predict_batch(X)
-
     def predict_scores(self, X) -> np.ndarray:
         return self.classifier.score_batch(X)
 

@@ -103,9 +103,6 @@ class BinaryClassifier(abc.ABC):
     def _score(self, X: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def get_params(self) -> dict: ...
-
-    @abc.abstractmethod
     def state_to_dict(self) -> dict: ...
 
     @abc.abstractmethod
@@ -129,9 +126,6 @@ class AlwaysMaliciousBaseline(BinaryClassifier):
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         return np.ones(len(X), dtype=np.float64)
-
-    def get_params(self) -> dict:
-        return {}
 
     def state_to_dict(self) -> dict:
         return {}

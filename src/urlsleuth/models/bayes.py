@@ -54,9 +54,6 @@ class GaussianNaiveBayes(BinaryClassifier):
     def _score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self._class_loglik(X, 1) - self._class_loglik(X, 0))
 
-    def get_params(self) -> dict:
-        return {}
-
     def state_to_dict(self) -> dict:
         return {
             "means": self.means_.tolist(),

@@ -122,9 +122,6 @@ class KMeansDetector(BinaryClassifier):
         assign = _sq_distances(X, self.centers_).argmin(axis=1)
         return self.cluster_fractions_[assign]
 
-    def get_params(self) -> dict:
-        return {"n_clusters": self.n_clusters, "max_iter": self.max_iter}
-
     def state_to_dict(self) -> dict:
         return {
             "centers": self.centers_.tolist(),
@@ -234,13 +231,6 @@ class GaussianMixtureDetector(BinaryClassifier):
         resp = np.exp(log_joint - _logsumexp_rows(log_joint)[:, None])
         malicious = self.component_fractions_ >= 0.5
         return resp[:, malicious].sum(axis=1)
-
-    def get_params(self) -> dict:
-        return {
-            "n_components": self.n_components,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-        }
 
     def state_to_dict(self) -> dict:
         return {

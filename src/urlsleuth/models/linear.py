@@ -68,9 +68,6 @@ class _GradientDescentLinear(BinaryClassifier):
     def _score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(X @ self.weights_ + self.bias_)
 
-    def get_params(self) -> dict:
-        return {"learning_rate": self.learning_rate, "n_iters": self.n_iters, "l2": self.l2}
-
     def state_to_dict(self) -> dict:
         return {"weights": self.weights_.tolist(), "bias": self.bias_}
 

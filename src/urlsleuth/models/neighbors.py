@@ -44,9 +44,6 @@ class KNearestNeighbors(BinaryClassifier):
             out[start : start + self._CHUNK] = self.train_y_[nearest].mean(axis=1)
         return out
 
-    def get_params(self) -> dict:
-        return {"k": self.k}
-
     def state_to_dict(self) -> dict:
         return {"train_X": self.train_X_.tolist(), "train_y": self.train_y_.tolist()}
 

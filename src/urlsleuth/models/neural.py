@@ -93,14 +93,6 @@ class MlpClassifier(BinaryClassifier):
         w1, b1, w2, b2 = self._unpack(self.params_, X.shape[1])
         return sigmoid(np.tanh(X @ w1 + b1) @ w2 + b2)
 
-    def get_params(self) -> dict:
-        return {
-            "hidden_units": self.hidden_units,
-            "learning_rate": self.learning_rate,
-            "n_iters": self.n_iters,
-            "l2": self.l2,
-        }
-
     def state_to_dict(self) -> dict:
         return {"params": self.params_.tolist()}
 

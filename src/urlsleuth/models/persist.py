@@ -1,16 +1,15 @@
-"""Versioned JSON persistence for trained models.
+"""Versioned JSON form of a trained model, embedded in pipeline artifacts.
 
 The container is self-describing: an artifact tag, a format version, the
 model spec, the catalog version, and the family-specific fitted state.
 Floats survive the round trip exactly because JSON serialization uses
-shortest round-trip decimal forms.  Writes are atomic (temp file then
-rename) so a reader never observes a partial artifact.
+shortest round-trip decimal forms.  No file is written here: the pipeline
+artifact (``pipeline.save_pipeline``) carries this dict as its ``model``.
 """
 
 from __future__ import annotations
 
 from ..errors import ArtifactError
-from ..fileio import read_json, write_json_atomic
 from . import ModelSpec, TrainedModel, make_classifier
 
 MODEL_ARTIFACT_TAG = "urlsleuth-model"
@@ -69,11 +68,3 @@ def model_from_dict(payload: dict) -> TrainedModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"model artifact is malformed: {exc}") from exc
-
-
-def save_model(model: TrainedModel, path) -> None:
-    write_json_atomic(model_to_dict(model), path)
-
-
-def load_model(path) -> TrainedModel:
-    return model_from_dict(read_json(path))

@@ -201,9 +201,6 @@ class DecisionTreeCART(BinaryClassifier):
     def _score(self, X: np.ndarray) -> np.ndarray:
         return self.tree_.predict(X)
 
-    def get_params(self) -> dict:
-        return {"max_depth": self.max_depth, "min_samples_split": self.min_samples_split}
-
     def state_to_dict(self) -> dict:
         return {"tree": self.tree_.to_dict()}
 
@@ -261,15 +258,6 @@ class RandomForest(BinaryClassifier):
         for tree in self.trees_:
             votes += tree.predict(X) >= 0.5
         return votes / self.n_trees
-
-    def get_params(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "bootstrap": self.bootstrap,
-            "max_features": self.max_features,
-        }
 
     def state_to_dict(self) -> dict:
         return {"trees": [t.to_dict() for t in self.trees_]}
@@ -334,14 +322,6 @@ class GradientBoostedTrees(BinaryClassifier):
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self._raw(X))
-
-    def get_params(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-        }
 
     def state_to_dict(self) -> dict:
         return {"f0": self.f0_, "trees": [t.to_dict() for t in self.trees_]}

@@ -1,9 +1,12 @@
 """Lexical URL decomposition and the fixed 78-feature vector.
 
 Everything here is computed from the URL string alone: no DNS, no fetches,
-no public-suffix data.  The feature roster is frozen per catalog version so
-that feature matrices stay comparable across runs; ``catalog()`` returns
-the active version and ``catalog_manifest()`` its machine-readable form.
+no public-suffix data.  ``parse_url`` is the one decomposition: features
+are computed from the URL text and the host, path, query and their parts
+that ``parse_url`` returns.  The feature roster is frozen per catalog
+version so that feature matrices stay comparable across runs;
+``catalog()`` returns the active version and ``catalog_manifest()`` its
+machine-readable form.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import CatalogMismatchError
 
 CATALOG_VERSION = "lex78-v1"
 
@@ -67,7 +68,9 @@ class UrlParts:
     scheme: str | None
     host: str
     port: int | None
+    path: str
     path_segments: tuple[str, ...]
+    query: str | None  # None when the URL has no '?'
     query_pairs: tuple[tuple[str, str], ...]
     fragment: str | None
     tld: str | None
@@ -92,19 +95,6 @@ class FeatureCatalog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass
-class FeatureVector:
-    """A real vector whose layout is fixed by a catalog version."""
-
-    values: np.ndarray
-    catalog_version: str
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature vector contains non-finite values")
 
 
 def _is_dotted_quad(host: str) -> bool:
@@ -133,8 +123,10 @@ def _host_tld(host: str) -> tuple[bool, str | None]:
     return False, None
 
 
-def _split(url: str) -> tuple[str | None, str, int | None, str, str, str | None, bool]:
-    """Split a URL into (scheme, host, port, path, query, fragment, has_query).
+def _split(url: str) -> tuple[str | None, str, int | None, str, str | None, str | None]:
+    """Split a URL into (scheme, host, port, path, query, fragment).
+
+    ``query`` and ``fragment`` are None when their separator is absent.
 
     Total: pathological inputs still come back as parts.  An input with no
     scheme that starts with '/', '?' or '#' is treated as host-only.
@@ -146,7 +138,7 @@ def _split(url: str) -> tuple[str | None, str, int | None, str, str, str | None,
         scheme = m.group(1).lower()
         rest = url[m.end():]
     elif url[:1] in ("/", "?", "#"):
-        return None, url, None, "", "", None, False
+        return None, url, None, "", None, None
 
     cut = len(rest)
     for ch in "/?#":
@@ -158,9 +150,8 @@ def _split(url: str) -> tuple[str | None, str, int | None, str, str, str | None,
     fragment: str | None = None
     if "#" in tail:
         tail, fragment = tail.split("#", 1)
-    has_query = "?" in tail
-    query = ""
-    if has_query:
+    query: str | None = None
+    if "?" in tail:
         tail, query = tail.split("?", 1)
     path = tail
 
@@ -171,7 +162,7 @@ def _split(url: str) -> tuple[str | None, str, int | None, str, str, str | None,
         maybe_host, maybe_port = host_port.rsplit(":", 1)
         if maybe_port.isascii() and maybe_port.isdigit():
             host, port = maybe_host, int(maybe_port)
-    return scheme, host, port, path, query, fragment, has_query
+    return scheme, host, port, path, query, fragment
 
 
 def parse_url(url: str) -> UrlParts:
@@ -180,10 +171,10 @@ def parse_url(url: str) -> UrlParts:
     Scheme-less inputs (``google.com``) parse with an absent scheme; the
     TLD and IP-host flag come from ``_host_tld``.
     """
-    scheme, host, port, path, query, fragment, _ = _split(url)
+    scheme, host, port, path, query, fragment = _split(url)
     segments = tuple(s for s in path.split("/") if s)
     pairs: list[tuple[str, str]] = []
-    for part in query.split("&"):
+    for part in (query or "").split("&"):
         if not part:
             continue
         if "=" in part:
@@ -196,7 +187,9 @@ def parse_url(url: str) -> UrlParts:
         scheme=scheme,
         host=host,
         port=port,
+        path=path,
         path_segments=segments,
+        query=query,
         query_pairs=tuple(pairs),
         fragment=fragment,
         tld=tld,
@@ -220,7 +213,9 @@ def _entropy_from_counts(counts, total: int) -> float:
 
 
 def _feature_dict(url: str) -> dict[str, float]:
-    scheme, host, port, path, query, fragment, has_query = _split(url)
+    parts = parse_url(url)
+    scheme, host, path, segments = parts.scheme, parts.host, parts.path, parts.path_segments
+    query = parts.query or ""
     n = len(url)
     counter = Counter(url)
 
@@ -240,11 +235,7 @@ def _feature_dict(url: str) -> dict[str, float]:
     digit_runs = _DIGIT_RUN_RE.findall(url)
     letter_runs = _LETTER_RUN_RE.findall(url)
 
-    segments = [s for s in path.split("/") if s]
     host_labels = [l for l in host.split(".") if l]
-    query_parts = [p for p in query.split("&") if p]
-
-    is_ip, tld = _host_tld(host)
 
     after_scheme = url[len(scheme) + 3:] if scheme else url
 
@@ -254,8 +245,8 @@ def _feature_dict(url: str) -> dict[str, float]:
     f["host_length"] = len(host)
     f["path_length"] = len(path)
     f["query_length"] = len(query)
-    f["fragment_length"] = len(fragment) if fragment is not None else 0
-    f["tld_length"] = len(tld or "")
+    f["fragment_length"] = len(parts.fragment) if parts.fragment is not None else 0
+    f["tld_length"] = len(parts.tld or "")
     f["scheme_length"] = len(scheme) if scheme is not None else 0
     f["longest_path_segment_length"] = max((len(s) for s in segments), default=0)
     f["longest_token_length"] = max((len(t) for t in tokens), default=0)
@@ -280,7 +271,7 @@ def _feature_dict(url: str) -> dict[str, float]:
     # counts: structure
     f["host_label_count"] = len(host_labels)
     f["path_segment_count"] = len(segments)
-    f["query_param_count"] = len(query_parts)
+    f["query_param_count"] = len(parts.query_pairs)
     f["encoded_char_count"] = len(_ENCODED_RE.findall(url))
     # ratios
     f["digit_ratio"] = digits / n if n else 0.0
@@ -292,14 +283,14 @@ def _feature_dict(url: str) -> dict[str, float]:
     # booleans
     f["has_scheme"] = 1.0 if scheme is not None else 0.0
     f["is_https"] = 1.0 if scheme == "https" else 0.0
-    f["is_ip_host"] = 1.0 if is_ip else 0.0
-    f["has_port"] = 1.0 if port is not None else 0.0
+    f["is_ip_host"] = 1.0 if parts.is_ip_host else 0.0
+    f["has_port"] = 1.0 if parts.port is not None else 0.0
     f["has_at_symbol"] = 1.0 if "@" in url else 0.0
     f["has_double_slash"] = 1.0 if "//" in after_scheme else 0.0
     f["has_punycode_label"] = 1.0 if any(l.lower().startswith("xn--") for l in host_labels) else 0.0
     f["is_short_host"] = 1.0 if 0 < len(host) <= 7 else 0.0
-    f["has_query"] = 1.0 if has_query else 0.0
-    f["has_fragment"] = 1.0 if fragment is not None else 0.0
+    f["has_query"] = 1.0 if parts.query is not None else 0.0
+    f["has_fragment"] = 1.0 if parts.fragment is not None else 0.0
     # entropies
     f["url_entropy"] = _entropy_from_counts(counter.values(), n) if n else 0.0
     f["host_entropy"] = entropy(host)
@@ -405,16 +396,6 @@ def catalog_manifest() -> dict:
             for e in _CATALOG.entries
         ],
     }
-
-
-def extract_lexical(url: str, catalog: FeatureCatalog | None = None) -> FeatureVector:
-    """Compute the 78-dimension lexical feature vector for one URL."""
-    if catalog is not None and catalog.version != CATALOG_VERSION:
-        raise CatalogMismatchError(
-            f"catalog version {catalog.version!r} is not the active {CATALOG_VERSION!r}"
-        )
-    d = _feature_dict(url)
-    return FeatureVector(values=np.array([d[name] for name in _NAMES]), catalog_version=CATALOG_VERSION)
 
 
 def extract_matrix(urls) -> np.ndarray:

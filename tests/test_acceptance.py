@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from urlsleuth.charlm import SYMBOLS, CharGramModel, score_pair, train_lm
+from urlsleuth.charlm import SYMBOLS, CharGramModel, LmScorePair
 from urlsleuth.evaluation import (
     aggregate_rank_table,
     auc_score,
@@ -185,8 +185,8 @@ def test_criterion_04_language_model_soundness():
         "".join(rnd.choice(alphabet + "!$~@") for _ in range(rnd.randrange(20, 60)))
         for _ in range(300)
     ]
-    benign = train_lm(benign_corpus, order=3)
-    malicious = train_lm(malicious_corpus, order=3)
+    benign = CharGramModel(order=3).fit(benign_corpus)
+    malicious = CharGramModel(order=3).fit(malicious_corpus)
     worst = 0.0
     for _ in range(100):
         context = "".join(rnd.choice(alphabet + "\x02") for _ in range(2))
@@ -195,16 +195,17 @@ def test_criterion_04_language_model_soundness():
             worst = max(worst, abs(total - 1.0))
     assert worst < 1e-9
 
-    twin_a = train_lm(benign_corpus, order=3)
-    twin_b = train_lm(benign_corpus, order=3)
+    twin_a = CharGramModel(order=3).fit(benign_corpus)
+    twin_b = CharGramModel(order=3).fit(benign_corpus)
     probes = [
         "".join(rnd.choice(alphabet + "é#[]") for _ in range(rnd.randrange(1, 80)))
         for _ in range(1000)
     ]
-    for url in probes:
-        assert score_pair(twin_a, twin_b, url) == score_pair(twin_b, twin_a, url)
-        pair = score_pair(twin_a, twin_b, url)
-        assert pair.benign_score == pair.malicious_score
+    rows_ab = LmScorePair(order=3, benign=twin_a, malicious=twin_b).transform(probes)
+    rows_ba = LmScorePair(order=3, benign=twin_b, malicious=twin_a).transform(probes)
+    for pair, swapped in zip(rows_ab, rows_ba):
+        assert tuple(pair) == tuple(swapped)
+        assert pair[0] == pair[1]
     elapsed = time.monotonic() - start
     print(f"criterion 4: worst normalization error {worst:.2e} in {elapsed:.1f}s")
     assert elapsed < 10.0

@@ -18,10 +18,6 @@ from urlsleuth.charlm import (
     VOCAB_SIZE,
     CharGramModel,
     LmScorePair,
-    ScorePair,
-    logprob,
-    score_pair,
-    train_lm,
 )
 from urlsleuth.errors import ModelError
 
@@ -121,7 +117,7 @@ class TestModelBehaviour:
         assert lp < 0.0
 
     def test_serialization_round_trip(self):
-        m = train_lm(["http://a.com/x", "https://b.org/?q=1"], order=3, smoothing_k=0.5)
+        m = CharGramModel(order=3, k=0.5).fit(["http://a.com/x", "https://b.org/?q=1"])
         restored = CharGramModel.from_dict(m.to_dict())
         for text in ["http://a.com/x", "zzz", "", "éé"]:
             assert restored.sequence_logprob(text) == m.sequence_logprob(text)
@@ -130,23 +126,29 @@ class TestModelBehaviour:
 
 class TestScorePair:
     def test_wrapper_functions(self):
-        benign = train_lm(["aaaa", "aaab"], order=2)
-        malicious = train_lm(["zzzz", "zzzy"], order=2)
-        assert logprob(benign, "aaaa") == pytest.approx(benign.sequence_logprob("aaaa"))
-        pair = score_pair(benign, malicious, "aaaa")
-        assert isinstance(pair, ScorePair)
-        assert pair.benign_score == pytest.approx(benign.score("aaaa"))
-        assert pair.malicious_score == pytest.approx(malicious.score("aaaa"))
-        assert pair.benign_score > pair.malicious_score
+        benign = CharGramModel(order=2, k=1.0).fit(["aaaa", "aaab"])
+        malicious = CharGramModel(order=2, k=1.0).fit(["zzzz", "zzzy"])
+        pair = LmScorePair(order=2, benign=benign, malicious=malicious).transform(["aaaa"])[0]
+        assert pair.shape == (2,)
+        assert pair[0] == pytest.approx(benign.score("aaaa"))
+        assert pair[1] == pytest.approx(malicious.score("aaaa"))
+        assert pair[0] > pair[1]
 
     def test_identical_corpora_give_equal_scores(self):
         corpus = ["http://a.com", "http://b.com"]
-        pair = score_pair(train_lm(corpus), train_lm(corpus), "http://c.com")
-        assert pair.benign_score == pair.malicious_score
+        pair = LmScorePair(
+            benign=CharGramModel().fit(corpus), malicious=CharGramModel().fit(corpus)
+        ).transform(["http://c.com"])[0]
+        assert pair[0] == pair[1]
 
     def test_order_mismatch_rejected(self):
-        with pytest.raises(ModelError, match="order"):
-            score_pair(train_lm(["a"], order=2), train_lm(["a"], order=3), "a")
+        payload = LmScorePair(order=2, k=1.0).fit(["a", "b"], np.array([0, 1])).to_dict()
+        for benign_order, malicious_order in [(2, 3), (3, 2)]:
+            mixed = dict(payload)
+            mixed["benign"] = CharGramModel(order=benign_order).fit(["a"]).to_dict()
+            mixed["malicious"] = CharGramModel(order=malicious_order).fit(["b"]).to_dict()
+            with pytest.raises(ModelError, match="order"):
+                LmScorePair.from_dict(mixed)
 
 
 class TestLmScorePair:
@@ -154,9 +156,9 @@ class TestLmScorePair:
         urls = ["aaaa", "aaab", "zzzz", "zzzy"]
         labels = np.array([0, 0, 1, 1])
         pair = LmScorePair(order=2, k=1.0).fit(urls, labels)
-        b, m = pair.scores("aaaa")
+        b, m = pair.transform(["aaaa"])[0]
         assert b > m
-        b, m = pair.scores("zzzz")
+        b, m = pair.transform(["zzzz"])[0]
         assert m > b
 
     def test_transform_shape_and_content(self):
@@ -165,9 +167,9 @@ class TestLmScorePair:
         mat = pair.transform(urls)
         assert mat.shape == (3, 2)
         for i, url in enumerate(urls):
-            assert tuple(mat[i]) == pair.scores(url)
+            assert tuple(mat[i]) == (pair.benign.score(url), pair.malicious.score(url))
 
     def test_round_trip(self):
         pair = LmScorePair(order=3, k=1.0).fit(["aaa", "zzz"], np.array([0, 1]))
         restored = LmScorePair.from_dict(pair.to_dict())
-        assert restored.scores("aza") == pair.scores("aza")
+        assert np.array_equal(restored.transform(["aza"]), pair.transform(["aza"]))

@@ -369,6 +369,39 @@ class TestErrorPaths:
         assert main(["classify", "--artifact", str(artifact), str(urls_file)]) == 1
         assert "empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["artifact", "urls", "dataset", "config"])
+    def test_non_utf8_file_reported(self, target, workspace, tmp_path, capsys):
+        # 0xff never occurs in UTF-8 text.
+        bad = tmp_path / f"bad_{target}"
+        if target == "dataset":
+            bad.write_bytes(b"url,label\nhttp://a.com/\xff,benign\n")
+            config = {
+                "datasets": [
+                    {"id": f"d{i}", "path": bad.name, "label_map": {"benign": 0}}
+                    for i in range(3)
+                ],
+                "partition": {"train": 1, "val": 1, "test": 1},
+            }
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            argv = ["ingest", "--config", str(config_path)]
+        elif target == "config":
+            bad.write_bytes(b'{"datasets": "\xff"}')
+            argv = ["ingest", "--config", str(bad)]
+        else:
+            bad.write_bytes(b"\xffhttp://a.com\n")
+            artifact = workspace["out_dir"] / "models" / "LR.json"
+            urls_file = tmp_path / "urls.txt"
+            urls_file.write_text("http://a.com\n", encoding="utf-8")
+            if target == "artifact":
+                argv = ["classify", "--artifact", str(bad), str(urls_file)]
+            else:
+                argv = ["classify", "--artifact", str(artifact), str(bad)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert bad.name in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 1
         assert "not found" in capsys.readouterr().err

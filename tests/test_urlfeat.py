@@ -14,16 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urlsleuth.errors import CatalogMismatchError
 from urlsleuth.urlfeat import (
     CATALOG_VERSION,
     SPECIAL_CHAR_FEATURES,
-    FeatureCatalog,
-    FeatureVector,
     catalog,
     catalog_manifest,
     entropy,
-    extract_lexical,
     extract_matrix,
     parse_url,
 )
@@ -33,8 +29,8 @@ IDX = {name: i for i, name in enumerate(NAMES)}
 
 
 def feat(url: str) -> dict[str, float]:
-    vec = extract_lexical(url)
-    return dict(zip(NAMES, vec.values.tolist()))
+    vec = extract_matrix([url])[0]
+    return dict(zip(NAMES, vec.tolist()))
 
 
 def random_urls(n: int, seed: int) -> list[str]:
@@ -55,7 +51,9 @@ class TestParseUrl:
         assert p.scheme is None
         assert p.host == "google.com"
         assert p.port is None
+        assert p.path == ""
         assert p.path_segments == ()
+        assert p.query is None
         assert p.query_pairs == ()
         assert p.fragment is None
         assert p.tld == "com"
@@ -65,7 +63,9 @@ class TestParseUrl:
         p = parse_url("https://www.google.com/a/b/c?x=1&y=2#frag")
         assert p.scheme == "https"
         assert p.host == "www.google.com"
+        assert p.path == "/a/b/c"
         assert p.path_segments == ("a", "b", "c")
+        assert p.query == "x=1&y=2"
         assert p.query_pairs == (("x", "1"), ("y", "2"))
         assert p.fragment == "frag"
         assert p.tld == "com"
@@ -96,11 +96,23 @@ class TestParseUrl:
         # '#' wins over '?' appearing after it: the query lives in the fragment.
         p = parse_url("http://a.com/p#frag?notquery")
         assert p.fragment == "frag?notquery"
+        assert p.query is None
         assert p.query_pairs == ()
 
     def test_valueless_query_key(self):
         p = parse_url("http://a.com/?flag&x=1")
         assert p.query_pairs == (("flag", ""), ("x", "1"))
+
+    def test_empty_query_is_present(self):
+        # A bare '?' is an empty query, not an absent one: has_query reads 1.
+        p = parse_url("http://a.com/p?")
+        assert p.path == "/p"
+        assert p.query == ""
+        assert p.query_pairs == ()
+        f = feat("http://a.com/p?")
+        assert f["has_query"] == 1.0
+        assert f["query_length"] == 0
+        assert f["query_param_count"] == 0
 
     def test_single_label_host_has_no_tld(self):
         assert parse_url("localhost").tld is None
@@ -166,10 +178,10 @@ class TestCatalog:
 
 class TestExtractLexical:
     def test_vector_shape_and_version(self):
-        vec = extract_lexical("http://example.com/a")
-        assert isinstance(vec, FeatureVector)
-        assert vec.values.shape == (78,)
-        assert vec.catalog_version == CATALOG_VERSION
+        vec = extract_matrix(["http://example.com/a"])[0]
+        assert vec.dtype == np.float64
+        assert vec.shape == (78,)
+        assert catalog().version == CATALOG_VERSION
 
     def test_hand_example(self):
         f = feat("https://www.google.com/a/b/c?x=1&y=2#frag")
@@ -254,7 +266,7 @@ class TestExtractLexical:
             "host_url_length_ratio",
         ]
         for url in random_urls(300, seed=102):
-            vec = extract_lexical(url).values
+            vec = extract_matrix([url])[0]
             assert np.all(np.isfinite(vec))
             f = dict(zip(NAMES, vec.tolist()))
             for name in count_like:
@@ -273,8 +285,8 @@ class TestExtractLexical:
 
     def test_deterministic(self):
         url = "https://odd.example/9%41?a=b#z"
-        a = extract_lexical(url).values
-        b = extract_lexical(url).values
+        a = extract_matrix([url])[0]
+        b = extract_matrix([url])[0]
         assert np.array_equal(a, b)
 
     def test_matrix_matches_single_extraction(self):
@@ -282,17 +294,4 @@ class TestExtractLexical:
         mat = extract_matrix(urls)
         assert mat.shape == (50, 78)
         for i, url in enumerate(urls):
-            assert np.array_equal(mat[i], extract_lexical(url).values)
-
-    def test_stale_catalog_rejected(self):
-        stale = FeatureCatalog(version="lex78-v0", entries=())
-        with pytest.raises(CatalogMismatchError):
-            extract_lexical("http://a.com", catalog=stale)
-
-    def test_matching_catalog_accepted(self):
-        vec = extract_lexical("http://a.com", catalog=catalog())
-        assert vec.values.shape == (78,)
-
-    def test_nonfinite_vector_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            FeatureVector(values=np.array([1.0, np.nan]), catalog_version=CATALOG_VERSION)
+            assert np.array_equal(mat[i], extract_matrix([url])[0])
