@@ -184,16 +184,19 @@ class LmScorePair:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LmScorePair":
-        """Rebuild a fitted pair; both models must have the pair's order."""
+        """Rebuild a fitted pair; both models must have the pair's order and k."""
         pair = cls(
             order=d["order"],
             k=d["k"],
             benign=CharGramModel.from_dict(d["benign"]),
             malicious=CharGramModel.from_dict(d["malicious"]),
         )
-        if pair.benign.order != pair.order or pair.malicious.order != pair.order:
-            raise ModelError(
-                f"model orders differ: pair {pair.order}, benign {pair.benign.order}, "
-                f"malicious {pair.malicious.order}"
-            )
+        for name in ("order", "k"):
+            want = getattr(pair, name)
+            benign, malicious = getattr(pair.benign, name), getattr(pair.malicious, name)
+            if benign != want or malicious != want:
+                raise ModelError(
+                    f"model {name} values differ: pair {want}, benign {benign}, "
+                    f"malicious {malicious}"
+                )
         return pair

@@ -36,7 +36,7 @@ from .fileio import write_json_atomic, write_text_atomic
 from .models import FAMILIES, ModelSpec, fit_model
 from .pipeline import PipelineArtifact, fit_chain, grid_search, load_pipeline, save_pipeline
 from .synth import BENIGN_LABEL_NAME, MALICIOUS_LABEL_NAME
-from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
+from .urlfeat import catalog, extract_matrix
 
 OVERLAP_FLAG_THRESHOLD = 0.20
 
@@ -179,7 +179,7 @@ def cmd_train(args) -> int:
             )
         else:
             spec = ModelSpec(family=family, hyperparameters={}, seed=seed)
-        model = fit_model(spec, train_matrix, train_labels, CATALOG_VERSION)
+        model = fit_model(spec, train_matrix, train_labels)
         save_pipeline(PipelineArtifact(chain, model), models_dir / f"{family}.json")
         chosen[family] = {"hyperparameters": spec.hyperparameters, "seed": spec.seed}
         print(f"trained {family}: {spec.hyperparameters}")

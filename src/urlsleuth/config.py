@@ -260,7 +260,7 @@ def parse_run_config(raw: dict, base_dir: Path) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))

@@ -49,9 +49,6 @@ class Dataset:
     def urls(self) -> set[str]:
         return {r.url for r in self.records}
 
-    def labels(self) -> list[int]:
-        return [r.label for r in self.records]
-
 
 @dataclass(frozen=True)
 class PartitionPlan:

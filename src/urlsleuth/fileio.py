@@ -34,7 +34,7 @@ def write_json_atomic(payload: dict, path) -> None:
 
 def read_json(path) -> dict:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ArtifactError(f"artifact file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:

@@ -2,8 +2,8 @@
 
 ``ModelSpec`` names a family, its hyperparameters, and a seed;
 ``fit_model`` turns a spec plus a feature matrix into an immutable
-``TrainedModel`` that scores matrices of the same layout and records the
-catalog version of the features it was trained on.
+``TrainedModel`` that scores matrices of the same layout.  Its JSON form
+(``to_dict``/``from_dict``) is the ``model`` entry of a pipeline artifact.
 """
 
 from __future__ import annotations
@@ -91,31 +91,42 @@ def make_classifier(spec: ModelSpec) -> BinaryClassifier:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """A fitted classifier bound to the feature catalog it was trained on."""
+    """A fitted classifier and the spec it was fitted from."""
 
     spec: ModelSpec
     classifier: BinaryClassifier
-    catalog_version: str
-    cluster_label_map: dict[int, int] | None = None
 
     def predict_scores(self, X) -> np.ndarray:
         return self.classifier.score_batch(X)
 
+    def to_dict(self) -> dict:
+        return {
+            "spec": {
+                "family": self.spec.family,
+                "hyperparameters": dict(self.spec.hyperparameters),
+                "seed": self.spec.seed,
+            },
+            "n_features": self.classifier.n_features_,
+            "state": self.classifier.state_to_dict(),
+        }
 
-def fit_model(spec: ModelSpec, X, y, catalog_version: str) -> TrainedModel:
-    """Fit one family on a feature matrix; unsupervised families also get
-    their cluster-to-label map (majority training vote, ties to 1)."""
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainedModel":
+        spec = ModelSpec(
+            family=d["spec"]["family"],
+            hyperparameters=dict(d["spec"]["hyperparameters"]),
+            seed=int(d["spec"]["seed"]),
+        )
+        clf = make_classifier(spec)
+        clf._restore(int(d["n_features"]), d["state"])
+        return cls(spec=spec, classifier=clf)
+
+
+def fit_model(spec: ModelSpec, X, y) -> TrainedModel:
+    """Fit one family on a feature matrix."""
     clf = make_classifier(spec)
     clf.fit(X, y)
-    label_map = None
-    if spec.family in UNSUPERVISED_FAMILIES:
-        label_map = clf.cluster_label_map()
-    return TrainedModel(
-        spec=spec,
-        classifier=clf,
-        catalog_version=catalog_version,
-        cluster_label_map=label_map,
-    )
+    return TrainedModel(spec=spec, classifier=clf)
 
 
 __all__ = [

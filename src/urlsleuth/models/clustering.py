@@ -113,11 +113,6 @@ class KMeansDetector(BinaryClassifier):
         final_assign = _sq_distances(X, centers).argmin(axis=1)
         self.cluster_fractions_ = _majority_fractions(final_assign, y, self.n_clusters)
 
-    def cluster_label_map(self) -> dict[int, int]:
-        return {
-            c: int(self.cluster_fractions_[c] >= 0.5) for c in range(self.n_clusters)
-        }
-
     def _score(self, X: np.ndarray) -> np.ndarray:
         assign = _sq_distances(X, self.centers_).argmin(axis=1)
         return self.cluster_fractions_[assign]
@@ -220,11 +215,6 @@ class GaussianMixtureDetector(BinaryClassifier):
                 self.variances_[c] = np.maximum(var_c, floor)
         hard = resp.argmax(axis=1)
         self.component_fractions_ = _majority_fractions(hard, y, k)
-
-    def cluster_label_map(self) -> dict[int, int]:
-        return {
-            c: int(self.component_fractions_[c] >= 0.5) for c in range(self.n_components)
-        }
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         log_joint = self._log_joint(X)

@@ -6,7 +6,9 @@ information, optionally project onto principal components, then hand the
 matrix to a model.  ``fit_chain`` fits every stage on training rows only
 and returns them as one ``FeatureChain``, a pure function afterwards.  A
 ``PipelineArtifact`` is that chain plus one trained model; ``train``
-shares a single chain across every family of a run.
+shares a single chain across every family of a run.  Its JSON form is
+the one saved container: a tag, a format version, the feature catalog
+version, the chain's stages and the model (spec, feature count, state).
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from .errors import ArtifactError, CatalogMismatchError, ConfigError, DataError,
 from .evaluation import compute_metrics
 from .fileio import read_json, write_json_atomic
 from .models import ModelSpec, TrainedModel, fit_model
-from .models.persist import model_from_dict, model_to_dict
 from .urlfeat import CATALOG_VERSION, extract_matrix
 
 PIPELINE_ARTIFACT_TAG = "urlsleuth-pipeline"
-PIPELINE_ARTIFACT_VERSION = 1
+PIPELINE_ARTIFACT_VERSION = 2
 
 MI_BIN_COUNT = 10
 
@@ -221,7 +222,6 @@ class PipelineArtifact:
 
     chain: FeatureChain
     model: TrainedModel
-    catalog_version: str = CATALOG_VERSION
 
     def featurize(self, urls) -> np.ndarray:
         """Raw URLs to this artifact's model input (``chain.transform``)."""
@@ -250,7 +250,7 @@ def fit_pipeline(
         urls, labels, lm_order=lm_order, lm_smoothing=lm_smoothing, top_k=top_k,
         use_projection=use_projection, variance_target=variance_target,
     )
-    return PipelineArtifact(chain, fit_model(spec, X, np.asarray(labels), CATALOG_VERSION))
+    return PipelineArtifact(chain, fit_model(spec, X, np.asarray(labels)))
 
 
 def grid_search(
@@ -280,7 +280,7 @@ def grid_search(
             family=family, hyperparameters=dict(zip(names, values)), seed=seed
         )
         try:
-            model = fit_model(spec, X_train, y_train, CATALOG_VERSION)
+            model = fit_model(spec, X_train, y_train)
             per_set = []
             for X_val, y_val in val_sets:
                 scores = model.predict_scores(X_val)
@@ -313,7 +313,7 @@ def pipeline_to_dict(artifact: PipelineArtifact) -> dict:
     return {
         "artifact": PIPELINE_ARTIFACT_TAG,
         "format_version": PIPELINE_ARTIFACT_VERSION,
-        "catalog_version": artifact.catalog_version,
+        "catalog_version": CATALOG_VERSION,
         "lm": chain.lm_pair.to_dict(),
         "scaler": {
             "mean": chain.scaler.mean.tolist(),
@@ -324,7 +324,7 @@ def pipeline_to_dict(artifact: PipelineArtifact) -> dict:
             "score_per_feature": chain.selector.score_per_feature.tolist(),
         },
         "projection": proj,
-        "model": model_to_dict(artifact.model),
+        "model": artifact.model.to_dict(),
     }
 
 
@@ -368,17 +368,16 @@ def pipeline_from_dict(payload: dict) -> PipelineArtifact:
                 ),
             )
         chain = FeatureChain(LmScorePair.from_dict(payload["lm"]), scaler, selector, projection)
-        model = model_from_dict(payload["model"])
+        model = TrainedModel.from_dict(payload["model"])
         catalog_version = payload["catalog_version"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"pipeline artifact is malformed: {exc}") from exc
-    for what, version in (("artifact", catalog_version), ("model", model.catalog_version)):
-        if version != CATALOG_VERSION:
-            raise CatalogMismatchError(
-                f"{what} was built for feature catalog {version!r}; "
-                f"this build extracts {CATALOG_VERSION!r}"
-            )
-    return PipelineArtifact(chain, model, catalog_version)
+    if catalog_version != CATALOG_VERSION:
+        raise CatalogMismatchError(
+            f"artifact was built for feature catalog {catalog_version!r}; "
+            f"this build extracts {CATALOG_VERSION!r}"
+        )
+    return PipelineArtifact(chain, model)
 
 
 def save_pipeline(artifact: PipelineArtifact, path) -> None:

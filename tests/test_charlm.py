@@ -143,11 +143,16 @@ class TestScorePair:
 
     def test_order_mismatch_rejected(self):
         payload = LmScorePair(order=2, k=1.0).fit(["a", "b"], np.array([0, 1])).to_dict()
-        for benign_order, malicious_order in [(2, 3), (3, 2)]:
+        for benign, malicious, field in [
+            ((2, 1.0), (3, 1.0), "order"),
+            ((3, 1.0), (2, 1.0), "order"),
+            ((2, 0.5), (2, 1.0), "k"),
+            ((2, 1.0), (2, 0.5), "k"),
+        ]:
             mixed = dict(payload)
-            mixed["benign"] = CharGramModel(order=benign_order).fit(["a"]).to_dict()
-            mixed["malicious"] = CharGramModel(order=malicious_order).fit(["b"]).to_dict()
-            with pytest.raises(ModelError, match="order"):
+            mixed["benign"] = CharGramModel(*benign).fit(["a"]).to_dict()
+            mixed["malicious"] = CharGramModel(*malicious).fit(["b"]).to_dict()
+            with pytest.raises(ModelError, match=f"model {field} values differ"):
                 LmScorePair.from_dict(mixed)
 
 

@@ -402,6 +402,21 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert bad.name in err
 
+    @pytest.mark.parametrize("target", ["artifact", "config"])
+    def test_directory_path_reported(self, target, tmp_path, capsys):
+        directory = tmp_path / f"dir_{target}"
+        directory.mkdir()
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text("http://a.com\n", encoding="utf-8")
+        if target == "artifact":
+            argv = ["classify", "--artifact", str(directory), str(urls_file)]
+        else:
+            argv = ["classify", "--config", str(directory), "--model", "LR", str(urls_file)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert directory.name in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 1
         assert "not found" in capsys.readouterr().err

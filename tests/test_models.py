@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from urlsleuth.errors import ArtifactError, ModelError
+from urlsleuth.errors import ModelError
 from urlsleuth.models import (
     FAMILIES,
     STOCHASTIC_FAMILIES,
@@ -21,9 +21,7 @@ from urlsleuth.models import (
 from urlsleuth.models.bayes import GaussianNaiveBayes
 from urlsleuth.models.linear import LogisticRegressionGD
 from urlsleuth.models.neighbors import KNearestNeighbors
-from urlsleuth.models.persist import model_from_dict, model_to_dict
 from urlsleuth.models.trees import DecisionTreeCART, RandomForest
-from urlsleuth.urlfeat import CATALOG_VERSION
 
 # Small hyperparameters so the full cross-family sweeps stay fast.
 FAST_PARAMS: dict[str, dict] = {
@@ -314,7 +312,7 @@ class TestStochasticSeeding:
 class TestTrainedModelApi:
     def test_fit_model_and_single_prediction(self, blob_data):
         x, y = blob_data
-        model = fit_model(spec_for("LR"), x, y, CATALOG_VERSION)
+        model = fit_model(spec_for("LR"), x, y)
         assert isinstance(model, TrainedModel)
         score = model.predict_scores(x[:1])[0]
         assert 0.0 <= score <= 1.0
@@ -322,7 +320,7 @@ class TestTrainedModelApi:
 
     def test_batch_helpers_match_loop(self, blob_data):
         x, y = blob_data
-        model = fit_model(spec_for("GNB"), x, y, CATALOG_VERSION)
+        model = fit_model(spec_for("GNB"), x, y)
         batch = model.predict_scores(x[:5])
         single = [model.predict_scores(x[i:i + 1])[0] for i in range(5)]
         np.testing.assert_allclose(batch, single, atol=1e-12)
@@ -330,52 +328,20 @@ class TestTrainedModelApi:
             model.classifier.predict_batch(x[:5]), (batch >= 0.5).astype(np.int64)
         )
 
-    def test_cluster_label_map_exposed_for_unsupervised(self, blob_data):
-        x, y = blob_data
-        model = fit_model(spec_for("KMEANS"), x, y, CATALOG_VERSION)
-        assert model.cluster_label_map is not None
-        assert set(model.cluster_label_map.values()) <= {0, 1}
-        lr = fit_model(spec_for("LR"), x, y, CATALOG_VERSION)
-        assert lr.cluster_label_map is None
-
 
 class TestPersistence:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_round_trip_exact_scores(self, family, blob_data):
         x, y = blob_data
-        model = fit_model(spec_for(family, seed=6), x, y, CATALOG_VERSION)
-        restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        model = fit_model(spec_for(family, seed=6), x, y)
+        restored = TrainedModel.from_dict(json.loads(json.dumps(model.to_dict())))
         assert restored.spec == model.spec
-        assert restored.catalog_version == model.catalog_version
-        assert restored.cluster_label_map == model.cluster_label_map
         assert np.array_equal(restored.predict_scores(x), model.predict_scores(x))
 
     def test_dict_round_trip(self, blob_data):
         x, y = blob_data
-        model = fit_model(spec_for("DT"), x, y, CATALOG_VERSION)
-        payload = model_to_dict(model)
-        assert payload["artifact"] == "urlsleuth-model"
-        assert payload["format_version"] == 1
-        restored = model_from_dict(payload)
+        model = fit_model(spec_for("DT"), x, y)
+        payload = model.to_dict()
+        assert set(payload) == {"spec", "n_features", "state"}
+        restored = TrainedModel.from_dict(payload)
         assert np.array_equal(restored.predict_scores(x), model.predict_scores(x))
-
-    def test_wrong_tag_rejected(self, blob_data):
-        x, y = blob_data
-        payload = model_to_dict(fit_model(spec_for("LR"), x, y, CATALOG_VERSION))
-        payload["artifact"] = "something-else"
-        with pytest.raises(ArtifactError, match="artifact"):
-            model_from_dict(payload)
-
-    def test_wrong_version_rejected(self, blob_data):
-        x, y = blob_data
-        payload = model_to_dict(fit_model(spec_for("LR"), x, y, CATALOG_VERSION))
-        payload["format_version"] = 99
-        with pytest.raises(ArtifactError, match="version"):
-            model_from_dict(payload)
-
-    def test_missing_field_rejected(self, blob_data):
-        x, y = blob_data
-        payload = model_to_dict(fit_model(spec_for("LR"), x, y, CATALOG_VERSION))
-        del payload["state"]
-        with pytest.raises(ArtifactError):
-            model_from_dict(payload)

@@ -31,7 +31,7 @@ from urlsleuth.pipeline import (
     pipeline_to_dict,
     save_pipeline,
 )
-from urlsleuth.urlfeat import extract_matrix
+from urlsleuth.urlfeat import CATALOG_VERSION, extract_matrix
 
 
 def mi_oracle(col: np.ndarray, y: np.ndarray, n_bins: int = MI_BIN_COUNT) -> float:
@@ -383,7 +383,9 @@ class TestPipelinePersistence:
         artifact, _ = self._artifact(url_corpus)
         payload = pipeline_to_dict(artifact)
         assert payload["artifact"] == "urlsleuth-pipeline"
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
+        assert payload["catalog_version"] == CATALOG_VERSION
+        assert set(payload["model"]) == {"spec", "n_features", "state"}
         assert payload["projection"] is None
         restored = pipeline_from_dict(payload)
         assert isinstance(restored, PipelineArtifact)
@@ -395,22 +397,31 @@ class TestPipelinePersistence:
         with pytest.raises(ArtifactError):
             pipeline_from_dict(payload)
 
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_wrong_version_rejected(self, url_corpus, version):
+        artifact, _ = self._artifact(url_corpus)
+        payload = pipeline_to_dict(artifact)
+        payload["format_version"] = version
+        with pytest.raises(ArtifactError, match="unsupported pipeline artifact version"):
+            pipeline_from_dict(payload)
+
+    def test_missing_field_rejected(self, url_corpus):
+        artifact, _ = self._artifact(url_corpus)
+        payload = pipeline_to_dict(artifact)
+        del payload["model"]["state"]
+        with pytest.raises(ArtifactError, match="malformed"):
+            pipeline_from_dict(payload)
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "pipe.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ArtifactError):
             load_pipeline(path)
 
-    @pytest.mark.parametrize(
-        "stale", [("artifact", "model"), ("artifact",), ("model",)], ids=["both", "artifact", "model"]
-    )
-    def test_stale_catalog_rejected_at_load(self, url_corpus, tmp_path, stale):
+    def test_stale_catalog_rejected_at_load(self, url_corpus, tmp_path):
         artifact, _ = self._artifact(url_corpus)
         payload = pipeline_to_dict(artifact)
-        if "artifact" in stale:
-            payload["catalog_version"] = "lex78-v0"
-        if "model" in stale:
-            payload["model"]["catalog_version"] = "lex78-v0"
+        payload["catalog_version"] = "lex78-v0"
         path = tmp_path / "stale.json"
         write_json_atomic(payload, path)
         with pytest.raises(CatalogMismatchError, match="lex78-v0"):
