@@ -36,12 +36,6 @@ def _norm_char(ch: str) -> str:
     return UNK
 
 
-def _norm_context_char(ch: str) -> str:
-    if ch == BEGIN:
-        return ch
-    return _norm_char(ch)
-
-
 @dataclass
 class CharGramModel:
     """Add-k smoothed character n-gram model.
@@ -54,28 +48,25 @@ class CharGramModel:
     k: float = 1.0
     _ctx_totals: dict[str, int] = field(default_factory=dict, repr=False)
     _ctx_counts: dict[str, dict[str, int]] = field(default_factory=dict, repr=False)
-    _trained_on: int = 0
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ModelError(f"order must be >= 1, got {self.order}")
+        if not isinstance(self.order, int) or self.order < 1:
+            raise ModelError(f"order must be an integer >= 1, got {self.order!r}")
         if self.k <= 0:
             raise ModelError(f"smoothing constant must be > 0, got {self.k}")
 
-    def _padded(self, url: str) -> list[str]:
-        return [BEGIN] * (self.order - 1) + [_norm_char(ch) for ch in url] + [END]
+    def _padded(self, url: str) -> str:
+        return BEGIN * (self.order - 1) + "".join(_norm_char(ch) for ch in url) + END
 
     def fit(self, urls) -> "CharGramModel":
         """Accumulate n-gram counts from an iterable of URL strings."""
+        n = self.order - 1
         for url in urls:
-            syms = self._padded(url)
-            for i in range(self.order - 1, len(syms)):
-                ctx = "".join(syms[i - self.order + 1 : i])
-                sym = syms[i]
-                self._ctx_totals[ctx] = self._ctx_totals.get(ctx, 0) + 1
-                bucket = self._ctx_counts.setdefault(ctx, {})
-                bucket[sym] = bucket.get(sym, 0) + 1
-            self._trained_on += 1
+            text = self._padded(url)
+            for i in range(n, len(text)):
+                bucket = self._ctx_counts.setdefault(text[i - n : i], {})
+                bucket[text[i]] = bucket.get(text[i], 0) + 1
+        self._ctx_totals = {ctx: sum(c.values()) for ctx, c in self._ctx_counts.items()}
         return self
 
     def conditional_prob(self, symbol: str, context: str) -> float:
@@ -93,18 +84,19 @@ class CharGramModel:
         sym = symbol if symbol in _PREDICTABLE else _norm_char(symbol)
         if sym not in _PREDICTABLE:
             raise ModelError(f"symbol {symbol!r} cannot be normalized into the inventory")
-        ctx = "".join(_norm_context_char(ch) for ch in context)
+        ctx = "".join(ch if ch == BEGIN else _norm_char(ch) for ch in context)
         count = self._ctx_counts.get(ctx, {}).get(sym, 0)
         total = self._ctx_totals.get(ctx, 0)
         return (count + self.k) / (total + self.k * VOCAB_SIZE)
 
     def sequence_logprob(self, url: str) -> float:
         """Natural-log likelihood of the URL plus its end marker."""
-        syms = self._padded(url)
+        text = self._padded(url)
+        n = self.order - 1
         lp = 0.0
-        for i in range(self.order - 1, len(syms)):
-            ctx = "".join(syms[i - self.order + 1 : i])
-            count = self._ctx_counts.get(ctx, {}).get(syms[i], 0)
+        for i in range(n, len(text)):
+            ctx = text[i - n : i]
+            count = self._ctx_counts.get(ctx, {}).get(text[i], 0)
             total = self._ctx_totals.get(ctx, 0)
             lp += math.log((count + self.k) / (total + self.k * VOCAB_SIZE))
         return lp
@@ -112,27 +104,6 @@ class CharGramModel:
     def score(self, url: str) -> float:
         """Length-normalized log-likelihood: sequence_logprob / (len(url) + 1)."""
         return self.sequence_logprob(url) / (len(url) + 1)
-
-    def to_dict(self) -> dict:
-        contexts = []
-        for ctx in sorted(self._ctx_counts):
-            items = sorted(self._ctx_counts[ctx].items())
-            contexts.append([ctx, self._ctx_totals[ctx], [[s, c] for s, c in items]])
-        return {
-            "order": self.order,
-            "k": self.k,
-            "trained_on": self._trained_on,
-            "contexts": contexts,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CharGramModel":
-        model = cls(order=d["order"], k=d["k"])
-        model._trained_on = d["trained_on"]
-        for ctx, total, items in d["contexts"]:
-            model._ctx_totals[ctx] = total
-            model._ctx_counts[ctx] = {s: c for s, c in items}
-        return model
 
 
 @dataclass
@@ -173,30 +144,29 @@ class LmScorePair:
         return out
 
     def to_dict(self) -> dict:
+        """Order, k and each model's context -> symbol -> count map."""
         if self.benign is None or self.malicious is None:
             raise ModelError("score pair is not fitted")
         return {
             "order": self.order,
             "k": self.k,
-            "benign": self.benign.to_dict(),
-            "malicious": self.malicious.to_dict(),
+            "benign": self.benign._ctx_counts,
+            "malicious": self.malicious._ctx_counts,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LmScorePair":
-        """Rebuild a fitted pair; both models must have the pair's order and k."""
-        pair = cls(
-            order=d["order"],
-            k=d["k"],
-            benign=CharGramModel.from_dict(d["benign"]),
-            malicious=CharGramModel.from_dict(d["malicious"]),
-        )
-        for name in ("order", "k"):
-            want = getattr(pair, name)
-            benign, malicious = getattr(pair.benign, name), getattr(pair.malicious, name)
-            if benign != want or malicious != want:
-                raise ModelError(
-                    f"model {name} values differ: pair {want}, benign {benign}, "
-                    f"malicious {malicious}"
-                )
-        return pair
+        """Rebuild a fitted pair; each context's total is the sum of its counts."""
+        order, k = d["order"], d["k"]
+        models = []
+        for side in ("benign", "malicious"):
+            for ctx in d[side]:
+                if len(ctx) != order - 1:
+                    raise ModelError(
+                        f"{side} context {ctx!r} has {len(ctx)} characters; "
+                        f"order {order} needs {order - 1}"
+                    )
+            model = CharGramModel(order, k)
+            model._ctx_counts = {ctx: dict(counts) for ctx, counts in d[side].items()}
+            models.append(model.fit([]))  # adds no counts; works out each total
+        return cls(order, k, *models)

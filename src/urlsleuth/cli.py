@@ -284,7 +284,10 @@ def cmd_classify(args) -> int:
     for url, label, score in zip(urls, labels, scores):
         writer.writerow([url, int(label), repr(float(score))])
     if args.out_file:
-        write_text_atomic(buf.getvalue(), args.out_file)
+        try:
+            write_text_atomic(buf.getvalue(), args.out_file)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out-file {args.out_file}: {exc}") from exc
         print(f"predictions for {len(urls)} URLs written to {args.out_file}")
     else:
         sys.stdout.write(buf.getvalue())

@@ -82,11 +82,15 @@ class ModelSpec:
 
 
 def make_classifier(spec: ModelSpec) -> BinaryClassifier:
-    """Instantiate the family named by the spec, unfitted."""
+    """Instantiate the family named by the spec, unfitted; a hyperparameter
+    value of the wrong type raises ``ModelError``."""
     kwargs = dict(spec.hyperparameters)
     if spec.family in STOCHASTIC_FAMILIES:
         kwargs["seed"] = spec.seed
-    return _REGISTRY[spec.family](**kwargs)
+    try:
+        return _REGISTRY[spec.family](**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"invalid {spec.family} hyperparameters: {exc}") from exc
 
 
 @dataclass(frozen=True)

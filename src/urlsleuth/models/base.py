@@ -12,7 +12,7 @@ import abc
 
 import numpy as np
 
-from ..errors import ModelError
+from ..errors import ArtifactError, ModelError
 
 FAMILIES = (
     "BASELINE",
@@ -40,6 +40,22 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def variance_floor(X: np.ndarray) -> float:
+    """Smallest variance a Gaussian may take: 1e-9 times the mean column
+    variance of the training matrix, or 1e-12 when that mean is zero."""
+    mean_var = float(X.var(axis=0).mean())
+    return 1e-9 * mean_var if mean_var > 0 else 1e-12
+
+
+def state_array(state: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """``state[key]`` as an array of ``shape``; a ``None`` dimension matches any size."""
+    arr = np.asarray(state[key], dtype=dtype)
+    if arr.ndim != len(shape) or any(w not in (None, got) for got, w in zip(arr.shape, shape)):
+        expected = tuple("n" if w is None else w for w in shape)
+        raise ArtifactError(f"model state {key!r} has shape {arr.shape}, expected {expected}")
+    return arr
 
 
 def check_features(X) -> np.ndarray:
@@ -109,7 +125,7 @@ class BinaryClassifier(abc.ABC):
     def state_from_dict(self, state: dict) -> None: ...
 
     def _restore(self, n_features: int, state: dict) -> None:
-        """Rehydrate a fitted model from serialized state."""
+        """Rehydrate a fitted model; ``state_from_dict`` checks shapes against ``n_features_``."""
         self.n_features_ = n_features
         self.state_from_dict(state)
         self._fitted = True

@@ -6,10 +6,7 @@ import math
 
 import numpy as np
 
-from .base import BinaryClassifier, sigmoid
-
-VARIANCE_FLOOR_SCALE = 1e-9
-VARIANCE_FLOOR_ABSOLUTE = 1e-12
+from .base import BinaryClassifier, sigmoid, state_array, variance_floor
 
 
 class GaussianNaiveBayes(BinaryClassifier):
@@ -30,8 +27,7 @@ class GaussianNaiveBayes(BinaryClassifier):
         self.log_priors_: np.ndarray | None = None  # (2,)
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        mean_var = float(X.var(axis=0).mean())
-        floor = VARIANCE_FLOOR_SCALE * mean_var if mean_var > 0 else VARIANCE_FLOOR_ABSOLUTE
+        floor = variance_floor(X)
         means = np.empty((2, X.shape[1]))
         variances = np.empty((2, X.shape[1]))
         priors = np.empty(2)
@@ -62,6 +58,7 @@ class GaussianNaiveBayes(BinaryClassifier):
         }
 
     def state_from_dict(self, state: dict) -> None:
-        self.means_ = np.asarray(state["means"], dtype=np.float64)
-        self.variances_ = np.asarray(state["variances"], dtype=np.float64)
-        self.log_priors_ = np.asarray(state["log_priors"], dtype=np.float64)
+        d = self.n_features_
+        self.means_ = state_array(state, "means", (2, d))
+        self.variances_ = state_array(state, "variances", (2, d))
+        self.log_priors_ = state_array(state, "log_priors", (2,))

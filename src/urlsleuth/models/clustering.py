@@ -14,15 +14,7 @@ import math
 import numpy as np
 
 from ..errors import ModelError
-from .base import BinaryClassifier
-
-COVARIANCE_FLOOR_SCALE = 1e-9
-COVARIANCE_FLOOR_ABSOLUTE = 1e-12
-
-
-def _variance_floor(X: np.ndarray) -> float:
-    mean_var = float(X.var(axis=0).mean())
-    return COVARIANCE_FLOOR_SCALE * mean_var if mean_var > 0 else COVARIANCE_FLOOR_ABSOLUTE
+from .base import BinaryClassifier, state_array, variance_floor
 
 
 def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -124,8 +116,9 @@ class KMeansDetector(BinaryClassifier):
         }
 
     def state_from_dict(self, state: dict) -> None:
-        self.centers_ = np.asarray(state["centers"], dtype=np.float64)
-        self.cluster_fractions_ = np.asarray(state["cluster_fractions"], dtype=np.float64)
+        k = self.n_clusters
+        self.centers_ = state_array(state, "centers", (k, self.n_features_))
+        self.cluster_fractions_ = state_array(state, "cluster_fractions", (k,))
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -184,7 +177,7 @@ class GaussianMixtureDetector(BinaryClassifier):
                 f"n_components={self.n_components} exceeds the {len(X)} training rows"
             )
         rng = np.random.default_rng(self.seed)
-        floor = _variance_floor(X)
+        floor = variance_floor(X)
         k = self.n_components
         self.means_ = _kmeans_plus_plus(X, k, rng)
         self.variances_ = np.tile(np.maximum(X.var(axis=0), floor), (k, 1))
@@ -231,9 +224,8 @@ class GaussianMixtureDetector(BinaryClassifier):
         }
 
     def state_from_dict(self, state: dict) -> None:
-        self.weights_ = np.asarray(state["weights"], dtype=np.float64)
-        self.means_ = np.asarray(state["means"], dtype=np.float64)
-        self.variances_ = np.asarray(state["variances"], dtype=np.float64)
-        self.component_fractions_ = np.asarray(
-            state["component_fractions"], dtype=np.float64
-        )
+        k, d = self.n_components, self.n_features_
+        self.weights_ = state_array(state, "weights", (k,))
+        self.means_ = state_array(state, "means", (k, d))
+        self.variances_ = state_array(state, "variances", (k, d))
+        self.component_fractions_ = state_array(state, "component_fractions", (k,))

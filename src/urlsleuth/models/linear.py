@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BinaryClassifier, sigmoid
+from .base import BinaryClassifier, sigmoid, state_array
 
 
 def logistic_loss_and_grad(
@@ -72,7 +72,7 @@ class _GradientDescentLinear(BinaryClassifier):
         return {"weights": self.weights_.tolist(), "bias": self.bias_}
 
     def state_from_dict(self, state: dict) -> None:
-        self.weights_ = np.asarray(state["weights"], dtype=np.float64)
+        self.weights_ = state_array(state, "weights", (self.n_features_,))
         self.bias_ = float(state["bias"])
 
 

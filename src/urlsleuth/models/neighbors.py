@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ModelError
-from .base import BinaryClassifier
+from ..errors import ArtifactError, ModelError
+from .base import BinaryClassifier, state_array
 
 
 class KNearestNeighbors(BinaryClassifier):
@@ -48,5 +48,8 @@ class KNearestNeighbors(BinaryClassifier):
         return {"train_X": self.train_X_.tolist(), "train_y": self.train_y_.tolist()}
 
     def state_from_dict(self, state: dict) -> None:
-        self.train_X_ = np.asarray(state["train_X"], dtype=np.float64)
-        self.train_y_ = np.asarray(state["train_y"], dtype=np.int64)
+        self.train_X_ = state_array(state, "train_X", (None, self.n_features_))
+        n = len(self.train_X_)
+        self.train_y_ = state_array(state, "train_y", (n,), dtype=np.int64)
+        if n < self.k:
+            raise ArtifactError(f"k={self.k} exceeds the {n} stored training rows")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BinaryClassifier, sigmoid
+from .base import BinaryClassifier, sigmoid, state_array
 
 
 class MlpClassifier(BinaryClassifier):
@@ -97,4 +97,4 @@ class MlpClassifier(BinaryClassifier):
         return {"params": self.params_.tolist()}
 
     def state_from_dict(self, state: dict) -> None:
-        self.params_ = np.asarray(state["params"], dtype=np.float64)
+        self.params_ = state_array(state, "params", (self.n_params(self.n_features_),))

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from ..errors import ModelError
-from .base import BinaryClassifier, sigmoid
+from ..errors import ArtifactError, ModelError
+from .base import BinaryClassifier, sigmoid, state_array
 
 
 class _FlatTree:
@@ -74,14 +74,23 @@ class _FlatTree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "_FlatTree":
+    def from_dict(cls, d: dict, n_features: int) -> "_FlatTree":
+        """Rebuild a tree; split features must be below ``n_features`` and
+        every child must come after its parent, so ``apply`` terminates."""
         tree = cls()
-        tree.feature = list(d["feature"])
-        tree.threshold = list(d["threshold"])
-        tree.left = list(d["left"])
-        tree.right = list(d["right"])
-        tree.value = list(d["value"])
-        return tree.finalize()
+        tree.feature = state_array(d, "feature", (None,), dtype=np.int64)
+        n_nodes = len(tree.feature)
+        tree.threshold = state_array(d, "threshold", (n_nodes,))
+        tree.left = state_array(d, "left", (n_nodes,), dtype=np.int64)
+        tree.right = state_array(d, "right", (n_nodes,), dtype=np.int64)
+        tree.value = state_array(d, "value", (n_nodes,))
+        if n_nodes == 0 or tree.feature.min() < -1 or tree.feature.max() >= n_features:
+            raise ArtifactError(f"tree is empty or splits outside the {n_features} features")
+        split = np.nonzero(tree.feature >= 0)[0]
+        for child in (tree.left[split], tree.right[split]):
+            if (child <= split).any() or (child >= n_nodes).any():
+                raise ArtifactError("tree child index does not follow its parent")
+        return tree
 
 
 def _best_split(
@@ -205,7 +214,7 @@ class DecisionTreeCART(BinaryClassifier):
         return {"tree": self.tree_.to_dict()}
 
     def state_from_dict(self, state: dict) -> None:
-        self.tree_ = _FlatTree.from_dict(state["tree"])
+        self.tree_ = _FlatTree.from_dict(state["tree"], self.n_features_)
 
 
 class RandomForest(BinaryClassifier):
@@ -263,7 +272,9 @@ class RandomForest(BinaryClassifier):
         return {"trees": [t.to_dict() for t in self.trees_]}
 
     def state_from_dict(self, state: dict) -> None:
-        self.trees_ = [_FlatTree.from_dict(d) for d in state["trees"]]
+        self.trees_ = [_FlatTree.from_dict(d, self.n_features_) for d in state["trees"]]
+        if len(self.trees_) != self.n_trees:
+            raise ArtifactError(f"{len(self.trees_)} trees stored for n_trees={self.n_trees}")
 
 
 class GradientBoostedTrees(BinaryClassifier):
@@ -328,4 +339,4 @@ class GradientBoostedTrees(BinaryClassifier):
 
     def state_from_dict(self, state: dict) -> None:
         self.f0_ = float(state["f0"])
-        self.trees_ = [_FlatTree.from_dict(d) for d in state["trees"]]
+        self.trees_ = [_FlatTree.from_dict(d, self.n_features_) for d in state["trees"]]

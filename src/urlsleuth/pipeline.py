@@ -8,7 +8,8 @@ and returns them as one ``FeatureChain``, a pure function afterwards.  A
 ``PipelineArtifact`` is that chain plus one trained model; ``train``
 shares a single chain across every family of a run.  Its JSON form is
 the one saved container: a tag, a format version, the feature catalog
-version, the chain's stages and the model (spec, feature count, state).
+version, the chain's stages (the language-model pair as its order, k and
+two count maps) and the model (spec, feature count, state).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .models import ModelSpec, TrainedModel, fit_model
 from .urlfeat import CATALOG_VERSION, extract_matrix
 
 PIPELINE_ARTIFACT_TAG = "urlsleuth-pipeline"
-PIPELINE_ARTIFACT_VERSION = 2
+PIPELINE_ARTIFACT_VERSION = 3
 
 MI_BIN_COUNT = 10
 
@@ -370,7 +371,7 @@ def pipeline_from_dict(payload: dict) -> PipelineArtifact:
         chain = FeatureChain(LmScorePair.from_dict(payload["lm"]), scaler, selector, projection)
         model = TrainedModel.from_dict(payload["model"])
         catalog_version = payload["catalog_version"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"pipeline artifact is malformed: {exc}") from exc
     if catalog_version != CATALOG_VERSION:
         raise CatalogMismatchError(

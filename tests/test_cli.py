@@ -402,20 +402,75 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert bad.name in err
 
-    @pytest.mark.parametrize("target", ["artifact", "config"])
-    def test_directory_path_reported(self, target, tmp_path, capsys):
+    @pytest.mark.parametrize("target", ["artifact", "config", "out-file"])
+    def test_directory_path_reported(self, target, workspace, tmp_path, capsys):
         directory = tmp_path / f"dir_{target}"
         directory.mkdir()
         urls_file = tmp_path / "urls.txt"
         urls_file.write_text("http://a.com\n", encoding="utf-8")
         if target == "artifact":
             argv = ["classify", "--artifact", str(directory), str(urls_file)]
-        else:
+        elif target == "config":
             argv = ["classify", "--config", str(directory), "--model", "LR", str(urls_file)]
+        else:
+            artifact = workspace["out_dir"] / "models" / "LR.json"
+            argv = [
+                "classify", "--artifact", str(artifact), "--out-file", str(directory),
+                str(urls_file),
+            ]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert directory.name in err
+
+    @pytest.mark.parametrize(
+        "family, cut",
+        [
+            ("LR", lambda s: s.update(weights=s["weights"][:3])),
+            ("KNN", lambda s: s.update(train_X=[row[:3] for row in s["train_X"]])),
+            ("KNN", lambda s: s.update(train_y=s["train_y"][:3])),
+            ("GNB", lambda s: s.update(means=[row[:3] for row in s["means"]])),
+            ("MLP", lambda s: s.update(params=s["params"][:5])),
+            ("DT", lambda s: s["tree"]["feature"].__setitem__(0, 999)),
+            ("DT", lambda s: s["tree"]["left"].__setitem__(0, len(s["tree"]["left"]))),
+        ],
+        ids=[
+            "LR-weights", "KNN-train_X", "KNN-train_y", "GNB-means", "MLP-params", "DT-feature",
+            "DT-child",
+        ],
+    )
+    def test_malformed_model_state_reported(
+        self, family, cut, workspace, tmp_path, capsys
+    ):
+        path = workspace["out_dir"] / "models" / f"{family}.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        cut(payload["model"]["state"])
+        edited = tmp_path / f"{family}.json"
+        edited.write_text(json.dumps(payload), encoding="utf-8")
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text("http://a.com\nhttps://b.org/x?q=1\n", encoding="utf-8")
+        assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "family, grid",
+        [("KNN", {"k": ["five"]}), ("DT", {"max_depth": ["x"]})],
+        ids=["KNN-k", "DT-max_depth"],
+    )
+    def test_grid_value_of_wrong_type_reported(
+        self, family, grid, workspace, tmp_path, capsys
+    ):
+        config = json.loads(workspace["config_path"].read_text(encoding="utf-8"))
+        config["grids"] = {family: grid}
+        # Dataset paths are relative to the config, so it sits beside run.json.
+        config_path = workspace["root"] / f"grid_{family}.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["train", "--config", str(config_path), "--out", str(tmp_path), "--model", family]
+        with pytest.warns(UserWarning, match="failed to fit"):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert family in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 1

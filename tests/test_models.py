@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from urlsleuth.errors import ModelError
+from urlsleuth.errors import ArtifactError, ModelError
 from urlsleuth.models import (
     FAMILIES,
     STOCHASTIC_FAMILIES,
@@ -337,6 +337,23 @@ class TestPersistence:
         restored = TrainedModel.from_dict(json.loads(json.dumps(model.to_dict())))
         assert restored.spec == model.spec
         assert np.array_equal(restored.predict_scores(x), model.predict_scores(x))
+
+    @pytest.mark.parametrize(
+        "family, cut",
+        [
+            ("KNN", lambda s: s.update(train_X=s["train_X"][:2], train_y=s["train_y"][:2])),
+            ("DT", lambda s: s["tree"]["left"].__setitem__(0, 0)),
+            ("KMEANS", lambda s: s.update(cluster_fractions=s["cluster_fractions"][:1])),
+            ("RF", lambda s: s.update(trees=s["trees"] * 2)),
+        ],
+        ids=["KNN-fewer-rows-than-k", "DT-child-cycle", "KMEANS-cluster_fractions", "RF-n_trees"],
+    )
+    def test_state_that_cannot_score_rejected(self, family, cut, blob_data):
+        x, y = blob_data
+        payload = fit_model(spec_for(family), x, y).to_dict()
+        cut(payload["state"])
+        with pytest.raises(ArtifactError):
+            TrainedModel.from_dict(payload)
 
     def test_dict_round_trip(self, blob_data):
         x, y = blob_data

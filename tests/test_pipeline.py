@@ -383,8 +383,9 @@ class TestPipelinePersistence:
         artifact, _ = self._artifact(url_corpus)
         payload = pipeline_to_dict(artifact)
         assert payload["artifact"] == "urlsleuth-pipeline"
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         assert payload["catalog_version"] == CATALOG_VERSION
+        assert set(payload["lm"]) == {"order", "k", "benign", "malicious"}
         assert set(payload["model"]) == {"spec", "n_features", "state"}
         assert payload["projection"] is None
         restored = pipeline_from_dict(payload)
@@ -397,7 +398,7 @@ class TestPipelinePersistence:
         with pytest.raises(ArtifactError):
             pipeline_from_dict(payload)
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_wrong_version_rejected(self, url_corpus, version):
         artifact, _ = self._artifact(url_corpus)
         payload = pipeline_to_dict(artifact)
@@ -409,6 +410,18 @@ class TestPipelinePersistence:
         artifact, _ = self._artifact(url_corpus)
         payload = pipeline_to_dict(artifact)
         del payload["model"]["state"]
+        with pytest.raises(ArtifactError, match="malformed"):
+            pipeline_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("benign", []), ("malicious", {"ab": 5}), ("order", "3")],
+        ids=["benign-list", "malicious-counts-int", "order-str"],
+    )
+    def test_malformed_lm_rejected(self, url_corpus, field, value):
+        artifact, _ = self._artifact(url_corpus)
+        payload = pipeline_to_dict(artifact)
+        payload["lm"][field] = value
         with pytest.raises(ArtifactError, match="malformed"):
             pipeline_from_dict(payload)
 
