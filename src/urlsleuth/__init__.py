@@ -26,7 +26,7 @@ from .evaluation import (
     per_dataset_ranks,
 )
 from .models import FAMILIES, ModelSpec, TrainedModel, fit_model
-from .pipeline import PipelineArtifact, fit_pipeline, grid_search, load_pipeline, save_pipeline
+from .pipeline import PipelineArtifact, grid_search, load_pipeline, save_pipeline
 from .urlfeat import CATALOG_VERSION, catalog, extract_matrix, parse_url
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ __all__ = [
     "compute_metrics",
     "extract_matrix",
     "fit_model",
-    "fit_pipeline",
     "grid_search",
     "load_dataset",
     "load_pipeline",

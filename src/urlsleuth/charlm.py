@@ -112,12 +112,22 @@ class LmScorePair:
 
     ``transform`` maps URLs to a two-column matrix: column 0 is the benign
     model's normalized log-likelihood, column 1 the malicious model's.
+    Both models must have the pair's order and k, the only ones saved.
     """
 
     order: int = 3
     k: float = 1.0
     benign: CharGramModel | None = None
     malicious: CharGramModel | None = None
+
+    def __post_init__(self) -> None:
+        for side in ("benign", "malicious"):
+            model = getattr(self, side)
+            if model is not None and (model.order, model.k) != (self.order, self.k):
+                raise ModelError(
+                    f"{side} model has order {model.order} and k {model.k}; "
+                    f"the pair has order {self.order} and k {self.k}"
+                )
 
     def fit(self, urls, labels) -> "LmScorePair":
         urls = list(urls)

@@ -214,13 +214,24 @@ def _evaluate_partition(cfg: RunConfig, out_dir: Path, which: str):
             artifacts[family] = load_pipeline(path)
     if not artifacts:
         raise ConfigError(f"no model artifacts found under {models_dir}; run train first")
+    # Families whose chains are equal (all of them, after one train run)
+    # share one featurization per dataset.
+    chain_owner = {
+        family: next(o for o in artifacts if artifacts[o].chain.same_as(artifact.chain))
+        for family, artifact in artifacts.items()
+    }
     reports = []
     per_dataset = {}
     for ds_id in _partition_ids(plan, which):
         urls, labels = _urls_and_labels(by_id[ds_id].records)
+        features = {}
         family_reports = {}
         for family, artifact in artifacts.items():
-            predictions, scores = artifact.predict(urls)
+            owner = chain_owner[family]
+            if owner not in features:
+                features[owner] = artifact.featurize(urls)
+            scores = artifact.model.predict_scores(features[owner])
+            predictions = (scores >= 0.5).astype(np.int64)
             report = compute_metrics(
                 labels, predictions, scores, dataset_id=ds_id, family=family
             )

@@ -50,11 +50,14 @@ def variance_floor(X: np.ndarray) -> float:
 
 
 def state_array(state: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """``state[key]`` as an array of ``shape``; a ``None`` dimension matches any size."""
+    """``state[key]`` as a finite array of ``shape``; a ``None`` dimension
+    matches any size."""
     arr = np.asarray(state[key], dtype=dtype)
     if arr.ndim != len(shape) or any(w not in (None, got) for got, w in zip(arr.shape, shape)):
         expected = tuple("n" if w is None else w for w in shape)
         raise ArtifactError(f"model state {key!r} has shape {arr.shape}, expected {expected}")
+    if not np.all(np.isfinite(arr)):
+        raise ArtifactError(f"model state {key!r} contains NaN or infinite values")
     return arr
 
 

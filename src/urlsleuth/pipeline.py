@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -184,6 +184,20 @@ class FeatureChain:
             X = apply_projection(self.projection, X)
         return X
 
+    def same_as(self, other: "FeatureChain") -> bool:
+        """True when every stage of ``other`` is equal to this chain's, so
+        both transform any URLs to the same matrix."""
+
+        def arrays(chain: FeatureChain) -> list[np.ndarray]:
+            stages = (chain.scaler, chain.selector, chain.projection)
+            return [getattr(s, f.name) for s in stages if s is not None for f in fields(s)]
+
+        return (
+            self.lm_pair == other.lm_pair
+            and (self.projection is None) == (other.projection is None)
+            and all(np.array_equal(a, b) for a, b in zip(arrays(self), arrays(other)))
+        )
+
 
 def fit_chain(
     urls,
@@ -233,25 +247,6 @@ class PipelineArtifact:
         X = self.featurize(urls)
         scores = self.model.predict_scores(X)
         return (scores >= 0.5).astype(np.int64), scores
-
-
-def fit_pipeline(
-    urls,
-    labels,
-    spec: ModelSpec,
-    *,
-    lm_order: int = 3,
-    lm_smoothing: float = 1.0,
-    top_k: int | None = None,
-    use_projection: bool = False,
-    variance_target: float = 0.95,
-) -> PipelineArtifact:
-    """``fit_chain`` plus one model of ``spec`` fitted on its output."""
-    chain, X = fit_chain(
-        urls, labels, lm_order=lm_order, lm_smoothing=lm_smoothing, top_k=top_k,
-        use_projection=use_projection, variance_target=variance_target,
-    )
-    return PipelineArtifact(chain, fit_model(spec, X, np.asarray(labels)))
 
 
 def grid_search(

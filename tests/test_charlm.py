@@ -146,6 +146,14 @@ class TestScorePair:
         ).transform(["http://c.com"])[0]
         assert pair[0] == pair[1]
 
+    @pytest.mark.parametrize("side", ["benign", "malicious"])
+    @pytest.mark.parametrize("order, k", [(3, 1.0), (2, 0.5)], ids=["order", "k"])
+    def test_model_settings_must_match_pair(self, side, order, k):
+        models = {"benign": CharGramModel(2, 1.0), "malicious": CharGramModel(2, 1.0)}
+        models[side] = CharGramModel(order, k)
+        with pytest.raises(ModelError, match=f"{side} model has order {order} and k {k}"):
+            LmScorePair(order=2, k=1.0, **models)
+
     def test_order_mismatch_rejected(self):
         payload = LmScorePair(order=2, k=1.0).fit(["a", "b"], np.array([0, 1])).to_dict()
         for benign, malicious, side in [(2, 3, "malicious"), (3, 2, "benign")]:

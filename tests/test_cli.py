@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 from urlsleuth.cli import main
 from urlsleuth.models import FAMILIES
+from urlsleuth.pipeline import PipelineArtifact
 from urlsleuth.synth import materialize_run
 from urlsleuth.urlfeat import catalog
 
@@ -241,6 +243,38 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(workspace["config_path"])]) == 0
         assert path.read_bytes() == first
 
+    def test_each_distinct_chain_featurized_once(self, workspace, tmp_path, monkeypatch):
+        config = str(workspace["config_path"])
+        shutil.copytree(workspace["out_dir"] / "models", tmp_path / "same" / "models")
+        shutil.copytree(workspace["out_dir"] / "models", tmp_path / "mixed" / "models")
+        (tmp_path / "solo" / "models").mkdir(parents=True)
+        lr_path = tmp_path / "mixed" / "models" / "LR.json"
+        payload = json.loads(lr_path.read_text(encoding="utf-8"))
+        # A negated scale mirrors every feature, so LR's predictions flip.
+        payload["scaler"]["std"] = [-s for s in payload["scaler"]["std"]]
+        lr_path.write_text(json.dumps(payload), encoding="utf-8")
+        shutil.copy(lr_path, tmp_path / "solo" / "models" / "LR.json")
+        calls = []
+        featurize = PipelineArtifact.featurize
+
+        def counted(self, urls):
+            calls.append(len(urls))
+            return featurize(self, urls)
+
+        monkeypatch.setattr(PipelineArtifact, "featurize", counted)
+        rows = {}
+        for name, n_chains in (("same", 1), ("mixed", 2), ("solo", 1)):
+            calls.clear()
+            assert main(["evaluate", "--config", config, "--out", str(tmp_path / name)]) == 0
+            assert len(calls) == n_chains, name  # one test dataset
+            rows[name] = read_csv(tmp_path / name / "metrics_test.csv")
+        assert rows["solo"] != [row for row in rows["same"] if row["family"] == "LR"]
+        # The edited LR is scored through its own chain, every other family
+        # through the shared one.
+        expected = [row for row in rows["same"] if row["family"] != "LR"] + rows["solo"]
+        key = lambda row: row["family"]
+        assert sorted(rows["mixed"], key=key) == sorted(expected, key=key)
+
 
 class TestRank:
     def test_rank_table_for_test_partition(self, workspace):
@@ -429,14 +463,15 @@ class TestErrorPaths:
             ("LR", lambda s: s.update(weights=s["weights"][:3])),
             ("KNN", lambda s: s.update(train_X=[row[:3] for row in s["train_X"]])),
             ("KNN", lambda s: s.update(train_y=s["train_y"][:3])),
+            ("KNN", lambda s: s["train_X"][0].__setitem__(0, float("nan"))),
             ("GNB", lambda s: s.update(means=[row[:3] for row in s["means"]])),
             ("MLP", lambda s: s.update(params=s["params"][:5])),
             ("DT", lambda s: s["tree"]["feature"].__setitem__(0, 999)),
             ("DT", lambda s: s["tree"]["left"].__setitem__(0, len(s["tree"]["left"]))),
         ],
         ids=[
-            "LR-weights", "KNN-train_X", "KNN-train_y", "GNB-means", "MLP-params", "DT-feature",
-            "DT-child",
+            "LR-weights", "KNN-train_X", "KNN-train_y", "KNN-train_X-nan", "GNB-means",
+            "MLP-params", "DT-feature", "DT-child",
         ],
     )
     def test_malformed_model_state_reported(

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urlsleuth.errors import ArtifactError, ModelError
 from urlsleuth.models import (
@@ -18,6 +20,7 @@ from urlsleuth.models import (
     fit_model,
     make_classifier,
 )
+from urlsleuth.models import neighbors
 from urlsleuth.models.bayes import GaussianNaiveBayes
 from urlsleuth.models.linear import LogisticRegressionGD
 from urlsleuth.models.neighbors import KNearestNeighbors
@@ -41,6 +44,15 @@ FAST_PARAMS: dict[str, dict] = {
 
 def spec_for(family: str, seed: int = 0) -> ModelSpec:
     return ModelSpec(family=family, hyperparameters=FAST_PARAMS[family], seed=seed)
+
+
+def knn_oracle(x: np.ndarray, y: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """Brute-force KNN scores: every distance, first k of a stable sort."""
+    out = np.empty(len(queries))
+    for i, q in enumerate(queries):
+        d2 = ((q - x) ** 2).sum(axis=1)
+        out[i] = y[np.argsort(d2, kind="stable")[:k]].mean()
+    return out
 
 
 class TestModelSpec:
@@ -197,14 +209,87 @@ class TestKnn:
 
     def test_chunking_matches_unchunked(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(100, 4))
-        y = (rng.random(100) > 0.5).astype(np.int64)
-        q = rng.normal(size=(70, 4))  # crosses the 32-row chunk boundary
-        clf = KNearestNeighbors(k=5).fit(x, y)
+        n, d, k = 100, 40, 5
+        x = rng.normal(size=(n, d))
+        y = (rng.random(n) > 0.5).astype(np.int64)
+        block = neighbors._BLOCK_ELEMENTS // max(n, neighbors.candidate_count(k, n) * d)
+        q = rng.normal(size=(2 * block + 7, d))  # crosses two query-block boundaries
+        q[::50] = x[: len(q[::50])]  # queries equal to training rows
+        clf = KNearestNeighbors(k=k).fit(x, y)
+        assert np.array_equal(clf.score_batch(q), knn_oracle(x, y, q, k))
+        # the brute-force scan crosses its 32-row chunk boundary
+        assert np.array_equal(clf._brute_force(q[:70]), knn_oracle(x, y, q[:70], k))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_on_tie_heavy_data(self, data):
+        # n on both sides of candidate_count (>= 32); duplicate rows and
+        # small integers make exact distance ties; large offsets make the
+        # matrix-product estimate cancel badly.
+        n = data.draw(st.integers(2, 90), label="n")
+        d = data.draw(st.integers(1, 6), label="d")
+        ints = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+        distinct = data.draw(st.lists(ints, min_size=1, max_size=n), label="distinct rows")
+        pick = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+        scale = data.draw(st.sampled_from([1.0, 0.5, 1e-3]), label="scale")
+        offset = data.draw(st.sampled_from([0.0, 1e6, -1e6, 1e8]), label="offset")
+        x = np.array(distinct, dtype=np.float64)[pick] * scale + offset
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        y[:2] = (0, 1)
+        k = data.draw(st.one_of(st.integers(1, 3), st.integers(1, n)), label="k")
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=10), label="query rows")
+        fresh = data.draw(st.lists(ints, max_size=10), label="fresh queries")
+        q = np.vstack([x[rows], np.array(fresh, dtype=np.float64).reshape(-1, d) * scale + offset])
+        clf = KNearestNeighbors(k=k).fit(x, y)
+        assert np.array_equal(clf.score_batch(q), knn_oracle(x, y, q, k))
+
+    def test_separated_rows_skip_the_fallback(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(300, 6))
+        y = (rng.random(300) > 0.5).astype(np.int64)
+        q = rng.normal(size=(50, 6))
+        clf = KNearestNeighbors(k=3).fit(x, y)
+
+        def no_fallback(self, X):
+            raise AssertionError(f"{len(X)} queries fell back")
+
+        monkeypatch.setattr(KNearestNeighbors, "_brute_force", no_fallback)
+        assert np.array_equal(clf.score_batch(q), knn_oracle(x, y, q, 3))
+
+    def test_cancelling_estimates_fall_back(self):
+        # At a 1e8 offset the products in ||t||^2 - 2 q.t round by units,
+        # far more than the distances between rows: only the round-off
+        # allowance keeps the misordered candidates from being trusted.
+        rng = np.random.default_rng(1)
+        x = 1e8 + rng.normal(size=(200, 3))
+        y = (rng.random(200) > 0.5).astype(np.int64)
+        q = 1e8 + rng.normal(size=(100, 3))
+        clf = KNearestNeighbors(k=1).fit(x, y)
+        assert np.array_equal(clf.score_batch(q), knn_oracle(x, y, q, 1))
+
+    def test_ties_across_the_candidate_boundary_fall_back(self, monkeypatch):
+        # 100 rows at distance exactly 1 from every query, far more than the
+        # candidates kept; only the first three are labeled 1, so a score of
+        # 1 needs the lowest-index tie-break over all of them.
+        k = 3
+        x = np.vstack([np.tile([[1.0, 0.0]], (100, 1)), np.full((20, 2), 5.0)])
+        y = np.zeros(120, dtype=np.int64)
+        y[:3] = 1
+        q = np.zeros((40, 2))  # more than one 32-row brute-force chunk
+        assert neighbors.candidate_count(k, len(x)) < 100
+        clf = KNearestNeighbors(k=k).fit(x, y)
+        fell_back = []
+        brute_force = KNearestNeighbors._brute_force
+
+        def counted(self, X):
+            fell_back.append(len(X))
+            return brute_force(self, X)
+
+        monkeypatch.setattr(KNearestNeighbors, "_brute_force", counted)
         got = clf.score_batch(q)
-        d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-        want = y[np.argsort(d2, axis=1, kind="stable")[:, :5]].mean(axis=1)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert fell_back == [len(q)]
+        assert np.array_equal(got, knn_oracle(x, y, q, k))
+        assert np.all(got == 1.0)
 
 
 class TestGaussianNaiveBayes:

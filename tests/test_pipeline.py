@@ -3,6 +3,7 @@ end-to-end URL pipeline."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -12,7 +13,7 @@ import pytest
 from urlsleuth.charlm import LmScorePair
 from urlsleuth.errors import ArtifactError, CatalogMismatchError, ConfigError, DataError
 from urlsleuth.fileio import write_json_atomic
-from urlsleuth.models import ModelSpec
+from urlsleuth.models import ModelSpec, fit_model
 from urlsleuth.pipeline import (
     MI_BIN_COUNT,
     PipelineArtifact,
@@ -20,7 +21,6 @@ from urlsleuth.pipeline import (
     apply_scaler,
     apply_selector,
     fit_chain,
-    fit_pipeline,
     fit_projection,
     fit_scaler,
     fit_selector,
@@ -32,6 +32,12 @@ from urlsleuth.pipeline import (
     save_pipeline,
 )
 from urlsleuth.urlfeat import CATALOG_VERSION, extract_matrix
+
+
+def fit_artifact(urls, labels, spec: ModelSpec, **chain_kwargs) -> PipelineArtifact:
+    """A chain fitted on the rows plus one model of ``spec`` on its output."""
+    chain, X = fit_chain(urls, labels, **chain_kwargs)
+    return PipelineArtifact(chain, fit_model(spec, X, np.asarray(labels)))
 
 
 def mi_oracle(col: np.ndarray, y: np.ndarray, n_bins: int = MI_BIN_COUNT) -> float:
@@ -292,7 +298,7 @@ class TestFitPipeline:
     def test_end_to_end_learns_the_corpus(self, url_corpus):
         urls, labels = url_corpus
         spec = ModelSpec(family="LR", hyperparameters={"n_iters": 150}, seed=0)
-        artifact = fit_pipeline(urls, labels, spec, top_k=40)
+        artifact = fit_artifact(urls, labels, spec, top_k=40)
         pred_labels, scores = artifact.predict(urls)
         assert float(np.mean(pred_labels == labels)) >= 0.95
         assert np.array_equal(pred_labels, (scores >= 0.5).astype(np.int64))
@@ -300,13 +306,13 @@ class TestFitPipeline:
     def test_featurize_width_follows_top_k(self, url_corpus):
         urls, labels = url_corpus
         spec = ModelSpec(family="GNB", hyperparameters={}, seed=0)
-        assert fit_pipeline(urls, labels, spec, top_k=25).featurize(urls[:3]).shape == (3, 25)
-        assert fit_pipeline(urls, labels, spec).featurize(urls[:3]).shape == (3, 80)
+        assert fit_artifact(urls, labels, spec, top_k=25).featurize(urls[:3]).shape == (3, 25)
+        assert fit_artifact(urls, labels, spec).featurize(urls[:3]).shape == (3, 80)
 
     def test_projection_stage_changes_width(self, url_corpus):
         urls, labels = url_corpus
         spec = ModelSpec(family="GNB", hyperparameters={}, seed=0)
-        artifact = fit_pipeline(
+        artifact = fit_artifact(
             urls, labels, spec, top_k=30, use_projection=True, variance_target=0.9
         )
         width = artifact.featurize(urls[:2]).shape[1]
@@ -316,7 +322,7 @@ class TestFitPipeline:
     def test_featurize_equals_manual_stage_chain(self, url_corpus):
         urls, labels = url_corpus
         spec = ModelSpec(family="GNB", hyperparameters={}, seed=0)
-        artifact = fit_pipeline(urls, labels, spec, top_k=20)
+        artifact = fit_artifact(urls, labels, spec, top_k=20)
         probe = urls[:5]
         manual = np.hstack([extract_matrix(probe), artifact.chain.lm_pair.transform(probe)])
         manual = apply_scaler(artifact.chain.scaler, manual)
@@ -326,19 +332,19 @@ class TestFitPipeline:
     def test_lm_columns_sit_after_lexical_block(self, url_corpus):
         urls, labels = url_corpus
         spec = ModelSpec(family="GNB", hyperparameters={}, seed=0)
-        artifact = fit_pipeline(urls, labels, spec)
+        artifact = fit_artifact(urls, labels, spec)
         assert isinstance(artifact.chain.lm_pair, LmScorePair)
         assert len(artifact.chain.scaler.mean) == 80  # 78 lexical + 2 LM scores
 
     def test_preprocessing_fitted_on_training_rows_only(self, url_corpus):
         urls, labels = url_corpus
         spec = ModelSpec(family="GNB", hyperparameters={}, seed=0)
-        artifact = fit_pipeline(urls, labels, spec)
+        artifact = fit_artifact(urls, labels, spec)
         lm = LmScorePair(order=3, k=1.0).fit(urls, labels)
         train_matrix = np.hstack([extract_matrix(urls), lm.transform(urls)])
         np.testing.assert_allclose(artifact.chain.scaler.mean, train_matrix.mean(axis=0))
         # Growing the fit set must move the scaler: no frozen global stats.
-        grown = fit_pipeline(
+        grown = fit_artifact(
             urls + ["http://extra-row.example/" + "x" * 120], np.append(labels, 1), spec
         )
         assert not np.array_equal(artifact.chain.scaler.mean, grown.chain.scaler.mean)
@@ -355,12 +361,29 @@ class TestFitChain:
         chain, X_train = fit_chain(urls, labels, **kwargs)
         assert np.array_equal(X_train, chain.transform(urls))
 
+    def test_same_as_compares_every_stage(self, url_corpus):
+        urls, labels = url_corpus
+        chain, _ = fit_chain(urls, labels, top_k=20)
+        assert chain.same_as(fit_chain(urls, labels, top_k=20)[0])
+        for other in (
+            {"top_k": 21},
+            {"top_k": 20, "lm_smoothing": 0.5},
+            {"top_k": 20, "use_projection": True},
+        ):
+            changed, _ = fit_chain(urls, labels, **other)
+            assert not chain.same_as(changed), other
+            assert not changed.same_as(chain), other
+        rescaled = dataclasses.replace(
+            chain, scaler=dataclasses.replace(chain.scaler, std=chain.scaler.std * 2.0)
+        )
+        assert not chain.same_as(rescaled)
+
 
 class TestPipelinePersistence:
     def _artifact(self, url_corpus, **kwargs):
         urls, labels = url_corpus
         spec = ModelSpec(family="LR", hyperparameters={"n_iters": 60}, seed=0)
-        return fit_pipeline(urls, labels, spec, **kwargs), urls
+        return fit_artifact(urls, labels, spec, **kwargs), urls
 
     def test_round_trip_identical_predictions(self, url_corpus, tmp_path):
         artifact, urls = self._artifact(url_corpus, top_k=30)
