@@ -13,8 +13,6 @@ across repeat runs with the same config and seeds.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from pathlib import Path
 
@@ -28,14 +26,14 @@ from .evaluation import (
     aggregate_rank_table,
     baseline_report,
     compute_metrics,
+    metric_reports_to_csv,
     per_dataset_ranks,
-    write_metric_reports_csv,
-    write_rank_table_csv,
+    rank_table_to_csv,
 )
-from .fileio import write_json_atomic, write_text_atomic
+from .fileio import csv_text, write_json_atomic, write_text_atomic
 from .models import FAMILIES, ModelSpec, fit_model
 from .pipeline import PipelineArtifact, fit_chain, grid_search, load_pipeline, save_pipeline
-from .synth import BENIGN_LABEL_NAME, MALICIOUS_LABEL_NAME
+from .synth import records_to_csv
 from .urlfeat import catalog, extract_matrix
 
 OVERLAP_FLAG_THRESHOLD = 0.20
@@ -80,7 +78,6 @@ def _urls_and_labels(records) -> tuple[list[str], np.ndarray]:
 def cmd_ingest(args) -> int:
     cfg, out_dir, _ = _resolve(args)
     report = {}
-    names = {0: BENIGN_LABEL_NAME, 1: MALICIOUS_LABEL_NAME}
     for entry in cfg.datasets:
         raw = corpus.load_dataset(str(entry.path), entry.label_map, entry.id, entry.name)
         deduped, removed, conflicts = corpus.dedup_stats(raw)
@@ -91,12 +88,7 @@ def cmd_ingest(args) -> int:
             "records_kept": len(deduped),
             "malicious_fraction": corpus.class_balance(deduped),
         }
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["url", "label"])
-        for record in deduped.records:
-            writer.writerow([record.url, names[record.label]])
-        write_text_atomic(buf.getvalue(), out_dir / f"ingested_{entry.id}.csv")
+        write_text_atomic(records_to_csv(deduped.records), out_dir / f"ingested_{entry.id}.csv")
     write_json_atomic(report, out_dir / "ingest_report.json")
     print(f"ingested {len(cfg.datasets)} datasets into {out_dir}")
     return 0
@@ -105,25 +97,20 @@ def cmd_ingest(args) -> int:
 def cmd_audit(args) -> int:
     cfg, out_dir, seed = _resolve(args)
     datasets = _load_datasets(cfg)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["from_id", "to_id", "overlap_fraction", "flagged"])
+    rows = []
     for a in datasets:
         for b in datasets:
             if a.id == b.id:
                 continue
             frac = corpus.overlap_fraction(a, b)
-            writer.writerow([a.id, b.id, repr(frac), int(frac > OVERLAP_FLAG_THRESHOLD)])
-    write_text_atomic(buf.getvalue(), out_dir / "audit_overlap.csv")
-    names = {0: BENIGN_LABEL_NAME, 1: MALICIOUS_LABEL_NAME}
+            rows.append([a.id, b.id, repr(frac), int(frac > OVERLAP_FLAG_THRESHOLD)])
+    write_text_atomic(
+        csv_text(["from_id", "to_id", "overlap_fraction", "flagged"], rows),
+        out_dir / "audit_overlap.csv",
+    )
     for ds in datasets:
         sample = corpus.sample_for_audit(ds, min(100, len(ds)), seed)
-        sbuf = io.StringIO()
-        swriter = csv.writer(sbuf, lineterminator="\n")
-        swriter.writerow(["url", "label"])
-        for record in sample:
-            swriter.writerow([record.url, names[record.label]])
-        write_text_atomic(sbuf.getvalue(), out_dir / f"audit_sample_{ds.id}.csv")
+        write_text_atomic(records_to_csv(sample), out_dir / f"audit_sample_{ds.id}.csv")
     print(f"audit reports written to {out_dir}")
     return 0
 
@@ -135,12 +122,13 @@ def cmd_featurize(args) -> int:
     for ds in datasets:
         urls, labels = _urls_and_labels(ds.records)
         matrix = extract_matrix(urls)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["url", "label", *feature_names])
-        for url, label, row in zip(urls, labels, matrix):
-            writer.writerow([url, int(label), *[repr(v) for v in row.tolist()]])
-        write_text_atomic(buf.getvalue(), out_dir / f"features_{ds.id}.csv")
+        rows = (
+            [url, int(label), *[repr(v) for v in row.tolist()]]
+            for url, label, row in zip(urls, labels, matrix)
+        )
+        write_text_atomic(
+            csv_text(["url", "label", *feature_names], rows), out_dir / f"features_{ds.id}.csv"
+        )
     print(f"feature matrices for {len(datasets)} datasets written to {out_dir}")
     return 0
 
@@ -216,9 +204,9 @@ def _evaluate_partition(cfg: RunConfig, out_dir: Path, which: str):
         raise ConfigError(f"no model artifacts found under {models_dir}; run train first")
     # Families whose chains are equal (all of them, after one train run)
     # share one featurization per dataset.
+    saved = {family: artifact.chain.to_dict() for family, artifact in artifacts.items()}
     chain_owner = {
-        family: next(o for o in artifacts if artifacts[o].chain.same_as(artifact.chain))
-        for family, artifact in artifacts.items()
+        family: next(o for o in saved if saved[o] == form) for family, form in saved.items()
     }
     reports = []
     per_dataset = {}
@@ -246,7 +234,7 @@ def cmd_evaluate(args) -> int:
     cfg, out_dir, _ = _resolve(args)
     reports, _ = _evaluate_partition(cfg, out_dir, args.partition)
     path = out_dir / f"metrics_{args.partition}.csv"
-    write_metric_reports_csv(reports, path)
+    write_text_atomic(metric_reports_to_csv(reports), path)
     print(f"metric reports written to {path}")
     return 0
 
@@ -260,7 +248,7 @@ def cmd_rank(args) -> int:
     }
     table = aggregate_rank_table(rank_maps)
     path = out_dir / f"rank_{args.partition}.csv"
-    write_rank_table_csv(table, path)
+    write_text_atomic(rank_table_to_csv(table), path)
     print(f"rank table written to {path}")
     return 0
 
@@ -280,28 +268,29 @@ def cmd_classify(args) -> int:
         if not urls_path.is_file():
             raise DataError(f"URL list not found: {urls_path}")
         try:
-            text = urls_path.read_text(encoding="utf-8")
+            text = urls_path.read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"URL list {urls_path} is not UTF-8 text: {exc}") from exc
     else:
         text = sys.stdin.read()
-    urls = [line.strip() for line in text.splitlines() if line.strip()]
+    # One URL per "\n"-terminated line: the other characters splitlines()
+    # breaks at (\x0b, \x85, U+2028, a lone \r, ...) stay inside the URL.
+    urls = [line.strip() for line in text.split("\n") if line.strip()]
     if not urls:
         raise ConfigError("no URLs to classify: input is empty")
     labels, scores = artifact.predict(urls)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["url", "label", "score"])
-    for url, label, score in zip(urls, labels, scores):
-        writer.writerow([url, int(label), repr(float(score))])
+    table = csv_text(
+        ["url", "label", "score"],
+        ([url, int(label), repr(float(score))] for url, label, score in zip(urls, labels, scores)),
+    )
     if args.out_file:
         try:
-            write_text_atomic(buf.getvalue(), args.out_file)
+            write_text_atomic(table, args.out_file)
         except OSError as exc:
             raise ConfigError(f"cannot write --out-file {args.out_file}: {exc}") from exc
         print(f"predictions for {len(urls)} URLs written to {args.out_file}")
     else:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(table)
     return 0
 
 
@@ -351,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="run config (with --model, locates the artifact)")
     p.add_argument("--model", choices=FAMILIES, help="family whose artifact to use")
     p.add_argument("--out", help="output directory holding models/ (with --config)")
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out-file", help="write predictions CSV here instead of stdout")
     p.add_argument("urls_file", nargs="?", help="file of URLs, one per line (default: stdin)")
     p.set_defaults(func=cmd_classify)

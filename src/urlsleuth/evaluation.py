@@ -11,15 +11,13 @@ half-up-rounded mean of per-dataset ranks.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .fileio import write_text_atomic
+from .fileio import csv_text
 
 METRIC_NAMES = ("acc", "pcsn", "rec", "f1", "auc")
 GATED_METRICS = ("acc", "pcsn", "f1", "auc")  # rec excluded: baseline rec is 1
@@ -235,30 +233,15 @@ def aggregate_rank_table(
 
 def metric_reports_to_csv(reports) -> str:
     """One row per (model, dataset) with the five metrics."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dataset_id", "family", *METRIC_NAMES])
-    for r in reports:
-        writer.writerow(
-            [r.dataset_id, r.family]
-            + [repr(getattr(r, m)) for m in METRIC_NAMES]
-        )
-    return buf.getvalue()
+    return csv_text(
+        ["dataset_id", "family", *METRIC_NAMES],
+        ([r.dataset_id, r.family] + [repr(getattr(r, m)) for m in METRIC_NAMES] for r in reports),
+    )
 
 
 def rank_table_to_csv(table: RankTable) -> str:
     """One row per model: per-dataset ranks then the aggregate RNK."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family", *table.dataset_ids, "RNK"])
-    for row in table.rows:
-        writer.writerow([row.family, *row.per_dataset, row.rnk])
-    return buf.getvalue()
-
-
-def write_metric_reports_csv(reports, path) -> None:
-    write_text_atomic(metric_reports_to_csv(reports), path)
-
-
-def write_rank_table_csv(table: RankTable, path) -> None:
-    write_text_atomic(rank_table_to_csv(table), path)
+    return csv_text(
+        ["family", *table.dataset_ids, "RNK"],
+        ([row.family, *row.per_dataset, row.rnk] for row in table.rows),
+    )

@@ -1,12 +1,14 @@
-"""Atomic file writing and guarded JSON reading.
+"""Atomic file writing, the one CSV dialect, and guarded JSON reading.
 
 Writers go through a temp file plus rename so concurrent readers never
 observe a partial artifact; JSON uses sorted keys so equal payloads are
-byte-identical.
+byte-identical, and every CSV table ends its lines with a bare newline.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -26,6 +28,15 @@ def write_text_atomic(text: str, path) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header row then ``rows``, each line ending in a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def write_json_atomic(payload: dict, path) -> None:

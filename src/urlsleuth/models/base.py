@@ -51,13 +51,18 @@ def variance_floor(X: np.ndarray) -> float:
 
 def state_array(state: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """``state[key]`` as a finite array of ``shape``; a ``None`` dimension
-    matches any size."""
-    arr = np.asarray(state[key], dtype=dtype)
+    matches any size.  An integer ``dtype`` also requires whole numbers
+    that float64 holds exactly, so nothing is truncated."""
+    arr = np.asarray(state[key], dtype=np.float64)
     if arr.ndim != len(shape) or any(w not in (None, got) for got, w in zip(arr.shape, shape)):
         expected = tuple("n" if w is None else w for w in shape)
-        raise ArtifactError(f"model state {key!r} has shape {arr.shape}, expected {expected}")
+        raise ArtifactError(f"saved array {key!r} has shape {arr.shape}, expected {expected}")
     if not np.all(np.isfinite(arr)):
-        raise ArtifactError(f"model state {key!r} contains NaN or infinite values")
+        raise ArtifactError(f"saved array {key!r} contains NaN or infinite values")
+    if np.issubdtype(dtype, np.integer):
+        if not np.all((arr == np.round(arr)) & (np.abs(arr) <= 2**53)):
+            raise ArtifactError(f"saved array {key!r} holds values that are not integers")
+        arr = arr.astype(dtype)
     return arr
 
 

@@ -131,6 +131,8 @@ class KNearestNeighbors(BinaryClassifier):
         self.train_X_ = state_array(state, "train_X", (None, self.n_features_))
         n = len(self.train_X_)
         self.train_y_ = state_array(state, "train_y", (n,), dtype=np.int64)
+        if not np.isin(self.train_y_, (0, 1)).all():
+            raise ArtifactError("KNN train_y must hold labels 0 or 1")
         if n < self.k:
             raise ArtifactError(f"k={self.k} exceeds the {n} stored training rows")
         self._cache_norms()

@@ -8,8 +8,9 @@ and returns them as one ``FeatureChain``, a pure function afterwards.  A
 ``PipelineArtifact`` is that chain plus one trained model; ``train``
 shares a single chain across every family of a run.  Its JSON form is
 the one saved container: a tag, a format version, the feature catalog
-version, the chain's stages (the language-model pair as its order, k and
-two count maps) and the model (spec, feature count, state).
+version, the chain's saved form (``FeatureChain.to_dict``: the
+language-model pair as its order, k and two count maps, then each
+stage's arrays) and the model (spec, feature count, state).
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from .errors import ArtifactError, CatalogMismatchError, ConfigError, DataError,
 from .evaluation import compute_metrics
 from .fileio import read_json, write_json_atomic
 from .models import ModelSpec, TrainedModel, fit_model
-from .urlfeat import CATALOG_VERSION, extract_matrix
+from .models.base import state_array
+from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
 
 PIPELINE_ARTIFACT_TAG = "urlsleuth-pipeline"
 PIPELINE_ARTIFACT_VERSION = 3
 
 MI_BIN_COUNT = 10
+CHAIN_INPUT_COLUMNS = len(catalog().names) + 2  # lexical features, then both LM scores
 
 
 @dataclass(frozen=True)
@@ -184,19 +187,49 @@ class FeatureChain:
             X = apply_projection(self.projection, X)
         return X
 
-    def same_as(self, other: "FeatureChain") -> bool:
-        """True when every stage of ``other`` is equal to this chain's, so
-        both transform any URLs to the same matrix."""
+    def to_dict(self) -> dict:
+        """The language-model pair's dict, then each stage's fields as
+        lists (``None`` for no projection)."""
 
-        def arrays(chain: FeatureChain) -> list[np.ndarray]:
-            stages = (chain.scaler, chain.selector, chain.projection)
-            return [getattr(s, f.name) for s in stages if s is not None for f in fields(s)]
+        def stage(obj) -> dict | None:
+            if obj is None:
+                return None
+            return {f.name: getattr(obj, f.name).tolist() for f in fields(obj)}
 
-        return (
-            self.lm_pair == other.lm_pair
-            and (self.projection is None) == (other.projection is None)
-            and all(np.array_equal(a, b) for a, b in zip(arrays(self), arrays(other)))
+        return {
+            "lm": self.lm_pair.to_dict(),
+            "scaler": stage(self.scaler),
+            "selector": stage(self.selector),
+            "projection": stage(self.projection),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "FeatureChain":
+        """Rebuild a chain saved by ``to_dict``; every stage must fit the
+        80 input columns and the stage before it."""
+        width = CHAIN_INPUT_COLUMNS
+        lm_pair = LmScorePair.from_dict(d["lm"])
+        scaler = Scaler(
+            mean=state_array(d["scaler"], "mean", (width,)),
+            std=state_array(d["scaler"], "std", (width,)),
         )
+        kept = state_array(d["selector"], "retained_indices", (None,), dtype=np.int64)
+        if kept.size == 0 or kept[0] < 0 or kept[-1] >= width or (np.diff(kept) <= 0).any():
+            raise ArtifactError(f"selector must retain increasing column indices in [0, {width})")
+        selector = Selector(
+            retained_indices=kept,
+            score_per_feature=state_array(d["selector"], "score_per_feature", (width,)),
+        )
+        projection = None
+        if d["projection"] is not None:
+            p = d["projection"]
+            components = state_array(p, "components", (None, len(kept)))
+            projection = Projection(
+                mean=state_array(p, "mean", (len(kept),)),
+                components=components,
+                explained_variance=state_array(p, "explained_variance", (len(components),)),
+            )
+        return cls(lm_pair, scaler, selector, projection)
 
 
 def fit_chain(
@@ -298,28 +331,11 @@ def grid_search(
 
 
 def pipeline_to_dict(artifact: PipelineArtifact) -> dict:
-    chain = artifact.chain
-    proj = None
-    if chain.projection is not None:
-        proj = {
-            "mean": chain.projection.mean.tolist(),
-            "components": chain.projection.components.tolist(),
-            "explained_variance": chain.projection.explained_variance.tolist(),
-        }
     return {
         "artifact": PIPELINE_ARTIFACT_TAG,
         "format_version": PIPELINE_ARTIFACT_VERSION,
         "catalog_version": CATALOG_VERSION,
-        "lm": chain.lm_pair.to_dict(),
-        "scaler": {
-            "mean": chain.scaler.mean.tolist(),
-            "std": chain.scaler.std.tolist(),
-        },
-        "selector": {
-            "retained_indices": chain.selector.retained_indices.tolist(),
-            "score_per_feature": chain.selector.score_per_feature.tolist(),
-        },
-        "projection": proj,
+        **artifact.chain.to_dict(),
         "model": artifact.model.to_dict(),
     }
 
@@ -340,30 +356,7 @@ def pipeline_from_dict(payload: dict) -> PipelineArtifact:
             f"this build reads version {PIPELINE_ARTIFACT_VERSION}"
         )
     try:
-        scaler = Scaler(
-            mean=np.asarray(payload["scaler"]["mean"], dtype=np.float64),
-            std=np.asarray(payload["scaler"]["std"], dtype=np.float64),
-        )
-        selector = Selector(
-            retained_indices=np.asarray(
-                payload["selector"]["retained_indices"], dtype=np.int64
-            ),
-            score_per_feature=np.asarray(
-                payload["selector"]["score_per_feature"], dtype=np.float64
-            ),
-        )
-        projection = None
-        if payload["projection"] is not None:
-            projection = Projection(
-                mean=np.asarray(payload["projection"]["mean"], dtype=np.float64),
-                components=np.asarray(
-                    payload["projection"]["components"], dtype=np.float64
-                ),
-                explained_variance=np.asarray(
-                    payload["projection"]["explained_variance"], dtype=np.float64
-                ),
-            )
-        chain = FeatureChain(LmScorePair.from_dict(payload["lm"]), scaler, selector, projection)
+        chain = FeatureChain.from_dict(payload)
         model = TrainedModel.from_dict(payload["model"])
         catalog_version = payload["catalog_version"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

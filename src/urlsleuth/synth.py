@@ -11,8 +11,6 @@ always yields the same corpus, character for character.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 import string
@@ -20,7 +18,7 @@ from pathlib import Path
 
 from .corpus import Dataset, UrlRecord
 from .errors import DataError
-from .fileio import write_text_atomic
+from .fileio import csv_text, write_text_atomic
 
 BENIGN_LABEL_NAME = "benign"
 MALICIOUS_LABEL_NAME = "malicious"
@@ -190,16 +188,11 @@ def materialize_run(
     return config_path
 
 
-def dataset_to_csv(dataset: Dataset) -> str:
+def records_to_csv(records) -> str:
     """CSV text in the standard ingest schema (url,label header)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["url", "label"])
-    names = {0: BENIGN_LABEL_NAME, 1: MALICIOUS_LABEL_NAME}
-    for record in dataset.records:
-        writer.writerow([record.url, names[record.label]])
-    return buf.getvalue()
+    names = {label: name for name, label in LABEL_MAP.items()}
+    return csv_text(["url", "label"], ([r.url, names[r.label]] for r in records))
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    write_text_atomic(dataset_to_csv(dataset), path)
+    write_text_atomic(records_to_csv(dataset.records), path)

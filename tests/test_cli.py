@@ -353,6 +353,15 @@ class TestClassify:
         assert main(["classify", "--artifact", str(artifact), str(urls_file)]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 2
 
+    def test_only_newline_ends_a_url(self, workspace, tmp_path, capsys):
+        urls = ["http://a.com/x\x0by", "http://b.com/p\x85q", "http://c.com/\u2028r\rs"]
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text(f"{urls[0]}\n{urls[1]}\r\n {urls[2]} \n", encoding="utf-8")
+        artifact = workspace["out_dir"] / "models" / "LR.json"
+        assert main(["classify", "--artifact", str(artifact), str(urls_file)]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert [line.rsplit(",", 2)[0] for line in lines[1:-1]] == urls
+
 
 class TestErrorPaths:
     def test_unmapped_label_names_the_value(self, tmp_path, capsys):
@@ -464,13 +473,16 @@ class TestErrorPaths:
             ("KNN", lambda s: s.update(train_X=[row[:3] for row in s["train_X"]])),
             ("KNN", lambda s: s.update(train_y=s["train_y"][:3])),
             ("KNN", lambda s: s["train_X"][0].__setitem__(0, float("nan"))),
+            ("KNN", lambda s: s["train_y"].__setitem__(0, 0.6)),
+            ("KNN", lambda s: s.update(train_y=[7] * len(s["train_y"]))),
             ("GNB", lambda s: s.update(means=[row[:3] for row in s["means"]])),
             ("MLP", lambda s: s.update(params=s["params"][:5])),
             ("DT", lambda s: s["tree"]["feature"].__setitem__(0, 999)),
             ("DT", lambda s: s["tree"]["left"].__setitem__(0, len(s["tree"]["left"]))),
         ],
         ids=[
-            "LR-weights", "KNN-train_X", "KNN-train_y", "KNN-train_X-nan", "GNB-means",
+            "LR-weights", "KNN-train_X", "KNN-train_y", "KNN-train_X-nan",
+            "KNN-train_y-fraction", "KNN-train_y-label", "GNB-means",
             "MLP-params", "DT-feature", "DT-child",
         ],
     )
@@ -484,6 +496,18 @@ class TestErrorPaths:
         edited.write_text(json.dumps(payload), encoding="utf-8")
         urls_file = tmp_path / "urls.txt"
         urls_file.write_text("http://a.com\nhttps://b.org/x?q=1\n", encoding="utf-8")
+        assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_selector_index_out_of_range_reported(self, workspace, tmp_path, capsys):
+        payload = json.loads(
+            (workspace["out_dir"] / "models" / "LR.json").read_text(encoding="utf-8")
+        )
+        payload["selector"]["retained_indices"][-1] = 99
+        edited = tmp_path / "LR.json"
+        edited.write_text(json.dumps(payload), encoding="utf-8")
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text("http://a.com\n", encoding="utf-8")
         assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 

@@ -236,7 +236,7 @@ class TestKnn:
         x = np.array(distinct, dtype=np.float64)[pick] * scale + offset
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
         y[:2] = (0, 1)
-        k = data.draw(st.one_of(st.integers(1, 3), st.integers(1, n)), label="k")
+        k = data.draw(st.one_of(st.integers(1, min(3, n)), st.integers(1, n)), label="k")
         rows = data.draw(st.lists(st.integers(0, n - 1), max_size=10), label="query rows")
         fresh = data.draw(st.lists(ints, max_size=10), label="fresh queries")
         q = np.vstack([x[rows], np.array(fresh, dtype=np.float64).reshape(-1, d) * scale + offset])

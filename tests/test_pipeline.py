@@ -361,22 +361,22 @@ class TestFitChain:
         chain, X_train = fit_chain(urls, labels, **kwargs)
         assert np.array_equal(X_train, chain.transform(urls))
 
-    def test_same_as_compares_every_stage(self, url_corpus):
+    def test_saved_form_compares_every_stage(self, url_corpus):
         urls, labels = url_corpus
         chain, _ = fit_chain(urls, labels, top_k=20)
-        assert chain.same_as(fit_chain(urls, labels, top_k=20)[0])
+        assert chain.to_dict() == fit_chain(urls, labels, top_k=20)[0].to_dict()
         for other in (
             {"top_k": 21},
             {"top_k": 20, "lm_smoothing": 0.5},
             {"top_k": 20, "use_projection": True},
         ):
             changed, _ = fit_chain(urls, labels, **other)
-            assert not chain.same_as(changed), other
-            assert not changed.same_as(chain), other
+            assert chain.to_dict() != changed.to_dict(), other
+            assert changed.to_dict() != chain.to_dict(), other
         rescaled = dataclasses.replace(
             chain, scaler=dataclasses.replace(chain.scaler, std=chain.scaler.std * 2.0)
         )
-        assert not chain.same_as(rescaled)
+        assert chain.to_dict() != rescaled.to_dict()
 
 
 class TestPipelinePersistence:
@@ -446,6 +446,31 @@ class TestPipelinePersistence:
         payload = pipeline_to_dict(artifact)
         payload["lm"][field] = value
         with pytest.raises(ArtifactError, match="malformed"):
+            pipeline_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "projected, cut",
+        [
+            (False, lambda d: d["selector"]["retained_indices"].__setitem__(-1, 99)),
+            (False, lambda d: d["selector"].update(
+                retained_indices=[i + 0.5 for i in d["selector"]["retained_indices"]])),
+            (False, lambda d: d["selector"].update(
+                retained_indices=[0] * len(d["selector"]["retained_indices"]))),
+            (False, lambda d: d["scaler"].update(mean=d["scaler"]["mean"][:5])),
+            (True, lambda d: d["projection"].update(
+                components=[row[:-1] for row in d["projection"]["components"]])),
+            (True, lambda d: d["projection"]["mean"].__setitem__(0, float("nan"))),
+        ],
+        ids=[
+            "retained-index-99", "retained-index-fraction", "retained-index-duplicates",
+            "scaler-mean-length-5", "projection-components-width", "projection-mean-nan",
+        ],
+    )
+    def test_malformed_chain_rejected(self, url_corpus, projected, cut):
+        artifact, _ = self._artifact(url_corpus, top_k=30, use_projection=projected)
+        payload = pipeline_to_dict(artifact)
+        cut(payload)
+        with pytest.raises(ArtifactError):
             pipeline_from_dict(payload)
 
     def test_corrupt_file_rejected(self, tmp_path):

@@ -11,10 +11,10 @@ from urlsleuth.corpus import class_balance, load_dataset
 from urlsleuth.errors import DataError
 from urlsleuth.synth import (
     LABEL_MAP,
-    dataset_to_csv,
     generate_corpus,
     generate_dataset,
     materialize_run,
+    records_to_csv,
     write_dataset_csv,
 )
 from urlsleuth.urlfeat import parse_url
@@ -87,7 +87,7 @@ class TestCsvMaterialization:
 
     def test_csv_text_deterministic(self):
         ds = generate_dataset("d", n_records=50, seed=8)
-        assert dataset_to_csv(ds) == dataset_to_csv(ds)
+        assert records_to_csv(ds.records) == records_to_csv(ds.records)
 
     def test_materialize_run_layout(self, tmp_path):
         config_path = materialize_run(
