@@ -8,12 +8,21 @@ positive and every score is finite.
 Symbol inventory: the 95 printable ASCII characters plus an end-of-string
 marker and a catch-all for out-of-range characters (97 predictable symbols).
 A begin-of-string marker pads contexts but is never predicted.
+
+A model's counts (context -> symbol -> count) are its one saved form.
+``LmScorePair.transform`` scores through a table derived from them on
+first use: each seen context gets a row of 97 indices into the distinct
+log-probabilities, so scoring costs one gather per character, summed per
+URL.  ``sequence_logprob`` and ``score`` keep the per-character loop and
+are the table's oracle; both give bit-identical scores.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,12 +37,31 @@ SYMBOLS = PRINTABLE + (END, UNK)
 VOCAB_SIZE = len(SYMBOLS)  # 97
 
 _PREDICTABLE = frozenset(SYMBOLS)
+_CONTEXT_CHARS = frozenset(PRINTABLE + (UNK,))
+
+# Table ids: printable -> 0-94, UNK 95, END 96, BEGIN 97.
+_ID = {ch: i for i, ch in enumerate(PRINTABLE + (UNK, END, BEGIN))}
+_UNK_ID, _END_ID, _BEGIN_ID = _ID[UNK], _ID[END], _ID[BEGIN]
+_N_IDS = len(_ID)  # 98
+# Scoring works through blocks of about this many predicted positions.
+_BLOCK_POSITIONS = 1 << 14
 
 
 def _norm_char(ch: str) -> str:
     if "\x20" <= ch <= "\x7e":
         return ch
     return UNK
+
+
+def _key_ids(chars: str) -> np.ndarray:
+    """Table ids of the characters of saved contexts or symbols."""
+    return np.fromiter(map(_ID.__getitem__, chars), np.uint8, len(chars))
+
+
+def _text_ids(text: str) -> np.ndarray:
+    """Table ids of URL characters: printable ones keep theirs, the rest are UNK."""
+    offset = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32) - 0x20
+    return np.minimum(offset, _UNK_ID)  # below 0x20 wraps past UNK too
 
 
 @dataclass
@@ -60,6 +88,7 @@ class CharGramModel:
 
     def fit(self, urls) -> "CharGramModel":
         """Accumulate n-gram counts from an iterable of URL strings."""
+        self.__dict__.pop("_table", None)
         n = self.order - 1
         for url in urls:
             text = self._padded(url)
@@ -105,6 +134,86 @@ class CharGramModel:
         """Length-normalized log-likelihood: sequence_logprob / (len(url) + 1)."""
         return self.sequence_logprob(url) / (len(url) + 1)
 
+    @cached_property
+    def _table(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """The counts as a scoring table ``(prefixes, cells, logp)``, built
+        on first use and dropped by ``fit``.
+
+        ``prefixes[j]`` holds the sorted keys ``parent * 98 + id`` of the
+        seen context prefixes of length j + 1, ``parent`` being the
+        shorter prefix's position in ``prefixes[j - 1]`` (0 for j = 0), so
+        keys stay below 98 times the number of prefixes at any order.  A
+        context's position in the last array is its row of ``cells``: 97
+        entries a row, then one row for unseen contexts.  Each entry
+        indexes ``logp``, which holds ``math.log`` of the loop's
+        ``(count + k) / (total + k * VOCAB_SIZE)`` once per distinct
+        (count, total).
+        """
+        n = self.order - 1
+        contexts = list(self._ctx_counts)
+        buckets = list(self._ctx_counts.values())
+        prefixes = []
+        row = np.zeros(len(contexts), np.int64)
+        if contexts and n:
+            ids = _key_ids("".join(contexts)).reshape(len(contexts), n)
+            for j in range(n):
+                keys, row = np.unique(row * _N_IDS + ids[:, j], return_inverse=True)
+                prefixes.append(keys)
+                row = row.reshape(-1)
+        sizes = np.fromiter(map(len, buckets), np.int64, len(buckets))
+        totals = list(map(self._ctx_totals.__getitem__, contexts))
+        # One log-prob per distinct (count, total): the loop's own
+        # expression.  Seen entries come first, then each seen context's
+        # unseen symbols, then an unseen context.
+        pairs: dict[tuple[int, int], int] = {}
+        entries = np.fromiter(
+            (
+                pairs.setdefault((count, total), len(pairs))
+                for bucket, total in zip(buckets, totals)
+                for count in bucket.values()
+            ),
+            np.uint32,
+            int(sizes.sum()),
+        )
+        defaults = [pairs.setdefault((0, total), len(pairs)) for total in totals]
+        unseen = pairs.setdefault((0, 0), len(pairs))
+        logp = np.array(
+            [math.log((count + self.k) / (total + self.k * VOCAB_SIZE)) for count, total in pairs]
+        )
+        cells = np.empty(
+            (len(contexts) + 1, VOCAB_SIZE), np.uint16 if len(pairs) <= 1 << 16 else np.uint32
+        )
+        cells[row] = np.array(defaults, np.int64)[:, None]
+        cells[-1] = unseen
+        symbols = _key_ids("".join(map("".join, buckets)))
+        cells[np.repeat(row, sizes), symbols] = entries
+        return prefixes, cells.reshape(-1), logp
+
+    def _logprobs(self, windows: list[np.ndarray], symbols: np.ndarray) -> np.ndarray:
+        """Log-prob of each symbol after its context window (one id array
+        per context position)."""
+        prefixes, cells, logp = self._table
+        row = 0
+        for keys, ids in zip(prefixes, windows):
+            key = row * _N_IDS + ids
+            row = np.searchsorted(keys, key)
+            # An unseen prefix takes the position past the end, whose keys
+            # exceed every key of the next length, so it stays unseen.
+            row[keys.take(row, mode="clip") != key] = len(keys)
+        return logp[cells[row * VOCAB_SIZE + symbols]]
+
+
+def _blocks(sizes: np.ndarray):
+    """Consecutive ``(lo, hi)`` ranges whose sizes sum to about
+    ``_BLOCK_POSITIONS``; a larger item gets a range of its own."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        limit = (ends[lo - 1] if lo else 0) + _BLOCK_POSITIONS
+        hi = max(int(np.searchsorted(ends, limit, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
 
 @dataclass
 class LmScorePair:
@@ -145,12 +254,33 @@ class LmScorePair:
         return self
 
     def transform(self, urls) -> np.ndarray:
+        """Both models' ``score`` of every URL, bit for bit, through their
+        tables: each block of URLs is padded and windowed once, each model
+        gathers one log-prob per predicted position, and ``bincount`` sums
+        them per URL in position order, as the scalar loop adds them."""
         if self.benign is None or self.malicious is None:
             raise ModelError("score pair is not fitted")
+        n = self.order - 1
+        lengths = np.fromiter(map(len, urls), np.int64, len(urls))
         out = np.empty((len(urls), 2), dtype=np.float64)
-        for i, url in enumerate(urls):
-            out[i, 0] = self.benign.score(url)
-            out[i, 1] = self.malicious.score(url)
+        for lo, hi in _blocks(lengths + n + 1):
+            seg = lengths[lo:hi]
+            ids = _text_ids("".join(urls[lo:hi]))
+            # Each URL's segment: n BEGIN pads, its characters, then END.
+            index = np.arange(hi - lo)
+            shift = index * (n + 1) + n  # pads up to each URL's characters
+            seq = np.full(ids.size + (hi - lo) * (n + 1), _BEGIN_ID, np.uint8)
+            seq[np.cumsum(seg) + shift] = _END_ID
+            seq[np.arange(ids.size) + np.repeat(shift, seg)] = ids
+            # Every position but a pad is predicted from the n before it.
+            predicted = seq[n:] != _BEGIN_ID
+            windows = [seq[j : j + predicted.size][predicted] for j in range(n)]
+            symbols = seq[n:][predicted]
+            scored = seg + 1
+            rows = np.repeat(index, scored)
+            for col, model in enumerate((self.benign, self.malicious)):
+                lp = model._logprobs(windows, symbols)
+                out[lo:hi, col] = np.bincount(rows, lp, hi - lo) / scored
         return out
 
     def to_dict(self) -> dict:
@@ -166,17 +296,52 @@ class LmScorePair:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LmScorePair":
-        """Rebuild a fitted pair; each context's total is the sum of its counts."""
+        """Rebuild a fitted pair; each context's total is the sum of its counts.
+
+        Each map must be one ``fit`` could have made: contexts of
+        ``order - 1`` inventory characters, BEGIN only as their leading
+        run; symbols from ``SYMBOLS``; counts integers in [1, 2**53), so
+        that every count and total is exact in float64.
+        """
         order, k = d["order"], d["k"]
         models = []
         for side in ("benign", "malicious"):
-            for ctx in d[side]:
-                if len(ctx) != order - 1:
-                    raise ModelError(
-                        f"{side} context {ctx!r} has {len(ctx)} characters; "
-                        f"order {order} needs {order - 1}"
-                    )
+            counts = {ctx: dict(bucket) for ctx, bucket in d[side].items()}
+            _check_counts(side, order, counts)
             model = CharGramModel(order, k)
-            model._ctx_counts = {ctx: dict(counts) for ctx, counts in d[side].items()}
+            model._ctx_counts = counts
             models.append(model.fit([]))  # adds no counts; works out each total
         return cls(order, k, *models)
+
+
+def _check_counts(side: str, order: int, counts: dict) -> None:
+    """Raise ``ModelError`` unless ``counts`` is a map ``fit`` could have made."""
+    if set(map(len, counts)) - {order - 1}:
+        ctx = next(c for c in counts if len(c) != order - 1)
+        raise ModelError(
+            f"{side} context {ctx!r} has {len(ctx)} characters; order {order} needs {order - 1}"
+        )
+    # BEGIN may only pad a context's start, so what follows its leading run
+    # must be printable or UNK.
+    after_begin = set("".join(map(str.lstrip, counts, itertools.repeat(BEGIN, len(counts)))))
+    if not after_begin <= _CONTEXT_CHARS:
+        raise ModelError(
+            f"{side} contexts hold {sorted(after_begin - _CONTEXT_CHARS)!r}, "
+            "outside the inventory or after the leading begin markers"
+        )
+    buckets = counts.values()
+    symbols = set().union(*buckets)
+    if not symbols <= _PREDICTABLE:
+        raise ModelError(
+            f"{side} symbols {sorted(symbols - _PREDICTABLE)!r} are not in the inventory"
+        )
+    # Types are checked on every count: True and 1.0 hash like 1.
+    types = set(map(type, itertools.chain.from_iterable(map(dict.values, buckets))))
+    distinct = set(itertools.chain.from_iterable(map(dict.values, buckets)))
+    if (
+        not all(buckets)
+        or types - {int}
+        or min(distinct, default=1) < 1
+        or max(distinct, default=1) >= 2**53
+    ):
+        raise ModelError(f"{side} counts must be integers in [1, 2**53), at least one per context")

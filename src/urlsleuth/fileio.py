@@ -8,11 +8,11 @@ byte-identical, and every CSV table ends its lines with a bare newline.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import ArtifactError
 
@@ -31,12 +31,19 @@ def write_text_atomic(text: str, path) -> None:
 
 
 def csv_text(header, rows) -> str:
-    """CSV text of a header row then ``rows``, each line ending in a bare newline."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """CSV text of a header row then ``rows``, each line ending in a bare newline.
+
+    A field holding ``\\r`` is quoted, so ``csv.reader`` reads its row back
+    whole and every Python version writes the same bytes (3.13's writer
+    quotes it even with a bare-newline terminator, earlier ones do not).
+    """
+    lines = []
+    # "\r" in the terminator makes the writer quote fields holding it; each
+    # row's "\r\n" is then cut back to "\n".
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def write_json_atomic(payload: dict, path) -> None:

@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urlsleuth.charlm import (
@@ -186,3 +186,114 @@ class TestLmScorePair:
         pair = LmScorePair(order=3, k=1.0).fit(["aaa", "zzz"], np.array([0, 1]))
         restored = LmScorePair.from_dict(pair.to_dict())
         assert np.array_equal(restored.transform(["aza"]), pair.transform(["aza"]))
+
+
+# Text as classify receives it: URL-like runs, any code point including
+# lone surrogates, and the model's own marker characters given literally.
+_TEXT = st.one_of(
+    st.text(st.sampled_from("htps:/.abcom?=&-_%"), max_size=30),
+    st.text(st.characters(blacklist_categories=()), max_size=30),
+    st.text(st.sampled_from([BEGIN, END, UNK, "a", "b", "/"]), max_size=10),
+)
+# Longer than one scoring block, so it is scored in a block of its own.
+_LONG_URL = ("http://a.com/?" + "".join(f"q{i}=v{i % 7}&" for i in range(4000)))[:20000]
+
+
+class TestVectorizedScores:
+    """``LmScorePair.transform`` against the scalar loop, bit for bit."""
+
+    @given(
+        benign=st.lists(_TEXT, max_size=12),
+        malicious=st.lists(_TEXT, max_size=12),
+        probes=st.lists(_TEXT, max_size=12),
+        order=st.integers(1, 5),
+        k=st.sampled_from([0.5, 1.0]),
+        at=st.integers(0, 40),
+    )
+    # An empty URL scores one ratio, END after BEGIN: here (32 + 1) / (45 + 97)
+    # and (18 + 0.5) / (73 + 48.5), whose np.log (numpy 2.4, x86-64) is one
+    # ulp off math.log.
+    @example(
+        benign=[""] * 32 + ["a"] * 13, malicious=[""] * 18 + ["a"] * 55,
+        probes=[""], order=2, k=1.0, at=0,
+    )
+    @example(
+        benign=[""] * 32 + ["a"] * 13, malicious=[""] * 18 + ["a"] * 55,
+        probes=[""], order=2, k=0.5, at=0,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_transform_equals_scalar_scores(self, benign, malicious, probes, order, k, at):
+        pair = LmScorePair(
+            order, k, CharGramModel(order, k).fit(benign), CharGramModel(order, k).fit(malicious)
+        )
+        batch = probes + benign[:3] + malicious[:3]
+        batch.insert(at % (len(batch) + 1), _LONG_URL)
+        scores = pair.transform(batch)
+        restored = LmScorePair.from_dict(json.loads(json.dumps(pair.to_dict())))
+        assert np.array_equal(restored.transform(batch), scores)
+        for url, row in zip(batch, scores):
+            assert tuple(row) == (pair.benign.score(url), pair.malicious.score(url))
+            assert tuple(pair.transform([url])[0]) == tuple(row)
+
+    def test_empty_batch(self):
+        pair = LmScorePair(order=2).fit(["ab", "cd"], np.array([0, 1]))
+        assert pair.transform([]).shape == (0, 2)
+
+    def test_refit_drops_the_table(self):
+        model = CharGramModel(order=2).fit(["ab"])
+        pair = LmScorePair(order=2, benign=model, malicious=model)
+        before = pair.transform(["abc"])
+        model.fit(["bc", "bc"])
+        after = pair.transform(["abc"])
+        assert tuple(after[0]) == (model.score("abc"), model.score("abc"))
+        assert not np.array_equal(before, after)
+
+
+def _lm_payload() -> dict:
+    return LmScorePair(order=3, k=1.0).fit(
+        ["http://a.com/x", "https://b.org/?q=1"], np.array([0, 1])
+    ).to_dict()
+
+
+class TestMalformedCounts:
+    """A saved count map must be one ``fit`` could have made."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["ht"].update(ab=1), "symbols .* not in the inventory"),
+            (lambda m: m["ht"].update({"é": 1}), "symbols .* not in the inventory"),
+            (lambda m: m["ht"].update({BEGIN: 1}), "symbols .* not in the inventory"),
+            (lambda m: m.update({"hé": {"a": 1}}), "contexts hold"),
+            (lambda m: m.update({"h" + BEGIN: {"a": 1}}), "contexts hold"),
+            (lambda m: m.update({END + "h": {"a": 1}}), "contexts hold"),
+            (lambda m: m.update({"abc": {"a": 1}}), "has 3 characters"),
+            (lambda m: m["ht"].update(t=-1), "integers in"),
+            (lambda m: m["ht"].update(t=0), "integers in"),
+            (lambda m: m["ht"].update(t=1.5), "integers in"),
+            (lambda m: m["ht"].update(t=1.0), "integers in"),
+            (lambda m: m["ht"].update(t=True), "integers in"),
+            (lambda m: m["ht"].update(t=2**53), "integers in"),
+            (lambda m: m["ht"].update(t=-10**6), "integers in"),
+            (lambda m: m.update(ht={}), "integers in"),
+        ],
+        ids=[
+            "symbol-two-chars", "symbol-non-ascii", "symbol-begin", "context-non-ascii",
+            "context-begin-after-char", "context-end", "context-too-long", "count-negative",
+            "count-zero", "count-fraction", "count-float", "count-true", "count-2**53",
+            "count-minus-million", "context-without-counts",
+        ],
+    )
+    @pytest.mark.parametrize("side", ["benign", "malicious"])
+    def test_rejected_at_load(self, side, edit, message):
+        payload = _lm_payload()
+        edit(payload[side])
+        with pytest.raises(ModelError, match=f"{side} .*{message}"):
+            LmScorePair.from_dict(payload)
+
+    def test_fitted_maps_load(self):
+        payload = _lm_payload()
+        assert LmScorePair.from_dict(payload).to_dict() == payload
+        # A leading run of BEGIN and the catch-all are part of the inventory.
+        payload["benign"][BEGIN + UNK] = {UNK: 2, END: 1}
+        LmScorePair.from_dict(payload)

@@ -359,8 +359,25 @@ class TestClassify:
         urls_file.write_text(f"{urls[0]}\n{urls[1]}\r\n {urls[2]} \n", encoding="utf-8")
         artifact = workspace["out_dir"] / "models" / "LR.json"
         assert main(["classify", "--artifact", str(artifact), str(urls_file)]) == 0
-        lines = capsys.readouterr().out.split("\n")
-        assert [line.rsplit(",", 2)[0] for line in lines[1:-1]] == urls
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+        assert [row[0] for row in rows[1:]] == urls
+
+    def test_csv_reads_back_one_row_per_url(self, workspace, tmp_path):
+        urls = ["http://a.com/x\ry", "http://b.com/\r\r/", 'http://c.com/"q",r', "http://d.com/"]
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text("".join(url + "\n" for url in urls), encoding="utf-8")
+        out_file = tmp_path / "preds.csv"
+        artifact = workspace["out_dir"] / "models" / "LR.json"
+        argv = ["classify", "--artifact", str(artifact), "--out-file", str(out_file)]
+        assert main([*argv, str(urls_file)]) == 0
+        with open(out_file, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == ["url", "label", "score"]
+        assert [row[0] for row in rows[1:]] == urls
+        assert all(len(row) == 3 for row in rows)
+        assert '\n"http://a.com/x\ry",' in text
+        assert "\nhttp://d.com/," in text
 
 
 class TestErrorPaths:
@@ -498,6 +515,32 @@ class TestErrorPaths:
         urls_file.write_text("http://a.com\nhttps://b.org/x?q=1\n", encoding="utf-8")
         assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda counts: counts.update(ab=1),
+            lambda counts: counts.update({"é": 1}),
+            lambda counts: counts.update(a=-10**6),
+            lambda counts: counts.update(a=0.5),
+            lambda counts: counts.update(a=True),
+        ],
+        ids=["symbol-two-chars", "symbol-non-ascii", "count-negative", "count-fraction",
+             "count-true"],
+    )
+    def test_malformed_lm_counts_reported(self, edit, workspace, tmp_path, capsys):
+        payload = json.loads(
+            (workspace["out_dir"] / "models" / "LR.json").read_text(encoding="utf-8")
+        )
+        edit(next(iter(payload["lm"]["malicious"].values())))
+        edited = tmp_path / "LR.json"
+        edited.write_text(json.dumps(payload), encoding="utf-8")
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text("http://a.com\n", encoding="utf-8")
+        assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "malicious" in err
 
     def test_selector_index_out_of_range_reported(self, workspace, tmp_path, capsys):
         payload = json.loads(
