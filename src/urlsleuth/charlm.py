@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -78,10 +79,16 @@ class CharGramModel:
     _ctx_counts: dict[str, dict[str, int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or self.order < 1:
+        # bool is an int and a Real: True would pass as 1.
+        if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
             raise ModelError(f"order must be an integer >= 1, got {self.order!r}")
-        if self.k <= 0:
-            raise ModelError(f"smoothing constant must be > 0, got {self.k}")
+        if (
+            isinstance(self.k, bool)
+            or not isinstance(self.k, numbers.Real)
+            or not math.isfinite(self.k)
+            or self.k <= 0
+        ):
+            raise ModelError(f"smoothing constant must be a finite number > 0, got {self.k!r}")
 
     def _padded(self, url: str) -> str:
         return BEGIN * (self.order - 1) + "".join(_norm_char(ch) for ch in url) + END

@@ -101,6 +101,20 @@ class TestModelBehaviour:
         with pytest.raises(ModelError):
             CharGramModel(order=2, k=-1.0)
 
+    @pytest.mark.parametrize(
+        "order, k",
+        [(True, 1.0), (2, True), (2, float("inf")), (2, float("nan")), (2, "1"), (2, None),
+         (2, 1j)],
+        ids=["order-true", "k-true", "k-inf", "k-nan", "k-str", "k-none", "k-complex"],
+    )
+    def test_bool_or_non_finite_order_and_k_rejected(self, order, k):
+        with pytest.raises(ModelError):
+            CharGramModel(order=order, k=k)
+
+    def test_numeric_k_of_any_real_type_accepted(self):
+        assert CharGramModel(order=2, k=1).k == 1
+        assert CharGramModel(order=2, k=np.float64(0.5)).k == 0.5
+
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_distribution_normalizes(self, context_source):

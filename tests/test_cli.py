@@ -542,6 +542,23 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert "malicious" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", True), ("order", True), ("k", float("inf")), ("k", float("nan")), ("k", "1")],
+        ids=["k-true", "order-true", "k-Infinity", "k-NaN", "k-str"],
+    )
+    def test_malformed_lm_order_or_k_reported(self, field, value, workspace, tmp_path, capsys):
+        payload = json.loads(
+            (workspace["out_dir"] / "models" / "LR.json").read_text(encoding="utf-8")
+        )
+        payload["lm"][field] = value
+        edited = tmp_path / "LR.json"
+        edited.write_text(json.dumps(payload), encoding="utf-8")  # writes Infinity, NaN
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text("http://a.com\n", encoding="utf-8")
+        assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_selector_index_out_of_range_reported(self, workspace, tmp_path, capsys):
         payload = json.loads(
             (workspace["out_dir"] / "models" / "LR.json").read_text(encoding="utf-8")

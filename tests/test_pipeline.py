@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from urlsleuth.charlm import LmScorePair
 from urlsleuth.errors import ArtifactError, CatalogMismatchError, ConfigError, DataError
@@ -487,3 +490,49 @@ class TestPipelinePersistence:
         write_json_atomic(payload, path)
         with pytest.raises(CatalogMismatchError, match="lex78-v0"):
             load_pipeline(path)
+
+
+# Arbitrary Unicode (lone surrogates and control characters included),
+# IPv6 literals and URL pieces, repeated up to 32 KB.
+_FUZZ_PIECES = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=24),
+    st.sampled_from([
+        "http://[::1]:8080/", "https://[2001:db8::1]/a?b=c", "http://[fe80::1%25eth0]/",
+        "\x00\x01\x07\x1b\x7f", "\t\x0b\x0c\x85\u2028", "%%41%4", "xn--p1ai", "http://1.2.3.4/",
+    ]),
+)
+_FUZZ_URL = st.builds(
+    lambda pieces, copies: ("".join(pieces) * copies)[: 32 * 1024],
+    st.lists(_FUZZ_PIECES, max_size=6),
+    st.integers(1, 1 << 12),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_artifacts(url_corpus):
+    urls, labels = url_corpus
+    return {
+        family: fit_artifact(urls, labels, ModelSpec(family=family, hyperparameters=hp, seed=0))
+        for family, hp in (("LR", {"n_iters": 60}), ("KNN", {"k": 5}))
+    }
+
+
+class TestPredictFuzz:
+    """``predict`` is total on any string a user can send, and a URL's
+    score does not depend on the batch it comes in."""
+
+    @given(st.lists(_FUZZ_URL, min_size=1, max_size=5), st.randoms(use_true_random=False))
+    @example(["http://a.com:" + "1" * 5000 + "/x", "?"], random.Random(0))  # beyond int()'s digits
+    @settings(max_examples=40, deadline=None)
+    def test_scores_are_finite_and_batch_independent(self, fuzz_artifacts, urls, rng):
+        order = list(range(len(urls)))
+        rng.shuffle(order)
+        for artifact in fuzz_artifacts.values():
+            labels, scores = artifact.predict(urls)
+            assert np.all(np.isfinite(scores))
+            assert np.all((scores >= 0.0) & (scores <= 1.0))
+            assert np.array_equal(labels, (scores >= 0.5).astype(np.int64))
+            singles = np.array([artifact.predict([url])[1][0] for url in urls])
+            np.testing.assert_allclose(scores, singles, rtol=0, atol=1e-12)
+            shuffled = artifact.predict([urls[i] for i in order])[1]
+            np.testing.assert_allclose(shuffled, scores[order], rtol=0, atol=1e-12)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -14,9 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urlsleuth.synth import generate_dataset
 from urlsleuth.urlfeat import (
+    _SCALAR_MAX_LENGTH,
     CATALOG_VERSION,
     SPECIAL_CHAR_FEATURES,
+    _blocked_matrix,
+    _feature_dict,
     catalog,
     catalog_manifest,
     entropy,
@@ -295,3 +300,107 @@ class TestExtractLexical:
         assert mat.shape == (50, 78)
         for i, url in enumerate(urls):
             assert np.array_equal(mat[i], extract_matrix([url])[0])
+
+
+# Edge strings for the frozen digest: empty and separator-only inputs, lone
+# surrogates, non-BMP and control characters, IPv6 literals, '%' runs.
+EDGE_URLS = [
+    "", "/", "?", "#", "//", "?#", "#?", "://", "http://", "HTTP://A.B",
+    "\ud800", "http://a\udfff.com/\udc00?\ud83d=1", "\ud83d\ude00",
+    "http://\U0001f600.com/\U0001d518\U0001d52f?q=\U0001f642#\U00010348",
+    "\x00", "http://a\x00b.com/\x01\x7f?\x1f=\x0b#\x85", "\t\n\r\x0c\u2028\u200b",
+    "http://[::1]/", "http://[2001:db8::1]:8080/a?b=c", "[::1]:80", "http://[fe80::1%25eth0]/",
+    "%%41%4", "http://a.com/%%41%4%zz%2", "%", "%2", "%20%2F%2f", "http://a.com/?%41=%4G&%",
+    "http://user:pw@1.2.3.4:99/x", "http://256.1.1.1/", "1.2.3.4", "xn--p1ai.XN--e1a",
+    "a..b...c", "http://a.com//b//c///", "?a&&b=&=c&", "http://a.com:/p", "http://a.com:12x/",
+]
+
+
+def golden_urls() -> list[str]:
+    synth = [r.url for r in generate_dataset("golden", 600, 0.3, seed=104).records]
+    # A 32 KB query after enough URLs that it starts a new block of characters.
+    pieces = [f"k{i}=v%{i % 256:02x}{'Ab9-_.' * (i % 5)}" for i in range(2600)]
+    long_query = "http://long.example/p/a?" + "&".join(pieces)
+    long_query = long_query[: 32 * 1024]
+    return random_urls(2000, seed=105) + synth + EDGE_URLS + [long_query] + EDGE_URLS[::-1]
+
+
+def test_matrix_bytes_are_frozen():
+    urls = golden_urls()
+    assert len(urls) == 2000 + 600 + 2 * len(EDGE_URLS) + 1
+    digest = hashlib.sha256(extract_matrix(urls).tobytes()).hexdigest()
+    assert digest == "5a0d22dd0fe6878f18a354471a4194e80ad38241c5f7534febefe3e35eece462"
+
+
+# Any code point, lone surrogates included, plus the pieces URLs are made of.
+ANY_CHAR = st.characters(exclude_categories=())
+URL_PIECES = st.sampled_from([
+    "http://", "https://", "HTTPS://", "ftp://", "//", "/", "?", "#", "&", "=", ".", "..", "@",
+    ":", ":80", "%", "%4", "%41", "%zz", "xn--", "XN--a", "[::1]", "1.2.3.4", "10.0.0.256", "www",
+    "-", "_", "a1", "Z9z", "é", "İ", "\U0001f600", "\ud800", "\x00", "\x0b", " ",
+])
+URLISH = st.lists(st.one_of(URL_PIECES, st.text(ANY_CHAR, max_size=6)), max_size=14).map("".join)
+URLISH_BATCH = st.lists(st.one_of(URLISH, st.text(ANY_CHAR, max_size=40)), max_size=12)
+# Long enough that the URLs after it are extracted in a later block.
+BLOCK_FILLER = "https://fill.example/" + "seg/%41b?" * 1900
+
+
+def bits(matrix: np.ndarray) -> np.ndarray:
+    return matrix.view(np.int64)
+
+
+def scalar_matrix(urls) -> np.ndarray:
+    rows = [[d[name] for name in NAMES] for d in map(_feature_dict, urls)]
+    return np.array(rows, dtype=np.float64).reshape(-1, 78)
+
+
+class TestBlockedAgainstScalar:
+    """The blocked pass against the per-URL ``_feature_dict``, bit for bit."""
+
+    @given(URLISH_BATCH)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_extractor(self, urls):
+        assert np.array_equal(bits(_blocked_matrix(urls)), bits(scalar_matrix(urls)))
+
+    @given(URLISH_BATCH, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_do_not_depend_on_the_batch(self, urls, rng):
+        batch = [BLOCK_FILLER, *urls]
+        rows = bits(extract_matrix(batch))
+        for url, row in zip(batch, rows):
+            assert np.array_equal(bits(extract_matrix([url]))[0], row)
+        order = list(range(len(batch)))
+        rng.shuffle(order)
+        shuffled = bits(extract_matrix([batch[i] for i in order]))
+        assert np.array_equal(shuffled, rows[order])
+
+    def test_seeded_inputs_match_scalar_extractor(self):
+        urls = golden_urls()
+        assert np.array_equal(bits(_blocked_matrix(urls)), bits(scalar_matrix(urls)))
+
+    @pytest.mark.parametrize("count, total", [(28, 31), (43, 50), (59, 61), (56, 62), (67, 71)])
+    def test_entropy_terms_use_math_log2(self, count, total):
+        # For these (count, total) pairs p * np.log2(p) is one ulp off
+        # p * math.log2(p) with the numpy this was written against.
+        url = "a" * count + string.ascii_letters[1 : 1 + total - count]
+        urls = [url, "http://h.com/" + url, "http://h.com/?" + url]
+        assert np.array_equal(bits(_blocked_matrix(urls)), bits(scalar_matrix(urls)))
+
+    def test_one_short_url_takes_the_scalar_path(self, monkeypatch):
+        def refuse(urls):
+            raise AssertionError("blocked pass used")
+
+        monkeypatch.setattr("urlsleuth.urlfeat._blocked_matrix", refuse)
+        extract_matrix(["a" * _SCALAR_MAX_LENGTH])
+        with pytest.raises(AssertionError):
+            extract_matrix(["a" * (_SCALAR_MAX_LENGTH + 1)])
+        with pytest.raises(AssertionError):
+            extract_matrix(["a", "b"])
+
+    def test_overlong_numeric_port_is_a_port(self):
+        # int() refuses decimal strings of more than 4300 digits; the
+        # extractor never converts the port.
+        url = "http://a.com:" + "1" * 5000 + "/x"
+        f = dict(zip(NAMES, extract_matrix([url])[0].tolist()))
+        assert f["has_port"] == 1.0
+        assert f["host_length"] == len("a.com")
