@@ -10,11 +10,15 @@ marker and a catch-all for out-of-range characters (97 predictable symbols).
 A begin-of-string marker pads contexts but is never predicted.
 
 A model's counts (context -> symbol -> count) are its one saved form.
-``LmScorePair.transform`` scores through a table derived from them on
-first use: each seen context gets a row of 97 indices into the distinct
-log-probabilities, so scoring costs one gather per character, summed per
-URL.  ``sequence_logprob`` and ``score`` keep the per-character loop and
-are the table's oracle; both give bit-identical scores.
+``LmScorePair.transform`` scores through tables derived from them on
+first use.  Dense child tables, one per context position, map a seen
+prefix and the next character to the longer prefix's number, and every
+unseen prefix to one shared unseen number, so finding a context costs one
+gather per context character.  The context's number picks its row of 97
+indices into the distinct log-probabilities, so each predicted character
+takes one more gather, and the log-probs are summed per URL.
+``sequence_logprob`` and ``score`` keep the per-character loop and are
+the tables' oracle; both give bit-identical scores.
 """
 
 from __future__ import annotations
@@ -143,29 +147,39 @@ class CharGramModel:
 
     @cached_property
     def _table(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """The counts as a scoring table ``(prefixes, cells, logp)``, built
+        """The counts as a scoring table ``(children, cells, logp)``, built
         on first use and dropped by ``fit``.
 
-        ``prefixes[j]`` holds the sorted keys ``parent * 98 + id`` of the
-        seen context prefixes of length j + 1, ``parent`` being the
-        shorter prefix's position in ``prefixes[j - 1]`` (0 for j = 0), so
-        keys stay below 98 times the number of prefixes at any order.  A
-        context's position in the last array is its row of ``cells``: 97
-        entries a row, then one row for unseen contexts.  Each entry
-        indexes ``logp``, which holds ``math.log`` of the loop's
+        The m seen context prefixes of length j + 1 are numbered 0 to
+        m - 1 in sorted order of ``parent * 98 + id``, ``parent`` being the
+        number of the prefix one character shorter (0 for j = 0).
+        ``children[j]`` holds one block of 98 entries per prefix of length
+        j (one for j = 0), then a block for an unseen parent; entry
+        ``parent * 98 + id`` is that prefix's number, or m when it is
+        unseen.  So an unseen prefix takes the unseen block one level
+        down and stays unseen, whatever characters follow.  Each child
+        table takes the smallest unsigned type that holds m.
+
+        A context's number is its row of ``cells``: 97 entries a row, then
+        one row for unseen contexts (number m of the last level).  Each
+        entry indexes ``logp``, which holds ``math.log`` of the loop's
         ``(count + k) / (total + k * VOCAB_SIZE)`` once per distinct
         (count, total).
         """
         n = self.order - 1
         contexts = list(self._ctx_counts)
         buckets = list(self._ctx_counts.values())
-        prefixes = []
+        children = []
         row = np.zeros(len(contexts), np.int64)
         if contexts and n:
             ids = _key_ids("".join(contexts)).reshape(len(contexts), n)
+            parents = 1
             for j in range(n):
                 keys, row = np.unique(row * _N_IDS + ids[:, j], return_inverse=True)
-                prefixes.append(keys)
+                child = np.full((parents + 1) * _N_IDS, len(keys), np.min_scalar_type(len(keys)))
+                child[keys] = np.arange(len(keys))
+                children.append(child)
+                parents = len(keys)
                 row = row.reshape(-1)
         sizes = np.fromiter(map(len, buckets), np.int64, len(buckets))
         totals = list(map(self._ctx_totals.__getitem__, contexts))
@@ -194,20 +208,18 @@ class CharGramModel:
         cells[-1] = unseen
         symbols = _key_ids("".join(map("".join, buckets)))
         cells[np.repeat(row, sizes), symbols] = entries
-        return prefixes, cells.reshape(-1), logp
+        return children, cells.reshape(-1), logp
 
     def _logprobs(self, windows: list[np.ndarray], symbols: np.ndarray) -> np.ndarray:
         """Log-prob of each symbol after its context window (one id array
-        per context position)."""
-        prefixes, cells, logp = self._table
-        row = 0
-        for keys, ids in zip(prefixes, windows):
-            key = row * _N_IDS + ids
-            row = np.searchsorted(keys, key)
-            # An unseen prefix takes the position past the end, whose keys
-            # exceed every key of the next length, so it stays unseen.
-            row[keys.take(row, mode="clip") != key] = len(keys)
-        return logp[cells[row * VOCAB_SIZE + symbols]]
+        per context position): one gather per context character, then one
+        into ``cells``.  Indices are worked out in ``intp``, since a row
+        times 98 overflows the tables' types."""
+        children, cells, logp = self._table
+        row = np.intp(0)
+        for child, ids in zip(children, windows):
+            row = child[np.multiply(row, _N_IDS, dtype=np.intp) + ids]
+        return logp[cells[np.multiply(row, VOCAB_SIZE, dtype=np.intp) + symbols]]
 
 
 def _blocks(sizes: np.ndarray):

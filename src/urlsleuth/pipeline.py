@@ -60,7 +60,9 @@ def apply_scaler(scaler: Scaler, X) -> np.ndarray:
         raise DataError(
             f"scaler expects {len(scaler.mean)} columns, got {X.shape[-1]}"
         )
-    return (X - scaler.mean) / scaler.std
+    out = X - scaler.mean
+    out /= scaler.std  # in place: no second temporary, the same bits
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,10 +181,13 @@ class FeatureChain:
 
     def transform(self, urls) -> np.ndarray:
         """Raw URLs to the model's input space (78 lexical + 2 LM scores,
-        then scale/select/project)."""
+        then select/scale/project).  Scaling is elementwise, so scaling
+        only the retained columns gives the bits of scaling all 80 and
+        selecting after."""
         X = np.hstack([extract_matrix(urls), self.lm_pair.transform(urls)])
-        X = apply_scaler(self.scaler, X)
         X = apply_selector(self.selector, X)
+        kept = self.selector.retained_indices
+        X = apply_scaler(Scaler(self.scaler.mean[kept], self.scaler.std[kept]), X)
         if self.projection is not None:
             X = apply_projection(self.projection, X)
         return X

@@ -88,7 +88,13 @@ SPECIAL_CHAR_FEATURES: tuple[tuple[str, str], ...] = (
 
 @dataclass(frozen=True)
 class UrlParts:
-    """Best-effort lexical decomposition of a URL string."""
+    """Best-effort lexical decomposition of a URL string.
+
+    ``port`` is the run of ASCII digits after the host's last ':' as an
+    int when it has at most five digits (any TCP port), ``None`` when there
+    is none or it is longer; the digits are excluded from ``host`` either
+    way.
+    """
 
     scheme: str | None
     host: str
@@ -193,8 +199,14 @@ def parse_url(url: str) -> UrlParts:
     TLD is the host's last label when the host has two or more and is not
     a dotted-quad IP; no public-suffix list is consulted.
     """
-    scheme, _, host_lo, host_hi, path_lo, path_hi, query_lo, query_hi, tld_lo, is_ip = _split(url)
+    return _parts(url, _split(url))
+
+
+def _parts(url: str, offsets: tuple) -> UrlParts:
+    """``url`` cut at the offsets ``_split`` found in it."""
+    scheme, _, host_lo, host_hi, path_lo, path_hi, query_lo, query_hi, tld_lo, is_ip = offsets
     host = url[host_lo:host_hi]
+    port = url[host_hi + 1 : path_lo]  # "" when absent
     path = url[path_lo:path_hi]
     query = url[query_lo:query_hi] if query_lo > path_hi else None
     segments = tuple(s for s in path.split("/") if s)
@@ -210,7 +222,7 @@ def parse_url(url: str) -> UrlParts:
     return UrlParts(
         scheme=scheme or None,
         host=host,
-        port=int(url[host_hi + 1 : path_lo]) if host_hi < path_lo else None,
+        port=int(port) if 0 < len(port) <= 5 else None,
         path=path,
         path_segments=segments,
         query=query,
@@ -240,7 +252,8 @@ def _feature_dict(url: str) -> dict[str, float]:
     """The 78 features of one URL by name, one Python pass per feature
     family: the per-URL path of ``extract_matrix`` and the reference the
     blocked path must match bit for bit."""
-    parts = parse_url(url)
+    offsets = _split(url)
+    parts = _parts(url, offsets)
     scheme, host, path, segments = parts.scheme, parts.host, parts.path, parts.path_segments
     query = parts.query or ""
     n = len(url)
@@ -311,7 +324,7 @@ def _feature_dict(url: str) -> dict[str, float]:
     f["has_scheme"] = 1.0 if scheme is not None else 0.0
     f["is_https"] = 1.0 if scheme == "https" else 0.0
     f["is_ip_host"] = 1.0 if parts.is_ip_host else 0.0
-    f["has_port"] = 1.0 if parts.port is not None else 0.0
+    f["has_port"] = 1.0 if offsets[3] < offsets[4] else 0.0  # host_hi < path_lo
     f["has_at_symbol"] = 1.0 if "@" in url else 0.0
     f["has_double_slash"] = 1.0 if "//" in after_scheme else 0.0
     f["has_punycode_label"] = 1.0 if any(l.lower().startswith("xn--") for l in host_labels) else 0.0

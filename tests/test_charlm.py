@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -21,6 +22,7 @@ from urlsleuth.charlm import (
     LmScorePair,
 )
 from urlsleuth.errors import ModelError
+from urlsleuth.synth import generate_dataset
 
 
 class TestHandOracles:
@@ -249,6 +251,30 @@ class TestVectorizedScores:
             assert tuple(row) == (pair.benign.score(url), pair.malicious.score(url))
             assert tuple(pair.transform([url])[0]) == tuple(row)
 
+    @staticmethod
+    def assert_scalar(pair, urls):
+        for url, row in zip(urls, pair.transform(urls)):
+            assert tuple(row) == (pair.benign.score(url), pair.malicious.score(url)), url
+
+    def test_unseen_first_context_character(self):
+        # 'x', 'y' and 'z' never start a context in training, so the search
+        # must stay unseen through every longer prefix.
+        pair = LmScorePair(order=4).fit(["abcab", "bca"], np.array([0, 1]))
+        self.assert_scalar(pair, ["xyz", "xab", "abx", "zzzz", "x", "yabc"])
+
+    def test_seen_first_character_with_unseen_two_character_prefix(self):
+        # 'a' starts contexts but 'ac' and 'aa' never do.
+        pair = LmScorePair(order=4).fit(["abcab", "abab"], np.array([0, 1]))
+        self.assert_scalar(pair, ["acab", "aab", "abacb", "bb"])
+
+    def test_context_holding_unk(self):
+        pair = LmScorePair(order=3).fit(["café.com", "ĉa"], np.array([0, 1]))
+        self.assert_scalar(pair, ["caféx", "é", "xé", "éé.com", "a\udcffb", UNK + "a", "ĉĉ"])
+
+    def test_order_one_has_no_context(self):
+        pair = LmScorePair(order=1, k=0.5).fit(["abc", "zz"], np.array([0, 1]))
+        self.assert_scalar(pair, ["", "abc", "zzz", "é", "q" * 20000])
+
     def test_empty_batch(self):
         pair = LmScorePair(order=2).fit(["ab", "cd"], np.array([0, 1]))
         assert pair.transform([]).shape == (0, 2)
@@ -261,6 +287,19 @@ class TestVectorizedScores:
         after = pair.transform(["abc"])
         assert tuple(after[0]) == (model.score("abc"), model.score("abc"))
         assert not np.array_equal(before, after)
+
+
+def test_transform_bytes_are_frozen():
+    train = generate_dataset("lm-train", 400, 0.3, seed=106).records
+    urls = [r.url for r in train] + ["http://café.example/ü?q=ñ", "\udc00/\x07"]
+    labels = np.array([r.label for r in train] + [0, 1])
+    probes = [r.url for r in generate_dataset("lm-probe", 300, 0.3, seed=107).records]
+    probes += [_LONG_URL, "", "http://\u4e2d\u6587.com/é", "\ud800x\udfff", "\x00\x1f\x7f\x85",
+               BEGIN + END + UNK, "http://a.com/\U0001f600?\t=\n"]
+    digest = hashlib.sha256()
+    for order, k in [(1, 1.0), (2, 0.5), (3, 1.0), (4, 0.5), (5, 1.0)]:
+        digest.update(LmScorePair(order, k).fit(urls, labels).transform(probes).tobytes())
+    assert digest.hexdigest() == "81705023d53380598ba237c4b1731a68bfeeddf92e5abd230aaf6bf48aff3132"
 
 
 def _lm_payload() -> dict:

@@ -86,6 +86,19 @@ class TestParseUrl:
         assert p.host == "site.org:notaport"
         assert p.port is None
 
+    @pytest.mark.parametrize("digits", [5000, 1 << 20], ids=["5000-digits", "1MB"])
+    def test_overlong_port_is_cut_off_but_not_converted(self, digits):
+        # int() refuses decimal strings of more than 4300 digits.
+        p = parse_url("http://a.com:" + "1" * digits + "/x")
+        assert (p.host, p.port, p.path) == ("a.com", None, "/x")
+        assert dict(zip(NAMES, extract_matrix(["http://a.com:" + "9" * digits])[0]))["has_port"]
+
+    def test_port_of_five_digits_or_fewer_is_an_int(self):
+        assert parse_url("a.com:0").port == 0
+        assert parse_url("a.com:00443/").port == 443
+        assert parse_url("a.com:65535?q").port == 65535
+        assert parse_url("a.com:123456#f").port is None
+
     def test_ip_host_has_no_tld(self):
         p = parse_url("http://192.168.10.5/admin")
         assert p.is_ip_host
@@ -404,3 +417,4 @@ class TestBlockedAgainstScalar:
         f = dict(zip(NAMES, extract_matrix([url])[0].tolist()))
         assert f["has_port"] == 1.0
         assert f["host_length"] == len("a.com")
+        assert _feature_dict("http://a.com:" + "1" * 300)["has_port"] == 1.0
