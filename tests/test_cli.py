@@ -9,11 +9,14 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from urlsleuth import corpus
 from urlsleuth.cli import main
-from urlsleuth.models import FAMILIES
-from urlsleuth.pipeline import PipelineArtifact
+from urlsleuth.config import load_run_config
+from urlsleuth.models import FAMILIES, ModelSpec, fit_model
+from urlsleuth.pipeline import PipelineArtifact, fit_chain, save_pipeline
 from urlsleuth.synth import materialize_run
 from urlsleuth.urlfeat import catalog
 
@@ -180,6 +183,32 @@ class TestTrain:
         )
         assert sorted(summary["chosen"]) == sorted(FAMILIES)
         assert summary["chosen"]["KNN"]["hyperparameters"].keys() == {"k"}
+
+    def test_each_artifact_equals_a_fresh_fit_of_its_chosen_spec(self, workspace, tmp_path):
+        cfg = load_run_config(workspace["config_path"])
+        by_id = {
+            e.id: corpus.deduplicate(corpus.load_dataset(str(e.path), e.label_map, e.id, e.name))
+            for e in cfg.datasets
+        }
+        summary = workspace["summary"]
+        records = corpus.pool_records([by_id[i] for i in summary["partition"]["train"]])
+        labels = np.array([r.label for r in records], dtype=np.int64)
+        chain, X_train = fit_chain(
+            [r.url for r in records],
+            labels,
+            lm_order=cfg.lm.order,
+            lm_smoothing=cfg.lm.smoothing_k,
+            top_k=cfg.features.selector_top_k if cfg.features.use_selector else None,
+            use_projection=cfg.features.use_projection,
+            variance_target=cfg.features.variance_target,
+        )
+        for family in FAMILIES:
+            chosen = summary["chosen"][family]
+            spec = ModelSpec(family, chosen["hyperparameters"], chosen["seed"])
+            fresh = tmp_path / f"{family}.json"
+            save_pipeline(PipelineArtifact(chain, fit_model(spec, X_train, labels)), fresh)
+            saved = workspace["out_dir"] / "models" / f"{family}.json"
+            assert saved.read_bytes() == fresh.read_bytes(), family
 
     def test_single_family_flag(self, workspace, tmp_path):
         out = tmp_path / "solo"
