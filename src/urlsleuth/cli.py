@@ -31,7 +31,7 @@ from .evaluation import (
     rank_table_to_csv,
 )
 from .fileio import csv_text, write_json_atomic, write_text_atomic
-from .models import FAMILIES, ModelSpec, fit_model
+from .models import FAMILIES
 from .pipeline import PipelineArtifact, fit_chain, grid_search, load_pipeline, save_pipeline
 from .synth import records_to_csv
 from .urlfeat import catalog, extract_matrix
@@ -159,18 +159,13 @@ def cmd_train(args) -> int:
     models_dir.mkdir(parents=True, exist_ok=True)
     chosen = {}
     for family in families:
-        grid = cfg.grid_for(family)
-        if grid:
-            spec = grid_search(
-                family, grid, (train_matrix, train_labels), val_sets,
-                target_metric=cfg.tuning_metric, seed=seed,
-            )
-        else:
-            spec = ModelSpec(family=family, hyperparameters={}, seed=seed)
-        model = fit_model(spec, train_matrix, train_labels)
+        model = grid_search(
+            family, cfg.grid_for(family), (train_matrix, train_labels), val_sets,
+            target_metric=cfg.tuning_metric, seed=seed,
+        )
         save_pipeline(PipelineArtifact(chain, model), models_dir / f"{family}.json")
-        chosen[family] = {"hyperparameters": spec.hyperparameters, "seed": spec.seed}
-        print(f"trained {family}: {spec.hyperparameters}")
+        chosen[family] = {"hyperparameters": model.spec.hyperparameters, "seed": model.spec.seed}
+        print(f"trained {family}: {model.spec.hyperparameters}")
     write_json_atomic(
         {
             "partition": {

@@ -11,6 +11,8 @@ the one saved container: a tag, a format version, the feature catalog
 version, the chain's saved form (``FeatureChain.to_dict``: the
 language-model pair as its order, k and two count maps, then each
 stage's arrays) and the model (spec, feature count, state).
+``grid_search`` fits each grid point once and returns the best fitted
+model; an empty grid is the defaults, a failed fit is never chosen.
 """
 
 from __future__ import annotations
@@ -294,45 +296,45 @@ def grid_search(
     val_sets,
     target_metric: str = "f1",
     seed: int = 0,
-) -> ModelSpec:
+) -> TrainedModel:
     """Exhaustive search, scored by the mean of ``target_metric`` over the
-    validation sets; ties keep the earlier enumeration point.
-
-    A grid point whose fit fails scores 0 and the search continues.
+    validation sets; ties keep the earlier enumeration point.  Returns the
+    winning model as the search fitted it, so its ``spec`` is the choice.
+    An empty grid is one point, the family's defaults.  A point whose fit
+    fails warns and is never chosen; if every point fails, the first
+    point's ``ModelError`` is raised.
     """
-    if not grid:
-        raise ConfigError("hyperparameter grid must not be empty")
     val_sets = list(val_sets)
     if not val_sets:
         raise ConfigError("grid search requires at least one validation set")
     X_train, y_train = train_pool
     names = list(grid.keys())
-    best_spec: ModelSpec | None = None
+    best: TrainedModel | None = None
     best_score = -np.inf
+    first_error: ModelError | None = None
     for values in itertools.product(*(grid[name] for name in names)):
-        spec = ModelSpec(
-            family=family, hyperparameters=dict(zip(names, values)), seed=seed
-        )
+        spec = ModelSpec(family=family, hyperparameters=dict(zip(names, values)), seed=seed)
         try:
             model = fit_model(spec, X_train, y_train)
             per_set = []
             for X_val, y_val in val_sets:
                 scores = model.predict_scores(X_val)
-                report = compute_metrics(
-                    y_val, (scores >= 0.5).astype(np.int64), scores
-                )
+                report = compute_metrics(y_val, (scores >= 0.5).astype(np.int64), scores)
                 per_set.append(getattr(report, target_metric))
             mean_score = float(np.mean(per_set))
         except ModelError as exc:
             warnings.warn(
-                f"grid point {spec.hyperparameters} failed to fit: {exc}; scored 0",
+                f"grid point {spec.hyperparameters} failed to fit: {exc}; skipped",
                 stacklevel=2,
             )
-            mean_score = 0.0
+            first_error = first_error or exc
+            continue
         if mean_score > best_score:
-            best_score = mean_score
-            best_spec = spec
-    return best_spec
+            best, best_score = model, mean_score
+        del model  # keep only the best fit alive while the next point fits
+    if best is None:
+        raise first_error
+    return best
 
 
 def pipeline_to_dict(artifact: PipelineArtifact) -> dict:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,8 @@ import pytest
 
 from urlsleuth import corpus
 from urlsleuth.cli import main
-from urlsleuth.config import load_run_config
-from urlsleuth.models import FAMILIES, ModelSpec, fit_model
+from urlsleuth.config import DEFAULT_GRIDS, load_run_config
+from urlsleuth.models import FAMILIES, BinaryClassifier, ModelSpec, fit_model
 from urlsleuth.pipeline import PipelineArtifact, fit_chain, save_pipeline
 from urlsleuth.synth import materialize_run
 from urlsleuth.urlfeat import catalog
@@ -209,6 +211,22 @@ class TestTrain:
             save_pipeline(PipelineArtifact(chain, fit_model(spec, X_train, labels)), fresh)
             saved = workspace["out_dir"] / "models" / f"{family}.json"
             assert saved.read_bytes() == fresh.read_bytes(), family
+
+    def test_each_grid_point_is_fitted_once(self, workspace, tmp_path, monkeypatch):
+        fits = []
+        fit = BinaryClassifier.fit
+
+        def counted(self, X, y):
+            fits.append(self.family)
+            return fit(self, X, y)
+
+        monkeypatch.setattr(BinaryClassifier, "fit", counted)
+        argv = ["train", "--config", str(workspace["config_path"]), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        # an empty grid is one point, the family's defaults
+        points = {f: math.prod(len(v) for v in DEFAULT_GRIDS[f].values()) for f in FAMILIES}
+        assert Counter(fits) == points
+        assert len(fits) == 16
 
     def test_single_family_flag(self, workspace, tmp_path):
         out = tmp_path / "solo"

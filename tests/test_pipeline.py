@@ -14,7 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urlsleuth.charlm import LmScorePair
-from urlsleuth.errors import ArtifactError, CatalogMismatchError, ConfigError, DataError
+from urlsleuth.errors import (
+    ArtifactError,
+    CatalogMismatchError,
+    ConfigError,
+    DataError,
+    ModelError,
+)
 from urlsleuth.fileio import write_json_atomic
 from urlsleuth.models import ModelSpec, fit_model
 from urlsleuth.pipeline import (
@@ -245,19 +251,19 @@ class TestGridSearch:
 
     def test_single_point_grid_returns_it(self):
         train, vals = self._split_1d()
-        spec = grid_search("KNN", {"k": [3]}, train, vals)
+        spec = grid_search("KNN", {"k": [3]}, train, vals).spec
         assert spec == ModelSpec(family="KNN", hyperparameters={"k": 3}, seed=0)
 
     def test_better_hyperparameter_wins(self):
         train, vals = self._split_1d()
-        spec = grid_search("KNN", {"k": [1, 3]}, train, vals)
+        spec = grid_search("KNN", {"k": [1, 3]}, train, vals).spec
         assert spec.hyperparameters["k"] == 3
 
     def test_tie_keeps_earlier_enumeration_point(self, blob_data):
         x, y = blob_data
         train = (x[:60], y[:60])
         vals = [(x[60:], y[60:])]
-        spec = grid_search("DT", {"max_depth": [None, 12]}, train, vals)
+        spec = grid_search("DT", {"max_depth": [None, 12]}, train, vals).spec
         assert spec.hyperparameters["max_depth"] is None
 
     def test_failing_grid_point_warns_and_search_continues(self, blob_data):
@@ -265,8 +271,24 @@ class TestGridSearch:
         train = (x[:60], y[:60])
         vals = [(x[60:], y[60:])]
         with pytest.warns(UserWarning, match="failed to fit"):
-            spec = grid_search("KMEANS", {"n_clusters": [500, 2]}, train, vals)
+            spec = grid_search("KMEANS", {"n_clusters": [500, 2]}, train, vals).spec
         assert spec.hyperparameters["n_clusters"] == 2
+
+    def test_failed_point_never_beats_a_fitted_point_scoring_zero(self, blob_data):
+        x, y = blob_data
+        # All-benign validation labels give every fitted point F1 = 0, the
+        # score a tie would have to beat.
+        vals = [(x[60:], np.zeros(len(x) - 60, dtype=np.int64))]
+        with pytest.warns(UserWarning, match="failed to fit"):
+            model = grid_search("KMEANS", {"n_clusters": [500, 2]}, (x[:60], y[:60]), vals)
+        assert model.spec.hyperparameters["n_clusters"] == 2
+        assert model.predict_scores(x[60:]).shape == (len(x) - 60,)
+
+    def test_every_point_failing_raises_the_first_error(self, blob_data):
+        x, y = blob_data
+        with pytest.warns(UserWarning, match="failed to fit"):
+            with pytest.raises(ModelError, match="n_clusters=500"):
+                grid_search("KMEANS", {"n_clusters": [500, 400]}, (x[:60], y[:60]), [(x, y)])
 
     def test_score_is_mean_over_sets_not_pooled(self):
         train, _ = self._split_1d()
@@ -278,18 +300,18 @@ class TestGridSearch:
             (np.array([[1.6]]), np.array([0])),
             (np.array([[2.4]]), np.array([0])),
         ]
-        spec = grid_search("KNN", {"k": [1, 3]}, train, vals, target_metric="acc")
+        spec = grid_search("KNN", {"k": [1, 3]}, train, vals, target_metric="acc").spec
         assert spec.hyperparameters["k"] == 3
 
     def test_seed_passed_through(self, blob_data):
         x, y = blob_data
-        spec = grid_search("RF", {"n_trees": [5]}, (x, y), [(x, y)], seed=77)
+        spec = grid_search("RF", {"n_trees": [5]}, (x, y), [(x, y)], seed=77).spec
         assert spec.seed == 77
 
-    def test_empty_grid_rejected(self, blob_data):
+    def test_empty_grid_is_one_default_point(self, blob_data):
         x, y = blob_data
-        with pytest.raises(ConfigError, match="grid"):
-            grid_search("KNN", {}, (x, y), [(x, y)])
+        model = grid_search("KNN", {}, (x, y), [(x, y)])
+        assert model.spec == ModelSpec("KNN", {}, 0)
 
     def test_no_validation_sets_rejected(self, blob_data):
         x, y = blob_data
