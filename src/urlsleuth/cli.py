@@ -190,19 +190,17 @@ def _evaluate_partition(cfg: RunConfig, out_dir: Path, which: str):
     datasets = _load_datasets(cfg)
     plan, by_id = _partition(cfg, datasets)
     models_dir = out_dir / "models"
+    # Artifacts naming the same chain digest share one chain object, so each
+    # distinct chain is read and built once, and featurizes each dataset once.
+    chains = {}
     artifacts = {}
     for family in FAMILIES:
         path = models_dir / f"{family}.json"
         if path.exists():
-            artifacts[family] = load_pipeline(path)
+            artifacts[family] = load_pipeline(path, chains=chains)
     if not artifacts:
         raise ConfigError(f"no model artifacts found under {models_dir}; run train first")
-    # Families whose chains are equal (all of them, after one train run)
-    # share one featurization per dataset.
-    saved = {family: artifact.chain.to_dict() for family, artifact in artifacts.items()}
-    chain_owner = {
-        family: next(o for o in saved if saved[o] == form) for family, form in saved.items()
-    }
+    digest_of = {id(chain): digest for digest, chain in chains.items()}
     reports = []
     per_dataset = {}
     for ds_id in _partition_ids(plan, which):
@@ -210,10 +208,10 @@ def _evaluate_partition(cfg: RunConfig, out_dir: Path, which: str):
         features = {}
         family_reports = {}
         for family, artifact in artifacts.items():
-            owner = chain_owner[family]
-            if owner not in features:
-                features[owner] = artifact.featurize(urls)
-            scores = artifact.model.predict_scores(features[owner])
+            digest = digest_of[id(artifact.chain)]
+            if digest not in features:
+                features[digest] = artifact.featurize(urls)
+            scores = artifact.model.predict_scores(features[digest])
             predictions = (scores >= 0.5).astype(np.int64)
             report = compute_metrics(
                 labels, predictions, scores, dataset_id=ds_id, family=family

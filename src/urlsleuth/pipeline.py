@@ -6,33 +6,44 @@ information, optionally project onto principal components, then hand the
 matrix to a model.  ``fit_chain`` fits every stage on training rows only
 and returns them as one ``FeatureChain``, a pure function afterwards.  A
 ``PipelineArtifact`` is that chain plus one trained model; ``train``
-shares a single chain across every family of a run.  Its JSON form is
-the one saved container: a tag, a format version, the feature catalog
-version, the chain's saved form (``FeatureChain.to_dict``: the
-language-model pair as its order, k and two count maps, then each
-stage's arrays) and the model (spec, feature count, state).
+shares a single chain across every family of a run.  An artifact is
+saved as two files: the chain's saved form (``FeatureChain.to_dict``:
+the language-model pair as its order, k and two count maps, then each
+stage's arrays) in ``chains/<sha256>.json`` beside the model file, named
+by the SHA-256 of its bytes, and the model file itself: a tag, a format
+version, the feature catalog version, that digest and the model (spec,
+feature count, state).  Every family of a run names the same chain file.
 ``grid_search`` fits each grid point once and returns the best fitted
 model; an empty grid is the defaults, a failed fit is never chosen.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import re
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from .charlm import LmScorePair
 from .errors import ArtifactError, CatalogMismatchError, ConfigError, DataError, ModelError
 from .evaluation import compute_metrics
-from .fileio import read_json, write_json_atomic
+from .fileio import (
+    json_text, parse_json, read_artifact_bytes, read_json, write_json_atomic,
+    write_text_atomic,
+)
 from .models import ModelSpec, TrainedModel, fit_model
 from .models.base import state_array
 from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
 
 PIPELINE_ARTIFACT_TAG = "urlsleuth-pipeline"
-PIPELINE_ARTIFACT_VERSION = 3
+PIPELINE_ARTIFACT_VERSION = 4
+CHAIN_DIR = "chains"  # beside the model files; one chain file per distinct chain
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 MI_BIN_COUNT = 10
 CHAIN_INPUT_COLUMNS = len(catalog().names) + 2  # lexical features, then both LM scores
@@ -210,6 +221,12 @@ class FeatureChain:
             "projection": stage(self.projection),
         }
 
+    @cached_property
+    def _saved(self) -> tuple[str, str]:
+        """(SHA-256 hex digest, text) of the chain file, built once per chain."""
+        text = json_text(self.to_dict())
+        return hashlib.sha256(text.encode("ascii")).hexdigest(), text
+
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureChain":
         """Rebuild a chain saved by ``to_dict``; every stage must fit the
@@ -337,19 +354,48 @@ def grid_search(
     return best
 
 
-def pipeline_to_dict(artifact: PipelineArtifact) -> dict:
-    return {
-        "artifact": PIPELINE_ARTIFACT_TAG,
-        "format_version": PIPELINE_ARTIFACT_VERSION,
-        "catalog_version": CATALOG_VERSION,
-        **artifact.chain.to_dict(),
-        "model": artifact.model.to_dict(),
-    }
+def save_pipeline(artifact: PipelineArtifact, path) -> None:
+    """Write the chain to ``chains/<sha256>.json`` beside ``path`` (the same
+    bytes, so the same name, for every artifact sharing the chain), then
+    the model file naming it."""
+    path = Path(path)
+    digest, text = artifact.chain._saved
+    chain_dir = path.parent / CHAIN_DIR
+    chain_dir.mkdir(exist_ok=True)
+    write_text_atomic(text, chain_dir / f"{digest}.json")
+    write_json_atomic(
+        {
+            "artifact": PIPELINE_ARTIFACT_TAG,
+            "format_version": PIPELINE_ARTIFACT_VERSION,
+            "catalog_version": CATALOG_VERSION,
+            "chain": digest,
+            "model": artifact.model.to_dict(),
+        },
+        path,
+    )
 
 
-def pipeline_from_dict(payload: dict) -> PipelineArtifact:
-    """Rebuild an artifact; one whose features come from another catalog
-    version raises ``CatalogMismatchError``."""
+def _load_chain(path: Path, digest: str) -> FeatureChain:
+    """Parse the chain file after checking its bytes hash to ``digest``."""
+    data = read_artifact_bytes(path)
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise ArtifactError(f"chain file {path} does not match the SHA-256 in its name")
+    try:
+        return FeatureChain.from_dict(parse_json(data, path))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"feature chain {path} is malformed: {exc}") from exc
+
+
+def load_pipeline(path, *, chains: dict[str, FeatureChain] | None = None) -> PipelineArtifact:
+    """Rebuild an artifact from its model file and the chain file it names.
+
+    ``chains`` maps digests to chains already built; a caller loading
+    several artifacts passes one dict so that each distinct chain is read,
+    checked and built once.  An artifact whose features come from another
+    catalog version raises ``CatalogMismatchError``.
+    """
+    path = Path(path)
+    payload = read_json(path)
     try:
         tag = payload["artifact"]
         version = payload["format_version"]
@@ -362,8 +408,16 @@ def pipeline_from_dict(payload: dict) -> PipelineArtifact:
             f"unsupported pipeline artifact version {version!r}; "
             f"this build reads version {PIPELINE_ARTIFACT_VERSION}"
         )
+    digest = payload.get("chain")
+    if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
+        raise ArtifactError(
+            f"artifact {path} must name its chain by 64 lowercase hex digits, got {digest!r}"
+        )
+    chains = {} if chains is None else chains
+    if digest not in chains:
+        chains[digest] = _load_chain(path.parent / CHAIN_DIR / f"{digest}.json", digest)
+    chain = chains[digest]
     try:
-        chain = FeatureChain.from_dict(payload)
         model = TrainedModel.from_dict(payload["model"])
         catalog_version = payload["catalog_version"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -374,11 +428,3 @@ def pipeline_from_dict(payload: dict) -> PipelineArtifact:
             f"this build extracts {CATALOG_VERSION!r}"
         )
     return PipelineArtifact(chain, model)
-
-
-def save_pipeline(artifact: PipelineArtifact, path) -> None:
-    write_json_atomic(pipeline_to_dict(artifact), path)
-
-
-def load_pipeline(path) -> PipelineArtifact:
-    return pipeline_from_dict(read_json(path))

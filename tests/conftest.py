@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import os
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +24,27 @@ def write_csv(path: str | os.PathLike[str], rows: Sequence[tuple[str, str]]) -> 
         writer.writerow(["url", "label"])
         writer.writerows(rows)
     return path
+
+
+def read_artifact(path) -> tuple[dict, dict]:
+    """A saved artifact's model-file payload and the chain payload it names."""
+    path = Path(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    chain_path = path.parent / "chains" / f"{payload['chain']}.json"
+    return payload, json.loads(chain_path.read_text(encoding="utf-8"))
+
+
+def write_artifact(payload: dict, chain: dict, path) -> None:
+    """Write ``chain`` (as ``json.dumps``, so NaN and Infinity too) under the
+    SHA-256 of its bytes in ``chains/`` beside ``path``, then ``payload`` at
+    ``path`` naming that digest: an edited artifact that passes the hash
+    check, so loading reaches the check an edit is aimed at."""
+    path = Path(path)
+    data = json.dumps(chain).encode("utf-8")
+    digest = hashlib.sha256(data).hexdigest()
+    (path.parent / "chains").mkdir(parents=True, exist_ok=True)
+    (path.parent / "chains" / f"{digest}.json").write_bytes(data)
+    path.write_text(json.dumps({**payload, "chain": digest}), encoding="utf-8")
 
 
 def make_dataset(rows: Sequence[tuple[str, int]], id: str = "d0") -> Dataset:

@@ -18,11 +18,11 @@ from urlsleuth import corpus
 from urlsleuth.cli import main
 from urlsleuth.config import DEFAULT_GRIDS, load_run_config
 from urlsleuth.models import FAMILIES, BinaryClassifier, ModelSpec, fit_model
-from urlsleuth.pipeline import PipelineArtifact, fit_chain, save_pipeline
-from urlsleuth.synth import materialize_run
+from urlsleuth.pipeline import PipelineArtifact, fit_chain, load_pipeline, save_pipeline
+from urlsleuth.synth import generate_dataset, materialize_run
 from urlsleuth.urlfeat import catalog
 
-from conftest import write_csv
+from conftest import read_artifact, write_artifact, write_csv
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -164,15 +164,15 @@ class TestTrain:
             assert (models_dir / f"{family}.json").exists(), family
 
     def test_every_family_shares_one_feature_chain(self, workspace):
-        stage_keys = ("lm", "scaler", "selector", "projection")
+        models_dir = workspace["out_dir"] / "models"
         payloads = [
             json.loads(path.read_text(encoding="utf-8"))
-            for path in sorted((workspace["out_dir"] / "models").glob("*.json"))
+            for path in sorted(models_dir.glob("*.json"))
         ]
         assert len(payloads) == len(FAMILIES)
-        first = {key: payloads[0][key] for key in stage_keys}
-        for payload in payloads[1:]:
-            assert {key: payload[key] for key in stage_keys} == first
+        digests = {payload["chain"] for payload in payloads}
+        assert len(digests) == 1
+        assert [p.name for p in (models_dir / "chains").iterdir()] == [f"{digests.pop()}.json"]
 
     def test_summary_partition_and_choices(self, workspace):
         summary = workspace["summary"]
@@ -234,7 +234,54 @@ class TestTrain:
             ["train", "--config", str(workspace["config_path"]), "--out", str(out), "--model", "KNN"]
         )
         assert code == 0
-        assert sorted(p.name for p in (out / "models").iterdir()) == ["KNN.json"]
+        assert sorted(p.name for p in (out / "models").glob("*.json")) == ["KNN.json"]
+        assert sorted(p.name for p in (out / "models").iterdir()) == ["KNN.json", "chains"]
+        assert len(list((out / "models" / "chains").iterdir())) == 1
+
+    def test_single_family_trains_share_one_chain_file(self, workspace, tmp_path):
+        argv = ["train", "--config", str(workspace["config_path"]), "--out", str(tmp_path)]
+        for family in ("LR", "KNN"):
+            assert main([*argv, "--model", family]) == 0
+        (chain_file,) = (tmp_path / "models" / "chains").iterdir()
+        models_dir = workspace["out_dir"] / "models"
+        digest = json.loads((models_dir / "LR.json").read_text(encoding="utf-8"))["chain"]
+        full = models_dir / "chains" / f"{digest}.json"  # from one full train
+        assert chain_file.name == full.name
+        assert chain_file.read_bytes() == full.read_bytes()
+
+    def test_retrain_with_another_config_adds_a_chain(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        config_path = workspace["config_path"]
+        for family in ("KNN", "LR"):
+            assert main(["train", "--config", str(config_path), "--out", str(out),
+                         "--model", family]) == 0
+        knn_path = out / "models" / "KNN.json"
+        knn_bytes = knn_path.read_bytes()
+        probe = [r.url for r in generate_dataset("probe", n_records=80, seed=5).records]
+        labels_before, scores_before = load_pipeline(knn_path).predict(probe)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config.setdefault("features", {})["selector_top_k"] = 20
+        # Dataset paths are relative to the config, so it sits beside run.json.
+        other = workspace["root"] / "top_k_20.json"
+        other.write_text(json.dumps(config), encoding="utf-8")
+        assert load_run_config(config_path).features.selector_top_k != 20
+        argv = ["train", "--config", str(other), "--out", str(out), "--model", "LR"]
+        assert main(argv) == 0
+        assert len(list((out / "models" / "chains").iterdir())) == 2
+        assert knn_path.read_bytes() == knn_bytes
+        labels_after, scores_after = load_pipeline(knn_path).predict(probe)
+        assert np.array_equal(labels_before, labels_after)
+        assert np.array_equal(scores_before, scores_after)
+        calls = []
+        featurize = PipelineArtifact.featurize
+
+        def counted(self, urls):
+            calls.append(len(urls))
+            return featurize(self, urls)
+
+        monkeypatch.setattr(PipelineArtifact, "featurize", counted)
+        assert main(["evaluate", "--config", str(other), "--out", str(out)]) == 0
+        assert len(calls) == 2  # one test dataset, two distinct chains
 
     def test_retrain_is_byte_identical(self, workspace, tmp_path):
         out_a = tmp_path / "a"
@@ -296,11 +343,11 @@ class TestEvaluate:
         shutil.copytree(workspace["out_dir"] / "models", tmp_path / "mixed" / "models")
         (tmp_path / "solo" / "models").mkdir(parents=True)
         lr_path = tmp_path / "mixed" / "models" / "LR.json"
-        payload = json.loads(lr_path.read_text(encoding="utf-8"))
+        payload, chain = read_artifact(lr_path)
         # A negated scale mirrors every feature, so LR's predictions flip.
-        payload["scaler"]["std"] = [-s for s in payload["scaler"]["std"]]
-        lr_path.write_text(json.dumps(payload), encoding="utf-8")
-        shutil.copy(lr_path, tmp_path / "solo" / "models" / "LR.json")
+        chain["scaler"]["std"] = [-s for s in chain["scaler"]["std"]]
+        write_artifact(payload, chain, lr_path)
+        write_artifact(payload, chain, tmp_path / "solo" / "models" / "LR.json")
         calls = []
         featurize = PipelineArtifact.featurize
 
@@ -554,10 +601,10 @@ class TestErrorPaths:
         self, family, cut, workspace, tmp_path, capsys
     ):
         path = workspace["out_dir"] / "models" / f"{family}.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload, chain = read_artifact(path)
         cut(payload["model"]["state"])
         edited = tmp_path / f"{family}.json"
-        edited.write_text(json.dumps(payload), encoding="utf-8")
+        write_artifact(payload, chain, edited)
         urls_file = tmp_path / "urls.txt"
         urls_file.write_text("http://a.com\nhttps://b.org/x?q=1\n", encoding="utf-8")
         assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
@@ -576,12 +623,10 @@ class TestErrorPaths:
              "count-true"],
     )
     def test_malformed_lm_counts_reported(self, edit, workspace, tmp_path, capsys):
-        payload = json.loads(
-            (workspace["out_dir"] / "models" / "LR.json").read_text(encoding="utf-8")
-        )
-        edit(next(iter(payload["lm"]["malicious"].values())))
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / "LR.json")
+        edit(next(iter(chain["lm"]["malicious"].values())))
         edited = tmp_path / "LR.json"
-        edited.write_text(json.dumps(payload), encoding="utf-8")
+        write_artifact(payload, chain, edited)
         urls_file = tmp_path / "urls.txt"
         urls_file.write_text("http://a.com\n", encoding="utf-8")
         assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
@@ -595,28 +640,71 @@ class TestErrorPaths:
         ids=["k-true", "order-true", "k-Infinity", "k-NaN", "k-str"],
     )
     def test_malformed_lm_order_or_k_reported(self, field, value, workspace, tmp_path, capsys):
-        payload = json.loads(
-            (workspace["out_dir"] / "models" / "LR.json").read_text(encoding="utf-8")
-        )
-        payload["lm"][field] = value
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / "LR.json")
+        chain["lm"][field] = value
         edited = tmp_path / "LR.json"
-        edited.write_text(json.dumps(payload), encoding="utf-8")  # writes Infinity, NaN
+        write_artifact(payload, chain, edited)  # writes Infinity, NaN
         urls_file = tmp_path / "urls.txt"
         urls_file.write_text("http://a.com\n", encoding="utf-8")
         assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_selector_index_out_of_range_reported(self, workspace, tmp_path, capsys):
-        payload = json.loads(
-            (workspace["out_dir"] / "models" / "LR.json").read_text(encoding="utf-8")
-        )
-        payload["selector"]["retained_indices"][-1] = 99
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / "LR.json")
+        chain["selector"]["retained_indices"][-1] = 99
         edited = tmp_path / "LR.json"
-        edited.write_text(json.dumps(payload), encoding="utf-8")
+        write_artifact(payload, chain, edited)
         urls_file = tmp_path / "urls.txt"
         urls_file.write_text("http://a.com\n", encoding="utf-8")
         assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def _classify_fails(self, artifact, tmp_path, capsys) -> str:
+        """Run classify with ``artifact``; it must exit 1 with an ``error:`` line."""
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text("http://a.com\n", encoding="utf-8")
+        assert main(["classify", "--artifact", str(artifact), str(urls_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "reference", ["../../x", "", "UPPER", 12345], ids=["path", "empty", "uppercase", "number"]
+    )
+    def test_chain_reference_not_a_digest_reported(
+        self, reference, workspace, tmp_path, capsys
+    ):
+        models_dir = workspace["out_dir"] / "models"
+        shutil.copytree(models_dir / "chains", tmp_path / "chains")
+        payload = json.loads((models_dir / "LR.json").read_text(encoding="utf-8"))
+        payload["chain"] = payload["chain"].upper() if reference == "UPPER" else reference
+        edited = tmp_path / "LR.json"
+        edited.write_text(json.dumps(payload), encoding="utf-8")
+        assert "64 lowercase hex digits" in self._classify_fails(edited, tmp_path, capsys)
+
+    def test_artifact_without_its_chain_file_reported(self, workspace, tmp_path, capsys):
+        alone = tmp_path / "LR.json"
+        shutil.copy(workspace["out_dir"] / "models" / "LR.json", alone)
+        digest = json.loads(alone.read_text(encoding="utf-8"))["chain"]
+        err = self._classify_fails(alone, tmp_path, capsys)
+        assert "not found" in err
+        assert digest in err
+
+    def test_chain_file_not_matching_its_name_reported(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace["out_dir"] / "models", tmp_path / "models")
+        (chain_file,) = (tmp_path / "models" / "chains").iterdir()
+        chain_file.write_bytes(chain_file.read_bytes().replace(b'"k"', b'"k" ', 1))
+        err = self._classify_fails(tmp_path / "models" / "LR.json", tmp_path, capsys)
+        assert "SHA-256" in err
+
+    def test_format_3_artifact_reported(self, workspace, tmp_path, capsys):
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / "LR.json")
+        del payload["chain"]
+        old = tmp_path / "LR.json"
+        old.write_text(json.dumps({**payload, **chain, "format_version": 3}), encoding="utf-8")
+        err = self._classify_fails(old, tmp_path, capsys)
+        assert "unsupported pipeline artifact version 3" in err
 
     @pytest.mark.parametrize(
         "family, grid",

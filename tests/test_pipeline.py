@@ -4,7 +4,10 @@ end-to-end URL pipeline."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
+import pathlib
 import random
 from collections import Counter
 
@@ -36,11 +39,11 @@ from urlsleuth.pipeline import (
     grid_search,
     load_pipeline,
     mutual_information,
-    pipeline_from_dict,
-    pipeline_to_dict,
     save_pipeline,
 )
 from urlsleuth.urlfeat import CATALOG_VERSION, extract_matrix
+
+from conftest import read_artifact, write_artifact
 
 
 def fit_artifact(urls, labels, spec: ModelSpec, **chain_kwargs) -> PipelineArtifact:
@@ -410,6 +413,14 @@ class TestPipelinePersistence:
         spec = ModelSpec(family="LR", hyperparameters={"n_iters": 60}, seed=0)
         return fit_artifact(urls, labels, spec, **kwargs), urls
 
+    def _saved(self, url_corpus, tmp_path, **kwargs) -> tuple[pathlib.Path, dict, dict]:
+        """An artifact saved under ``tmp_path``: its model-file path and the
+        payloads of that file and of its chain file."""
+        artifact, _ = self._artifact(url_corpus, **kwargs)
+        path = tmp_path / "pipe.json"
+        save_pipeline(artifact, path)
+        return (path, *read_artifact(path))
+
     def test_round_trip_identical_predictions(self, url_corpus, tmp_path):
         artifact, urls = self._artifact(url_corpus, top_k=30)
         path = tmp_path / "pipe.json"
@@ -427,51 +438,131 @@ class TestPipelinePersistence:
         restored = load_pipeline(path)
         assert np.array_equal(restored.predict(urls)[1], artifact.predict(urls)[1])
 
-    def test_payload_fields(self, url_corpus):
-        artifact, _ = self._artifact(url_corpus)
-        payload = pipeline_to_dict(artifact)
+    def test_payload_fields(self, url_corpus, tmp_path):
+        path, payload, chain = self._saved(url_corpus, tmp_path)
+        assert set(payload) == {"artifact", "format_version", "catalog_version", "chain", "model"}
         assert payload["artifact"] == "urlsleuth-pipeline"
-        assert payload["format_version"] == 3
+        assert payload["format_version"] == 4
         assert payload["catalog_version"] == CATALOG_VERSION
-        assert set(payload["lm"]) == {"order", "k", "benign", "malicious"}
+        assert set(chain) == {"lm", "scaler", "selector", "projection"}
+        assert set(chain["lm"]) == {"order", "k", "benign", "malicious"}
         assert set(payload["model"]) == {"spec", "n_features", "state"}
-        assert payload["projection"] is None
-        restored = pipeline_from_dict(payload)
+        assert chain["projection"] is None
+        restored = load_pipeline(path)
         assert isinstance(restored, PipelineArtifact)
 
-    def test_wrong_tag_rejected(self, url_corpus):
+    def test_chain_file_is_the_chains_json_named_by_its_sha256(self, url_corpus, tmp_path):
         artifact, _ = self._artifact(url_corpus)
-        payload = pipeline_to_dict(artifact)
+        save_pipeline(artifact, tmp_path / "pipe.json")
+        (chain_file,) = (tmp_path / "chains").iterdir()
+        expected = tmp_path / "expected.json"
+        write_json_atomic(artifact.chain.to_dict(), expected)
+        assert chain_file.read_bytes() == expected.read_bytes()
+        assert chain_file.name == hashlib.sha256(expected.read_bytes()).hexdigest() + ".json"
+
+    def test_artifacts_sharing_a_chain_share_its_file(self, url_corpus, tmp_path):
+        urls, labels = url_corpus
+        chain, X = fit_chain(urls, labels)
+        knn = PipelineArtifact(chain, fit_model(ModelSpec("KNN", {"k": 3}), X, labels))
+        lr = PipelineArtifact(chain, fit_model(ModelSpec("LR", {"n_iters": 60}), X, labels))
+        save_pipeline(knn, tmp_path / "KNN.json")
+        save_pipeline(lr, tmp_path / "LR.json")
+        assert len(list((tmp_path / "chains").iterdir())) == 1
+        chains = {}
+        a = load_pipeline(tmp_path / "KNN.json", chains=chains)
+        b = load_pipeline(tmp_path / "LR.json", chains=chains)
+        assert a.chain is b.chain
+        assert list(chains) == [json.loads((tmp_path / "LR.json").read_text())["chain"]]
+        assert np.array_equal(b.predict(urls)[1], lr.predict(urls)[1])
+
+    def test_shared_chain_is_read_once(self, url_corpus, tmp_path, monkeypatch):
+        artifact, _ = self._artifact(url_corpus)
+        for name in ("a.json", "b.json", "c.json"):
+            save_pipeline(artifact, tmp_path / name)
+        read = []
+        read_bytes = pathlib.Path.read_bytes
+        monkeypatch.setattr(
+            pathlib.Path, "read_bytes", lambda self: read.append(self.parent.name) or read_bytes(self)
+        )
+        chains = {}
+        for name in ("a.json", "b.json", "c.json"):
+            load_pipeline(tmp_path / name, chains=chains)
+        assert Counter(read) == {tmp_path.name: 3, "chains": 1}
+        read.clear()
+        load_pipeline(tmp_path / "a.json")  # no shared dict: the chain is read again
+        assert Counter(read) == {tmp_path.name: 1, "chains": 1}
+
+    def test_wrong_tag_rejected(self, url_corpus, tmp_path):
+        path, payload, _ = self._saved(url_corpus, tmp_path)
         payload["artifact"] = "urlsleuth-model"
+        write_json_atomic(payload, path)
         with pytest.raises(ArtifactError):
-            pipeline_from_dict(payload)
+            load_pipeline(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 99])
-    def test_wrong_version_rejected(self, url_corpus, version):
-        artifact, _ = self._artifact(url_corpus)
-        payload = pipeline_to_dict(artifact)
+    @pytest.mark.parametrize("version", [1, 2, 3, 99])
+    def test_wrong_version_rejected(self, url_corpus, tmp_path, version):
+        path, payload, _ = self._saved(url_corpus, tmp_path)
         payload["format_version"] = version
+        write_json_atomic(payload, path)
         with pytest.raises(ArtifactError, match="unsupported pipeline artifact version"):
-            pipeline_from_dict(payload)
+            load_pipeline(path)
 
-    def test_missing_field_rejected(self, url_corpus):
-        artifact, _ = self._artifact(url_corpus)
-        payload = pipeline_to_dict(artifact)
+    def test_missing_field_rejected(self, url_corpus, tmp_path):
+        path, payload, _ = self._saved(url_corpus, tmp_path)
         del payload["model"]["state"]
+        write_json_atomic(payload, path)
         with pytest.raises(ArtifactError, match="malformed"):
-            pipeline_from_dict(payload)
+            load_pipeline(path)
+
+    @pytest.mark.parametrize(
+        "reference",
+        ["../../x", "", "UPPER", 12345, None],
+        ids=["path-traversal", "empty", "uppercase", "number", "missing"],
+    )
+    def test_chain_reference_must_be_a_digest(
+        self, url_corpus, tmp_path, monkeypatch, reference
+    ):
+        path, payload, _ = self._saved(url_corpus, tmp_path)
+        if reference == "UPPER":
+            reference = payload["chain"].upper()
+        if reference is None:
+            del payload["chain"]
+        else:
+            payload["chain"] = reference
+        write_json_atomic(payload, path)
+        opened = []  # only the model file is read, nothing outside or inside chains/
+        read_bytes = pathlib.Path.read_bytes
+        monkeypatch.setattr(
+            pathlib.Path, "read_bytes", lambda self: opened.append(self) or read_bytes(self)
+        )
+        with pytest.raises(ArtifactError, match="64 lowercase hex digits"):
+            load_pipeline(path)
+        assert opened == [path]
+
+    def test_missing_chain_file_rejected(self, url_corpus, tmp_path):
+        path, payload, _ = self._saved(url_corpus, tmp_path)
+        (tmp_path / "chains" / f"{payload['chain']}.json").unlink()
+        with pytest.raises(ArtifactError, match="not found"):
+            load_pipeline(path)
+
+    def test_chain_bytes_must_hash_to_its_name(self, url_corpus, tmp_path):
+        path, payload, _ = self._saved(url_corpus, tmp_path)
+        chain_file = tmp_path / "chains" / f"{payload['chain']}.json"
+        chain_file.write_bytes(chain_file.read_bytes() + b" ")  # same JSON, other bytes
+        with pytest.raises(ArtifactError, match="SHA-256"):
+            load_pipeline(path)
 
     @pytest.mark.parametrize(
         "field, value",
         [("benign", []), ("malicious", {"ab": 5}), ("order", "3")],
         ids=["benign-list", "malicious-counts-int", "order-str"],
     )
-    def test_malformed_lm_rejected(self, url_corpus, field, value):
-        artifact, _ = self._artifact(url_corpus)
-        payload = pipeline_to_dict(artifact)
-        payload["lm"][field] = value
+    def test_malformed_lm_rejected(self, url_corpus, tmp_path, field, value):
+        path, payload, chain = self._saved(url_corpus, tmp_path)
+        chain["lm"][field] = value
+        write_artifact(payload, chain, path)
         with pytest.raises(ArtifactError, match="malformed"):
-            pipeline_from_dict(payload)
+            load_pipeline(path)
 
     @pytest.mark.parametrize(
         "projected, cut",
@@ -491,12 +582,14 @@ class TestPipelinePersistence:
             "scaler-mean-length-5", "projection-components-width", "projection-mean-nan",
         ],
     )
-    def test_malformed_chain_rejected(self, url_corpus, projected, cut):
-        artifact, _ = self._artifact(url_corpus, top_k=30, use_projection=projected)
-        payload = pipeline_to_dict(artifact)
-        cut(payload)
+    def test_malformed_chain_rejected(self, url_corpus, tmp_path, projected, cut):
+        path, payload, chain = self._saved(
+            url_corpus, tmp_path, top_k=30, use_projection=projected
+        )
+        cut(chain)
+        write_artifact(payload, chain, path)
         with pytest.raises(ArtifactError):
-            pipeline_from_dict(payload)
+            load_pipeline(path)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "pipe.json"
@@ -505,10 +598,8 @@ class TestPipelinePersistence:
             load_pipeline(path)
 
     def test_stale_catalog_rejected_at_load(self, url_corpus, tmp_path):
-        artifact, _ = self._artifact(url_corpus)
-        payload = pipeline_to_dict(artifact)
+        path, payload, _ = self._saved(url_corpus, tmp_path)
         payload["catalog_version"] = "lex78-v0"
-        path = tmp_path / "stale.json"
         write_json_atomic(payload, path)
         with pytest.raises(CatalogMismatchError, match="lex78-v0"):
             load_pipeline(path)
