@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -25,6 +26,8 @@ from urlsleuth.models.bayes import GaussianNaiveBayes
 from urlsleuth.models.linear import LogisticRegressionGD
 from urlsleuth.models.neighbors import KNearestNeighbors
 from urlsleuth.models.trees import DecisionTreeCART, RandomForest
+
+import oracles
 
 # Small hyperparameters so the full cross-family sweeps stay fast.
 FAST_PARAMS: dict[str, dict] = {
@@ -447,3 +450,106 @@ class TestPersistence:
         assert set(payload) == {"spec", "n_features", "state"}
         restored = TrainedModel.from_dict(payload)
         assert np.array_equal(restored.predict_scores(x), model.predict_scores(x))
+
+
+GOLDEN_TREES_SHA256 = "712ae62c29b209458fe674119985c11b0d9281ab83dd217585c1216db812292c"
+
+
+def tie_heavy_data(seed: int, n: int = 160, d: int = 6) -> tuple[np.ndarray, np.ndarray]:
+    """Columns rounded to one decimal (many tied values) and noisy labels,
+    so trees grow deep and nodes meet equal-SSE candidate splits."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, d)), 1)
+    y = (x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(scale=0.7, size=n) > 0).astype(np.int64)
+    return x, y
+
+
+ORACLE_STATES = {"DT": oracles.dt_state, "RF": oracles.rf_state, "GBT": oracles.gbt_state}
+
+# (family, hyperparameters): depth 0/1/5/unlimited, min_samples_split 7/50,
+# bootstrap on and off, max_features "sqrt" and an int.
+ORACLE_CASES = [
+    ("DT", {}),
+    ("DT", {"max_depth": 0}),
+    ("DT", {"max_depth": 1}),
+    ("DT", {"max_depth": 5}),
+    ("DT", {"min_samples_split": 7}),
+    ("DT", {"max_depth": 5, "min_samples_split": 50}),
+    ("RF", {"n_trees": 4}),
+    ("RF", {"n_trees": 4, "bootstrap": False}),
+    ("RF", {"n_trees": 4, "max_features": "sqrt"}),
+    ("RF", {"n_trees": 4, "max_features": 3, "bootstrap": False}),
+    ("RF", {"n_trees": 4, "max_features": 2, "max_depth": 5, "min_samples_split": 7}),
+    ("RF", {"n_trees": 3, "max_depth": 0}),
+    ("RF", {"n_trees": 3, "max_depth": 1, "max_features": "sqrt"}),
+    ("RF", {"n_trees": 3, "min_samples_split": 50}),
+    ("GBT", {"n_trees": 5}),
+    ("GBT", {"n_trees": 3, "max_depth": 0}),
+    ("GBT", {"n_trees": 5, "max_depth": 1}),
+    ("GBT", {"n_trees": 4, "max_depth": 5, "min_samples_split": 7}),
+    ("GBT", {"n_trees": 4, "min_samples_split": 50}),
+]
+
+
+def saved_state_bytes(family: str, params: dict, x, y, seed: int = 0) -> bytes:
+    model = fit_model(ModelSpec(family, params, seed=seed), x, y)
+    return json.dumps(model.to_dict()["state"]).encode("utf-8")
+
+
+def oracle_state_bytes(family: str, params: dict, x, y, seed: int = 0) -> bytes:
+    extra = {"seed": seed} if family == "RF" else {}
+    state = ORACLE_STATES[family](x, y, **params, **extra)
+    return json.dumps(state).encode("utf-8")
+
+
+class TestTreeOracle:
+    """The tree families save exactly the trees the per-node-argsort
+    splitter in ``tests/oracles.py`` grows, bit for bit."""
+
+    @pytest.mark.parametrize("family, params", ORACLE_CASES, ids=repr)
+    @pytest.mark.parametrize("data_seed", [0, 1])
+    def test_saved_trees_match_oracle(self, family, params, data_seed):
+        x, y = tie_heavy_data(data_seed)
+        got = saved_state_bytes(family, params, x, y, seed=data_seed + 3)
+        assert got == oracle_state_bytes(family, params, x, y, seed=data_seed + 3)
+
+    def test_continuous_columns_match_oracle(self, blob_data, noisy_data):
+        for x, y in (blob_data, noisy_data):
+            for family, params in ORACLE_CASES:
+                assert saved_state_bytes(family, params, x, y) == oracle_state_bytes(
+                    family, params, x, y
+                ), (family, params)
+
+    def test_golden_digest(self):
+        # SHA-256 over the saved state bytes of every oracle case on
+        # tie_heavy_data(0); it pins the trees across refactors of both sides.
+        x, y = tie_heavy_data(0)
+        digest = hashlib.sha256()
+        for family, params in ORACLE_CASES:
+            digest.update(saved_state_bytes(family, params, x, y, seed=3))
+        assert digest.hexdigest() == GOLDEN_TREES_SHA256
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_tie_heavy_data(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        cells = st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d)
+        x = np.array(data.draw(cells, label="x"), dtype=np.float64).reshape(n, d) / 2
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        y[:2] = (0, 1)
+        family = data.draw(st.sampled_from(["DT", "RF", "GBT"]), label="family")
+        depths = [0, 1, 5] if family == "GBT" else [0, 1, 5, None]
+        params = {
+            "max_depth": data.draw(st.sampled_from(depths)),
+            "min_samples_split": data.draw(st.sampled_from([2, 7, 50])),
+        }
+        if family != "DT":
+            params["n_trees"] = data.draw(st.integers(1, 3))
+        if family == "RF":
+            params["bootstrap"] = data.draw(st.booleans())
+            params["max_features"] = data.draw(st.sampled_from([None, "sqrt", 1, 2, 9]))
+        seed = data.draw(st.integers(0, 3), label="seed")
+        assert saved_state_bytes(family, params, x, y, seed) == oracle_state_bytes(
+            family, params, x, y, seed
+        )
