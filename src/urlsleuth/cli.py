@@ -32,7 +32,14 @@ from .evaluation import (
 )
 from .fileio import csv_text, write_json_atomic, write_text_atomic
 from .models import FAMILIES
-from .pipeline import PipelineArtifact, fit_chain, grid_search, load_pipeline, save_pipeline
+from .pipeline import (
+    PipelineArtifact,
+    fit_chain,
+    grid_search,
+    load_pipeline,
+    remove_other_chains,
+    save_pipeline,
+)
 from .synth import records_to_csv
 from .urlfeat import catalog, extract_matrix
 
@@ -166,6 +173,12 @@ def cmd_train(args) -> int:
         save_pipeline(PipelineArtifact(chain, model), models_dir / f"{family}.json")
         chosen[family] = {"hyperparameters": model.spec.hyperparameters, "seed": model.spec.seed}
         print(f"trained {family}: {model.spec.hyperparameters}")
+    if not args.model:
+        # All 11 model files now name this chain; a chain file left by an
+        # earlier train with another config is named by none of them.
+        # ``--model`` keeps them: other model files may still name one.
+        for name in remove_other_chains(models_dir, chain):
+            print(f"removed unused chain {name}")
     write_json_atomic(
         {
             "partition": {

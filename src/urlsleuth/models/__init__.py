@@ -83,13 +83,14 @@ class ModelSpec:
 
 def make_classifier(spec: ModelSpec) -> BinaryClassifier:
     """Instantiate the family named by the spec, unfitted; a hyperparameter
-    value of the wrong type raises ``ModelError``."""
+    value of the wrong type or out of range raises ``ModelError`` naming
+    the family."""
     kwargs = dict(spec.hyperparameters)
     if spec.family in STOCHASTIC_FAMILIES:
         kwargs["seed"] = spec.seed
     try:
         return _REGISTRY[spec.family](**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ModelError) as exc:
         raise ModelError(f"invalid {spec.family} hyperparameters: {exc}") from exc
 
 

@@ -1,17 +1,20 @@
 """Tree families: CART decision tree, bagged random forest, and
 gradient-boosted depth-limited trees.
 
-All three share one splitter.  For binary 0/1 targets, minimizing the
-summed squared error of a split is equivalent to minimizing the weighted
-Gini impurity (node Gini = 2 * variance for 0/1 targets), so the same
-prefix-sum scan serves classification trees and the boosted regression
-trees.  Ties break toward the lower feature index, then the lower
-threshold, so split choice is deterministic.
+All three share one splitter, which sorts each column once per fit
+(the presorted attribute lists of SLIQ, Mehta, Agrawal & Rissanen, EDBT
+1996) and takes a forest's bootstrap as row weights.  For binary 0/1
+targets, minimizing the summed squared error of a split is equivalent
+to minimizing the weighted Gini impurity (node Gini = 2 * variance for
+0/1 targets), so the same prefix-sum scan serves classification trees
+and the boosted regression trees.  Ties break toward the lower feature
+index, then the lower threshold, so split choice is deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -93,50 +96,118 @@ class _FlatTree:
         return tree
 
 
-def _best_split(
-    X: np.ndarray, targets: np.ndarray, idx: np.ndarray, feature_ids
+def _check_int(name: str, value, low: int, allow_none: bool = False) -> int | None:
+    """``value`` as an int >= ``low`` (``None`` too where allowed); a bool,
+    a float or anything else raises ``ModelError``."""
+    if value is None and allow_none:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        allowed = "None or " if allow_none else ""
+        raise ModelError(f"{name} must be {allowed}an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_max_features(value) -> int | str | None:
+    if value is None or value == "sqrt":
+        return value
+    if isinstance(value, str):
+        raise ModelError(f"max_features must be None, 'sqrt' or an integer >= 1, got {value!r}")
+    return _check_int("max_features", value, 1)
+
+
+def sort_columns(X: np.ndarray) -> np.ndarray:
+    """Row ids of each column of ``X`` in ascending (value, row) order, one
+    row per column: the one sort a tree fit runs."""
+    return np.argsort(X, axis=0, kind="stable").T.copy()
+
+
+def _split_sorted_lists(
+    lists: np.ndarray, start: int, split: int, stop: int, goes_left: np.ndarray
+) -> None:
+    """Stably move the sorted lists of segment ``[start, stop)`` so the
+    rows in ``lists[0, start:split]`` come first in every list."""
+    goes_left[lists[0, start:split]] = True
+    goes_left[lists[0, split:stop]] = False
+    seg = lists[1:, start:stop]
+    left = goes_left[seg]
+    d = len(seg)
+    seg[:] = np.concatenate((seg[left].reshape(d, -1), seg[~left].reshape(d, -1)), axis=1)
+
+
+# Sorted-list cells scanned per block of candidate features, so the
+# block's temporaries stay small and cached.
+_BLOCK_CELLS = 1 << 15
+
+
+def _lowest_sse_split(
+    X: np.ndarray,
+    cand: np.ndarray,
+    sorted_lists: np.ndarray,
+    weights: np.ndarray,
+    wt: np.ndarray,
+    wt2: np.ndarray,
 ) -> tuple[int, float] | None:
-    """Lowest-SSE (feature, threshold) over candidate features, or None
-    when every candidate column is constant on these rows."""
+    """The first lowest-SSE (feature, threshold) over the candidates, lower
+    feature first, then lower threshold; None when no candidate varies.
+
+    ``sorted_lists[j]`` holds the node's rows sorted by column ``j``.
+    Prefix sums of ``weights``, ``wt`` and ``wt2`` run along each list, and
+    the SSE is taken only where the value changes.
+    """
+    m = sorted_lists.shape[1]
+    step = max(1, _BLOCK_CELLS // m)
     best_sse = math.inf
-    best: tuple[int, float] | None = None
-    t_all = targets[idx]
-    for j in feature_ids:
-        col = X[idx, j]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        ts = t_all[order]
-        bounds = np.nonzero(cs[1:] > cs[:-1])[0]
-        if bounds.size == 0:
+    best = None
+    for b in range(0, len(cand), step):
+        feats = cand[b:b + step]
+        rows = sorted_lists[feats]
+        vals = X[rows, feats[:, None]]
+        f, pos = np.divmod(np.flatnonzero(vals[:, 1:] > vals[:, :-1]), m - 1)
+        if f.size == 0:
             continue
-        csum = np.cumsum(ts)
-        csum2 = np.cumsum(ts * ts)
-        n = ts.size
-        total, total2 = csum[-1], csum2[-1]
-        nl = (bounds + 1).astype(np.float64)
-        nr = n - nl
-        sl, sl2 = csum[bounds], csum2[bounds]
+        cw = np.cumsum(weights[rows], axis=1)
+        csum = np.cumsum(wt[rows], axis=1)
+        csum2 = np.cumsum(wt2[rows], axis=1)
+        total, total2 = csum[f, -1], csum2[f, -1]
+        nl = cw[f, pos]
+        nr = cw[f, -1] - nl
+        sl, sl2 = csum[f, pos], csum2[f, pos]
         sse = (sl2 - sl * sl / nl) + ((total2 - sl2) - (total - sl) ** 2 / nr)
         i = int(np.argmin(sse))
         if sse[i] < best_sse:
-            lo, hi = cs[bounds[i]], cs[bounds[i] + 1]
-            mid = lo + (hi - lo) / 2.0
-            if mid >= hi:  # midpoint rounded up to the right value
-                mid = lo
-            best_sse = float(sse[i])
-            best = (int(j), float(mid))
+            lo, hi = vals[f[i], pos[i]], vals[f[i], pos[i] + 1]
+            thr = lo + (hi - lo) / 2.0
+            if thr >= hi:  # midpoint rounded up to the right value
+                thr = lo
+            best_sse = sse[i]
+            best = (int(feats[f[i]]), float(thr))
     return best
 
 
 def build_tree(
     X: np.ndarray,
     targets: np.ndarray,
+    order: np.ndarray,
+    weights: np.ndarray,
     rng: np.random.Generator | None,
     max_depth: int | None,
     min_samples_split: int,
     max_features: int | str | None,
 ) -> _FlatTree:
     """Grow a regression tree on real targets (labels or residuals).
+
+    ``order`` is ``sort_columns(X)``, computed once per fit and shared by
+    every tree grown on ``X``.  Row ``i`` counts ``weights[i]`` times (a
+    bootstrap multiplicity); rows of weight 0 are left out, and
+    ``min_samples_split`` compares with the weight sum.
+
+    A node owns one segment of ``lists``: row 0 holds its rows in
+    ascending order, row ``1 + j`` its rows sorted by column ``j``, ties
+    by row.  A split stably moves the segment's lists into a left and a
+    right part, so no node sorts again.  With unit weights the prefix
+    sums therefore run in the order a stable argsort of the node's rows
+    gives, and with 0/1 targets every sum is an exact integer, so a
+    forest tree equals the tree grown on its bootstrap copy ``X[rows]``.
 
     A node splits whenever it is impure, large enough, within depth, and
     some candidate feature varies, even when the best split has zero
@@ -151,19 +222,33 @@ def build_tree(
     elif max_features == "sqrt":
         n_cand = max(1, math.isqrt(d))
     else:
-        n_cand = max(1, min(int(max_features), d))
+        n_cand = min(max_features, d)
     if n_cand is not None and rng is None:
         raise ModelError("feature subsampling requires a seeded generator")
 
+    present = weights > 0
+    rows = np.flatnonzero(present)
+    lists = np.empty((d + 1, rows.size), dtype=np.intp)
+    lists[0] = rows
+    lists[1:] = order if rows.size == len(X) else order[present[order]].reshape(d, rows.size)
+    wt = weights * targets
+    wt2 = wt * targets
+    goes_left = np.zeros(len(X), dtype=bool)
+
     tree = _FlatTree()
-    stack = [(tree.new_node(), np.arange(len(X)), 0)]
+    # A split reorders only its node's row list; both children share one
+    # ``unsorted`` record of the parent segment, and the first child that
+    # goes on to split moves the sorted lists of the whole segment.
+    stack = [(tree.new_node(), 0, rows.size, 0, [])]
     while stack:
-        nid, idx, depth = stack.pop()
+        nid, start, stop, depth, unsorted = stack.pop()
+        idx = lists[0, start:stop]
         t_node = targets[idx]
-        tree.value[nid] = float(t_node.mean())
+        w_sum = weights[idx].sum()
+        tree.value[nid] = float(wt[idx].sum() / w_sum)
         if np.all(t_node == t_node[0]):
             continue
-        if len(idx) < min_samples_split:
+        if w_sum < min_samples_split:
             continue
         if max_depth is not None and depth >= max_depth:
             continue
@@ -171,19 +256,25 @@ def build_tree(
             cand = feats_all
         else:
             cand = np.sort(rng.choice(d, size=n_cand, replace=False))
-        best = _best_split(X, targets, idx, cand)
+        if unsorted:
+            _split_sorted_lists(lists, *unsorted, goes_left)
+            unsorted.clear()
+        best = _lowest_sse_split(X, cand, lists[1:, start:stop], weights, wt, wt2)
         if best is None:
             continue
         j, thr = best
         mask = X[idx, j] <= thr
+        split = start + int(np.count_nonzero(mask))
+        lists[0, start:stop] = np.concatenate((idx[mask], idx[~mask]))
         lid = tree.new_node()
         rid = tree.new_node()
         tree.feature[nid] = j
         tree.threshold[nid] = thr
         tree.left[nid] = lid
         tree.right[nid] = rid
-        stack.append((rid, idx[~mask], depth + 1))
-        stack.append((lid, idx[mask], depth + 1))
+        children = [start, split, stop]
+        stack.append((rid, split, stop, depth + 1, children))
+        stack.append((lid, start, split, depth + 1, children))
     return tree.finalize()
 
 
@@ -198,13 +289,15 @@ class DecisionTreeCART(BinaryClassifier):
 
     def __init__(self, max_depth: int | None = None, min_samples_split: int = 2):
         super().__init__()
-        self.max_depth = None if max_depth is None else int(max_depth)
-        self.min_samples_split = int(min_samples_split)
+        self.max_depth = _check_int("max_depth", max_depth, 0, allow_none=True)
+        self.min_samples_split = _check_int("min_samples_split", min_samples_split, 1)
         self.tree_: _FlatTree | None = None
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        order = sort_columns(X)
         self.tree_ = build_tree(
-            X, y.astype(np.float64), None, self.max_depth, self.min_samples_split, None
+            X, y.astype(np.float64), order, np.ones(len(X)), None,
+            self.max_depth, self.min_samples_split, None,
         )
 
     def _score(self, X: np.ndarray) -> np.ndarray:
@@ -235,30 +328,28 @@ class RandomForest(BinaryClassifier):
         if n_trees < 1:
             raise ModelError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = int(n_trees)
-        self.max_depth = None if max_depth is None else int(max_depth)
-        self.min_samples_split = int(min_samples_split)
+        self.max_depth = _check_int("max_depth", max_depth, 0, allow_none=True)
+        self.min_samples_split = _check_int("min_samples_split", min_samples_split, 1)
         self.bootstrap = bool(bootstrap)
-        self.max_features = max_features
+        self.max_features = _check_max_features(max_features)
         self.seed = int(seed)
         self.trees_: list[_FlatTree] = []
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         rng = np.random.default_rng(self.seed)
         targets = y.astype(np.float64)
+        order = sort_columns(X)
+        n = len(X)
         self.trees_ = []
         for _ in range(self.n_trees):
             if self.bootstrap:
-                rows = rng.integers(0, len(X), size=len(X))
+                weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
             else:
-                rows = np.arange(len(X))
+                weights = np.ones(n)
             self.trees_.append(
                 build_tree(
-                    X[rows],
-                    targets[rows],
-                    rng,
-                    self.max_depth,
-                    self.min_samples_split,
-                    self.max_features,
+                    X, targets, order, weights, rng,
+                    self.max_depth, self.min_samples_split, self.max_features,
                 )
             )
 
@@ -299,8 +390,8 @@ class GradientBoostedTrees(BinaryClassifier):
             raise ModelError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = int(n_trees)
         self.learning_rate = float(learning_rate)
-        self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
+        self.max_depth = _check_int("max_depth", max_depth, 0)
+        self.min_samples_split = _check_int("min_samples_split", min_samples_split, 1)
         self.f0_: float = 0.0
         self.trees_: list[_FlatTree] = []
 
@@ -308,12 +399,14 @@ class GradientBoostedTrees(BinaryClassifier):
         p0 = float(y.mean())  # in (0, 1): both classes are required
         self.f0_ = math.log(p0 / (1.0 - p0))
         raw = np.full(len(X), self.f0_, dtype=np.float64)
+        order = sort_columns(X)
+        ones = np.ones(len(X))
         self.trees_ = []
         for _ in range(self.n_trees):
             p = sigmoid(raw)
             residual = y - p
             tree = build_tree(
-                X, residual, None, self.max_depth, self.min_samples_split, None
+                X, residual, order, ones, None, self.max_depth, self.min_samples_split, None
             )
             leaf_ids = tree.apply(X)
             hess = p * (1.0 - p)
@@ -322,7 +415,7 @@ class GradientBoostedTrees(BinaryClassifier):
             newton = num / (den + 1e-12)
             leaves = tree.feature < 0
             tree.value[leaves] = newton[leaves]
-            raw += self.learning_rate * tree.predict(X)
+            raw += self.learning_rate * tree.value[leaf_ids]
             self.trees_.append(tree)
 
     def _raw(self, X: np.ndarray) -> np.ndarray:

@@ -375,6 +375,20 @@ def save_pipeline(artifact: PipelineArtifact, path) -> None:
     )
 
 
+def remove_other_chains(models_dir, chain: FeatureChain) -> list[str]:
+    """Delete every chain file in ``models_dir/chains`` except ``chain``'s
+    own, once every model file in ``models_dir`` names ``chain``.  Works
+    from the directory listing alone; no model file is read.  Returns the
+    deleted file names."""
+    keep = f"{chain._saved[0]}.json"
+    removed = []
+    for path in sorted((Path(models_dir) / CHAIN_DIR).glob("*.json")):
+        if path.name != keep:
+            path.unlink()
+            removed.append(path.name)
+    return removed
+
+
 def _load_chain(path: Path, digest: str) -> FeatureChain:
     """Parse the chain file after checking its bytes hash to ``digest``."""
     data = read_artifact_bytes(path)

@@ -283,6 +283,26 @@ class TestTrain:
         assert main(["evaluate", "--config", str(other), "--out", str(out)]) == 0
         assert len(calls) == 2  # one test dataset, two distinct chains
 
+    def test_full_retrain_with_another_config_leaves_one_chain(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out_dir"] / "models", out / "models")  # selector_top_k 40
+        (old_chain,) = (out / "models" / "chains").iterdir()
+        config = json.loads(workspace["config_path"].read_text(encoding="utf-8"))
+        assert load_run_config(workspace["config_path"]).features.selector_top_k == 40
+        config.setdefault("features", {})["selector_top_k"] = 20
+        # Dataset paths are relative to the config, so it sits beside run.json.
+        other = workspace["root"] / "top_k_20_full.json"
+        other.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(other), "--out", str(out)]) == 0
+        assert f"removed unused chain {old_chain.name}" in capsys.readouterr().out
+        (chain_file,) = (out / "models" / "chains").iterdir()
+        assert chain_file.name != old_chain.name
+        for family in FAMILIES:
+            payload, _ = read_artifact(out / "models" / f"{family}.json")
+            assert f"{payload['chain']}.json" == chain_file.name
+        assert load_pipeline(out / "models" / "LR.json").predict(["http://a.example/x"])
+
     def test_retrain_is_byte_identical(self, workspace, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -708,8 +728,14 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "family, grid",
-        [("KNN", {"k": ["five"]}), ("DT", {"max_depth": ["x"]})],
-        ids=["KNN-k", "DT-max_depth"],
+        [
+            ("KNN", {"k": ["five"]}),
+            ("DT", {"max_depth": ["x"]}),
+            ("RF", {"max_features": ["log2"]}),
+            ("RF", {"max_features": [0, -3, 2.5, True], "n_trees": [2]}),
+            ("DT", {"max_depth": [-1], "min_samples_split": [2, -1]}),
+        ],
+        ids=["KNN-k", "DT-max_depth", "RF-max_features", "RF-max_features-range", "DT-ranges"],
     )
     def test_grid_value_of_wrong_type_reported(
         self, family, grid, workspace, tmp_path, capsys
@@ -725,6 +751,17 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert family in err
+
+    def test_grid_point_out_of_range_skipped(self, workspace, tmp_path, capsys):
+        config = json.loads(workspace["config_path"].read_text(encoding="utf-8"))
+        config["grids"] = {"RF": {"max_features": ["log2", 2], "n_trees": [3]}}
+        config_path = workspace["root"] / "grid_RF_mixed.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["train", "--config", str(config_path), "--out", str(tmp_path), "--model", "RF"]
+        with pytest.warns(UserWarning, match="'log2'.*failed to fit"):
+            assert main(argv) == 0
+        summary = json.loads((tmp_path / "train_summary.json").read_text(encoding="utf-8"))
+        assert summary["chosen"]["RF"]["hyperparameters"] == {"max_features": 2, "n_trees": 3}
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 1
