@@ -325,9 +325,7 @@ class RandomForest(BinaryClassifier):
         seed: int = 0,
     ):
         super().__init__()
-        if n_trees < 1:
-            raise ModelError(f"n_trees must be >= 1, got {n_trees}")
-        self.n_trees = int(n_trees)
+        self.n_trees = _check_int("n_trees", n_trees, 1)
         self.max_depth = _check_int("max_depth", max_depth, 0, allow_none=True)
         self.min_samples_split = _check_int("min_samples_split", min_samples_split, 1)
         self.bootstrap = bool(bootstrap)
@@ -386,9 +384,7 @@ class GradientBoostedTrees(BinaryClassifier):
         min_samples_split: int = 2,
     ):
         super().__init__()
-        if n_trees < 1:
-            raise ModelError(f"n_trees must be >= 1, got {n_trees}")
-        self.n_trees = int(n_trees)
+        self.n_trees = _check_int("n_trees", n_trees, 1)
         self.learning_rate = float(learning_rate)
         self.max_depth = _check_int("max_depth", max_depth, 0)
         self.min_samples_split = _check_int("min_samples_split", min_samples_split, 1)

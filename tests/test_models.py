@@ -390,6 +390,8 @@ class TestTreeHyperparameters:
             ("DT", {"min_samples_split": -1}),
             ("RF", {"min_samples_split": 0}),
             ("GBT", {"min_samples_split": "2"}),
+            ("RF", {"n_trees": 0}),
+            ("GBT", {"n_trees": 2.5}),
         ],
         ids=repr,
     )
