@@ -68,18 +68,9 @@ def confusion(labels: np.ndarray, predictions: np.ndarray) -> ConfusionMatrix:
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks of scores ascending; tied scores share the average."""
-    n = len(scores)
-    order = np.argsort(scores, kind="stable")
-    ordered = scores[order]
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and ordered[j + 1] == ordered[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts  # 0-based position of each value's first copy
+    return ((2 * first + counts - 1) / 2.0 + 1.0)[inverse]
 
 
 def auc_score(labels: np.ndarray, scores: np.ndarray) -> float:

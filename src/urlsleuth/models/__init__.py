@@ -8,19 +8,14 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from ..errors import ModelError
-from .base import (
-    FAMILIES,
-    SUPERVISED_FAMILIES,
-    UNSUPERVISED_FAMILIES,
-    AlwaysMaliciousBaseline,
-    BinaryClassifier,
-)
+from .base import AlwaysMaliciousBaseline, BinaryClassifier, check_int
 from .bayes import GaussianNaiveBayes
 from .clustering import GaussianMixtureDetector, KMeansDetector
 from .linear import LinearSvmSubgradient, LogisticRegressionGD
@@ -28,36 +23,32 @@ from .neighbors import KNearestNeighbors
 from .neural import MlpClassifier
 from .trees import DecisionTreeCART, GradientBoostedTrees, RandomForest
 
+# Each class is the one declaration of its family: the roster is this
+# tuple, a family's hyperparameters are its constructor's keyword
+# arguments, and a family whose constructor takes ``seed`` consumes
+# random numbers and receives the spec seed.
 _REGISTRY: dict[str, type[BinaryClassifier]] = {
-    "BASELINE": AlwaysMaliciousBaseline,
-    "LR": LogisticRegressionGD,
-    "LINEAR_SVM": LinearSvmSubgradient,
-    "DT": DecisionTreeCART,
-    "RF": RandomForest,
-    "GBT": GradientBoostedTrees,
-    "KNN": KNearestNeighbors,
-    "GNB": GaussianNaiveBayes,
-    "MLP": MlpClassifier,
-    "KMEANS": KMeansDetector,
-    "GMM": GaussianMixtureDetector,
+    cls.family: cls
+    for cls in (
+        AlwaysMaliciousBaseline,
+        LogisticRegressionGD,
+        LinearSvmSubgradient,
+        DecisionTreeCART,
+        RandomForest,
+        GradientBoostedTrees,
+        KNearestNeighbors,
+        GaussianNaiveBayes,
+        MlpClassifier,
+        KMeansDetector,
+        GaussianMixtureDetector,
+    )
 }
-
-# Families whose fit consumes random numbers; they receive the spec seed.
-STOCHASTIC_FAMILIES = frozenset({"RF", "MLP", "KMEANS", "GMM"})
-
+FAMILIES = tuple(_REGISTRY)
+_PARAMETERS = {f: frozenset(inspect.signature(cls).parameters) for f, cls in _REGISTRY.items()}
 HYPERPARAMETER_SCHEMA: dict[str, frozenset[str]] = {
-    "BASELINE": frozenset(),
-    "LR": frozenset({"learning_rate", "n_iters", "l2"}),
-    "LINEAR_SVM": frozenset({"learning_rate", "n_iters", "l2"}),
-    "DT": frozenset({"max_depth", "min_samples_split"}),
-    "RF": frozenset({"n_trees", "max_depth", "min_samples_split", "bootstrap", "max_features"}),
-    "GBT": frozenset({"n_trees", "learning_rate", "max_depth", "min_samples_split"}),
-    "KNN": frozenset({"k"}),
-    "GNB": frozenset(),
-    "MLP": frozenset({"hidden_units", "learning_rate", "n_iters", "l2"}),
-    "KMEANS": frozenset({"n_clusters", "max_iter"}),
-    "GMM": frozenset({"n_components", "max_iter", "tol"}),
+    f: names - {"seed"} for f, names in _PARAMETERS.items()
 }
+STOCHASTIC_FAMILIES = frozenset(f for f, names in _PARAMETERS.items() if "seed" in names)
 
 
 @dataclass(frozen=True)
@@ -79,6 +70,9 @@ class ModelSpec:
             raise ModelError(
                 f"unknown hyperparameters for {self.family}: {', '.join(unknown)}"
             )
+        # Checked for every family, not only the seeded ones, so that any
+        # spec that trains also loads.
+        check_int("seed", self.seed, 0)
 
 
 def make_classifier(spec: ModelSpec) -> BinaryClassifier:
@@ -90,7 +84,7 @@ def make_classifier(spec: ModelSpec) -> BinaryClassifier:
         kwargs["seed"] = spec.seed
     try:
         return _REGISTRY[spec.family](**kwargs)
-    except (TypeError, ValueError, ModelError) as exc:
+    except ModelError as exc:
         raise ModelError(f"invalid {spec.family} hyperparameters: {exc}") from exc
 
 
@@ -120,10 +114,10 @@ class TrainedModel:
         spec = ModelSpec(
             family=d["spec"]["family"],
             hyperparameters=dict(d["spec"]["hyperparameters"]),
-            seed=int(d["spec"]["seed"]),
+            seed=d["spec"]["seed"],
         )
         clf = make_classifier(spec)
-        clf._restore(int(d["n_features"]), d["state"])
+        clf._restore(check_int("n_features", d["n_features"], 0), d["state"])
         return cls(spec=spec, classifier=clf)
 
 
@@ -136,8 +130,6 @@ def fit_model(spec: ModelSpec, X, y) -> TrainedModel:
 
 __all__ = [
     "FAMILIES",
-    "SUPERVISED_FAMILIES",
-    "UNSUPERVISED_FAMILIES",
     "STOCHASTIC_FAMILIES",
     "HYPERPARAMETER_SCHEMA",
     "ModelSpec",

@@ -9,26 +9,37 @@ hyperparameters, the seed, and the data.
 from __future__ import annotations
 
 import abc
+import contextlib
+import math
+import numbers
 
 import numpy as np
 
 from ..errors import ArtifactError, ModelError
 
-FAMILIES = (
-    "BASELINE",
-    "LR",
-    "LINEAR_SVM",
-    "DT",
-    "RF",
-    "GBT",
-    "KNN",
-    "GNB",
-    "MLP",
-    "KMEANS",
-    "GMM",
-)
-SUPERVISED_FAMILIES = ("LR", "LINEAR_SVM", "DT", "RF", "GBT", "KNN", "GNB", "MLP")
-UNSUPERVISED_FAMILIES = ("KMEANS", "GMM")
+
+def check_int(name: str, value, low: int, allow_none: bool = False) -> int | None:
+    """``value`` as an int >= ``low`` (``None`` too where allowed); a bool,
+    a float or anything else raises ``ModelError``."""
+    if value is None and allow_none:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        allowed = "None or " if allow_none else ""
+        raise ModelError(f"{name} must be {allowed}an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value, low: float, strict: bool = False) -> float:
+    """``value`` as a finite float >= ``low`` (> ``low`` if ``strict``); an
+    int is taken, a bool, a string, NaN or an infinity raises ``ModelError``."""
+    real = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            real = float(value)
+    if not math.isfinite(real) or real < low or (strict and real == low):
+        bound = f"> {low}" if strict else f">= {low}"
+        raise ModelError(f"{name} must be a finite number {bound}, got {value!r}")
+    return real
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

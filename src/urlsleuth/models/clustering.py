@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..errors import ModelError
-from .base import BinaryClassifier, state_array, variance_floor
+from .base import BinaryClassifier, check_int, check_real, state_array, variance_floor
 
 
 def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -67,13 +67,9 @@ class KMeansDetector(BinaryClassifier):
 
     def __init__(self, n_clusters: int = 2, max_iter: int = 100, seed: int = 0):
         super().__init__()
-        if n_clusters < 1:
-            raise ModelError(f"n_clusters must be >= 1, got {n_clusters}")
-        if max_iter < 1:
-            raise ModelError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_clusters = int(n_clusters)
-        self.max_iter = int(max_iter)
-        self.seed = int(seed)
+        self.n_clusters = check_int("n_clusters", n_clusters, 1)
+        self.max_iter = check_int("max_iter", max_iter, 1)
+        self.seed = check_int("seed", seed, 0)
         self.centers_: np.ndarray | None = None
         self.cluster_fractions_: np.ndarray | None = None
         self.inertia_history_: list[float] = []
@@ -145,14 +141,10 @@ class GaussianMixtureDetector(BinaryClassifier):
         seed: int = 0,
     ):
         super().__init__()
-        if n_components < 1:
-            raise ModelError(f"n_components must be >= 1, got {n_components}")
-        if max_iter < 1:
-            raise ModelError(f"max_iter must be >= 1, got {max_iter}")
-        self.n_components = int(n_components)
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
-        self.seed = int(seed)
+        self.n_components = check_int("n_components", n_components, 1)
+        self.max_iter = check_int("max_iter", max_iter, 1)
+        self.tol = check_real("tol", tol, 0.0)
+        self.seed = check_int("seed", seed, 0)
         self.weights_: np.ndarray | None = None
         self.means_: np.ndarray | None = None
         self.variances_: np.ndarray | None = None

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BinaryClassifier, sigmoid, state_array
+from .base import BinaryClassifier, check_int, check_real, sigmoid, state_array
 
 
 def logistic_loss_and_grad(
@@ -44,9 +44,9 @@ class _GradientDescentLinear(BinaryClassifier):
 
     def __init__(self, learning_rate: float = 0.1, n_iters: int = 300, l2: float = 0.0):
         super().__init__()
-        self.learning_rate = float(learning_rate)
-        self.n_iters = int(n_iters)
-        self.l2 = float(l2)
+        self.learning_rate = check_real("learning_rate", learning_rate, 0.0, strict=True)
+        self.n_iters = check_int("n_iters", n_iters, 1)
+        self.l2 = check_real("l2", l2, 0.0)
         self.weights_: np.ndarray | None = None
         self.bias_: float = 0.0
         self.loss_history_: list[float] = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ArtifactError, ModelError
-from .base import BinaryClassifier, state_array
+from .base import BinaryClassifier, check_int, state_array
 
 # Safety factor on the round-off allowance of the candidate bound: the
 # derivation in ``KNearestNeighbors._score`` needs 1, and the margin covers
@@ -44,9 +44,7 @@ class KNearestNeighbors(BinaryClassifier):
 
     def __init__(self, k: int = 5):
         super().__init__()
-        if k < 1:
-            raise ModelError(f"k must be >= 1, got {k}")
-        self.k = int(k)
+        self.k = check_int("k", k, 1)
         self.train_X_: np.ndarray | None = None
         self.train_y_: np.ndarray | None = None
         self._train_sq: np.ndarray | None = None

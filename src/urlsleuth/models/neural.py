@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BinaryClassifier, sigmoid, state_array
+from .base import BinaryClassifier, check_int, check_real, sigmoid, state_array
 
 
 class MlpClassifier(BinaryClassifier):
@@ -31,11 +31,11 @@ class MlpClassifier(BinaryClassifier):
         seed: int = 0,
     ):
         super().__init__()
-        self.hidden_units = int(hidden_units)
-        self.learning_rate = float(learning_rate)
-        self.n_iters = int(n_iters)
-        self.l2 = float(l2)
-        self.seed = int(seed)
+        self.hidden_units = check_int("hidden_units", hidden_units, 1)
+        self.learning_rate = check_real("learning_rate", learning_rate, 0.0, strict=True)
+        self.n_iters = check_int("n_iters", n_iters, 1)
+        self.l2 = check_real("l2", l2, 0.0)
+        self.seed = check_int("seed", seed, 0)
         self.params_: np.ndarray | None = None
         self.loss_history_: list[float] = []
 

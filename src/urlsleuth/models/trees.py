@@ -14,12 +14,11 @@ index, then the lower threshold, so split choice is deterministic.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from ..errors import ArtifactError, ModelError
-from .base import BinaryClassifier, sigmoid, state_array
+from .base import BinaryClassifier, check_int, check_real, sigmoid, state_array
 
 
 class _FlatTree:
@@ -96,23 +95,12 @@ class _FlatTree:
         return tree
 
 
-def _check_int(name: str, value, low: int, allow_none: bool = False) -> int | None:
-    """``value`` as an int >= ``low`` (``None`` too where allowed); a bool,
-    a float or anything else raises ``ModelError``."""
-    if value is None and allow_none:
-        return None
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        allowed = "None or " if allow_none else ""
-        raise ModelError(f"{name} must be {allowed}an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 def _check_max_features(value) -> int | str | None:
     if value is None or value == "sqrt":
         return value
     if isinstance(value, str):
         raise ModelError(f"max_features must be None, 'sqrt' or an integer >= 1, got {value!r}")
-    return _check_int("max_features", value, 1)
+    return check_int("max_features", value, 1)
 
 
 def sort_columns(X: np.ndarray) -> np.ndarray:
@@ -289,8 +277,8 @@ class DecisionTreeCART(BinaryClassifier):
 
     def __init__(self, max_depth: int | None = None, min_samples_split: int = 2):
         super().__init__()
-        self.max_depth = _check_int("max_depth", max_depth, 0, allow_none=True)
-        self.min_samples_split = _check_int("min_samples_split", min_samples_split, 1)
+        self.max_depth = check_int("max_depth", max_depth, 0, allow_none=True)
+        self.min_samples_split = check_int("min_samples_split", min_samples_split, 1)
         self.tree_: _FlatTree | None = None
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -325,12 +313,14 @@ class RandomForest(BinaryClassifier):
         seed: int = 0,
     ):
         super().__init__()
-        self.n_trees = _check_int("n_trees", n_trees, 1)
-        self.max_depth = _check_int("max_depth", max_depth, 0, allow_none=True)
-        self.min_samples_split = _check_int("min_samples_split", min_samples_split, 1)
-        self.bootstrap = bool(bootstrap)
+        self.n_trees = check_int("n_trees", n_trees, 1)
+        self.max_depth = check_int("max_depth", max_depth, 0, allow_none=True)
+        self.min_samples_split = check_int("min_samples_split", min_samples_split, 1)
+        if not isinstance(bootstrap, bool):
+            raise ModelError(f"bootstrap must be true or false, got {bootstrap!r}")
+        self.bootstrap = bootstrap
         self.max_features = _check_max_features(max_features)
-        self.seed = int(seed)
+        self.seed = check_int("seed", seed, 0)
         self.trees_: list[_FlatTree] = []
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -384,10 +374,10 @@ class GradientBoostedTrees(BinaryClassifier):
         min_samples_split: int = 2,
     ):
         super().__init__()
-        self.n_trees = _check_int("n_trees", n_trees, 1)
-        self.learning_rate = float(learning_rate)
-        self.max_depth = _check_int("max_depth", max_depth, 0)
-        self.min_samples_split = _check_int("min_samples_split", min_samples_split, 1)
+        self.n_trees = check_int("n_trees", n_trees, 1)
+        self.learning_rate = check_real("learning_rate", learning_rate, 0.0, strict=True)
+        self.max_depth = check_int("max_depth", max_depth, 0)
+        self.min_samples_split = check_int("min_samples_split", min_samples_split, 1)
         self.f0_: float = 0.0
         self.trees_: list[_FlatTree] = []
 

@@ -318,8 +318,8 @@ def grid_search(
     validation sets; ties keep the earlier enumeration point.  Returns the
     winning model as the search fitted it, so its ``spec`` is the choice.
     An empty grid is one point, the family's defaults.  A point whose fit
-    fails warns and is never chosen; if every point fails, the first
-    point's ``ModelError`` is raised.
+    fails, or diverges to non-finite validation scores, warns and is never
+    chosen; if every point fails, the first point's ``ModelError`` is raised.
     """
     val_sets = list(val_sets)
     if not val_sets:
@@ -336,6 +336,8 @@ def grid_search(
             per_set = []
             for X_val, y_val in val_sets:
                 scores = model.predict_scores(X_val)
+                if not np.all(np.isfinite(scores)):  # a diverged fit
+                    raise ModelError("validation scores contain non-finite values")
                 report = compute_metrics(y_val, (scores >= 0.5).astype(np.int64), scores)
                 per_set.append(getattr(report, target_metric))
             mean_score = float(np.mean(per_set))

@@ -7,6 +7,10 @@ own rows, and a random forest grows each tree on the bootstrap copy
 ``X[rows]``.  ``dt_state``, ``rf_state`` and ``gbt_state`` drive it the
 way the three tree families did, and return the state dict each family
 saves, so a test can compare the saved bytes of both implementations.
+
+``average_ranks`` is the tie-averaging rank loop that
+``urlsleuth.evaluation._average_ranks`` ran before it took the ranks
+from ``np.unique``.
 """
 
 from __future__ import annotations
@@ -112,6 +116,23 @@ def build_tree(
         stack.append((rid, idx[~mask], depth + 1))
         stack.append((lid, idx[mask], depth + 1))
     return tree.finalize()
+
+
+def average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of scores ascending; each run of tied scores in the
+    stable sort shares its mean position."""
+    n = len(scores)
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and ordered[j + 1] == ordered[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def dt_state(X, y, max_depth=None, min_samples_split=2) -> dict:

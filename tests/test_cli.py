@@ -690,6 +690,27 @@ class TestErrorPaths:
         return err
 
     @pytest.mark.parametrize(
+        "edit, name",
+        [
+            (lambda m: m.update(n_features=m["n_features"] + 0.9), "n_features"),
+            (lambda m: m.update(n_features=str(m["n_features"])), "n_features"),
+            (lambda m: m.update(n_features=True), "n_features"),
+            (lambda m: m["spec"].update(seed=2.5), "seed"),
+            (lambda m: m["spec"].update(seed=-1), "seed"),
+        ],
+        ids=["n_features-fraction", "n_features-str", "n_features-true", "seed-fraction",
+             "seed-negative"],
+    )
+    def test_model_count_not_an_integer_reported(
+        self, edit, name, workspace, tmp_path, capsys
+    ):
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / "LR.json")
+        edit(payload["model"])
+        edited = tmp_path / "LR.json"
+        write_artifact(payload, chain, edited)
+        assert f"{name} must be an integer" in self._classify_fails(edited, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
         "reference", ["../../x", "", "UPPER", 12345], ids=["path", "empty", "uppercase", "number"]
     )
     def test_chain_reference_not_a_digest_reported(
@@ -734,8 +755,15 @@ class TestErrorPaths:
             ("RF", {"max_features": ["log2"]}),
             ("RF", {"max_features": [0, -3, 2.5, True], "n_trees": [2]}),
             ("DT", {"max_depth": [-1], "min_samples_split": [2, -1]}),
+            ("RF", {"bootstrap": ["false"], "n_trees": [3]}),
+            ("MLP", {"n_iters": [float("inf")]}),
+            ("LR", {"learning_rate": ["0.1"]}),
+            ("GBT", {"learning_rate": ["0.1"], "n_trees": [3]}),
+            ("KNN", {"k": [2.5]}),
         ],
-        ids=["KNN-k", "DT-max_depth", "RF-max_features", "RF-max_features-range", "DT-ranges"],
+        ids=["KNN-k", "DT-max_depth", "RF-max_features", "RF-max_features-range", "DT-ranges",
+             "RF-bootstrap-str", "MLP-n_iters-Infinity", "LR-learning_rate-str",
+             "GBT-learning_rate-str", "KNN-k-float"],
     )
     def test_grid_value_of_wrong_type_reported(
         self, family, grid, workspace, tmp_path, capsys
@@ -744,24 +772,47 @@ class TestErrorPaths:
         config["grids"] = {family: grid}
         # Dataset paths are relative to the config, so it sits beside run.json.
         config_path = workspace["root"] / f"grid_{family}.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
+        config_path.write_text(json.dumps(config), encoding="utf-8")  # writes Infinity
         argv = ["train", "--config", str(config_path), "--out", str(tmp_path), "--model", family]
         with pytest.warns(UserWarning, match="failed to fit"):
             assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert family in err
+        name = next(iter(grid))
+        assert err.startswith(f"error: invalid {family} hyperparameters: {name} must be")
+        assert "Traceback" not in err
 
-    def test_grid_point_out_of_range_skipped(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "family, grid, bad, chosen",
+        [
+            (
+                "RF", {"max_features": ["log2", 2], "n_trees": [3]}, "'log2'",
+                {"max_features": 2, "n_trees": 3},
+            ),
+            ("MLP", {"hidden_units": [-1, 4]}, "-1", {"hidden_units": 4}),
+        ],
+        ids=["RF-max_features", "MLP-hidden_units"],
+    )
+    def test_grid_point_out_of_range_skipped(
+        self, family, grid, bad, chosen, workspace, tmp_path, capsys
+    ):
         config = json.loads(workspace["config_path"].read_text(encoding="utf-8"))
-        config["grids"] = {"RF": {"max_features": ["log2", 2], "n_trees": [3]}}
-        config_path = workspace["root"] / "grid_RF_mixed.json"
+        config["grids"] = {family: grid}
+        config_path = workspace["root"] / f"grid_{family}_mixed.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
-        argv = ["train", "--config", str(config_path), "--out", str(tmp_path), "--model", "RF"]
-        with pytest.warns(UserWarning, match="'log2'.*failed to fit"):
+        argv = ["train", "--config", str(config_path), "--out", str(tmp_path), "--model", family]
+        with pytest.warns(UserWarning, match=f"{bad}.*failed to fit"):
             assert main(argv) == 0
         summary = json.loads((tmp_path / "train_summary.json").read_text(encoding="utf-8"))
-        assert summary["chosen"]["RF"]["hyperparameters"] == {"max_features": 2, "n_trees": 3}
+        assert summary["chosen"][family]["hyperparameters"] == chosen
+
+    @pytest.mark.parametrize("family", ["RF", "LR"])
+    def test_negative_seed_reported(self, family, workspace, tmp_path, capsys):
+        # LR draws no random numbers, but its saved spec would not load.
+        argv = ["train", "--config", str(workspace["config_path"]), "--out", str(tmp_path)]
+        assert main([*argv, "--model", family, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be an integer >= 0, got -1")
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 1

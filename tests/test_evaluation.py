@@ -14,6 +14,7 @@ from urlsleuth.evaluation import (
     MAX_SURVIVOR_RANK,
     METRIC_NAMES,
     MetricReport,
+    _average_ranks,
     aggregate_rank_table,
     auc_score,
     baseline_report,
@@ -25,6 +26,8 @@ from urlsleuth.evaluation import (
     rank_table_to_csv,
     round_half_up,
 )
+
+import oracles
 
 
 def auc_brute_force(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -151,6 +154,20 @@ class TestAuc:
             assert auc_score(y, s) == pytest.approx(
                 auc_brute_force(y, s), abs=1e-9
             ), f"trial {trial}"
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 5e-324, -1e300]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_match_the_loop_oracle_bit_for_bit(self, values):
+        scores = np.array(values, dtype=np.float64)
+        assert _average_ranks(scores).tobytes() == oracles.average_ranks(scores).tobytes()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

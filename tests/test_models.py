@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -14,9 +15,8 @@ from hypothesis import strategies as st
 from urlsleuth.errors import ArtifactError, ModelError
 from urlsleuth.models import (
     FAMILIES,
+    HYPERPARAMETER_SCHEMA,
     STOCHASTIC_FAMILIES,
-    SUPERVISED_FAMILIES,
-    UNSUPERVISED_FAMILIES,
     ModelSpec,
     TrainedModel,
     fit_model,
@@ -24,11 +24,31 @@ from urlsleuth.models import (
 )
 from urlsleuth.models import neighbors, trees
 from urlsleuth.models.bayes import GaussianNaiveBayes
+from urlsleuth.models.clustering import GaussianMixtureDetector, KMeansDetector
 from urlsleuth.models.linear import LogisticRegressionGD
 from urlsleuth.models.neighbors import KNearestNeighbors
+from urlsleuth.models.neural import MlpClassifier
 from urlsleuth.models.trees import DecisionTreeCART, RandomForest
 
 import oracles
+
+SUPERVISED_FAMILIES = ("LR", "LINEAR_SVM", "DT", "RF", "GBT", "KNN", "GNB", "MLP")
+UNSUPERVISED_FAMILIES = ("KMEANS", "GMM")
+
+# Each family's hyperparameters: its constructor's keyword arguments but ``seed``.
+EXPECTED_SCHEMA = {
+    "BASELINE": frozenset(),
+    "LR": frozenset({"learning_rate", "n_iters", "l2"}),
+    "LINEAR_SVM": frozenset({"learning_rate", "n_iters", "l2"}),
+    "DT": frozenset({"max_depth", "min_samples_split"}),
+    "RF": frozenset({"n_trees", "max_depth", "min_samples_split", "bootstrap", "max_features"}),
+    "GBT": frozenset({"n_trees", "learning_rate", "max_depth", "min_samples_split"}),
+    "KNN": frozenset({"k"}),
+    "GNB": frozenset(),
+    "MLP": frozenset({"hidden_units", "learning_rate", "n_iters", "l2"}),
+    "KMEANS": frozenset({"n_clusters", "max_iter"}),
+    "GMM": frozenset({"n_components", "max_iter", "tol"}),
+}
 
 # Small hyperparameters so the full cross-family sweeps stay fast.
 FAST_PARAMS: dict[str, dict] = {
@@ -72,8 +92,14 @@ class TestModelSpec:
         assert set(SUPERVISED_FAMILIES) | set(UNSUPERVISED_FAMILIES) | {"BASELINE"} == set(
             FAMILIES
         )
-        assert len(FAMILIES) == 11
+        assert FAMILIES == (
+            "BASELINE", "LR", "LINEAR_SVM", "DT", "RF", "GBT", "KNN", "GNB", "MLP", "KMEANS",
+            "GMM",
+        )
         assert STOCHASTIC_FAMILIES == {"RF", "MLP", "KMEANS", "GMM"}
+
+    def test_schema_is_the_constructor_arguments(self):
+        assert HYPERPARAMETER_SCHEMA == EXPECTED_SCHEMA
 
 
 class TestSharedContract:
@@ -373,30 +399,92 @@ class TestTrees:
         assert np.all((scores > 0.0) & (scores < 1.0))
 
 
-class TestTreeHyperparameters:
+# Lowest legal value of every integer hyperparameter (and of the seed),
+# and of every real one; ``learning_rate`` must lie strictly above 0.
+INT_LOW = {
+    "n_iters": 1, "hidden_units": 1, "k": 1, "n_clusters": 1, "n_components": 1,
+    "max_iter": 1, "n_trees": 1, "min_samples_split": 1, "max_depth": 0, "max_features": 1,
+    "seed": 0,
+}
+REAL_LOW = {"learning_rate": 0.0, "l2": 0.0, "tol": 0.0}
+NOT_A_NUMBER = [True, False, "1", "0.1", None, math.nan, math.inf, -math.inf]
+SEEDED_CLASSES = (RandomForest, MlpClassifier, KMeansDetector, GaussianMixtureDetector)
+
+
+def hyperparameter_cases(values_for) -> list:
+    """(family, name, value) for every hyperparameter of every family."""
+    return [
+        (family, name, value)
+        for family in FAMILIES
+        for name in sorted(EXPECTED_SCHEMA[family])
+        for value in values_for(name)
+    ]
+
+
+def rejected_values(name: str) -> list:
+    if name == "bootstrap":
+        return ["false", "true", 0, 1, None, math.nan, np.bool_(True)]
+    if name in INT_LOW:
+        nones = {"max_depth", "max_features"}  # None is legal for DT and RF
+        below = [INT_LOW[name] - 1, -(2**70)]
+        return [v for v in NOT_A_NUMBER if v is not None or name not in nones] + below + [
+            2.5, 2.0, np.float64(3.0),
+        ]
+    below = [0, 0.0, -0.5] if name == "learning_rate" else [-0.5, -5e-324]
+    return NOT_A_NUMBER + below + [10**400, np.float64(np.nan)]
+
+
+def accepted_values(name: str) -> list:
+    if name == "bootstrap":
+        return [True, False]
+    if name in INT_LOW:
+        return [INT_LOW[name], np.int64(INT_LOW[name] + 2), np.int32(3)]
+    return [1, np.int64(2), 0.25, np.float64(0.5), np.float32(0.75)] + (
+        [] if name == "learning_rate" else [0, 0.0]
+    )
+
+
+class TestHyperparameters:
+    def test_every_hyperparameter_has_a_checked_kind(self):
+        names = set().union(*EXPECTED_SCHEMA.values())
+        assert names == set(INT_LOW) - {"seed"} | set(REAL_LOW) | {"bootstrap"}
+
+    @pytest.mark.parametrize("family, name, value", hyperparameter_cases(rejected_values), ids=repr)
+    def test_wrong_type_or_out_of_range_rejected(self, family, name, value):
+        with pytest.raises(ModelError, match=f"invalid {family} hyperparameters: {name} must be"):
+            make_classifier(ModelSpec(family, {name: value}))
+
+    @pytest.mark.parametrize("family, name, value", hyperparameter_cases(accepted_values), ids=repr)
+    def test_in_range_value_kept_as_a_python_number(self, family, name, value):
+        kept = getattr(make_classifier(ModelSpec(family, {name: value})), name)
+        kind = bool if name == "bootstrap" else int if name in INT_LOW else float
+        assert type(kept) is kind
+        assert kept == value
+
+    @pytest.mark.parametrize("value", rejected_values("seed"), ids=repr)
+    def test_bad_seed_rejected(self, value):
+        for family in FAMILIES:
+            with pytest.raises(ModelError, match="^seed must be"):
+                ModelSpec(family, {}, seed=value)
+        for cls in SEEDED_CLASSES:
+            with pytest.raises(ModelError, match="^seed must be"):
+                cls(seed=value)
+
+    def test_seeded_classes_are_the_stochastic_families(self):
+        assert {cls.family for cls in SEEDED_CLASSES} == STOCHASTIC_FAMILIES
+
     @pytest.mark.parametrize(
         "family, hyperparameters",
         [
             ("RF", {"max_features": "log2"}),
-            ("RF", {"max_features": 0}),
-            ("RF", {"max_features": -3}),
-            ("RF", {"max_features": 2.5}),
-            ("RF", {"max_features": True}),
-            ("DT", {"max_depth": -1}),
-            ("DT", {"max_depth": 2.5}),
-            ("RF", {"max_depth": True}),
-            ("GBT", {"max_depth": -1}),
+            ("RF", {"max_features": "SQRT"}),
+            ("RF", {"max_features": None, "max_depth": "None"}),
             ("GBT", {"max_depth": None}),
-            ("DT", {"min_samples_split": -1}),
-            ("RF", {"min_samples_split": 0}),
-            ("GBT", {"min_samples_split": "2"}),
-            ("RF", {"n_trees": 0}),
-            ("GBT", {"n_trees": 2.5}),
         ],
         ids=repr,
     )
     def test_out_of_range_rejected(self, family, hyperparameters):
-        name, value = next(iter(hyperparameters.items()))
+        name = list(hyperparameters)[-1]
         with pytest.raises(ModelError, match=f"invalid {family} hyperparameters: {name} must be"):
             make_classifier(ModelSpec(family, hyperparameters, seed=0))
 
@@ -408,6 +496,7 @@ class TestTreeHyperparameters:
             ("RF", {"max_features": 1}),
             ("RF", {"max_features": np.int64(99)}),  # more than the columns: all of them
             ("DT", {"max_depth": 0, "min_samples_split": 1}),
+            ("DT", {"max_depth": None}),
             ("RF", {"max_depth": None}),
             ("GBT", {"max_depth": 0, "min_samples_split": 1}),
         ],
@@ -417,6 +506,25 @@ class TestTreeHyperparameters:
         x, y = blob_data
         spec = ModelSpec(family, {**hyperparameters, **({"n_trees": 2} if family != "DT" else {})})
         assert make_classifier(spec).fit(x, y).score_batch(x).shape == (len(x),)
+
+    @pytest.mark.parametrize(
+        "family, hyperparameters",
+        [
+            ("LR", {"learning_rate": 1, "l2": 0}),
+            ("LINEAR_SVM", {"learning_rate": np.float64(0.5), "n_iters": np.int64(20)}),
+            ("MLP", {"hidden_units": np.int64(4), "n_iters": 20, "l2": np.float32(0.01)}),
+            ("KNN", {"k": np.int64(3)}),
+            ("KMEANS", {"n_clusters": np.int64(3), "max_iter": np.int64(5)}),
+            ("GMM", {"n_components": 2, "tol": 0, "max_iter": 10}),
+            ("RF", {"n_trees": 2, "bootstrap": False}),
+            ("GBT", {"n_trees": 2, "learning_rate": 1}),
+        ],
+        ids=repr,
+    )
+    def test_accepted_values_fit(self, family, hyperparameters, blob_data):
+        x, y = blob_data
+        clf = make_classifier(ModelSpec(family, hyperparameters, seed=4))
+        assert clf.fit(x, y).score_batch(x).shape == (len(x),)
 
 
 class TestLinearModels:

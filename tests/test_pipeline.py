@@ -287,6 +287,20 @@ class TestGridSearch:
         assert model.spec.hyperparameters["n_clusters"] == 2
         assert model.predict_scores(x[60:]).shape == (len(x) - 60,)
 
+    @pytest.mark.parametrize("family", ["LINEAR_SVM", "GBT"])
+    def test_diverging_point_warns_and_is_never_chosen(self, family):
+        # A finite, in-range learning rate of 1e300 overflows the fit, so the
+        # model scores validation rows as NaN; the search skips that point.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(400, 40))
+        y = (x[:, 0] + x[:, 1] + rng.normal(size=400) > 0).astype(np.int64)
+        diverged = "1e\\+300.*failed to fit"
+        with np.errstate(all="ignore"), pytest.warns(UserWarning, match=diverged):
+            model = grid_search(
+                family, {"learning_rate": [1e300, 0.1]}, (x[:300], y[:300]), [(x[300:], y[300:])]
+            )
+        assert model.spec.hyperparameters == {"learning_rate": 0.1}
+
     def test_every_point_failing_raises_the_first_error(self, blob_data):
         x, y = blob_data
         with pytest.warns(UserWarning, match="failed to fit"):
