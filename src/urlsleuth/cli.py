@@ -54,6 +54,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _resolve(args) -> tuple[RunConfig, Path, int]:
     cfg = load_run_config(args.config)
+    if args.seed is not None and args.seed < 0:  # checked before anything is made or fitted
+        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
     out_dir = Path(args.out) if args.out else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.seed

@@ -241,7 +241,7 @@ def parse_run_config(raw: dict, base_dir: Path) -> RunConfig:
             f"tuning_metric must be one of {', '.join(METRIC_NAMES)}; got {tuning_metric!r}"
         )
 
-    seed = _check_int(raw.get("seed", 0), "seed")
+    seed = _check_int(raw.get("seed", 0), "seed", 0)
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir must be a non-empty string")

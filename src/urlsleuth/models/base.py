@@ -9,6 +9,7 @@ hyperparameters, the seed, and the data.
 from __future__ import annotations
 
 import abc
+import base64
 import contextlib
 import math
 import numbers
@@ -60,20 +61,60 @@ def variance_floor(X: np.ndarray) -> float:
     return 1e-9 * mean_var if mean_var > 0 else 1e-12
 
 
+# The saved form of every array: its little-endian bytes in base64, its
+# dtype code and its shape.  Base64 of the raw bytes round-trips every
+# float64 bit pattern (-0.0 and subnormals included), where decimal text
+# needs up to 17 significant digits and a parse per value.
+_RECORD_KEYS = frozenset({"b64", "dtype", "shape"})
+
+
+def _dtype_code(dtype) -> str:
+    return "<i8" if np.issubdtype(dtype, np.integer) else "<f8"
+
+
+def array_record(arr: np.ndarray) -> dict:
+    """The saved form of ``arr``: integer arrays as int64, everything
+    else as float64, little-endian whatever the host."""
+    code = _dtype_code(arr.dtype)
+    data = np.ascontiguousarray(arr, dtype=code).tobytes()
+    return {"b64": base64.b64encode(data).decode("ascii"), "dtype": code, "shape": list(arr.shape)}
+
+
 def state_array(state: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """``state[key]`` as a finite array of ``shape``; a ``None`` dimension
-    matches any size.  An integer ``dtype`` also requires whole numbers
-    that float64 holds exactly, so nothing is truncated."""
-    arr = np.asarray(state[key], dtype=np.float64)
-    if arr.ndim != len(shape) or any(w not in (None, got) for got, w in zip(arr.shape, shape)):
-        expected = tuple("n" if w is None else w for w in shape)
-        raise ArtifactError(f"saved array {key!r} has shape {arr.shape}, expected {expected}")
-    if not np.all(np.isfinite(arr)):
+    """``state[key]``, an ``array_record``, as an owned native-endian array
+    of ``dtype`` and ``shape`` (a ``None`` dimension matches any size).
+    The record must carry exactly ``dtype``'s code, a shape that matches,
+    valid base64 of exactly that many 8-byte values and, for floats, only
+    finite values; anything else raises ``ArtifactError``."""
+    record = state[key]
+    if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+        raise ArtifactError(f"saved array {key!r} must be an object with keys b64, dtype, shape")
+    code = _dtype_code(dtype)
+    if record["dtype"] != code:
+        raise ArtifactError(
+            f"saved array {key!r} has dtype {record['dtype']!r}, expected {code!r}"
+        )
+    got = record["shape"]
+    if (
+        not isinstance(got, list)
+        or len(got) != len(shape)
+        or any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in got)
+        or any(w not in (None, n) for n, w in zip(got, shape))
+    ):
+        expected = ", ".join("n" if w is None else str(w) for w in shape)
+        raise ArtifactError(f"saved array {key!r} has shape {got!r}, expected [{expected}]")
+    try:
+        data = base64.b64decode(record["b64"], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ArtifactError(f"saved array {key!r} is not valid base64: {exc}") from exc
+    if len(data) != 8 * math.prod(got):
+        raise ArtifactError(
+            f"saved array {key!r} holds {len(data)} bytes, expected {8 * math.prod(got)} "
+            f"for shape {got}"
+        )
+    arr = np.frombuffer(data, dtype=code).reshape(got).astype(dtype)  # a writable copy
+    if code == "<f8" and not np.all(np.isfinite(arr)):
         raise ArtifactError(f"saved array {key!r} contains NaN or infinite values")
-    if np.issubdtype(dtype, np.integer):
-        if not np.all((arr == np.round(arr)) & (np.abs(arr) <= 2**53)):
-            raise ArtifactError(f"saved array {key!r} holds values that are not integers")
-        arr = arr.astype(dtype)
     return arr
 
 

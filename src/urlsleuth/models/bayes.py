@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .base import BinaryClassifier, sigmoid, state_array, variance_floor
+from .base import BinaryClassifier, array_record, sigmoid, state_array, variance_floor
 
 
 class GaussianNaiveBayes(BinaryClassifier):
@@ -52,9 +52,9 @@ class GaussianNaiveBayes(BinaryClassifier):
 
     def state_to_dict(self) -> dict:
         return {
-            "means": self.means_.tolist(),
-            "variances": self.variances_.tolist(),
-            "log_priors": self.log_priors_.tolist(),
+            "means": array_record(self.means_),
+            "variances": array_record(self.variances_),
+            "log_priors": array_record(self.log_priors_),
         }
 
     def state_from_dict(self, state: dict) -> None:

@@ -14,7 +14,9 @@ import math
 import numpy as np
 
 from ..errors import ModelError
-from .base import BinaryClassifier, check_int, check_real, state_array, variance_floor
+from .base import (
+    BinaryClassifier, array_record, check_int, check_real, state_array, variance_floor,
+)
 
 
 def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -107,8 +109,8 @@ class KMeansDetector(BinaryClassifier):
 
     def state_to_dict(self) -> dict:
         return {
-            "centers": self.centers_.tolist(),
-            "cluster_fractions": self.cluster_fractions_.tolist(),
+            "centers": array_record(self.centers_),
+            "cluster_fractions": array_record(self.cluster_fractions_),
         }
 
     def state_from_dict(self, state: dict) -> None:
@@ -209,10 +211,10 @@ class GaussianMixtureDetector(BinaryClassifier):
 
     def state_to_dict(self) -> dict:
         return {
-            "weights": self.weights_.tolist(),
-            "means": self.means_.tolist(),
-            "variances": self.variances_.tolist(),
-            "component_fractions": self.component_fractions_.tolist(),
+            "weights": array_record(self.weights_),
+            "means": array_record(self.means_),
+            "variances": array_record(self.variances_),
+            "component_fractions": array_record(self.component_fractions_),
         }
 
     def state_from_dict(self, state: dict) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BinaryClassifier, check_int, check_real, sigmoid, state_array
+from .base import BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array
 
 
 def logistic_loss_and_grad(
@@ -69,7 +69,7 @@ class _GradientDescentLinear(BinaryClassifier):
         return sigmoid(X @ self.weights_ + self.bias_)
 
     def state_to_dict(self) -> dict:
-        return {"weights": self.weights_.tolist(), "bias": self.bias_}
+        return {"weights": array_record(self.weights_), "bias": self.bias_}
 
     def state_from_dict(self, state: dict) -> None:
         self.weights_ = state_array(state, "weights", (self.n_features_,))

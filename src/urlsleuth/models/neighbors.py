@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ArtifactError, ModelError
-from .base import BinaryClassifier, check_int, state_array
+from .base import BinaryClassifier, array_record, check_int, state_array
 
 # Safety factor on the round-off allowance of the candidate bound: the
 # derivation in ``KNearestNeighbors._score`` needs 1, and the margin covers
@@ -123,7 +123,7 @@ class KNearestNeighbors(BinaryClassifier):
         return out
 
     def state_to_dict(self) -> dict:
-        return {"train_X": self.train_X_.tolist(), "train_y": self.train_y_.tolist()}
+        return {"train_X": array_record(self.train_X_), "train_y": array_record(self.train_y_)}
 
     def state_from_dict(self, state: dict) -> None:
         self.train_X_ = state_array(state, "train_X", (None, self.n_features_))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BinaryClassifier, check_int, check_real, sigmoid, state_array
+from .base import BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array
 
 
 class MlpClassifier(BinaryClassifier):
@@ -94,7 +94,7 @@ class MlpClassifier(BinaryClassifier):
         return sigmoid(np.tanh(X @ w1 + b1) @ w2 + b2)
 
     def state_to_dict(self) -> dict:
-        return {"params": self.params_.tolist()}
+        return {"params": array_record(self.params_)}
 
     def state_from_dict(self, state: dict) -> None:
         self.params_ = state_array(state, "params", (self.n_params(self.n_features_),))

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from ..errors import ArtifactError, ModelError
-from .base import BinaryClassifier, check_int, check_real, sigmoid, state_array
+from .base import BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array
 
 
 class _FlatTree:
@@ -68,11 +68,8 @@ class _FlatTree:
 
     def to_dict(self) -> dict:
         return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
+            name: array_record(getattr(self, name))
+            for name in ("feature", "threshold", "left", "right", "value")
         }
 
     @classmethod

@@ -9,12 +9,13 @@ and returns them as one ``FeatureChain``, a pure function afterwards.  A
 shares a single chain across every family of a run.  An artifact is
 saved as two files: the chain's saved form (``FeatureChain.to_dict``:
 the language-model pair as its order, k and two count maps, then each
-stage's arrays) in ``chains/<sha256>.json`` beside the model file, named
-by the SHA-256 of its bytes, and the model file itself: a tag, a format
-version, the feature catalog version, that digest and the model (spec,
-feature count, state).  Every family of a run names the same chain file.
-``grid_search`` fits each grid point once and returns the best fitted
-model; an empty grid is the defaults, a failed fit is never chosen.
+stage's arrays as base64 records) in ``chains/<sha256>.json`` beside
+the model file, named by the SHA-256 of its bytes, and the model file
+itself: a tag, a format version, the feature catalog version, that
+digest and the model (spec, feature count, state).  Every family of a
+run names the same chain file.  ``grid_search`` fits each grid point
+once and returns the best fitted model; an empty grid is the defaults,
+a failed fit is never chosen.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from .fileio import (
     write_text_atomic,
 )
 from .models import ModelSpec, TrainedModel, fit_model
-from .models.base import state_array
+from .models.base import array_record, state_array
 from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
 
 PIPELINE_ARTIFACT_TAG = "urlsleuth-pipeline"
-PIPELINE_ARTIFACT_VERSION = 4
+PIPELINE_ARTIFACT_VERSION = 5
 CHAIN_DIR = "chains"  # beside the model files; one chain file per distinct chain
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
@@ -207,12 +208,12 @@ class FeatureChain:
 
     def to_dict(self) -> dict:
         """The language-model pair's dict, then each stage's fields as
-        lists (``None`` for no projection)."""
+        ``array_record``s (``None`` for no projection)."""
 
         def stage(obj) -> dict | None:
             if obj is None:
                 return None
-            return {f.name: getattr(obj, f.name).tolist() for f in fields(obj)}
+            return {f.name: array_record(getattr(obj, f.name)) for f in fields(obj)}
 
         return {
             "lm": self.lm_pair.to_dict(),

@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from urlsleuth.corpus import Dataset, UrlRecord
+from urlsleuth.models.base import array_record, state_array
 from urlsleuth.synth import generate_dataset
+
+RECORD_KEYS = {"b64", "dtype", "shape"}
 
 
 def write_csv(path: str | os.PathLike[str], rows: Sequence[tuple[str, str]]) -> str:
@@ -45,6 +48,42 @@ def write_artifact(payload: dict, chain: dict, path) -> None:
     (path.parent / "chains").mkdir(parents=True, exist_ok=True)
     (path.parent / "chains" / f"{digest}.json").write_bytes(data)
     path.write_text(json.dumps({**payload, "chain": digest}), encoding="utf-8")
+
+
+def records_to_lists(obj):
+    """``obj`` with every array record in it replaced by the nested list it
+    holds (decoded by ``state_array``): the decimal form of format 4."""
+    if isinstance(obj, dict):
+        if obj.keys() == RECORD_KEYS:
+            dtype = np.int64 if obj["dtype"] == "<i8" else np.float64
+            return state_array({"a": obj}, "a", (None,) * len(obj["shape"]), dtype).tolist()
+        return {key: records_to_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [records_to_lists(value) for value in obj]
+    return obj
+
+
+def lists_to_records(obj):
+    """The inverse of ``records_to_lists``: every list of numbers, nested to
+    any depth, becomes an ``array_record``.  Its dtype follows the values,
+    so a list holding a fraction becomes a ``"<f8"`` record even where the
+    field is an integer one."""
+    if isinstance(obj, dict):
+        return {key: lists_to_records(value) for key, value in obj.items()}
+    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        return [lists_to_records(value) for value in obj]
+    if isinstance(obj, list):
+        return array_record(np.array(obj))
+    return obj
+
+
+def edit_arrays(section: dict, edit) -> None:
+    """Apply ``edit``, written against the list form, to the saved arrays
+    of ``section`` in place: decode every record, edit, re-encode."""
+    plain = records_to_lists(section)
+    edit(plain)
+    section.clear()
+    section.update(lists_to_records(plain))
 
 
 def make_dataset(rows: Sequence[tuple[str, int]], id: str = "d0") -> Dataset:

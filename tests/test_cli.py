@@ -22,7 +22,7 @@ from urlsleuth.pipeline import PipelineArtifact, fit_chain, load_pipeline, save_
 from urlsleuth.synth import generate_dataset, materialize_run
 from urlsleuth.urlfeat import catalog
 
-from conftest import read_artifact, write_artifact, write_csv
+from conftest import edit_arrays, read_artifact, records_to_lists, write_artifact, write_csv
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -365,7 +365,7 @@ class TestEvaluate:
         lr_path = tmp_path / "mixed" / "models" / "LR.json"
         payload, chain = read_artifact(lr_path)
         # A negated scale mirrors every feature, so LR's predictions flip.
-        chain["scaler"]["std"] = [-s for s in chain["scaler"]["std"]]
+        edit_arrays(chain["scaler"], lambda s: s.update(std=[-v for v in s["std"]]))
         write_artifact(payload, chain, lr_path)
         write_artifact(payload, chain, tmp_path / "solo" / "models" / "LR.json")
         calls = []
@@ -622,7 +622,7 @@ class TestErrorPaths:
     ):
         path = workspace["out_dir"] / "models" / f"{family}.json"
         payload, chain = read_artifact(path)
-        cut(payload["model"]["state"])
+        edit_arrays(payload["model"]["state"], cut)
         edited = tmp_path / f"{family}.json"
         write_artifact(payload, chain, edited)
         urls_file = tmp_path / "urls.txt"
@@ -671,7 +671,7 @@ class TestErrorPaths:
 
     def test_selector_index_out_of_range_reported(self, workspace, tmp_path, capsys):
         payload, chain = read_artifact(workspace["out_dir"] / "models" / "LR.json")
-        chain["selector"]["retained_indices"][-1] = 99
+        edit_arrays(chain["selector"], lambda s: s["retained_indices"].__setitem__(-1, 99))
         edited = tmp_path / "LR.json"
         write_artifact(payload, chain, edited)
         urls_file = tmp_path / "urls.txt"
@@ -747,6 +747,15 @@ class TestErrorPaths:
         err = self._classify_fails(old, tmp_path, capsys)
         assert "unsupported pipeline artifact version 3" in err
 
+    def test_format_4_artifact_reported(self, workspace, tmp_path, capsys):
+        # Format 4 had the same two files, with every array as decimal lists.
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / "LR.json")
+        payload = records_to_lists({**payload, "format_version": 4})
+        old = tmp_path / "LR.json"
+        write_artifact(payload, records_to_lists(chain), old)
+        err = self._classify_fails(old, tmp_path, capsys)
+        assert "unsupported pipeline artifact version 4" in err
+
     @pytest.mark.parametrize(
         "family, grid",
         [
@@ -813,6 +822,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: seed must be an integer >= 0, got -1")
         assert "Traceback" not in err
+
+    def test_negative_seed_rejected_before_out_is_made(self, workspace, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        argv = ["train", "--config", str(workspace["config_path"]), "--out", str(out)]
+        assert main([*argv, "--model", "RF", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0, got -1")
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 1

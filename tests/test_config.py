@@ -208,6 +208,14 @@ class TestLoadRunConfig:
         assert cfg.datasets[0].path == (tmp_path / "d0.csv").resolve()
         assert cfg.output_dir == (tmp_path / "out").resolve()
 
+    def test_negative_seed_rejected(self, tmp_path):
+        raw = minimal_raw()
+        raw["seed"] = -1
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            load_run_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(tmp_path / "absent.json")

@@ -31,6 +31,7 @@ from urlsleuth.models.neural import MlpClassifier
 from urlsleuth.models.trees import DecisionTreeCART, RandomForest
 
 import oracles
+from conftest import edit_arrays, records_to_lists
 
 SUPERVISED_FAMILIES = ("LR", "LINEAR_SVM", "DT", "RF", "GBT", "KNN", "GNB", "MLP")
 UNSUPERVISED_FAMILIES = ("KMEANS", "GMM")
@@ -594,7 +595,7 @@ class TestPersistence:
     def test_state_that_cannot_score_rejected(self, family, cut, blob_data):
         x, y = blob_data
         payload = fit_model(spec_for(family), x, y).to_dict()
-        cut(payload["state"])
+        edit_arrays(payload["state"], cut)
         with pytest.raises(ArtifactError):
             TrainedModel.from_dict(payload)
 
@@ -648,13 +649,13 @@ ORACLE_CASES = [
 
 def saved_state_bytes(family: str, params: dict, x, y, seed: int = 0) -> bytes:
     model = fit_model(ModelSpec(family, params, seed=seed), x, y)
-    return json.dumps(model.to_dict()["state"]).encode("utf-8")
+    return json.dumps(records_to_lists(model.to_dict()["state"])).encode("utf-8")
 
 
 def oracle_state_bytes(family: str, params: dict, x, y, seed: int = 0) -> bytes:
     extra = {"seed": seed} if family == "RF" else {}
     state = ORACLE_STATES[family](x, y, **params, **extra)
-    return json.dumps(state).encode("utf-8")
+    return json.dumps(records_to_lists(state)).encode("utf-8")
 
 
 class TestTreeOracle:

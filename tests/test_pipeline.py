@@ -43,7 +43,7 @@ from urlsleuth.pipeline import (
 )
 from urlsleuth.urlfeat import CATALOG_VERSION, extract_matrix
 
-from conftest import read_artifact, write_artifact
+from conftest import edit_arrays, read_artifact, write_artifact
 
 
 def fit_artifact(urls, labels, spec: ModelSpec, **chain_kwargs) -> PipelineArtifact:
@@ -456,7 +456,7 @@ class TestPipelinePersistence:
         path, payload, chain = self._saved(url_corpus, tmp_path)
         assert set(payload) == {"artifact", "format_version", "catalog_version", "chain", "model"}
         assert payload["artifact"] == "urlsleuth-pipeline"
-        assert payload["format_version"] == 4
+        assert payload["format_version"] == 5
         assert payload["catalog_version"] == CATALOG_VERSION
         assert set(chain) == {"lm", "scaler", "selector", "projection"}
         assert set(chain["lm"]) == {"order", "k", "benign", "malicious"}
@@ -513,7 +513,7 @@ class TestPipelinePersistence:
         with pytest.raises(ArtifactError):
             load_pipeline(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
     def test_wrong_version_rejected(self, url_corpus, tmp_path, version):
         path, payload, _ = self._saved(url_corpus, tmp_path)
         payload["format_version"] = version
@@ -600,7 +600,7 @@ class TestPipelinePersistence:
         path, payload, chain = self._saved(
             url_corpus, tmp_path, top_k=30, use_projection=projected
         )
-        cut(chain)
+        edit_arrays(chain, cut)
         write_artifact(payload, chain, path)
         with pytest.raises(ArtifactError):
             load_pipeline(path)
