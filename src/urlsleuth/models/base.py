@@ -30,13 +30,20 @@ def check_int(name: str, value, low: int, allow_none: bool = False) -> int | Non
     return int(value)
 
 
-def check_real(name: str, value, low: float, strict: bool = False) -> float:
-    """``value`` as a finite float >= ``low`` (> ``low`` if ``strict``); an
-    int is taken, a bool, a string, NaN or an infinity raises ``ModelError``."""
+def _finite(value) -> float:
+    """``value`` as a float if it is a finite real number (an int beyond
+    the float range is not), else NaN; a bool is not a number here."""
     real = math.nan
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an int beyond the float range
             real = float(value)
+    return real if math.isfinite(real) else math.nan
+
+
+def check_real(name: str, value, low: float, strict: bool = False) -> float:
+    """``value`` as a finite float >= ``low`` (> ``low`` if ``strict``); an
+    int is taken, a bool, a string, NaN or an infinity raises ``ModelError``."""
+    real = _finite(value)
     if not math.isfinite(real) or real < low or (strict and real == low):
         bound = f"> {low}" if strict else f">= {low}"
         raise ModelError(f"{name} must be a finite number {bound}, got {value!r}")
@@ -69,31 +76,37 @@ _RECORD_KEYS = frozenset({"b64", "dtype", "shape"})
 
 
 def _dtype_code(dtype) -> str:
-    return "<i8" if np.issubdtype(dtype, np.integer) else "<f8"
+    """``"<f8"``, ``"<i8"`` or, for an unsigned type, its own little-endian
+    code (``"|u1"``, ``"<u2"``, ``"<u4"``, ``"<u8"``)."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "u":
+        return dtype.newbyteorder("<").str
+    return "<i8" if dtype.kind == "i" else "<f8"
 
 
 def array_record(arr: np.ndarray) -> dict:
-    """The saved form of ``arr``: integer arrays as int64, everything
-    else as float64, little-endian whatever the host."""
+    """The saved form of ``arr``: signed integer arrays as int64, unsigned
+    ones at their own width, everything else as float64, little-endian
+    whatever the host."""
     code = _dtype_code(arr.dtype)
     data = np.ascontiguousarray(arr, dtype=code).tobytes()
     return {"b64": base64.b64encode(data).decode("ascii"), "dtype": code, "shape": list(arr.shape)}
 
 
-def state_array(state: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+def state_array(state: dict, key: str, shape: tuple, dtype=np.float64, codes=None) -> np.ndarray:
     """``state[key]``, an ``array_record``, as an owned native-endian array
     of ``dtype`` and ``shape`` (a ``None`` dimension matches any size).
-    The record must carry exactly ``dtype``'s code, a shape that matches,
-    valid base64 of exactly that many 8-byte values and, for floats, only
-    finite values; anything else raises ``ArtifactError``."""
+    The record must carry ``dtype``'s code (or one of ``codes``), a shape
+    that matches, valid base64 of exactly that many values and, for
+    floats, only finite values; anything else raises ``ArtifactError``."""
     record = state[key]
     if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
         raise ArtifactError(f"saved array {key!r} must be an object with keys b64, dtype, shape")
-    code = _dtype_code(dtype)
-    if record["dtype"] != code:
-        raise ArtifactError(
-            f"saved array {key!r} has dtype {record['dtype']!r}, expected {code!r}"
-        )
+    codes = (_dtype_code(dtype),) if codes is None else codes
+    code = record["dtype"]
+    if code not in codes:
+        expected = " or ".join(map(repr, codes))
+        raise ArtifactError(f"saved array {key!r} has dtype {code!r}, expected {expected}")
     got = record["shape"]
     if (
         not isinstance(got, list)
@@ -107,15 +120,24 @@ def state_array(state: dict, key: str, shape: tuple, dtype=np.float64) -> np.nda
         data = base64.b64decode(record["b64"], validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ArtifactError(f"saved array {key!r} is not valid base64: {exc}") from exc
-    if len(data) != 8 * math.prod(got):
+    size = np.dtype(code).itemsize * math.prod(got)
+    if len(data) != size:
         raise ArtifactError(
-            f"saved array {key!r} holds {len(data)} bytes, expected {8 * math.prod(got)} "
-            f"for shape {got}"
+            f"saved array {key!r} holds {len(data)} bytes, expected {size} for shape {got}"
         )
     arr = np.frombuffer(data, dtype=code).reshape(got).astype(dtype)  # a writable copy
     if code == "<f8" and not np.all(np.isfinite(arr)):
         raise ArtifactError(f"saved array {key!r} contains NaN or infinite values")
     return arr
+
+
+def state_scalar(state: dict, key: str) -> float:
+    """``state[key]`` as a float; anything but a finite number (a bool, a
+    string, NaN, an infinity) raises ``ArtifactError``."""
+    real = _finite(state[key])
+    if not math.isfinite(real):
+        raise ArtifactError(f"saved scalar {key!r} must be a finite number, got {state[key]!r}")
+    return real
 
 
 def check_features(X) -> np.ndarray:

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array
+from .base import (
+    BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array, state_scalar,
+)
 
 
 def logistic_loss_and_grad(
@@ -73,7 +75,7 @@ class _GradientDescentLinear(BinaryClassifier):
 
     def state_from_dict(self, state: dict) -> None:
         self.weights_ = state_array(state, "weights", (self.n_features_,))
-        self.bias_ = float(state["bias"])
+        self.bias_ = state_scalar(state, "bias")
 
 
 class LogisticRegressionGD(_GradientDescentLinear):

@@ -18,7 +18,9 @@ import math
 import numpy as np
 
 from ..errors import ArtifactError, ModelError
-from .base import BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array
+from .base import (
+    BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array, state_scalar,
+)
 
 
 class _FlatTree:
@@ -67,29 +69,65 @@ class _FlatTree:
         return self.value[self.apply(X)]
 
     def to_dict(self) -> dict:
-        return {
-            name: array_record(getattr(self, name))
-            for name in ("feature", "threshold", "left", "right", "value")
-        }
+        return {name: array_record(getattr(self, name)) for name in _NODE_DTYPES}
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "_FlatTree":
-        """Rebuild a tree; split features must be below ``n_features`` and
-        every child must come after its parent, so ``apply`` terminates."""
-        tree = cls()
-        tree.feature = state_array(d, "feature", (None,), dtype=np.int64)
-        n_nodes = len(tree.feature)
-        tree.threshold = state_array(d, "threshold", (n_nodes,))
-        tree.left = state_array(d, "left", (n_nodes,), dtype=np.int64)
-        tree.right = state_array(d, "right", (n_nodes,), dtype=np.int64)
-        tree.value = state_array(d, "value", (n_nodes,))
-        if n_nodes == 0 or tree.feature.min() < -1 or tree.feature.max() >= n_features:
-            raise ArtifactError(f"tree is empty or splits outside the {n_features} features")
-        split = np.nonzero(tree.feature >= 0)[0]
-        for child in (tree.left[split], tree.right[split]):
-            if (child <= split).any() or (child >= n_nodes).any():
-                raise ArtifactError("tree child index does not follow its parent")
+        """Rebuild a tree saved by ``to_dict`` (checked as ``_load_trees`` says)."""
+        (tree,) = _load_trees(d, None, n_features)
         return tree
+
+
+_NODE_DTYPES = {
+    "feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
+    "value": np.float64,
+}
+
+
+def _pack_trees(trees: list[_FlatTree]) -> dict:
+    """Trees end to end, one record per node field, plus ``offsets``: tree
+    i holds nodes ``offsets[i]`` to ``offsets[i + 1]``, and its child
+    indices count from its own root."""
+    packed = {"offsets": array_record(np.cumsum([0] + [len(t.feature) for t in trees]))}
+    for name in _NODE_DTYPES:
+        packed[name] = array_record(np.concatenate([getattr(t, name) for t in trees]))
+    return packed
+
+
+def _load_trees(d: dict, n_trees: int | None, n_features: int) -> list[_FlatTree]:
+    """The ``n_trees`` trees ``_pack_trees`` saved in ``d``, or for ``None``
+    the one tree ``_FlatTree.to_dict`` saved.  The offsets must rise from
+    0 to the node count, a node or more per tree; split features must be
+    below ``n_features``, and every child must come after its parent
+    within its own tree, so ``apply`` terminates."""
+    arrays = {"feature": state_array(d, "feature", (None,), dtype=np.int64)}
+    n_nodes = len(arrays["feature"])
+    for name, dtype in list(_NODE_DTYPES.items())[1:]:
+        arrays[name] = state_array(d, name, (n_nodes,), dtype=dtype)
+    offsets = np.array([0, n_nodes])
+    if n_trees is not None:
+        offsets = state_array(d, "offsets", (n_trees + 1,), dtype=np.int64)
+        if offsets[0] != 0 or offsets[-1] != n_nodes or (np.diff(offsets) < 1).any():
+            raise ArtifactError(
+                f"tree offsets must rise from 0 to the {n_nodes} nodes, a node or more per tree"
+            )
+    feature = arrays["feature"]
+    if n_nodes == 0 or feature.min() < -1 or feature.max() >= n_features:
+        raise ArtifactError(f"tree is empty or splits outside the {n_features} features")
+    sizes = np.diff(offsets)
+    split = np.nonzero(feature >= 0)[0]
+    owner = np.repeat(np.arange(len(sizes)), sizes)[split]
+    local, size = split - offsets[owner], sizes[owner]
+    for child in (arrays["left"][split], arrays["right"][split]):
+        if (child <= local).any() or (child >= size).any():
+            raise ArtifactError("tree child index does not follow its parent")
+    trees = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        tree = _FlatTree()
+        for name, arr in arrays.items():
+            setattr(tree, name, arr[lo:hi])
+        trees.append(tree)
+    return trees
 
 
 def _check_max_features(value) -> int | str | None:
@@ -345,12 +383,10 @@ class RandomForest(BinaryClassifier):
         return votes / self.n_trees
 
     def state_to_dict(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees_]}
+        return {"trees": _pack_trees(self.trees_)}
 
     def state_from_dict(self, state: dict) -> None:
-        self.trees_ = [_FlatTree.from_dict(d, self.n_features_) for d in state["trees"]]
-        if len(self.trees_) != self.n_trees:
-            raise ArtifactError(f"{len(self.trees_)} trees stored for n_trees={self.n_trees}")
+        self.trees_ = _load_trees(state["trees"], self.n_trees, self.n_features_)
 
 
 class GradientBoostedTrees(BinaryClassifier):
@@ -411,8 +447,8 @@ class GradientBoostedTrees(BinaryClassifier):
         return sigmoid(self._raw(X))
 
     def state_to_dict(self) -> dict:
-        return {"f0": self.f0_, "trees": [t.to_dict() for t in self.trees_]}
+        return {"f0": self.f0_, "trees": _pack_trees(self.trees_)}
 
     def state_from_dict(self, state: dict) -> None:
-        self.f0_ = float(state["f0"])
-        self.trees_ = [_FlatTree.from_dict(d, self.n_features_) for d in state["trees"]]
+        self.f0_ = state_scalar(state, "f0")
+        self.trees_ = _load_trees(state["trees"], self.n_trees, self.n_features_)

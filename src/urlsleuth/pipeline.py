@@ -8,12 +8,12 @@ and returns them as one ``FeatureChain``, a pure function afterwards.  A
 ``PipelineArtifact`` is that chain plus one trained model; ``train``
 shares a single chain across every family of a run.  An artifact is
 saved as two files: the chain's saved form (``FeatureChain.to_dict``:
-the language-model pair as its order, k and two count maps, then each
-stage's arrays as base64 records) in ``chains/<sha256>.json`` beside
-the model file, named by the SHA-256 of its bytes, and the model file
-itself: a tag, a format version, the feature catalog version, that
-digest and the model (spec, feature count, state).  Every family of a
-run names the same chain file.  ``grid_search`` fits each grid point
+the language-model pair as its order, k and each model's count arrays,
+then each stage's arrays, all as base64 records) in
+``chains/<sha256>.json`` beside the model file, named by the SHA-256 of
+its bytes, and the model file itself: a tag, a format version, the
+feature catalog version, that digest and the model (spec, feature
+count, state).  Every family of a run names the same chain file.  ``grid_search`` fits each grid point
 once and returns the best fitted model; an empty grid is the defaults,
 a failed fit is never chosen.
 """
@@ -42,7 +42,7 @@ from .models.base import array_record, state_array
 from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
 
 PIPELINE_ARTIFACT_TAG = "urlsleuth-pipeline"
-PIPELINE_ARTIFACT_VERSION = 5
+PIPELINE_ARTIFACT_VERSION = 6
 CHAIN_DIR = "chains"  # beside the model files; one chain file per distinct chain
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
@@ -87,28 +87,31 @@ class Selector:
     score_per_feature: np.ndarray
 
 
-def _quantile_bins(col: np.ndarray, n_bins: int) -> np.ndarray:
-    """Equal-frequency bin ids; equal values always share a bin."""
-    edges = np.quantile(col, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
-    return np.searchsorted(edges, col, side="right")
+def _quantile_bins(X: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-frequency bin ids of each column; equal values always share a
+    bin.  A value's bin is the number of its column's inner edges at or
+    below it, as ``searchsorted(edges, col, side="right")`` gives it."""
+    edges = np.quantile(X, np.linspace(0.0, 1.0, n_bins + 1)[1:-1], axis=0)
+    bins = np.zeros(X.shape, np.intp)
+    for edge in edges:
+        bins += edge <= X
+    return bins
 
 
-def mutual_information(bins: np.ndarray, labels: np.ndarray) -> float:
-    """I(bin; label) in nats from empirical joint frequencies."""
-    n = len(bins)
-    joint: dict[tuple[int, int], int] = {}
-    for b, y in zip(bins.tolist(), labels.tolist()):
-        joint[(b, y)] = joint.get((b, y), 0) + 1
-    p_b: dict[int, float] = {}
-    p_y: dict[int, float] = {}
-    for (b, y), c in joint.items():
-        p_b[b] = p_b.get(b, 0.0) + c / n
-        p_y[y] = p_y.get(y, 0.0) + c / n
-    mi = 0.0
-    for (b, y), c in joint.items():
-        p_joint = c / n
-        mi += p_joint * np.log(p_joint / (p_b[b] * p_y[y]))
-    return max(0.0, float(mi))
+def _mutual_information(bins: np.ndarray, labels: np.ndarray, n_bins: int) -> np.ndarray:
+    """I(bin; label) in nats of every column of ``bins``, from the empirical
+    joint frequencies: one ``bincount`` over (column, bin, label)."""
+    n, d = bins.shape
+    classes, labels = np.unique(labels, return_inverse=True)
+    cells = (np.arange(d) * n_bins + bins) * len(classes) + labels.reshape(-1, 1)
+    joint = np.bincount(cells.reshape(-1), minlength=d * n_bins * len(classes))
+    p_joint = joint.reshape(d, n_bins, len(classes)) / n
+    p_bin = p_joint.sum(axis=2, keepdims=True)
+    p_label = p_joint.sum(axis=1, keepdims=True)
+    seen = p_joint > 0
+    terms = np.zeros_like(p_joint)
+    terms[seen] = p_joint[seen] * np.log(p_joint[seen] / (p_bin * p_label)[seen])
+    return np.maximum(terms.sum(axis=(1, 2)), 0.0)
 
 
 def fit_selector(X, y, top_k: int) -> Selector:
@@ -123,9 +126,7 @@ def fit_selector(X, y, top_k: int) -> Selector:
             stacklevel=2,
         )
         top_k = d
-    scores = np.array(
-        [mutual_information(_quantile_bins(X[:, j], MI_BIN_COUNT), y) for j in range(d)]
-    )
+    scores = _mutual_information(_quantile_bins(X, MI_BIN_COUNT), y, MI_BIN_COUNT)
     # highest score first; equal scores prefer the lower index
     order = np.lexsort((np.arange(d), -scores))
     kept = np.sort(order[:top_k])
@@ -399,7 +400,7 @@ def _load_chain(path: Path, digest: str) -> FeatureChain:
         raise ArtifactError(f"chain file {path} does not match the SHA-256 in its name")
     try:
         return FeatureChain.from_dict(parse_json(data, path))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ModelError) as exc:
         raise ArtifactError(f"feature chain {path} is malformed: {exc}") from exc
 
 

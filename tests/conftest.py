@@ -55,7 +55,7 @@ def records_to_lists(obj):
     holds (decoded by ``state_array``): the decimal form of format 4."""
     if isinstance(obj, dict):
         if obj.keys() == RECORD_KEYS:
-            dtype = np.int64 if obj["dtype"] == "<i8" else np.float64
+            dtype = np.dtype(obj["dtype"])
             return state_array({"a": obj}, "a", (None,) * len(obj["shape"]), dtype).tolist()
         return {key: records_to_lists(value) for key, value in obj.items()}
     if isinstance(obj, list):
@@ -67,7 +67,7 @@ def lists_to_records(obj):
     """The inverse of ``records_to_lists``: every list of numbers, nested to
     any depth, becomes an ``array_record``.  Its dtype follows the values,
     so a list holding a fraction becomes a ``"<f8"`` record even where the
-    field is an integer one."""
+    field is an integer one, and integers become ``"<i8"`` records."""
     if isinstance(obj, dict):
         return {key: lists_to_records(value) for key, value in obj.items()}
     if isinstance(obj, list) and obj and isinstance(obj[0], dict):
@@ -77,13 +77,27 @@ def lists_to_records(obj):
     return obj
 
 
+def _reencode(plain, original):
+    """``lists_to_records(plain)``, except that each record of ``original``
+    whose list ``plain`` holds unchanged is kept as it was, dtype and all."""
+    if isinstance(original, dict) and original.keys() == RECORD_KEYS:
+        return original if plain == records_to_lists(original) else lists_to_records(plain)
+    if isinstance(plain, dict) and isinstance(original, dict):
+        return {key: _reencode(value, original.get(key)) for key, value in plain.items()}
+    if isinstance(plain, list) and isinstance(original, list) and len(plain) == len(original):
+        return [_reencode(p, o) for p, o in zip(plain, original)]
+    return lists_to_records(plain)
+
+
 def edit_arrays(section: dict, edit) -> None:
     """Apply ``edit``, written against the list form, to the saved arrays
-    of ``section`` in place: decode every record, edit, re-encode."""
+    of ``section`` in place: decode every record, edit, re-encode the
+    records the edit changed."""
     plain = records_to_lists(section)
     edit(plain)
+    edited = _reencode(plain, section)
     section.clear()
-    section.update(lists_to_records(plain))
+    section.update(edited)
 
 
 def make_dataset(rows: Sequence[tuple[str, int]], id: str = "d0") -> Dataset:

@@ -11,6 +11,17 @@ saves, so a test can compare the saved bytes of both implementations.
 ``average_ranks`` is the tie-averaging rank loop that
 ``urlsleuth.evaluation._average_ranks`` ran before it took the ranks
 from ``np.unique``.
+
+``DictGramModel`` is the character n-gram model as
+``urlsleuth.charlm.CharGramModel`` kept it before its counts became
+sorted arrays: a context -> symbol -> count map filled by a loop over
+every character, and a probability, log-likelihood and score worked out
+one character at a time.  ``from_model`` reads a fitted model's arrays
+into it, ``to_arrays`` writes its map in the array form.
+
+``mutual_information`` is the dict loop that scored one column of
+``urlsleuth.pipeline.fit_selector`` before it scored all of them with one
+``np.bincount``.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import math
 
 import numpy as np
 
+from urlsleuth.charlm import _ID, BEGIN, END, UNK, VOCAB_SIZE, CharGramModel
 from urlsleuth.errors import ModelError
 from urlsleuth.models.base import sigmoid
 from urlsleuth.models.trees import _FlatTree
@@ -180,3 +192,104 @@ def gbt_state(X, y, n_trees=30, learning_rate=0.3, max_depth=3, min_samples_spli
         raw += learning_rate * tree.predict(X)
         trees.append(tree)
     return {"f0": f0, "trees": [t.to_dict() for t in trees]}
+
+
+_PREDICTABLE = frozenset(_ID) - {BEGIN}
+_CHARS = sorted(_ID, key=_ID.__getitem__)  # by table id
+
+
+def _norm_char(ch: str) -> str:
+    return ch if "\x20" <= ch <= "\x7e" else UNK
+
+
+class DictGramModel:
+    """Add-k character n-gram model over a context -> symbol -> count map."""
+
+    def __init__(self, order: int, k: float, counts: dict[str, dict[str, int]]):
+        self.order, self.k, self.counts = order, k, counts
+        self.totals = {ctx: sum(bucket.values()) for ctx, bucket in counts.items()}
+
+    def _padded(self, url: str) -> str:
+        return BEGIN * (self.order - 1) + "".join(_norm_char(ch) for ch in url) + END
+
+    @classmethod
+    def fit(cls, urls, order: int = 3, k: float = 1.0) -> "DictGramModel":
+        """Count every n-gram of the padded URLs, one character at a time."""
+        model = cls(order, k, {})
+        n = order - 1
+        for url in urls:
+            text = model._padded(url)
+            for i in range(n, len(text)):
+                bucket = model.counts.setdefault(text[i - n : i], {})
+                bucket[text[i]] = bucket.get(text[i], 0) + 1
+        return cls(order, k, model.counts)
+
+    @classmethod
+    def from_model(cls, model: CharGramModel) -> "DictGramModel":
+        counts: dict[str, dict[str, int]] = {}
+        for row, count in zip(model.keys.tolist(), model.counts.tolist()):
+            ctx = "".join(_CHARS[i] for i in row[:-1])
+            counts.setdefault(ctx, {})[_CHARS[row[-1]]] = count
+        return cls(model.order, model.k, counts)
+
+    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The map as ``CharGramModel``'s ``keys`` and ``counts``."""
+        rows = sorted(
+            ([_ID[ch] for ch in ctx + sym], count)
+            for ctx, bucket in self.counts.items()
+            for sym, count in bucket.items()
+        )
+        keys = np.array([row for row, _ in rows], np.uint8).reshape(-1, self.order)
+        return keys, np.array([count for _, count in rows], np.int64)
+
+    def conditional_prob(self, symbol: str, context: str) -> float:
+        """P(symbol | context) with add-k smoothing.
+
+        ``context`` must have exactly ``order - 1`` characters; characters
+        outside the inventory are folded to the catch-all symbol on both
+        sides.  An unseen context falls back to the uniform
+        (0 + k) / (0 + k*V) = 1/V.
+        """
+        if len(context) != self.order - 1:
+            raise ModelError(
+                f"context must have {self.order - 1} characters, got {len(context)}"
+            )
+        sym = symbol if symbol in _PREDICTABLE else _norm_char(symbol)
+        ctx = "".join(ch if ch == BEGIN else _norm_char(ch) for ch in context)
+        count = self.counts.get(ctx, {}).get(sym, 0)
+        total = self.totals.get(ctx, 0)
+        return (count + self.k) / (total + self.k * VOCAB_SIZE)
+
+    def sequence_logprob(self, url: str) -> float:
+        """Natural-log likelihood of the URL plus its end marker."""
+        text = self._padded(url)
+        n = self.order - 1
+        lp = 0.0
+        for i in range(n, len(text)):
+            ctx = text[i - n : i]
+            count = self.counts.get(ctx, {}).get(text[i], 0)
+            total = self.totals.get(ctx, 0)
+            lp += math.log((count + self.k) / (total + self.k * VOCAB_SIZE))
+        return lp
+
+    def score(self, url: str) -> float:
+        """Length-normalized log-likelihood: sequence_logprob / (len(url) + 1)."""
+        return self.sequence_logprob(url) / (len(url) + 1)
+
+
+def mutual_information(bins: np.ndarray, labels: np.ndarray) -> float:
+    """I(bin; label) in nats from empirical joint frequencies."""
+    n = len(bins)
+    joint: dict[tuple[int, int], int] = {}
+    for b, y in zip(bins.tolist(), labels.tolist()):
+        joint[(b, y)] = joint.get((b, y), 0) + 1
+    p_b: dict[int, float] = {}
+    p_y: dict[int, float] = {}
+    for (b, y), c in joint.items():
+        p_b[b] = p_b.get(b, 0.0) + c / n
+        p_y[y] = p_y.get(y, 0.0) + c / n
+    mi = 0.0
+    for (b, y), c in joint.items():
+        p_joint = c / n
+        mi += p_joint * np.log(p_joint / (p_b[b] * p_y[y]))
+    return max(0.0, float(mi))

@@ -36,6 +36,8 @@ from urlsleuth.models.neural import MlpClassifier
 from urlsleuth.pipeline import MI_BIN_COUNT, fit_selector, load_pipeline, save_pipeline
 from urlsleuth.synth import generate_dataset, materialize_run
 
+from oracles import DictGramModel
+
 # Reference cross-benchmark rank grid: per-dataset ranks of ten detector
 # families on five test datasets, with the expected aggregate RNK column.
 REFERENCE_RANK_CELLS = {
@@ -185,8 +187,8 @@ def test_criterion_04_language_model_soundness():
         "".join(rnd.choice(alphabet + "!$~@") for _ in range(rnd.randrange(20, 60)))
         for _ in range(300)
     ]
-    benign = CharGramModel(order=3).fit(benign_corpus)
-    malicious = CharGramModel(order=3).fit(malicious_corpus)
+    benign = DictGramModel.from_model(CharGramModel(order=3).fit(benign_corpus))
+    malicious = DictGramModel.from_model(CharGramModel(order=3).fit(malicious_corpus))
     worst = 0.0
     for _ in range(100):
         context = "".join(rnd.choice(alphabet + "\x02") for _ in range(2))

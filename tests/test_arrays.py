@@ -63,6 +63,21 @@ class TestRoundTrip:
                           "dtype": "<f8", "shape": [2]}
         assert array_record(np.array([[3, -4]], dtype=">i4"))["dtype"] == "<i8"
 
+    @pytest.mark.parametrize(
+        "dtype, code",
+        [(np.uint8, "|u1"), (np.dtype(">u2"), "<u2"), (np.uint32, "<u4"), (np.uint64, "<u8")],
+    )
+    def test_unsigned_kept_at_their_width(self, dtype, code):
+        arr = np.array([[0, 1], [np.iinfo(dtype).max, 7]], dtype=dtype)
+        state = saved(arr)
+        assert state["a"]["dtype"] == code
+        assert len(base64.b64decode(state["a"]["b64"])) == 4 * np.dtype(dtype).itemsize
+        got = state_array(state, "a", (2, 2), dtype=arr.dtype.type)
+        assert got.dtype == arr.dtype.type and np.array_equal(got, arr)
+        # A field may take any of several codes and decode them to one dtype.
+        wide = state_array(state, "a", (2, 2), np.int64, codes=("|u1", "<u2", "<u4", "<u8"))
+        assert wide.dtype == np.int64 and np.array_equal(wide, arr.astype(np.int64))
+
     def test_decoded_array_is_owned_writable_native(self):
         got = state_array(saved(np.arange(6.0).reshape(2, 3)), "a", (2, None))
         assert got.flags.owndata and got.flags.writeable
@@ -111,6 +126,9 @@ class TestRejected:
             (_with(shape=[2, 2, 1]), np.float64),
             (_with(shape=[1, 4]), np.float64),
             (array_record(np.arange(4).reshape(4, 1)), np.int64),
+            (array_record(np.arange(4, dtype=np.uint8).reshape(2, 2)), np.int64),
+            (array_record(np.arange(4).reshape(2, 2)), np.uint8),
+            (_with(dtype="|u1"), np.uint8),
             (_with(b64="!!!!" + _good()["b64"][4:]), np.float64),
             (_with(b64=_good()["b64"][:-1]), np.float64),
             (_with(b64=_good()["b64"][:8] + "\n" + _good()["b64"][8:]), np.float64),
@@ -126,7 +144,8 @@ class TestRejected:
             "list", "str", "null", "missing-dtype", "extra-key", "big-endian", "float32",
             "int-in-float-field", "float-in-int-field", "dtype-null", "shape-not-list",
             "shape-str", "shape-float", "shape-bool", "shape-negative", "shape-rank-1",
-            "shape-rank-3", "shape-rows", "shape-int-field", "b64-bad-chars", "b64-bad-padding",
+            "shape-rank-3", "shape-rows", "shape-int-field", "uint8-in-int-field",
+            "int-in-uint8-field", "uint8-bytes-of-floats", "b64-bad-chars", "b64-bad-padding",
             "b64-newline", "b64-non-ascii", "b64-number", "bytes-short", "bytes-long", "nan",
             "inf", "-inf",
         ],

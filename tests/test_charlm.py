@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urlsleuth.charlm import (
+    _ID,
     BEGIN,
     END,
     SYMBOLS,
@@ -21,15 +22,23 @@ from urlsleuth.charlm import (
     CharGramModel,
     LmScorePair,
 )
-from urlsleuth.errors import ModelError
+from urlsleuth.errors import ArtifactError, ModelError
+from urlsleuth.models.base import array_record
 from urlsleuth.synth import generate_dataset
+
+from oracles import DictGramModel
+
+
+def fitted(urls, order: int = 3, k: float = 1.0) -> DictGramModel:
+    """The dict-backed oracle holding the counts ``CharGramModel.fit`` made."""
+    return DictGramModel.from_model(CharGramModel(order, k).fit(urls))
 
 
 class TestHandOracles:
     """Probabilities worked out by hand for a one-string corpus."""
 
     def test_bigram_on_ab(self):
-        m = CharGramModel(order=2, k=1.0).fit(["ab"])
+        m = fitted(["ab"], 2, 1.0)
         # Observed transitions: BEGIN->a, a->b, b->END, each once.
         assert m.conditional_prob("a", BEGIN) == pytest.approx((1 + 1) / (1 + 97))
         assert m.conditional_prob("b", "a") == pytest.approx(2 / 98)
@@ -40,56 +49,56 @@ class TestHandOracles:
         assert m.conditional_prob("a", "q") == pytest.approx(1 / VOCAB_SIZE)
 
     def test_bigram_logprob_is_sum_of_transitions(self):
-        m = CharGramModel(order=2, k=1.0).fit(["ab"])
+        m = fitted(["ab"], 2, 1.0)
         assert m.sequence_logprob("ab") == pytest.approx(3 * math.log(2 / 98))
 
     def test_duplicated_corpus_doubles_counts(self):
-        m = CharGramModel(order=2, k=1.0).fit(["ab", "ab"])
+        m = fitted(["ab", "ab"], 2, 1.0)
         assert m.conditional_prob("b", "a") == pytest.approx((2 + 1) / (2 + 97))
 
     def test_trigram_context_is_two_chars(self):
-        m = CharGramModel(order=3, k=1.0).fit(["abc"])
+        m = fitted(["abc"], 3, 1.0)
         assert m.conditional_prob("a", BEGIN + BEGIN) == pytest.approx(2 / 98)
         assert m.conditional_prob("c", "ab") == pytest.approx(2 / 98)
         assert m.conditional_prob(END, "bc") == pytest.approx(2 / 98)
 
     def test_untrained_model_is_uniform(self):
-        m = CharGramModel(order=3, k=1.0)
+        m = DictGramModel.from_model(CharGramModel(order=3, k=1.0))
         text = "abc"
         assert m.sequence_logprob(text) == pytest.approx(
             (len(text) + 1) * math.log(1 / VOCAB_SIZE)
         )
 
     def test_empty_text_scores_end_transition_only(self):
-        m = CharGramModel(order=2, k=1.0).fit(["ab"])
+        m = fitted(["ab"], 2, 1.0)
         assert m.sequence_logprob("") == pytest.approx(math.log(1 / 98))
 
     def test_score_is_length_normalized(self):
-        m = CharGramModel(order=2, k=1.0).fit(["ab"])
+        m = fitted(["ab"], 2, 1.0)
         url = "abab"
         assert m.score(url) == pytest.approx(m.sequence_logprob(url) / (len(url) + 1))
 
 
 class TestModelBehaviour:
     def test_out_of_inventory_chars_fold_to_catchall(self):
-        m = CharGramModel(order=2, k=1.0).fit(["café"])
+        m = fitted(["café"], 2, 1.0)
         # The accented char was folded at training time, so the catch-all
         # symbol and any other non-ASCII char score identically.
         assert m.conditional_prob(UNK, "f") == m.conditional_prob("中", "f")
         assert m.sequence_logprob("café") == pytest.approx(m.sequence_logprob("caf" + UNK))
 
     def test_more_evidence_raises_probability(self):
-        seen = CharGramModel(order=2, k=1.0).fit(["ab"])
-        seen_more = CharGramModel(order=2, k=1.0).fit(["ab", "ab", "ab"])
+        seen = fitted(["ab"], 2, 1.0)
+        seen_more = fitted(["ab", "ab", "ab"], 2, 1.0)
         assert seen_more.conditional_prob("b", "a") > seen.conditional_prob("b", "a")
 
     def test_familiar_text_scores_higher(self):
         corpus = ["banana", "bandana", "cabana"]
-        m = CharGramModel(order=3, k=1.0).fit(corpus)
+        m = fitted(corpus, 3, 1.0)
         assert m.score("banana") > m.score("zqxjkw")
 
     def test_context_length_enforced(self):
-        m = CharGramModel(order=3, k=1.0)
+        m = DictGramModel.from_model(CharGramModel(order=3, k=1.0))
         with pytest.raises(ModelError, match="context"):
             m.conditional_prob("a", "toolong")
 
@@ -122,7 +131,7 @@ class TestModelBehaviour:
     def test_distribution_normalizes(self, context_source):
         rng = random.Random(5)
         corpus = ["".join(rng.choice("abc/:.") for _ in range(12)) for _ in range(30)]
-        m = CharGramModel(order=3, k=1.0).fit(corpus)
+        m = fitted(corpus, 3, 1.0)
         context = (context_source + BEGIN * 2)[:2]
         total = sum(m.conditional_prob(s, context) for s in SYMBOLS)
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -130,7 +139,7 @@ class TestModelBehaviour:
     @given(st.text(max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_logprob_finite_and_negative(self, text):
-        m = CharGramModel(order=3, k=1.0).fit(["http://example.com"])
+        m = fitted(["http://example.com"], 3, 1.0)
         lp = m.sequence_logprob(text)
         assert math.isfinite(lp)
         assert lp < 0.0
@@ -140,8 +149,8 @@ class TestModelBehaviour:
         pair = LmScorePair(order=3, k=0.5).fit(urls, np.array([0, 1, 0]))
         restored = LmScorePair.from_dict(json.loads(json.dumps(pair.to_dict())))
         for m, r in ((pair.benign, restored.benign), (pair.malicious, restored.malicious)):
-            for text in ["http://a.com/x", "zzz", "", "éé"]:
-                assert r.sequence_logprob(text) == m.sequence_logprob(text)
+            assert np.array_equal(r.keys, m.keys) and r.keys.dtype == np.uint8
+            assert np.array_equal(r.counts, m.counts) and r.counts.dtype == np.int64
         assert restored.to_dict() == pair.to_dict()
 
 
@@ -151,8 +160,8 @@ class TestScorePair:
         malicious = CharGramModel(order=2, k=1.0).fit(["zzzz", "zzzy"])
         pair = LmScorePair(order=2, benign=benign, malicious=malicious).transform(["aaaa"])[0]
         assert pair.shape == (2,)
-        assert pair[0] == pytest.approx(benign.score("aaaa"))
-        assert pair[1] == pytest.approx(malicious.score("aaaa"))
+        assert pair[0] == pytest.approx(DictGramModel.from_model(benign).score("aaaa"))
+        assert pair[1] == pytest.approx(DictGramModel.from_model(malicious).score("aaaa"))
         assert pair[0] > pair[1]
 
     def test_identical_corpora_give_equal_scores(self):
@@ -174,9 +183,9 @@ class TestScorePair:
         payload = LmScorePair(order=2, k=1.0).fit(["a", "b"], np.array([0, 1])).to_dict()
         for benign, malicious, side in [(2, 3, "malicious"), (3, 2, "benign")]:
             mixed = dict(payload)
-            mixed["benign"] = CharGramModel(benign).fit(["a"])._ctx_counts
-            mixed["malicious"] = CharGramModel(malicious).fit(["b"])._ctx_counts
-            with pytest.raises(ModelError, match=f"{side} context .* order 2 needs 1"):
+            mixed["benign"] = CharGramModel(benign).fit(["a"]).to_dict()
+            mixed["malicious"] = CharGramModel(malicious).fit(["b"]).to_dict()
+            with pytest.raises(ArtifactError, match=rf"{side} saved array 'keys' has shape \[\d+, 3\], expected \[n, 2\]"):
                 LmScorePair.from_dict(mixed)
 
 
@@ -195,8 +204,9 @@ class TestLmScorePair:
         pair = LmScorePair(order=2, k=1.0).fit(["aa", "zz"], np.array([0, 1]))
         mat = pair.transform(urls)
         assert mat.shape == (3, 2)
+        benign, malicious = DictGramModel.from_model(pair.benign), DictGramModel.from_model(pair.malicious)
         for i, url in enumerate(urls):
-            assert tuple(mat[i]) == (pair.benign.score(url), pair.malicious.score(url))
+            assert tuple(mat[i]) == (benign.score(url), malicious.score(url))
 
     def test_round_trip(self):
         pair = LmScorePair(order=3, k=1.0).fit(["aaa", "zzz"], np.array([0, 1]))
@@ -247,14 +257,16 @@ class TestVectorizedScores:
         scores = pair.transform(batch)
         restored = LmScorePair.from_dict(json.loads(json.dumps(pair.to_dict())))
         assert np.array_equal(restored.transform(batch), scores)
+        self.assert_scalar(pair, batch, scores)
         for url, row in zip(batch, scores):
-            assert tuple(row) == (pair.benign.score(url), pair.malicious.score(url))
             assert tuple(pair.transform([url])[0]) == tuple(row)
 
     @staticmethod
-    def assert_scalar(pair, urls):
-        for url, row in zip(urls, pair.transform(urls)):
-            assert tuple(row) == (pair.benign.score(url), pair.malicious.score(url)), url
+    def assert_scalar(pair, urls, scores=None):
+        scores = pair.transform(urls) if scores is None else scores
+        benign, malicious = DictGramModel.from_model(pair.benign), DictGramModel.from_model(pair.malicious)
+        for url, row in zip(urls, scores):
+            assert tuple(row) == (benign.score(url), malicious.score(url)), url
 
     def test_unseen_first_context_character(self):
         # 'x', 'y' and 'z' never start a context in training, so the search
@@ -285,7 +297,8 @@ class TestVectorizedScores:
         before = pair.transform(["abc"])
         model.fit(["bc", "bc"])
         after = pair.transform(["abc"])
-        assert tuple(after[0]) == (model.score("abc"), model.score("abc"))
+        oracle = DictGramModel.from_model(model)
+        assert tuple(after[0]) == (oracle.score("abc"), oracle.score("abc"))
         assert not np.array_equal(before, after)
 
 
@@ -302,51 +315,111 @@ def test_transform_bytes_are_frozen():
     assert digest.hexdigest() == "81705023d53380598ba237c4b1731a68bfeeddf92e5abd230aaf6bf48aff3132"
 
 
-def _lm_payload() -> dict:
-    return LmScorePair(order=3, k=1.0).fit(
-        ["http://a.com/x", "https://b.org/?q=1"], np.array([0, 1])
-    ).to_dict()
+class TestFitEqualsDictLoop:
+    """``CharGramModel.fit``'s arrays against the per-character dict loop."""
+
+    @given(
+        urls=st.lists(_TEXT, max_size=12),
+        order=st.integers(1, 6),
+    )
+    @example(urls=["é\udc00\x00\x7f", BEGIN + END + UNK, "", "\U0001f600a\t"], order=6)
+    @settings(max_examples=80, deadline=None)
+    def test_arrays_equal_dict_counts(self, urls, order):
+        model = CharGramModel(order).fit(urls)
+        keys, counts = DictGramModel.fit(urls, order).to_arrays()
+        assert model.keys.dtype == np.uint8 and model.counts.dtype == np.int64
+        assert np.array_equal(model.keys, keys)
+        assert np.array_equal(model.counts, counts)
+        # What fit makes, loading takes.
+        assert LmScorePair.from_dict(LmScorePair(order, 1.0, model, model).to_dict())
+
+    def test_counts_saved_in_the_narrowest_unsigned_type(self):
+        for repeat, code in [(1, "|u1"), (255, "|u1"), (256, "<u2"), (70000, "<u4")]:
+            saved = CharGramModel(1).fit(["a"] * repeat).to_dict()
+            assert saved["keys"]["dtype"] == "|u1"
+            assert saved["counts"]["dtype"] == code
+
+
+def _side_records(keys, counts, counts_dtype=np.uint64) -> dict:
+    """A model's saved arrays, written from arrays given in any form."""
+    return {
+        "keys": array_record(np.asarray(keys, np.uint8)),
+        "counts": array_record(np.asarray(counts).astype(counts_dtype)),
+    }
+
+
+def _set(array, index, value):
+    array[index] = value
+    return array
 
 
 class TestMalformedCounts:
-    """A saved count map must be one ``fit`` could have made."""
+    """Saved count arrays must be ones ``fit`` could have made.  Each edit
+    takes copies of a fitted model's keys and counts and returns the saved
+    arrays to load in their place."""
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "edit, error, message",
         [
-            (lambda m: m["ht"].update(ab=1), "symbols .* not in the inventory"),
-            (lambda m: m["ht"].update({"é": 1}), "symbols .* not in the inventory"),
-            (lambda m: m["ht"].update({BEGIN: 1}), "symbols .* not in the inventory"),
-            (lambda m: m.update({"hé": {"a": 1}}), "contexts hold"),
-            (lambda m: m.update({"h" + BEGIN: {"a": 1}}), "contexts hold"),
-            (lambda m: m.update({END + "h": {"a": 1}}), "contexts hold"),
-            (lambda m: m.update({"abc": {"a": 1}}), "has 3 characters"),
-            (lambda m: m["ht"].update(t=-1), "integers in"),
-            (lambda m: m["ht"].update(t=0), "integers in"),
-            (lambda m: m["ht"].update(t=1.5), "integers in"),
-            (lambda m: m["ht"].update(t=1.0), "integers in"),
-            (lambda m: m["ht"].update(t=True), "integers in"),
-            (lambda m: m["ht"].update(t=2**53), "integers in"),
-            (lambda m: m["ht"].update(t=-10**6), "integers in"),
-            (lambda m: m.update(ht={}), "integers in"),
+            (lambda k, c: _side_records(_set(k, (0, -1), _ID[BEGIN]), c), ModelError,
+             "symbol ids .* not in the inventory"),
+            (lambda k, c: _side_records(_set(k, (0, -1), 98), c), ModelError,
+             "symbol ids .* not in the inventory"),
+            (lambda k, c: _side_records(_set(k, (0, -1), 200), c), ModelError,
+             "symbol ids .* not in the inventory"),
+            (lambda k, c: _side_records(_set(k, (0, 0), 200), c), ModelError, "contexts hold"),
+            (lambda k, c: _side_records(_set(k, (0, 1), _ID[BEGIN]), c), ModelError,
+             "contexts hold"),
+            (lambda k, c: _side_records(_set(k, (0, 0), _ID[END]), c), ModelError,
+             "contexts hold"),
+            (lambda k, c: _side_records(np.hstack([k[:, :1], k]), c), ArtifactError,
+             r"'keys' has shape \[\d+, 4\], expected \[n, 3\]"),
+            (lambda k, c: _side_records(k[:, 1:], c), ArtifactError,
+             r"'keys' has shape \[\d+, 2\], expected \[n, 3\]"),
+            (lambda k, c: _side_records(k, _set(c, 0, 0)), ModelError, "integers in"),
+            (lambda k, c: _side_records(k, _set(c, 0, 2**53)), ModelError, "integers in"),
+            (lambda k, c: _side_records(k, _set(c.astype(np.uint64), 0, 2**64 - 1)), ModelError,
+             "integers in"),
+            (lambda k, c: _side_records(k, _set(c, 0, -1), np.int64), ArtifactError,
+             "'counts' has dtype '<i8'"),
+            (lambda k, c: _side_records(k, c, np.float64), ArtifactError,
+             "'counts' has dtype '<f8'"),
+            (lambda k, c: {**_side_records(k, c), "keys": array_record(k.astype(np.int64))},
+             ArtifactError, "'keys' has dtype '<i8'"),
+            (lambda k, c: _side_records(k, c[:-1]), ArtifactError, "'counts' has shape"),
+            (lambda k, c: _side_records(k[[1, 0, *range(2, len(k))]], c), ModelError,
+             "strictly increasing"),
+            (lambda k, c: _side_records(_set(k, 1, k[0]), c), ModelError, "strictly increasing"),
+            (lambda k, c: _side_records(k[::-1], c[::-1]), ModelError, "strictly increasing"),
         ],
         ids=[
-            "symbol-two-chars", "symbol-non-ascii", "symbol-begin", "context-non-ascii",
-            "context-begin-after-char", "context-end", "context-too-long", "count-negative",
-            "count-zero", "count-fraction", "count-float", "count-true", "count-2**53",
-            "count-minus-million", "context-without-counts",
+            "symbol-begin", "symbol-beyond-ids", "symbol-non-ascii", "context-non-ascii",
+            "context-begin-after-char", "context-end", "context-too-long", "context-too-short",
+            "count-zero", "count-2**53", "count-2**64-1", "count-signed", "count-float",
+            "keys-int64", "counts-fewer-than-keys", "keys-unsorted", "keys-duplicate",
+            "keys-descending",
         ],
     )
     @pytest.mark.parametrize("side", ["benign", "malicious"])
-    def test_rejected_at_load(self, side, edit, message):
-        payload = _lm_payload()
-        edit(payload[side])
-        with pytest.raises(ModelError, match=f"{side} .*{message}"):
+    def test_rejected_at_load(self, side, edit, error, message):
+        pair = _lm_pair()
+        model = getattr(pair, side)
+        payload = pair.to_dict()
+        payload[side] = edit(model.keys.copy(), model.counts.copy())
+        with pytest.raises(error, match=f"{side} .*{message}"):
             LmScorePair.from_dict(payload)
 
-    def test_fitted_maps_load(self):
-        payload = _lm_payload()
+    def test_fitted_arrays_load(self):
+        payload = _lm_pair().to_dict()
         assert LmScorePair.from_dict(payload).to_dict() == payload
         # A leading run of BEGIN and the catch-all are part of the inventory.
-        payload["benign"][BEGIN + UNK] = {UNK: 2, END: 1}
+        model = CharGramModel(3).fit(["é" + UNK])
+        assert [_ID[BEGIN], _ID[UNK], _ID[UNK]] in model.keys.tolist()
+        payload["benign"] = model.to_dict()
         LmScorePair.from_dict(payload)
+
+
+def _lm_pair() -> LmScorePair:
+    return LmScorePair(order=3, k=1.0).fit(
+        ["http://a.com/x", "https://b.org/?q=1"], np.array([0, 1])
+    )

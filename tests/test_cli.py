@@ -15,14 +15,17 @@ import numpy as np
 import pytest
 
 from urlsleuth import corpus
+from urlsleuth.charlm import CharGramModel
 from urlsleuth.cli import main
 from urlsleuth.config import DEFAULT_GRIDS, load_run_config
 from urlsleuth.models import FAMILIES, BinaryClassifier, ModelSpec, fit_model
+from urlsleuth.models.base import array_record
 from urlsleuth.pipeline import PipelineArtifact, fit_chain, load_pipeline, save_pipeline
 from urlsleuth.synth import generate_dataset, materialize_run
 from urlsleuth.urlfeat import catalog
 
 from conftest import edit_arrays, read_artifact, records_to_lists, write_artifact, write_csv
+from oracles import DictGramModel
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -633,18 +636,22 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda counts: counts.update(ab=1),
-            lambda counts: counts.update({"é": 1}),
-            lambda counts: counts.update(a=-10**6),
-            lambda counts: counts.update(a=0.5),
-            lambda counts: counts.update(a=True),
+            lambda keys, counts: keys.__setitem__((0, -1), 97),
+            lambda keys, counts: keys.__setitem__((0, 0), 200),
+            lambda keys, counts: keys.__setitem__(1, keys[0]),
+            lambda keys, counts: counts.__setitem__(0, 0),
+            lambda keys, counts: counts.__setitem__(0, 2**64 - 1),
         ],
-        ids=["symbol-two-chars", "symbol-non-ascii", "count-negative", "count-fraction",
-             "count-true"],
+        ids=["symbol-begin", "context-non-ascii", "keys-duplicate", "count-zero",
+             "count-2**64-1"],
     )
     def test_malformed_lm_counts_reported(self, edit, workspace, tmp_path, capsys):
         payload, chain = read_artifact(workspace["out_dir"] / "models" / "LR.json")
-        edit(next(iter(chain["lm"]["malicious"].values())))
+        lm = chain["lm"]
+        model = CharGramModel.from_dict(lm["order"], lm["k"], lm["malicious"])
+        keys, counts = model.keys, model.counts.astype(np.uint64)
+        edit(keys, counts)
+        lm["malicious"] = {"keys": array_record(keys), "counts": array_record(counts)}
         edited = tmp_path / "LR.json"
         write_artifact(payload, chain, edited)
         urls_file = tmp_path / "urls.txt"
@@ -755,6 +762,36 @@ class TestErrorPaths:
         write_artifact(payload, records_to_lists(chain), old)
         err = self._classify_fails(old, tmp_path, capsys)
         assert "unsupported pipeline artifact version 4" in err
+
+    def test_format_5_artifact_reported(self, workspace, tmp_path, capsys):
+        # Format 5 had the same two files, with each LM's counts as a
+        # context -> symbol -> count map and a forest's trees one by one.
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / "RF.json")
+        for side in ("benign", "malicious"):
+            model = CharGramModel.from_dict(chain["lm"]["order"], chain["lm"]["k"], chain["lm"][side])
+            chain["lm"][side] = DictGramModel.from_model(model).counts
+        trees = records_to_lists(payload["model"]["state"]["trees"])
+        offsets = trees.pop("offsets")
+        payload["model"]["state"]["trees"] = [
+            {name: array_record(np.array(values[lo:hi])) for name, values in trees.items()}
+            for lo, hi in zip(offsets, offsets[1:])
+        ]
+        old = tmp_path / "RF.json"
+        write_artifact({**payload, "format_version": 5}, chain, old)
+        err = self._classify_fails(old, tmp_path, capsys)
+        assert "unsupported pipeline artifact version 5; this build reads version 6" in err
+
+    @pytest.mark.parametrize(
+        "model, key", [("LR", "bias"), ("LINEAR_SVM", "bias"), ("GBT", "f0")]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5"], ids=["NaN", "inf", "str"])
+    def test_non_finite_model_scalar_reported(self, model, key, value, workspace, tmp_path, capsys):
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / f"{model}.json")
+        payload["model"]["state"][key] = value
+        edited = tmp_path / f"{model}.json"
+        write_artifact(payload, chain, edited)  # writes NaN, Infinity
+        err = self._classify_fails(edited, tmp_path, capsys)
+        assert f"saved scalar '{key}' must be a finite number" in err
 
     @pytest.mark.parametrize(
         "family, grid",

@@ -588,9 +588,14 @@ class TestPersistence:
             ("KNN", lambda s: s.update(train_X=s["train_X"][:2], train_y=s["train_y"][:2])),
             ("DT", lambda s: s["tree"]["left"].__setitem__(0, 0)),
             ("KMEANS", lambda s: s.update(cluster_fractions=s["cluster_fractions"][:1])),
-            ("RF", lambda s: s.update(trees=s["trees"] * 2)),
+            ("RF", lambda s: s["trees"].update(offsets=s["trees"]["offsets"][:-1])),
+            ("RF", lambda s: s["trees"]["offsets"].__setitem__(1, 0)),
+            ("RF", lambda s: s["trees"]["offsets"].__setitem__(-1, 10**6)),
+            ("RF", lambda s: s["trees"]["left"].__setitem__(0, 0)),
+            ("GBT", lambda s: s["trees"]["right"].__setitem__(0, s["trees"]["offsets"][1])),
         ],
-        ids=["KNN-fewer-rows-than-k", "DT-child-cycle", "KMEANS-cluster_fractions", "RF-n_trees"],
+        ids=["KNN-fewer-rows-than-k", "DT-child-cycle", "KMEANS-cluster_fractions", "RF-n_trees",
+             "RF-empty-tree", "RF-offsets-past-nodes", "RF-child-cycle", "GBT-child-past-tree"],
     )
     def test_state_that_cannot_score_rejected(self, family, cut, blob_data):
         x, y = blob_data
@@ -598,6 +603,18 @@ class TestPersistence:
         edit_arrays(payload["state"], cut)
         with pytest.raises(ArtifactError):
             TrainedModel.from_dict(payload)
+
+    @pytest.mark.parametrize("family, key", [("LR", "bias"), ("LINEAR_SVM", "bias"), ("GBT", "f0")])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), "0.5", True, None, [0.5], 10**400],
+        ids=["nan", "inf", "-inf", "str", "true", "none", "list", "huge-int"],
+    )
+    def test_non_finite_or_non_numeric_scalar_rejected(self, family, key, value, blob_data):
+        x, y = blob_data
+        payload = fit_model(spec_for(family), x, y).to_dict()
+        payload["state"][key] = value
+        with pytest.raises(ArtifactError, match=f"saved scalar '{key}' must be a finite number"):
+            TrainedModel.from_dict(json.loads(json.dumps(payload)))
 
     def test_dict_round_trip(self, blob_data):
         x, y = blob_data
@@ -647,9 +664,24 @@ ORACLE_CASES = [
 ]
 
 
+def unpacked_trees(packed: dict) -> list[dict]:
+    """A forest's packed trees (in list form) as one dict per tree, the
+    form ``_FlatTree.to_dict`` saves and the oracle states hold."""
+    offsets = packed["offsets"]
+    names = ("feature", "threshold", "left", "right", "value")
+    return [
+        {name: packed[name][lo:hi] for name in names} for lo, hi in zip(offsets, offsets[1:])
+    ]
+
+
 def saved_state_bytes(family: str, params: dict, x, y, seed: int = 0) -> bytes:
+    """The saved state in the list form of format 4, a forest's packed
+    trees unpacked to one dict per tree, as JSON bytes."""
     model = fit_model(ModelSpec(family, params, seed=seed), x, y)
-    return json.dumps(records_to_lists(model.to_dict()["state"])).encode("utf-8")
+    state = records_to_lists(model.to_dict()["state"])
+    if family in ("RF", "GBT"):
+        state["trees"] = unpacked_trees(state["trees"])
+    return json.dumps(state).encode("utf-8")
 
 
 def oracle_state_bytes(family: str, params: dict, x, y, seed: int = 0) -> bytes:

@@ -38,12 +38,12 @@ from urlsleuth.pipeline import (
     fit_selector,
     grid_search,
     load_pipeline,
-    mutual_information,
     save_pipeline,
 )
 from urlsleuth.urlfeat import CATALOG_VERSION, extract_matrix
 
 from conftest import edit_arrays, read_artifact, write_artifact
+from oracles import mutual_information
 
 
 def fit_artifact(urls, labels, spec: ModelSpec, **chain_kwargs) -> PipelineArtifact:
@@ -138,6 +138,22 @@ class TestSelector:
         for j in range(x.shape[1]):
             assert sel.score_per_feature[j] == pytest.approx(
                 mi_oracle(x[:, j], y), abs=1e-9
+            ), f"feature {j}"
+
+    @given(
+        x=st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=2, max_size=60),
+        labels=st.lists(st.sampled_from([0, 1, 7]), min_size=60, max_size=60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scores_match_dict_loop(self, x, labels):
+        x = np.array(x, dtype=np.float64) / 2
+        y = np.array(labels[: len(x)])
+        sel = fit_selector(x, y, top_k=4)
+        for j in range(x.shape[1]):
+            edges = np.quantile(x[:, j], np.linspace(0.0, 1.0, MI_BIN_COUNT + 1)[1:-1])
+            bins = np.searchsorted(edges, x[:, j], side="right")
+            assert sel.score_per_feature[j] == pytest.approx(
+                mutual_information(bins, y), rel=1e-12, abs=1e-15
             ), f"feature {j}"
 
     def test_top_k_keeps_best_features_in_index_order(self):
@@ -456,10 +472,11 @@ class TestPipelinePersistence:
         path, payload, chain = self._saved(url_corpus, tmp_path)
         assert set(payload) == {"artifact", "format_version", "catalog_version", "chain", "model"}
         assert payload["artifact"] == "urlsleuth-pipeline"
-        assert payload["format_version"] == 5
+        assert payload["format_version"] == 6
         assert payload["catalog_version"] == CATALOG_VERSION
         assert set(chain) == {"lm", "scaler", "selector", "projection"}
         assert set(chain["lm"]) == {"order", "k", "benign", "malicious"}
+        assert set(chain["lm"]["benign"]) == set(chain["lm"]["malicious"]) == {"keys", "counts"}
         assert set(payload["model"]) == {"spec", "n_features", "state"}
         assert chain["projection"] is None
         restored = load_pipeline(path)
@@ -513,7 +530,7 @@ class TestPipelinePersistence:
         with pytest.raises(ArtifactError):
             load_pipeline(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
     def test_wrong_version_rejected(self, url_corpus, tmp_path, version):
         path, payload, _ = self._saved(url_corpus, tmp_path)
         payload["format_version"] = version
