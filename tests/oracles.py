@@ -202,6 +202,10 @@ def _norm_char(ch: str) -> str:
     return ch if "\x20" <= ch <= "\x7e" else UNK
 
 
+def _padded(url: str, order: int) -> str:
+    return BEGIN * (order - 1) + "".join(_norm_char(ch) for ch in url) + END
+
+
 class DictGramModel:
     """Add-k character n-gram model over a context -> symbol -> count map."""
 
@@ -209,20 +213,17 @@ class DictGramModel:
         self.order, self.k, self.counts = order, k, counts
         self.totals = {ctx: sum(bucket.values()) for ctx, bucket in counts.items()}
 
-    def _padded(self, url: str) -> str:
-        return BEGIN * (self.order - 1) + "".join(_norm_char(ch) for ch in url) + END
-
     @classmethod
     def fit(cls, urls, order: int = 3, k: float = 1.0) -> "DictGramModel":
         """Count every n-gram of the padded URLs, one character at a time."""
-        model = cls(order, k, {})
+        counts: dict[str, dict[str, int]] = {}
         n = order - 1
         for url in urls:
-            text = model._padded(url)
+            text = _padded(url, order)
             for i in range(n, len(text)):
-                bucket = model.counts.setdefault(text[i - n : i], {})
+                bucket = counts.setdefault(text[i - n : i], {})
                 bucket[text[i]] = bucket.get(text[i], 0) + 1
-        return cls(order, k, model.counts)
+        return cls(order, k, counts)
 
     @classmethod
     def from_model(cls, model: CharGramModel) -> "DictGramModel":
@@ -255,6 +256,8 @@ class DictGramModel:
                 f"context must have {self.order - 1} characters, got {len(context)}"
             )
         sym = symbol if symbol in _PREDICTABLE else _norm_char(symbol)
+        if sym not in _PREDICTABLE:
+            raise ModelError(f"symbol {symbol!r} cannot be normalized into the inventory")
         ctx = "".join(ch if ch == BEGIN else _norm_char(ch) for ch in context)
         count = self.counts.get(ctx, {}).get(sym, 0)
         total = self.totals.get(ctx, 0)
@@ -262,7 +265,7 @@ class DictGramModel:
 
     def sequence_logprob(self, url: str) -> float:
         """Natural-log likelihood of the URL plus its end marker."""
-        text = self._padded(url)
+        text = _padded(url, self.order)
         n = self.order - 1
         lp = 0.0
         for i in range(n, len(text)):
