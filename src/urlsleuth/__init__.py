@@ -27,7 +27,7 @@ from .evaluation import (
 )
 from .models import FAMILIES, ModelSpec, TrainedModel, fit_model
 from .pipeline import PipelineArtifact, grid_search, load_pipeline, save_pipeline
-from .urlfeat import CATALOG_VERSION, catalog, extract_matrix, parse_url
+from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "grid_search",
     "load_dataset",
     "load_pipeline",
-    "parse_url",
     "partition",
     "per_dataset_ranks",
     "save_pipeline",

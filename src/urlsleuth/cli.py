@@ -272,15 +272,16 @@ def cmd_classify(args) -> int:
         raise ConfigError("classify needs --artifact, or --config together with --model")
     artifact = load_pipeline(artifact_path)
     if args.urls_file:
-        urls_path = Path(args.urls_file)
-        if not urls_path.is_file():
-            raise DataError(f"URL list not found: {urls_path}")
-        try:
-            text = urls_path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"URL list {urls_path} is not UTF-8 text: {exc}") from exc
+        source = Path(args.urls_file)
+        if not source.is_file():
+            raise DataError(f"URL list not found: {source}")
+        read = source.read_bytes
     else:
-        text = sys.stdin.read()
+        source, read = "<stdin>", sys.stdin.buffer.read
+    try:
+        text = read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"URL list {source} is not UTF-8 text: {exc}") from exc
     # One URL per "\n"-terminated line: the other characters splitlines()
     # breaks at (\x0b, \x85, U+2028, a lone \r, ...) stay inside the URL.
     urls = [line.strip() for line in text.split("\n") if line.strip()]

@@ -68,7 +68,8 @@ def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | N
     surrounding whitespace.  Row order is preserved.  Raises ``DataError``
     naming the offending row for malformed rows, naming the offending
     value for labels missing from ``label_map``, and naming the file when
-    it is not UTF-8 text.
+    it is not UTF-8 text or the CSV reader rejects it (a field longer than
+    ``csv.field_size_limit()``, say), with the line it stopped at.
     """
     for raw, mapped in label_map.items():
         if mapped not in (0, 1):
@@ -101,6 +102,8 @@ def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | N
                 records.append(UrlRecord(url=url, label=label_map[raw_label], source_id=id))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num}: malformed CSV: {exc}") from exc
     return Dataset(id=id, name=name if name is not None else id, records=tuple(records))
 
 

@@ -3,9 +3,10 @@
 Everything here is computed from the URL string alone: no DNS, no fetches,
 no public-suffix data.  ``_split`` is the one decomposition: it places a
 URL's scheme, host, port, path, query, fragment and TLD by offset, and
-both ``parse_url`` and ``extract_matrix`` read the parts from there.  The
-feature roster is frozen per catalog version so that feature matrices
-stay comparable across runs; ``catalog()`` returns the active version and
+both feature extractors, the blocked pass and the per-URL
+``_feature_dict``, read the parts from those offsets.  The feature roster
+is frozen per catalog version so that feature matrices stay comparable
+across runs; ``catalog()`` returns the active version and
 ``catalog_manifest()`` its machine-readable form.
 
 ``extract_matrix`` calls ``_split`` once per URL and does everything else
@@ -84,28 +85,6 @@ SPECIAL_CHAR_FEATURES: tuple[tuple[str, str], ...] = (
     ("/", "count_slash"),
     (":", "count_colon"),
 )
-
-
-@dataclass(frozen=True)
-class UrlParts:
-    """Best-effort lexical decomposition of a URL string.
-
-    ``port`` is the run of ASCII digits after the host's last ':' as an
-    int when it has at most five digits (any TCP port), ``None`` when there
-    is none or it is longer; the digits are excluded from ``host`` either
-    way.
-    """
-
-    scheme: str | None
-    host: str
-    port: int | None
-    path: str
-    path_segments: tuple[str, ...]
-    query: str | None  # None when the URL has no '?'
-    query_pairs: tuple[tuple[str, str], ...]
-    fragment: str | None
-    tld: str | None
-    is_ip_host: bool
 
 
 @dataclass(frozen=True)
@@ -192,47 +171,6 @@ def _split(url: str) -> tuple[str, int, int, int, int, int, int, int, int, bool]
     return scheme, start, host_lo, host_hi, path_lo, path_hi, query_lo, query_hi, tld_lo, is_ip
 
 
-def parse_url(url: str) -> UrlParts:
-    """Lexically decompose ``url``.
-
-    Scheme-less inputs (``google.com``) parse with an absent scheme.  The
-    TLD is the host's last label when the host has two or more and is not
-    a dotted-quad IP; no public-suffix list is consulted.
-    """
-    return _parts(url, _split(url))
-
-
-def _parts(url: str, offsets: tuple) -> UrlParts:
-    """``url`` cut at the offsets ``_split`` found in it."""
-    scheme, _, host_lo, host_hi, path_lo, path_hi, query_lo, query_hi, tld_lo, is_ip = offsets
-    host = url[host_lo:host_hi]
-    port = url[host_hi + 1 : path_lo]  # "" when absent
-    path = url[path_lo:path_hi]
-    query = url[query_lo:query_hi] if query_lo > path_hi else None
-    segments = tuple(s for s in path.split("/") if s)
-    pairs: list[tuple[str, str]] = []
-    for part in (query or "").split("&"):
-        if not part:
-            continue
-        if "=" in part:
-            k, v = part.split("=", 1)
-            pairs.append((k, v))
-        else:
-            pairs.append((part, ""))
-    return UrlParts(
-        scheme=scheme or None,
-        host=host,
-        port=int(port) if 0 < len(port) <= 5 else None,
-        path=path,
-        path_segments=segments,
-        query=query,
-        query_pairs=tuple(pairs),
-        fragment=url[query_hi + 1 :] if query_hi < len(url) else None,
-        tld=url[tld_lo:host_hi] or None,
-        is_ip_host=is_ip,
-    )
-
-
 def entropy(text: str) -> float:
     """Shannon entropy (base 2) of the character frequency distribution."""
     if not text:
@@ -252,10 +190,13 @@ def _feature_dict(url: str) -> dict[str, float]:
     """The 78 features of one URL by name, one Python pass per feature
     family: the per-URL path of ``extract_matrix`` and the reference the
     blocked path must match bit for bit."""
-    offsets = _split(url)
-    parts = _parts(url, offsets)
-    scheme, host, path, segments = parts.scheme, parts.host, parts.path, parts.path_segments
-    query = parts.query or ""
+    scheme, scheme_end, host_lo, host_hi, path_lo, path_hi, query_lo, query_hi, tld_lo, is_ip = (
+        _split(url)
+    )
+    host = url[host_lo:host_hi]
+    path = url[path_lo:path_hi]
+    query = url[query_lo:query_hi]  # "" when absent
+    segments = [s for s in path.split("/") if s]
     n = len(url)
     counter = Counter(url)
 
@@ -277,17 +218,15 @@ def _feature_dict(url: str) -> dict[str, float]:
 
     host_labels = [l for l in host.split(".") if l]
 
-    after_scheme = url[len(scheme) + 3:] if scheme else url
-
     f: dict[str, float] = {}
     # lengths
     f["url_length"] = n
     f["host_length"] = len(host)
     f["path_length"] = len(path)
     f["query_length"] = len(query)
-    f["fragment_length"] = len(parts.fragment) if parts.fragment is not None else 0
-    f["tld_length"] = len(parts.tld or "")
-    f["scheme_length"] = len(scheme) if scheme is not None else 0
+    f["fragment_length"] = n - query_hi - 1 if query_hi < n else 0
+    f["tld_length"] = host_hi - tld_lo
+    f["scheme_length"] = len(scheme)
     f["longest_path_segment_length"] = max((len(s) for s in segments), default=0)
     f["longest_token_length"] = max((len(t) for t in tokens), default=0)
     f["longest_host_label_length"] = max((len(l) for l in host_labels), default=0)
@@ -311,7 +250,7 @@ def _feature_dict(url: str) -> dict[str, float]:
     # counts: structure
     f["host_label_count"] = len(host_labels)
     f["path_segment_count"] = len(segments)
-    f["query_param_count"] = len(parts.query_pairs)
+    f["query_param_count"] = sum(1 for piece in query.split("&") if piece)
     f["encoded_char_count"] = len(_ENCODED_RE.findall(url))
     # ratios
     f["digit_ratio"] = digits / n if n else 0.0
@@ -321,16 +260,16 @@ def _feature_dict(url: str) -> dict[str, float]:
     f["uppercase_letter_ratio"] = upper / letters if letters else 0.0
     f["host_url_length_ratio"] = len(host) / n if n else 0.0
     # booleans
-    f["has_scheme"] = 1.0 if scheme is not None else 0.0
+    f["has_scheme"] = 1.0 if scheme_end > 0 else 0.0
     f["is_https"] = 1.0 if scheme == "https" else 0.0
-    f["is_ip_host"] = 1.0 if parts.is_ip_host else 0.0
-    f["has_port"] = 1.0 if offsets[3] < offsets[4] else 0.0  # host_hi < path_lo
+    f["is_ip_host"] = 1.0 if is_ip else 0.0
+    f["has_port"] = 1.0 if host_hi < path_lo else 0.0
     f["has_at_symbol"] = 1.0 if "@" in url else 0.0
-    f["has_double_slash"] = 1.0 if "//" in after_scheme else 0.0
+    f["has_double_slash"] = 1.0 if "//" in url[scheme_end:] else 0.0
     f["has_punycode_label"] = 1.0 if any(l.lower().startswith("xn--") for l in host_labels) else 0.0
     f["is_short_host"] = 1.0 if 0 < len(host) <= 7 else 0.0
-    f["has_query"] = 1.0 if parts.query is not None else 0.0
-    f["has_fragment"] = 1.0 if parts.fragment is not None else 0.0
+    f["has_query"] = 1.0 if query_lo > path_hi else 0.0
+    f["has_fragment"] = 1.0 if query_hi < n else 0.0
     # entropies
     f["url_entropy"] = _entropy_from_counts(counter.values(), n) if n else 0.0
     f["host_entropy"] = entropy(host)

@@ -446,7 +446,8 @@ class TestClassify:
         assert lines[1].endswith(",1,1.0")
 
     def test_stdin_input(self, workspace, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("http://www.shop.example.org/\n"))
+        stdin = io.TextIOWrapper(io.BytesIO(b"http://www.shop.example.org/\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
         artifact = workspace["out_dir"] / "models" / "KNN.json"
         assert main(["classify", "--artifact", str(artifact)]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -514,6 +515,22 @@ class TestErrorPaths:
         assert "error:" in err
         assert "weird" in err
 
+    def test_dataset_field_over_csv_limit_reported(self, tmp_path, capsys):
+        write_csv(tmp_path / "big.csv", [("http://a.com/" + "x" * 140_000, "benign")])
+        config = {
+            "datasets": [
+                {"id": f"d{i}", "path": "big.csv", "label_map": {"benign": 0}} for i in range(3)
+            ],
+            "partition": {"train": 1, "val": 1, "test": 1},
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "big.csv: line 2" in err
+        assert "Traceback" not in err
+
     def test_evaluate_before_train(self, tmp_path, capsys):
         config_path = materialize_run(tmp_path, n_datasets=3, n_records=30, counts=(1, 1, 1))
         assert main(["evaluate", "--config", str(config_path)]) == 1
@@ -546,10 +563,11 @@ class TestErrorPaths:
         assert main(["classify", "--artifact", str(artifact), str(urls_file)]) == 1
         assert "empty" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["artifact", "urls", "dataset", "config"])
-    def test_non_utf8_file_reported(self, target, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("target", ["artifact", "urls", "stdin", "dataset", "config"])
+    def test_non_utf8_file_reported(self, target, workspace, tmp_path, capsys, monkeypatch):
         # 0xff never occurs in UTF-8 text.
         bad = tmp_path / f"bad_{target}"
+        name = bad.name
         if target == "dataset":
             bad.write_bytes(b"url,label\nhttp://a.com/\xff,benign\n")
             config = {
@@ -572,12 +590,16 @@ class TestErrorPaths:
             urls_file.write_text("http://a.com\n", encoding="utf-8")
             if target == "artifact":
                 argv = ["classify", "--artifact", str(bad), str(urls_file)]
-            else:
+            elif target == "urls":
                 argv = ["classify", "--artifact", str(artifact), str(bad)]
+            else:
+                stdin = io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8")
+                monkeypatch.setattr(sys, "stdin", stdin)
+                argv, name = ["classify", "--artifact", str(artifact)], "<stdin>"
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert bad.name in err
+        assert name in err
 
     @pytest.mark.parametrize("target", ["artifact", "config", "out-file"])
     def test_directory_path_reported(self, target, workspace, tmp_path, capsys):

@@ -86,6 +86,13 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="cannot open"):
             load_dataset(str(tmp_path / "absent.csv"), LABEL_MAP, id="d")
 
+    def test_field_over_csv_limit_names_file_and_line(self, tmp_path):
+        # The csv module refuses fields longer than field_size_limit(), 131072.
+        rows = [("http://a.com", "benign"), ("http://b.com/" + "x" * 140_000, "benign")]
+        path = write_csv(tmp_path / "d.csv", rows)
+        with pytest.raises(DataError, match=r"d\.csv: line 3: malformed CSV"):
+            load_dataset(path, LABEL_MAP, id="d")
+
 
 class TestDedup:
     def test_first_occurrence_wins(self):

@@ -17,7 +17,12 @@ from urlsleuth.synth import (
     records_to_csv,
     write_dataset_csv,
 )
-from urlsleuth.urlfeat import parse_url
+from urlsleuth.urlfeat import _split
+
+
+def host(url: str) -> str:
+    host_lo, host_hi = _split(url)[2:4]
+    return url[host_lo:host_hi]
 
 
 class TestGenerateDataset:
@@ -48,9 +53,8 @@ class TestGenerateDataset:
     def test_urls_parse_and_look_like_their_class(self):
         ds = generate_dataset("d", n_records=300, malicious_fraction=0.5, seed=3)
         for rec in ds.records:
-            parts = parse_url(rec.url)
-            assert parts.host
-        benign_hosts = {parse_url(r.url).host for r in ds.records if r.label == 0}
+            assert host(rec.url)
+        benign_hosts = {host(r.url) for r in ds.records if r.label == 0}
         assert all(h.startswith("www.") for h in benign_hosts)
 
     def test_classes_are_lexically_separable(self):

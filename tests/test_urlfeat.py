@@ -22,11 +22,11 @@ from urlsleuth.urlfeat import (
     SPECIAL_CHAR_FEATURES,
     _blocked_matrix,
     _feature_dict,
+    _split,
     catalog,
     catalog_manifest,
     entropy,
     extract_matrix,
-    parse_url,
 )
 
 NAMES = catalog().names
@@ -50,102 +50,122 @@ def random_urls(n: int, seed: int) -> list[str]:
     return out
 
 
-class TestParseUrl:
+def cut(url: str) -> dict:
+    """The parts that ``_split``'s offsets delimit in ``url``, as its
+    docstring defines them; ``None`` for an absent query or fragment."""
+    scheme, scheme_end, host_lo, host_hi, path_lo, path_hi, query_lo, query_hi, tld_lo, is_ip = (
+        _split(url)
+    )
+    return {
+        "scheme": scheme,
+        "rest": url[scheme_end:],
+        "host": url[host_lo:host_hi],
+        "port": url[host_hi + 1 : path_lo],
+        "path": url[path_lo:path_hi],
+        "query": url[query_lo:query_hi] if query_lo > path_hi else None,
+        "fragment": url[query_hi + 1 :] if query_hi < len(url) else None,
+        "tld": url[tld_lo:host_hi],
+        "is_ip": is_ip,
+    }
+
+
+class TestSplit:
     def test_schemeless_bare_host(self):
-        p = parse_url("google.com")
-        assert p.scheme is None
-        assert p.host == "google.com"
-        assert p.port is None
-        assert p.path == ""
-        assert p.path_segments == ()
-        assert p.query is None
-        assert p.query_pairs == ()
-        assert p.fragment is None
-        assert p.tld == "com"
-        assert not p.is_ip_host
+        assert _split("google.com") == ("", 0, 0, 10, 10, 10, 10, 10, 7, False)
+        assert cut("google.com") == {
+            "scheme": "", "rest": "google.com", "host": "google.com", "port": "", "path": "",
+            "query": None, "fragment": None, "tld": "com", "is_ip": False,
+        }
 
     def test_full_url(self):
-        p = parse_url("https://www.google.com/a/b/c?x=1&y=2#frag")
-        assert p.scheme == "https"
-        assert p.host == "www.google.com"
-        assert p.path == "/a/b/c"
-        assert p.path_segments == ("a", "b", "c")
-        assert p.query == "x=1&y=2"
-        assert p.query_pairs == (("x", "1"), ("y", "2"))
-        assert p.fragment == "frag"
-        assert p.tld == "com"
+        url = "https://www.google.com/a/b/c?x=1&y=2#frag"
+        assert _split(url) == ("https", 8, 8, 22, 22, 28, 29, 36, 19, False)
+        assert cut(url) == {
+            "scheme": "https", "rest": url[8:], "host": "www.google.com", "port": "",
+            "path": "/a/b/c", "query": "x=1&y=2", "fragment": "frag", "tld": "com",
+            "is_ip": False,
+        }
+        f = feat(url)
+        assert (f["path_segment_count"], f["query_param_count"]) == (3, 2)
 
     def test_port_and_userinfo(self):
-        p = parse_url("http://user:pw@site.org:8080/login")
-        assert p.host == "site.org"
-        assert p.port == 8080
-        assert p.path_segments == ("login",)
+        p = cut("http://user:pw@site.org:8080/login")
+        assert (p["host"], p["port"], p["path"]) == ("site.org", "8080", "/login")
+        assert feat("http://user:pw@site.org:8080/login")["path_segment_count"] == 1
 
     def test_non_numeric_port_is_part_of_host(self):
-        p = parse_url("http://site.org:notaport/x")
-        assert p.host == "site.org:notaport"
-        assert p.port is None
+        p = cut("http://site.org:notaport/x")
+        assert (p["host"], p["port"]) == ("site.org:notaport", "")
 
     @pytest.mark.parametrize("digits", [5000, 1 << 20], ids=["5000-digits", "1MB"])
-    def test_overlong_port_is_cut_off_but_not_converted(self, digits):
-        # int() refuses decimal strings of more than 4300 digits.
-        p = parse_url("http://a.com:" + "1" * digits + "/x")
-        assert (p.host, p.port, p.path) == ("a.com", None, "/x")
+    def test_overlong_port_is_cut_off(self, digits):
+        p = cut("http://a.com:" + "1" * digits + "/x")
+        assert (p["host"], len(p["port"]), p["path"]) == ("a.com", digits, "/x")
         assert dict(zip(NAMES, extract_matrix(["http://a.com:" + "9" * digits])[0]))["has_port"]
 
-    def test_port_of_five_digits_or_fewer_is_an_int(self):
-        assert parse_url("a.com:0").port == 0
-        assert parse_url("a.com:00443/").port == 443
-        assert parse_url("a.com:65535?q").port == 65535
-        assert parse_url("a.com:123456#f").port is None
+    @pytest.mark.parametrize(
+        "url, port",
+        [("a.com:0", "0"), ("a.com:00443/", "00443"), ("a.com:65535?q", "65535"),
+         ("a.com:123456#f", "123456")],
+    )
+    def test_port_digits_follow_the_host(self, url, port):
+        p = cut(url)
+        assert (p["host"], p["port"]) == ("a.com", port)
 
     def test_ip_host_has_no_tld(self):
-        p = parse_url("http://192.168.10.5/admin")
-        assert p.is_ip_host
-        assert p.tld is None
+        p = cut("http://192.168.10.5/admin")
+        assert p["is_ip"]
+        assert p["tld"] == ""
 
     def test_over_255_octet_is_not_ip(self):
-        assert not parse_url("http://999.168.10.5/").is_ip_host
+        assert not cut("http://999.168.10.5/")["is_ip"]
 
     def test_scheme_lowercased(self):
-        assert parse_url("HTTPS://EXAMPLE.COM").scheme == "https"
+        assert cut("HTTPS://EXAMPLE.COM")["scheme"] == "https"
 
     def test_fragment_before_query_split(self):
         # '#' wins over '?' appearing after it: the query lives in the fragment.
-        p = parse_url("http://a.com/p#frag?notquery")
-        assert p.fragment == "frag?notquery"
-        assert p.query is None
-        assert p.query_pairs == ()
+        p = cut("http://a.com/p#frag?notquery")
+        assert p["fragment"] == "frag?notquery"
+        assert p["query"] is None
+        assert feat("http://a.com/p#frag?notquery")["query_param_count"] == 0
 
     def test_valueless_query_key(self):
-        p = parse_url("http://a.com/?flag&x=1")
-        assert p.query_pairs == (("flag", ""), ("x", "1"))
+        assert cut("http://a.com/?flag&x=1")["query"] == "flag&x=1"
+        assert feat("http://a.com/?flag&x=1")["query_param_count"] == 2
+        assert _feature_dict("http://a.com/?flag&&x=1&")["query_param_count"] == 2
 
     def test_empty_query_is_present(self):
         # A bare '?' is an empty query, not an absent one: has_query reads 1.
-        p = parse_url("http://a.com/p?")
-        assert p.path == "/p"
-        assert p.query == ""
-        assert p.query_pairs == ()
+        p = cut("http://a.com/p?")
+        assert p["path"] == "/p"
+        assert p["query"] == ""
         f = feat("http://a.com/p?")
         assert f["has_query"] == 1.0
         assert f["query_length"] == 0
         assert f["query_param_count"] == 0
 
     def test_single_label_host_has_no_tld(self):
-        assert parse_url("localhost").tld is None
+        assert cut("localhost")["tld"] == ""
 
     @pytest.mark.parametrize(
         "junk", ["", "!!!", "/a/b", "http:///x", "?only=query", "#frag", ":::", "a" * 5000]
     )
     def test_total_on_pathological_inputs(self, junk):
-        parse_url(junk)  # must not raise
+        cut(junk)  # must not raise
 
     @given(st.text(max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_total_on_arbitrary_text(self, text):
-        p = parse_url(text)
-        assert isinstance(p.path_segments, tuple)
+        scheme, scheme_end, host_lo, host_hi, path_lo, path_hi, query_lo, query_hi, tld_lo, _ = (
+            _split(text)
+        )
+        # The parts lie in order, and a present query follows its '?'.
+        assert 0 <= scheme_end <= host_lo <= tld_lo <= host_hi <= path_lo <= path_hi
+        assert path_hi <= query_lo <= query_hi <= len(text)
+        assert query_lo == path_hi or (query_lo == path_hi + 1 and text[path_hi] == "?")
+        assert query_hi == len(text) or text[query_hi] == "#"
+        assert len(scheme) == max(scheme_end - 3, 0)
 
 
 class TestEntropy:
