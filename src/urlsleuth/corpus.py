@@ -66,10 +66,12 @@ def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | N
     ``label_map`` translates every source-specific label string (e.g.
     ``"bad"``, ``"1"``, ``"malicious"``) to 0 or 1.  Cells are trimmed of
     surrounding whitespace.  Row order is preserved.  Raises ``DataError``
-    naming the offending row for malformed rows, naming the offending
-    value for labels missing from ``label_map``, and naming the file when
-    it is not UTF-8 text or the CSV reader rejects it (a field longer than
-    ``csv.field_size_limit()``, say), with the line it stopped at.
+    naming the file and the line a record starts on for a malformed
+    record, for a URL that holds a line break (``classify`` reads one URL
+    per line, so it could not be sent back) and, naming the offending
+    value, for a label missing from ``label_map``; and naming the file
+    when it is not UTF-8 text or the CSV reader rejects it (a field longer
+    than ``csv.field_size_limit()``, say), with the line it stopped at.
     """
     for raw, mapped in label_map.items():
         if mapped not in (0, 1):
@@ -88,18 +90,24 @@ def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | N
                 raise DataError(f"{path}: empty file, expected header 'url,label'") from None
             if tuple(cell.strip() for cell in header) != CSV_HEADER:
                 raise DataError(f"{path}: bad header {header!r}, expected 'url,label'")
-            for row_no, row in enumerate(reader, start=2):
+            # A quoted field may span lines, so a record starts on the line
+            # after the last one the reader consumed, not at its own count.
+            line = reader.line_num + 1
+            for row in reader:
                 if len(row) != 2:
-                    raise DataError(f"{path}: row {row_no}: expected 2 fields, got {len(row)}")
+                    raise DataError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
                 url = row[0].strip()
                 raw_label = row[1].strip()
                 if not url:
-                    raise DataError(f"{path}: row {row_no}: empty URL")
+                    raise DataError(f"{path}: line {line}: empty URL")
+                if "\n" in url:  # classify reads one URL per line
+                    raise DataError(f"{path}: line {line}: URL holds a line break")
                 if raw_label not in label_map:
                     raise DataError(
-                        f"{path}: row {row_no}: unmapped label {raw_label!r} (not in label map)"
+                        f"{path}: line {line}: unmapped label {raw_label!r} (not in label map)"
                     )
                 records.append(UrlRecord(url=url, label=label_map[raw_label], source_id=id))
+                line = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()

@@ -53,12 +53,8 @@ def check_real(name: str, value, low: float, strict: bool = False) -> float:
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows; exp(-z) for z >= 0, exp(z) below
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def variance_floor(X: np.ndarray) -> float:
@@ -129,6 +125,69 @@ def state_array(state: dict, key: str, shape: tuple, dtype=np.float64, codes=Non
     if code == "<f8" and not np.all(np.isfinite(arr)):
         raise ArtifactError(f"saved array {key!r} contains NaN or infinite values")
     return arr
+
+
+# The saved form of a float matrix whose columns repeat few values: each
+# column's distinct values, taken by bit pattern so -0.0 and 0.0 stay
+# apart, and one code per cell indexing its column's values.
+_COLUMNS_KEYS = frozenset({"values", "offsets", "codes"})
+_CODES_DTYPES = ("|u1", "<u2", "<u4")
+
+
+def columns_record(X: np.ndarray) -> dict:
+    """The saved form of the 2-D float64 matrix ``X``: ``values``, every
+    column's distinct values in rising uint64 order, column after column;
+    ``offsets``, where each column's values start (``d + 1`` entries); and
+    ``codes``, one index per cell into its column's values, in the
+    narrowest unsigned dtype that indexes the widest column."""
+    bits = np.ascontiguousarray(X, dtype=np.float64).view(np.uint64)
+    n, d = bits.shape
+    columns = [np.unique(bits[:, j], return_inverse=True) for j in range(d)]
+    counts = [len(distinct) for distinct, _ in columns]
+    largest_code = max(max(counts, default=0) - 1, 0)
+    codes = np.empty((n, d), dtype=np.min_scalar_type(largest_code))
+    for j, (_, inverse) in enumerate(columns):
+        codes[:, j] = inverse
+    values = np.concatenate([distinct for distinct, _ in columns] + [np.empty(0, np.uint64)])
+    return {
+        "values": array_record(values.view(np.float64)),
+        "offsets": array_record(np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))),
+        "codes": array_record(codes),
+    }
+
+
+def state_columns(state: dict, key: str, n_features: int) -> np.ndarray:
+    """``state[key]``, a ``columns_record``, as an owned float64 matrix of
+    ``n_features`` columns.  Besides each record's own checks
+    (``state_array``), ``offsets`` must start at 0, never fall and end at
+    the number of values, each column's values must rise strictly as
+    uint64 and every code must index its own column's values (so a
+    column of a matrix with rows holds a value or more); anything else
+    raises ``ArtifactError`` naming ``key``."""
+    record = state[key]
+    if not isinstance(record, dict) or record.keys() != _COLUMNS_KEYS:
+        raise ArtifactError(
+            f"saved columns {key!r} must be an object with keys codes, offsets, values"
+        )
+    parts = {f"{key}.{name}": part for name, part in record.items()}
+    values = state_array(parts, f"{key}.values", (None,))
+    offsets = state_array(parts, f"{key}.offsets", (n_features + 1,), dtype=np.int64)
+    codes = state_array(
+        parts, f"{key}.codes", (None, n_features), dtype=np.int64, codes=_CODES_DTYPES
+    )
+    counts = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != len(values) or np.any(counts < 0):
+        raise ArtifactError(
+            f"saved columns {key!r}: offsets must rise from 0 to the {len(values)} values"
+        )
+    bits = values.view(np.uint64)
+    starts = np.zeros(len(values), dtype=bool)
+    starts[offsets[:-1][counts > 0]] = True
+    if not np.all((bits[1:] > bits[:-1]) | starts[1:]):
+        raise ArtifactError(f"saved columns {key!r}: a column's values do not rise strictly")
+    if np.any(codes >= counts):
+        raise ArtifactError(f"saved columns {key!r}: a code is past its column's values")
+    return values[offsets[:-1] + codes]
 
 
 def state_scalar(state: dict, key: str) -> float:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ArtifactError, ModelError
-from .base import BinaryClassifier, array_record, check_int, state_array
+from .base import (
+    BinaryClassifier, array_record, check_int, columns_record, state_array, state_columns,
+)
 
 # Safety factor on the round-off allowance of the candidate bound: the
 # derivation in ``KNearestNeighbors._score`` needs 1, and the margin covers
@@ -123,12 +125,15 @@ class KNearestNeighbors(BinaryClassifier):
         return out
 
     def state_to_dict(self) -> dict:
-        return {"train_X": array_record(self.train_X_), "train_y": array_record(self.train_y_)}
+        return {
+            "train_X": columns_record(self.train_X_),
+            "train_y": array_record(self.train_y_.astype(np.uint8)),
+        }
 
     def state_from_dict(self, state: dict) -> None:
-        self.train_X_ = state_array(state, "train_X", (None, self.n_features_))
+        self.train_X_ = state_columns(state, "train_X", self.n_features_)
         n = len(self.train_X_)
-        self.train_y_ = state_array(state, "train_y", (n,), dtype=np.int64)
+        self.train_y_ = state_array(state, "train_y", (n,), dtype=np.int64, codes=("|u1",))
         if not np.isin(self.train_y_, (0, 1)).all():
             raise ArtifactError("KNN train_y must hold labels 0 or 1")
         if n < self.k:

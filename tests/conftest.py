@@ -67,7 +67,10 @@ def lists_to_records(obj):
     """The inverse of ``records_to_lists``: every list of numbers, nested to
     any depth, becomes an ``array_record``.  Its dtype follows the values,
     so a list holding a fraction becomes a ``"<f8"`` record even where the
-    field is an integer one, and integers become ``"<i8"`` records."""
+    field is an integer one, and integers become ``"<i8"`` records.  A
+    record already in ``obj`` (one an edit put there) is kept as it is."""
+    if isinstance(obj, dict) and obj.keys() == RECORD_KEYS:
+        return obj
     if isinstance(obj, dict):
         return {key: lists_to_records(value) for key, value in obj.items()}
     if isinstance(obj, list) and obj and isinstance(obj[0], dict):
@@ -98,6 +101,13 @@ def edit_arrays(section: dict, edit) -> None:
     edited = _reencode(plain, section)
     section.clear()
     section.update(edited)
+
+
+def columns_matrix(plain: dict) -> np.ndarray:
+    """The matrix a ``columns_record`` holds, from the list form that
+    ``edit_arrays`` hands an edit."""
+    values, offsets, codes = (np.array(plain[k]) for k in ("values", "offsets", "codes"))
+    return values[offsets[:-1] + codes]
 
 
 def make_dataset(rows: Sequence[tuple[str, int]], id: str = "d0") -> Dataset:

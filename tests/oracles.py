@@ -22,6 +22,11 @@ into it, ``to_arrays`` writes its map in the array form.
 ``mutual_information`` is the dict loop that scored one column of
 ``urlsleuth.pipeline.fit_selector`` before it scored all of them with one
 ``np.bincount``.
+
+``masked_sigmoid`` is ``urlsleuth.models.base.sigmoid`` as it was before it
+took one ``np.exp(-|z|)`` and one ``np.where``: it split ``z`` by sign
+with a mask, worked out each side on its gathered values and scattered
+them back.
 """
 
 from __future__ import annotations
@@ -296,3 +301,14 @@ def mutual_information(bins: np.ndarray, labels: np.ndarray) -> float:
         p_joint = c / n
         mi += p_joint * np.log(p_joint / (p_b[b] * p_y[y]))
     return max(0.0, float(mi))
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function, one gather per sign."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

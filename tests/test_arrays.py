@@ -1,5 +1,7 @@
 """The saved form of every model and chain array: ``array_record`` encodes,
-``state_array`` is the one decoder, and no saved state holds decimals."""
+``state_array`` is the one decoder, and no saved state holds decimals.
+A matrix saved as per-column value dictionaries (KNN's training rows)
+goes through ``columns_record`` and ``state_columns``."""
 
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ from hypothesis.extra import numpy as hnp
 from urlsleuth.errors import ArtifactError
 from urlsleuth.fileio import json_text
 from urlsleuth.models import FAMILIES, ModelSpec, fit_model
-from urlsleuth.models.base import array_record, state_array
+from urlsleuth.models.neighbors import KNearestNeighbors
+from urlsleuth.models.base import array_record, columns_record, state_array, state_columns
 from urlsleuth.pipeline import fit_chain
 
 from conftest import RECORD_KEYS
@@ -159,6 +162,164 @@ class TestRejected:
         # Their product matches the bytes, and any size would be allowed.
         with pytest.raises(ArtifactError, match="'weights'"):
             state_array({"weights": _with(shape=[-2, -2])}, "weights", (None, None))
+
+
+def saved_columns(X: np.ndarray) -> dict:
+    """``X`` as a ``columns_record`` reads back from an artifact file."""
+    return json.loads(json_text({"X": columns_record(X)}))
+
+
+def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# Few distinct values per column, so codes repeat: both zeros, subnormals,
+# the extremes, and any finite float now and then.
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 0.5,
+                     np.finfo(np.float64).max, -np.finfo(np.float64).max]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_MATRICES = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(0, 12), st.integers(1, 6)),
+    elements=_CELLS,
+)
+
+
+class TestColumnsRoundTrip:
+    @given(_MATRICES)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, X):
+        got = state_columns(saved_columns(X), "X", X.shape[1])
+        assert got.dtype == np.float64 and bits_equal(got, X)
+
+    def test_both_zeros_and_subnormals_stay_apart(self):
+        X = np.array([[0.0, 5e-324], [-0.0, -5e-324], [0.0, 1e-310], [-0.0, 5e-324]])
+        state = saved_columns(X)
+        assert state["X"]["offsets"] == array_record(np.array([0, 2, 5]))
+        assert bits_equal(state_columns(state, "X", 2), X)
+
+    def test_one_value_column(self):
+        X = np.column_stack([np.full(5, -2.5), np.arange(5.0)])
+        state = saved_columns(X)
+        assert state_array(state["X"], "offsets", (3,), np.int64).tolist() == [0, 1, 6]
+        assert bits_equal(state_columns(state, "X", 2), X)
+
+    def test_zero_rows(self):
+        state = saved_columns(np.empty((0, 4)))
+        assert state_array(state["X"], "offsets", (5,), np.int64).tolist() == [0] * 5
+        assert state_columns(state, "X", 4).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "distinct, code",
+        [(1, "|u1"), (256, "|u1"), (257, "<u2"), (65_536, "<u2"), (65_537, "<u4")],
+    )
+    def test_codes_take_the_narrowest_width(self, distinct, code):
+        # The widest column sets the width; the other holds one value.
+        col = np.arange(distinct, dtype=np.float64) * -0.25
+        X = np.column_stack([np.zeros(distinct), col[::-1]])
+        state = saved_columns(X)
+        assert state["X"]["codes"]["dtype"] == code
+        assert bits_equal(state_columns(state, "X", 2), X)
+
+    def test_values_rise_as_bit_patterns(self):
+        # -1.0's bit pattern is above 2.0's, so it comes last.
+        state = saved_columns(np.array([[-1.0], [2.0], [0.0], [2.0]]))
+        values = state_array(state["X"], "values", (3,))
+        assert values.tolist() == [0.0, 2.0, -1.0]
+        assert state_array(state["X"], "codes", (4, 1), np.uint8).ravel().tolist() == [2, 1, 0, 1]
+
+    def test_bytes_depend_only_on_the_matrix(self):
+        X = np.array([[3.0, 1.0], [1.0, 1.0], [3.0, -0.0]])
+        assert json_text(columns_record(X)) == json_text(columns_record(X.copy(order="F")))
+
+    def test_knn_state(self, blob_data):
+        x, y = blob_data
+        model = KNearestNeighbors(k=3).fit(x, y)
+        state = json.loads(json_text(model.state_to_dict()))
+        assert state["train_X"].keys() == {"values", "offsets", "codes"}
+        assert state["train_y"]["dtype"] == "|u1"
+        restored = KNearestNeighbors(k=3)
+        restored._restore(x.shape[1], state)
+        assert bits_equal(restored.train_X_, model.train_X_)
+        assert restored.train_y_.dtype == np.int64
+        assert np.array_equal(restored.train_y_, y)
+
+
+# [[1.0, -0.0], [2.0, 0.0], [1.0, 0.0]]: column 0 holds 1.0 and 2.0, column 1
+# holds 0.0 and -0.0 (in that order: 0.0's bit pattern is the lower).
+_GOOD_X = np.array([[1.0, -0.0], [2.0, 0.0], [1.0, 0.0]])
+
+
+def _columns(**parts) -> dict:
+    """The saved columns of ``_GOOD_X`` with some parts replaced; an array
+    is encoded with ``array_record``, anything else is kept as given."""
+    record = columns_record(_GOOD_X)
+    for name, part in parts.items():
+        record[name] = array_record(part) if isinstance(part, np.ndarray) else part
+    return record
+
+
+_CODES = np.array([[0, 1], [1, 0], [0, 0]], dtype=np.uint8)
+
+
+class TestColumnsRejected:
+    """Every malformed saved matrix raises ``ArtifactError`` naming its key."""
+
+    def test_good_record_decodes(self):
+        assert bits_equal(state_columns({"train_X": _columns()}, "train_X", 2), _GOOD_X)
+        assert np.array_equal(
+            state_array(_columns(), "codes", (3, 2), np.uint8), _CODES
+        )
+
+    @pytest.mark.parametrize(
+        "record, n_features",
+        [
+            (array_record(_GOOD_X), 2),  # format 6: one float64 record
+            (_GOOD_X.tolist(), 2),
+            ({k: v for k, v in _columns().items() if k != "codes"}, 2),
+            ({**_columns(), "rows": 3}, 2),
+            (_columns(values=np.array([7.0, 1.0, 2.0, 0.0, -0.0]), offsets=np.array([1, 3, 5])), 2),
+            (_columns(offsets=np.array([0, 2, 3])), 2),
+            (_columns(offsets=np.array([0, 2, 5])), 2),
+            (_columns(offsets=np.array([0, 0, 4])), 2),
+            (_columns(offsets=np.array([0, 5, 4])), 2),
+            (
+                _columns(values=np.array([1.0, 2.0]), offsets=np.array([0, 3, 2]),
+                         codes=np.empty((0, 2), dtype=np.uint8)),
+                2,
+            ),
+            (_columns(values=np.array([2.0, 1.0, 0.0, -0.0])), 2),
+            (_columns(values=np.array([1.0, 1.0, 0.0, -0.0])), 2),
+            (_columns(values=np.array([1.0, 2.0, -0.0, 0.0])), 2),
+            (_columns(codes=np.array([[2, 1], [1, 0], [0, 0]], dtype=np.uint8)), 2),
+            (_columns(codes=np.array([[0, 2], [1, 0], [0, 0]], dtype=np.uint8)), 2),
+            (_columns(), 3),
+            (_columns(), 1),
+            (_columns(codes=np.array([[0], [1], [0]], dtype=np.uint8)), 2),
+            (_columns(codes=_CODES.astype(np.int64)), 2),
+            (_columns(codes=_CODES.astype(np.uint64)), 2),
+            (_columns(codes=_CODES.astype(np.float64)), 2),
+            (_columns(offsets=np.array([0, 2, 4], dtype=np.uint8)), 2),
+            (_columns(offsets=np.array([0.0, 2.0, 4.0])), 2),
+            (_columns(values=np.array([1.0, 2.0, 0.0, np.nan])), 2),
+            (_columns(values=np.array([1.0, np.inf, 0.0, -0.0])), 2),
+            (_columns(values=np.array([1, 2, 3, 4])), 2),
+        ],
+        ids=[
+            "format-6-record", "list", "missing-codes", "extra-key", "offsets-start",
+            "offsets-end-short", "offsets-end-long", "offsets-empty-column",
+            "offsets-descending", "offsets-descending-no-rows", "values-descending", "values-duplicate",
+            "values-zeros-swapped", "code-past-its-column", "code-past-the-values",
+            "width-over", "width-under", "codes-width", "codes-signed", "codes-u8",
+            "codes-float", "offsets-unsigned", "offsets-float", "values-nan", "values-inf",
+            "values-int",
+        ],
+    )
+    def test_malformed_columns(self, record, n_features):
+        with pytest.raises(ArtifactError, match="'train_X"):
+            state_columns({"train_X": record}, "train_X", n_features)
 
 
 def number_lists(obj, path: str = "$") -> list[str]:

@@ -19,12 +19,14 @@ from urlsleuth.charlm import CharGramModel
 from urlsleuth.cli import main
 from urlsleuth.config import DEFAULT_GRIDS, load_run_config
 from urlsleuth.models import FAMILIES, BinaryClassifier, ModelSpec, fit_model
-from urlsleuth.models.base import array_record
+from urlsleuth.models.base import array_record, columns_record
 from urlsleuth.pipeline import PipelineArtifact, fit_chain, load_pipeline, save_pipeline
 from urlsleuth.synth import generate_dataset, materialize_run
 from urlsleuth.urlfeat import catalog
 
-from conftest import edit_arrays, read_artifact, records_to_lists, write_artifact, write_csv
+from conftest import (
+    columns_matrix, edit_arrays, read_artifact, records_to_lists, write_artifact, write_csv,
+)
 from oracles import DictGramModel
 
 
@@ -531,6 +533,22 @@ class TestErrorPaths:
         assert "big.csv: line 2" in err
         assert "Traceback" not in err
 
+    def test_dataset_url_holding_a_line_break_reported(self, tmp_path, capsys):
+        write_csv(tmp_path / "nl.csv", [("http://a.com/", "benign"), ("http://b.com/\nx", "benign")])
+        config = {
+            "datasets": [
+                {"id": f"d{i}", "path": "nl.csv", "label_map": {"benign": 0}} for i in range(3)
+            ],
+            "partition": {"train": 1, "val": 1, "test": 1},
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "nl.csv: line 3: URL holds a line break" in err
+        assert "Traceback" not in err
+
     def test_evaluate_before_train(self, tmp_path, capsys):
         config_path = materialize_run(tmp_path, n_datasets=3, n_records=30, counts=(1, 1, 1))
         assert main(["evaluate", "--config", str(config_path)]) == 1
@@ -623,18 +641,38 @@ class TestErrorPaths:
         assert directory.name in err
 
     @pytest.mark.parametrize(
-        "family, cut",
+        "family, cut, reason",
         [
-            ("LR", lambda s: s.update(weights=s["weights"][:3])),
-            ("KNN", lambda s: s.update(train_X=[row[:3] for row in s["train_X"]])),
-            ("KNN", lambda s: s.update(train_y=s["train_y"][:3])),
-            ("KNN", lambda s: s["train_X"][0].__setitem__(0, float("nan"))),
-            ("KNN", lambda s: s["train_y"].__setitem__(0, 0.6)),
-            ("KNN", lambda s: s.update(train_y=[7] * len(s["train_y"]))),
-            ("GNB", lambda s: s.update(means=[row[:3] for row in s["means"]])),
-            ("MLP", lambda s: s.update(params=s["params"][:5])),
-            ("DT", lambda s: s["tree"]["feature"].__setitem__(0, 999)),
-            ("DT", lambda s: s["tree"]["left"].__setitem__(0, len(s["tree"]["left"]))),
+            ("LR", lambda s: s.update(weights=s["weights"][:3]), "'weights' has shape"),
+            (
+                "KNN",
+                lambda s: s.update(train_X=columns_record(columns_matrix(s["train_X"])[:, :3])),
+                "'train_X.offsets' has shape",
+            ),
+            (
+                "KNN",
+                lambda s: s.update(train_y=array_record(np.uint8(s["train_y"][:3]))),
+                "'train_y' has shape",
+            ),
+            (
+                "KNN",
+                lambda s: s["train_X"]["values"].__setitem__(0, float("nan")),
+                "'train_X.values' contains NaN",
+            ),
+            ("KNN", lambda s: s["train_y"].__setitem__(0, 0.6), "'train_y' has dtype '<f8'"),
+            (
+                "KNN",
+                lambda s: s.update(train_y=array_record(np.uint8([7] * len(s["train_y"])))),
+                "labels 0 or 1",
+            ),
+            ("GNB", lambda s: s.update(means=[row[:3] for row in s["means"]]), "'means' has shape"),
+            ("MLP", lambda s: s.update(params=s["params"][:5]), "'params' has shape"),
+            ("DT", lambda s: s["tree"]["feature"].__setitem__(0, 999), "splits outside"),
+            (
+                "DT",
+                lambda s: s["tree"]["left"].__setitem__(0, len(s["tree"]["left"])),
+                "does not follow its parent",
+            ),
         ],
         ids=[
             "LR-weights", "KNN-train_X", "KNN-train_y", "KNN-train_X-nan",
@@ -643,7 +681,7 @@ class TestErrorPaths:
         ],
     )
     def test_malformed_model_state_reported(
-        self, family, cut, workspace, tmp_path, capsys
+        self, family, cut, reason, workspace, tmp_path, capsys
     ):
         path = workspace["out_dir"] / "models" / f"{family}.json"
         payload, chain = read_artifact(path)
@@ -653,7 +691,9 @@ class TestErrorPaths:
         urls_file = tmp_path / "urls.txt"
         urls_file.write_text("http://a.com\nhttps://b.org/x?q=1\n", encoding="utf-8")
         assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert reason in err
 
     @pytest.mark.parametrize(
         "edit",
@@ -801,7 +841,19 @@ class TestErrorPaths:
         old = tmp_path / "RF.json"
         write_artifact({**payload, "format_version": 5}, chain, old)
         err = self._classify_fails(old, tmp_path, capsys)
-        assert "unsupported pipeline artifact version 5; this build reads version 6" in err
+        assert "unsupported pipeline artifact version 5; this build reads version 7" in err
+
+    def test_format_6_artifact_reported(self, workspace, tmp_path, capsys):
+        # Format 6 saved KNN's training matrix as one float64 record and
+        # its labels as int64.
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / "KNN.json")
+        state = payload["model"]["state"]
+        state["train_X"] = array_record(columns_matrix(records_to_lists(state["train_X"])))
+        state["train_y"] = array_record(np.int64(records_to_lists(state["train_y"])))
+        old = tmp_path / "KNN.json"
+        write_artifact({**payload, "format_version": 6}, chain, old)
+        err = self._classify_fails(old, tmp_path, capsys)
+        assert "unsupported pipeline artifact version 6; this build reads version 7" in err
 
     @pytest.mark.parametrize(
         "model, key", [("LR", "bias"), ("LINEAR_SVM", "bias"), ("GBT", "f0")]

@@ -64,8 +64,54 @@ class TestLoadDataset:
     def test_wrong_field_count_names_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("url,label\nhttp://a.com,benign\nhttp://b.com\n", encoding="utf-8")
-        with pytest.raises(DataError, match="row 3"):
+        with pytest.raises(DataError, match=r"d\.csv: line 3: expected 2 fields, got 1"):
             load_dataset(str(path), LABEL_MAP, id="d")
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ('"http://a.com/\nx",0', "line 2: URL holds a line break"),
+            ('"http://a.com/\n",0', "line 4: unmapped label 'zzz'"),
+            ('http://a.com/,"0\n"', "line 4: unmapped label 'zzz'"),
+        ],
+        ids=["break-inside-url", "break-trimmed-from-url", "break-in-label"],
+    )
+    def test_errors_name_the_line_a_record_starts_on(self, tmp_path, first, message):
+        # The first record spans lines 2 and 3, so the 'zzz' record starts on
+        # line 4; a URL that keeps its line break is refused on line 2.
+        path = tmp_path / "d.csv"
+        path.write_text(f"url,label\n{first}\nhttp://b.com/,zzz\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"d\.csv: {message}"):
+            load_dataset(str(path), {"0": 0}, id="d")
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ('"http://a.com/\nx",0\n', 2),
+            ('http://a.com/,0\n"http://b.com/\r\nx",0\n', 3),
+            ('"http://a.com/\n\nx",0\n', 2),
+            ('"http://a.com/\nx",0\n"http://b.com/\ny",0\n', 2),
+            ('"a\nb",0\n', 2),
+        ],
+        ids=["lf", "crlf-second-row", "blank-line-inside", "two-such-rows", "short"],
+    )
+    def test_url_holding_a_line_break_rejected(self, tmp_path, rows, line):
+        path = tmp_path / "d.csv"
+        path.write_text("url,label\n" + rows, encoding="utf-8", newline="")
+        with pytest.raises(DataError, match=rf"d\.csv: line {line}: URL holds a line break"):
+            load_dataset(str(path), {"0": 0}, id="d")
+
+    def test_line_break_at_the_ends_of_a_url_is_trimmed(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('url,label\n"\nhttp://a.com/\n",0\nhttp://b.com/,1\n', encoding="utf-8")
+        ds = load_dataset(str(path), {"0": 0, "1": 1}, id="d")
+        assert [r.url for r in ds.records] == ["http://a.com/", "http://b.com/"]
+
+    def test_lines_counted_after_a_multiline_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"url\n",label\nhttp://a.com/,0\nhttp://b.com\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"line 4: expected 2 fields"):
+            load_dataset(str(path), {"0": 0}, id="d")
 
     def test_empty_url_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [("", "benign")])

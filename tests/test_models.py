@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from urlsleuth.errors import ArtifactError, ModelError
 from urlsleuth.models import (
@@ -23,6 +24,7 @@ from urlsleuth.models import (
     make_classifier,
 )
 from urlsleuth.models import neighbors, trees
+from urlsleuth.models.base import array_record, columns_record, sigmoid
 from urlsleuth.models.bayes import GaussianNaiveBayes
 from urlsleuth.models.clustering import GaussianMixtureDetector, KMeansDetector
 from urlsleuth.models.linear import LogisticRegressionGD
@@ -31,7 +33,7 @@ from urlsleuth.models.neural import MlpClassifier
 from urlsleuth.models.trees import DecisionTreeCART, RandomForest
 
 import oracles
-from conftest import edit_arrays, records_to_lists
+from conftest import columns_matrix, edit_arrays, records_to_lists
 
 SUPERVISED_FAMILIES = ("LR", "LINEAR_SVM", "DT", "RF", "GBT", "KNN", "GNB", "MLP")
 UNSUPERVISED_FAMILIES = ("KMEANS", "GMM")
@@ -195,6 +197,29 @@ class TestSharedContract:
         a = make_classifier(ModelSpec("RF", spec, seed=5)).fit(x, y).score_batch(x)
         b = make_classifier(ModelSpec("RF", spec, seed=5)).fit(x[:, perm], y).score_batch(x[:, perm])
         np.testing.assert_allclose(a, b, atol=1e-9)
+
+
+class TestSigmoid:
+    """``sigmoid`` is bit-identical to the masked oracle it replaced."""
+
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 1e-300, -1e-300,
+             5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8, np.finfo(np.float64).max,
+             -np.finfo(np.float64).max]
+
+    def test_edges_bit_identical(self):
+        z = np.array(self.EDGES)
+        got = sigmoid(z)
+        assert np.array_equal(got.view(np.uint64), oracles.masked_sigmoid(z).view(np.uint64))
+        assert got[2] == 1.0 and got[3] == 0.0 and got[0] == 0.5
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_floats_bit_identical(self, z):
+        got = sigmoid(z)
+        want = oracles.masked_sigmoid(z)
+        assert got.shape == z.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBaseline:
@@ -585,7 +610,10 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "family, cut",
         [
-            ("KNN", lambda s: s.update(train_X=s["train_X"][:2], train_y=s["train_y"][:2])),
+            ("KNN", lambda s: s.update(
+                train_X=columns_record(columns_matrix(s["train_X"])[:2]),
+                train_y=array_record(np.uint8(s["train_y"][:2])),
+            )),
             ("DT", lambda s: s["tree"]["left"].__setitem__(0, 0)),
             ("KMEANS", lambda s: s.update(cluster_fractions=s["cluster_fractions"][:1])),
             ("RF", lambda s: s["trees"].update(offsets=s["trees"]["offsets"][:-1])),
