@@ -50,8 +50,6 @@ _UNK_ID, _END_ID, _BEGIN_ID = _ID[UNK], _ID[END], _ID[BEGIN]
 _N_IDS = len(_ID)  # 98
 # Scoring works through blocks of about this many predicted positions.
 _BLOCK_POSITIONS = 1 << 14
-# A saved count array takes the narrowest of these that holds its largest count.
-_COUNT_CODES = ("|u1", "<u2", "<u4", "<u8")
 
 
 def _text_ids(text: str) -> np.ndarray:
@@ -188,10 +186,8 @@ class CharGramModel:
         return logp[cells[np.multiply(row, VOCAB_SIZE, dtype=np.intp) + grams[-1]]]
 
     def to_dict(self) -> dict:
-        """``keys`` and ``counts`` as ``array_record``s, the counts in the
-        narrowest unsigned type that holds them."""
-        width = np.min_scalar_type(self.counts.max(initial=0))
-        return {"keys": array_record(self.keys), "counts": array_record(self.counts.astype(width))}
+        """``keys`` and ``counts`` as ``array_record``s."""
+        return {"keys": array_record(self.keys), "counts": array_record(self.counts)}
 
     @classmethod
     def from_dict(cls, order: int, k: float, d: dict) -> "CharGramModel":
@@ -199,7 +195,7 @@ class CharGramModel:
         must hold."""
         model = cls(order, k)
         keys = state_array(d, "keys", (None, order), np.uint8)
-        counts = state_array(d, "counts", (len(keys),), np.int64, codes=_COUNT_CODES)
+        counts = state_array(d, "counts", (len(keys),), np.int64)
         _check_counts(keys, counts)
         model.keys, model.counts = keys, counts
         return model

@@ -279,7 +279,7 @@ def cmd_classify(args) -> int:
     else:
         source, read = "<stdin>", sys.stdin.buffer.read
     try:
-        text = read().decode("utf-8")
+        text = read().decode("utf-8-sig")  # a leading BOM is not part of a URL
     except UnicodeDecodeError as exc:
         raise DataError(f"URL list {source} is not UTF-8 text: {exc}") from exc
     # One URL per "\n"-terminated line: the other characters splitlines()

@@ -8,6 +8,7 @@ All randomness in a run flows from the seeds declared here.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,7 +99,13 @@ def _check_int(value, where: str, minimum: int | None = None) -> int:
 def _check_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # json reads NaN, Infinity and 1e400
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
 def _check_bool(value, where: str) -> bool:

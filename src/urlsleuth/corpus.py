@@ -65,7 +65,8 @@ def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | N
 
     ``label_map`` translates every source-specific label string (e.g.
     ``"bad"``, ``"1"``, ``"malicious"``) to 0 or 1.  Cells are trimmed of
-    surrounding whitespace.  Row order is preserved.  Raises ``DataError``
+    surrounding whitespace, and a leading UTF-8 BOM and empty lines are
+    skipped.  Row order is preserved.  Raises ``DataError``
     naming the file and the line a record starts on for a malformed
     record, for a URL that holds a line break (``classify`` reads one URL
     per line, so it could not be sent back) and, naming the offending
@@ -78,22 +79,25 @@ def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | N
             raise DataError(f"label_map entry {raw!r} maps to {mapped!r}; labels must be 0 or 1")
     records: list[UrlRecord] = []
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path!r}: {exc}") from exc
     try:
         with handle:
             reader = csv.reader(handle)
             try:
-                header = next(reader)
+                header = next(row for row in reader if row)
             except StopIteration:
                 raise DataError(f"{path}: empty file, expected header 'url,label'") from None
             if tuple(cell.strip() for cell in header) != CSV_HEADER:
                 raise DataError(f"{path}: bad header {header!r}, expected 'url,label'")
             # A quoted field may span lines, so a record starts on the line
             # after the last one the reader consumed, not at its own count.
-            line = reader.line_num + 1
+            end = reader.line_num
             for row in reader:
+                line, end = end + 1, reader.line_num
+                if not row:  # an empty line
+                    continue
                 if len(row) != 2:
                     raise DataError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
                 url = row[0].strip()
@@ -107,7 +111,6 @@ def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | N
                         f"{path}: line {line}: unmapped label {raw_label!r} (not in label map)"
                     )
                 records.append(UrlRecord(url=url, label=label_map[raw_label], source_id=id))
-                line = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()

@@ -67,41 +67,48 @@ def variance_floor(X: np.ndarray) -> float:
 # The saved form of every array: its little-endian bytes in base64, its
 # dtype code and its shape.  Base64 of the raw bytes round-trips every
 # float64 bit pattern (-0.0 and subnormals included), where decimal text
-# needs up to 17 significant digits and a parse per value.
+# needs up to 17 significant digits and a parse per value.  A float is
+# saved as "<f8"; an integer array in the narrowest type of the unsigned
+# ladder (its minimum is 0 or more) or the signed one that holds its
+# values, so each array has exactly one saved form.
 _RECORD_KEYS = frozenset({"b64", "dtype", "shape"})
+_LADDERS = (("|u1", "<u2", "<u4", "<u8"), ("|i1", "<i2", "<i4", "<i8"))
 
 
-def _dtype_code(dtype) -> str:
-    """``"<f8"``, ``"<i8"`` or, for an unsigned type, its own little-endian
-    code (``"|u1"``, ``"<u2"``, ``"<u4"``, ``"<u8"``)."""
-    dtype = np.dtype(dtype)
-    if dtype.kind == "u":
-        return dtype.newbyteorder("<").str
-    return "<i8" if dtype.kind == "i" else "<f8"
+def _bounds(arr: np.ndarray) -> tuple[int, int]:
+    """The smallest and largest value of the integer array ``arr`` as
+    Python ints, ``(0, 0)`` when it is empty."""
+    return (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+
+
+def _int_code(lo: int, hi: int) -> str:
+    """The code of the narrowest saved type that holds ``[lo, hi]``."""
+    return next(c for c in _LADDERS[lo < 0] if np.iinfo(c).min <= lo and hi <= np.iinfo(c).max)
 
 
 def array_record(arr: np.ndarray) -> dict:
-    """The saved form of ``arr``: signed integer arrays as int64, unsigned
-    ones at their own width, everything else as float64, little-endian
+    """The saved form of ``arr``: an integer array in the narrowest type
+    that holds its values, anything else as float64, little-endian
     whatever the host."""
-    code = _dtype_code(arr.dtype)
+    code = _int_code(*_bounds(arr)) if arr.dtype.kind in "iu" else "<f8"
     data = np.ascontiguousarray(arr, dtype=code).tobytes()
     return {"b64": base64.b64encode(data).decode("ascii"), "dtype": code, "shape": list(arr.shape)}
 
 
-def state_array(state: dict, key: str, shape: tuple, dtype=np.float64, codes=None) -> np.ndarray:
+def state_array(state: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """``state[key]``, an ``array_record``, as an owned native-endian array
     of ``dtype`` and ``shape`` (a ``None`` dimension matches any size).
-    The record must carry ``dtype``'s code (or one of ``codes``), a shape
-    that matches, valid base64 of exactly that many values and, for
-    floats, only finite values; anything else raises ``ArtifactError``."""
+    The record must carry the code ``array_record`` gives its values
+    (``"<f8"`` for a float ``dtype``), a shape that matches, valid base64
+    of exactly that many values and only values ``dtype`` holds, finite
+    ones for floats; anything else raises ``ArtifactError``."""
     record = state[key]
     if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
         raise ArtifactError(f"saved array {key!r} must be an object with keys b64, dtype, shape")
-    codes = (_dtype_code(dtype),) if codes is None else codes
+    is_int = np.dtype(dtype).kind in "iu"
     code = record["dtype"]
-    if code not in codes:
-        expected = " or ".join(map(repr, codes))
+    if code not in (_LADDERS[0] + _LADDERS[1] if is_int else ("<f8",)):
+        expected = "an integer code" if is_int else "'<f8'"
         raise ArtifactError(f"saved array {key!r} has dtype {code!r}, expected {expected}")
     got = record["shape"]
     if (
@@ -121,34 +128,43 @@ def state_array(state: dict, key: str, shape: tuple, dtype=np.float64, codes=Non
         raise ArtifactError(
             f"saved array {key!r} holds {len(data)} bytes, expected {size} for shape {got}"
         )
-    arr = np.frombuffer(data, dtype=code).reshape(got).astype(dtype)  # a writable copy
-    if code == "<f8" and not np.all(np.isfinite(arr)):
+    saved = np.frombuffer(data, dtype=code).reshape(got)
+    if is_int:
+        lo, hi = _bounds(saved)
+        canonical = _int_code(lo, hi)
+        if code != canonical:
+            raise ArtifactError(
+                f"saved array {key!r} has dtype {code!r}, but its values are saved as {canonical!r}"
+            )
+        info = np.iinfo(dtype)
+        if lo < info.min or hi > info.max:
+            raise ArtifactError(
+                f"saved array {key!r} holds values outside {info.dtype} ([{lo}, {hi}])"
+            )
+    elif not np.all(np.isfinite(saved)):
         raise ArtifactError(f"saved array {key!r} contains NaN or infinite values")
-    return arr
+    return saved.astype(dtype)  # a writable copy
 
 
 # The saved form of a float matrix whose columns repeat few values: each
 # column's distinct values, taken by bit pattern so -0.0 and 0.0 stay
 # apart, and one code per cell indexing its column's values.
 _COLUMNS_KEYS = frozenset({"values", "offsets", "codes"})
-_CODES_DTYPES = ("|u1", "<u2", "<u4")
 
 
 def columns_record(X: np.ndarray) -> dict:
     """The saved form of the 2-D float64 matrix ``X``: ``values``, every
     column's distinct values in rising uint64 order, column after column;
     ``offsets``, where each column's values start (``d + 1`` entries); and
-    ``codes``, one index per cell into its column's values, in the
-    narrowest unsigned dtype that indexes the widest column."""
+    ``codes``, one index per cell into its column's values."""
     bits = np.ascontiguousarray(X, dtype=np.float64).view(np.uint64)
     n, d = bits.shape
     columns = [np.unique(bits[:, j], return_inverse=True) for j in range(d)]
-    counts = [len(distinct) for distinct, _ in columns]
-    largest_code = max(max(counts, default=0) - 1, 0)
-    codes = np.empty((n, d), dtype=np.min_scalar_type(largest_code))
+    codes = np.empty((n, d), dtype=np.int64)
     for j, (_, inverse) in enumerate(columns):
         codes[:, j] = inverse
     values = np.concatenate([distinct for distinct, _ in columns] + [np.empty(0, np.uint64)])
+    counts = [len(distinct) for distinct, _ in columns]
     return {
         "values": array_record(values.view(np.float64)),
         "offsets": array_record(np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))),
@@ -172,9 +188,7 @@ def state_columns(state: dict, key: str, n_features: int) -> np.ndarray:
     parts = {f"{key}.{name}": part for name, part in record.items()}
     values = state_array(parts, f"{key}.values", (None,))
     offsets = state_array(parts, f"{key}.offsets", (n_features + 1,), dtype=np.int64)
-    codes = state_array(
-        parts, f"{key}.codes", (None, n_features), dtype=np.int64, codes=_CODES_DTYPES
-    )
+    codes = state_array(parts, f"{key}.codes", (None, n_features), dtype=np.int64)
     counts = np.diff(offsets)
     if offsets[0] != 0 or offsets[-1] != len(values) or np.any(counts < 0):
         raise ArtifactError(
@@ -185,18 +199,9 @@ def state_columns(state: dict, key: str, n_features: int) -> np.ndarray:
     starts[offsets[:-1][counts > 0]] = True
     if not np.all((bits[1:] > bits[:-1]) | starts[1:]):
         raise ArtifactError(f"saved columns {key!r}: a column's values do not rise strictly")
-    if np.any(codes >= counts):
-        raise ArtifactError(f"saved columns {key!r}: a code is past its column's values")
+    if np.any((codes < 0) | (codes >= counts)):
+        raise ArtifactError(f"saved columns {key!r}: a code is outside its column's values")
     return values[offsets[:-1] + codes]
-
-
-def state_scalar(state: dict, key: str) -> float:
-    """``state[key]`` as a float; anything but a finite number (a bool, a
-    string, NaN, an infinity) raises ``ArtifactError``."""
-    real = _finite(state[key])
-    if not math.isfinite(real):
-        raise ArtifactError(f"saved scalar {key!r} must be a finite number, got {state[key]!r}")
-    return real
 
 
 def check_features(X) -> np.ndarray:

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (
-    BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array, state_scalar,
-)
+from .base import BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array
 
 
 def logistic_loss_and_grad(
@@ -71,11 +69,12 @@ class _GradientDescentLinear(BinaryClassifier):
         return sigmoid(X @ self.weights_ + self.bias_)
 
     def state_to_dict(self) -> dict:
-        return {"weights": array_record(self.weights_), "bias": self.bias_}
+        bias = array_record(np.float64(self.bias_))
+        return {"weights": array_record(self.weights_), "bias": bias}
 
     def state_from_dict(self, state: dict) -> None:
         self.weights_ = state_array(state, "weights", (self.n_features_,))
-        self.bias_ = state_scalar(state, "bias")
+        self.bias_ = float(state_array(state, "bias", ()))
 
 
 class LogisticRegressionGD(_GradientDescentLinear):

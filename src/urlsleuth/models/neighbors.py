@@ -127,13 +127,13 @@ class KNearestNeighbors(BinaryClassifier):
     def state_to_dict(self) -> dict:
         return {
             "train_X": columns_record(self.train_X_),
-            "train_y": array_record(self.train_y_.astype(np.uint8)),
+            "train_y": array_record(self.train_y_),
         }
 
     def state_from_dict(self, state: dict) -> None:
         self.train_X_ = state_columns(state, "train_X", self.n_features_)
         n = len(self.train_X_)
-        self.train_y_ = state_array(state, "train_y", (n,), dtype=np.int64, codes=("|u1",))
+        self.train_y_ = state_array(state, "train_y", (n,), dtype=np.int64)
         if not np.isin(self.train_y_, (0, 1)).all():
             raise ArtifactError("KNN train_y must hold labels 0 or 1")
         if n < self.k:

@@ -18,9 +18,7 @@ import math
 import numpy as np
 
 from ..errors import ArtifactError, ModelError
-from .base import (
-    BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array, state_scalar,
-)
+from .base import BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array
 
 
 class _FlatTree:
@@ -68,15 +66,6 @@ class _FlatTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
 
-    def to_dict(self) -> dict:
-        return {name: array_record(getattr(self, name)) for name in _NODE_DTYPES}
-
-    @classmethod
-    def from_dict(cls, d: dict, n_features: int) -> "_FlatTree":
-        """Rebuild a tree saved by ``to_dict`` (checked as ``_load_trees`` says)."""
-        (tree,) = _load_trees(d, None, n_features)
-        return tree
-
 
 _NODE_DTYPES = {
     "feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
@@ -94,23 +83,20 @@ def _pack_trees(trees: list[_FlatTree]) -> dict:
     return packed
 
 
-def _load_trees(d: dict, n_trees: int | None, n_features: int) -> list[_FlatTree]:
-    """The ``n_trees`` trees ``_pack_trees`` saved in ``d``, or for ``None``
-    the one tree ``_FlatTree.to_dict`` saved.  The offsets must rise from
-    0 to the node count, a node or more per tree; split features must be
-    below ``n_features``, and every child must come after its parent
-    within its own tree, so ``apply`` terminates."""
+def _load_trees(d: dict, n_trees: int, n_features: int) -> list[_FlatTree]:
+    """The ``n_trees`` trees ``_pack_trees`` saved in ``d``.  The offsets
+    must rise from 0 to the node count, a node or more per tree; split
+    features must be below ``n_features``, and every child must come after
+    its parent within its own tree, so ``apply`` terminates."""
     arrays = {"feature": state_array(d, "feature", (None,), dtype=np.int64)}
     n_nodes = len(arrays["feature"])
     for name, dtype in list(_NODE_DTYPES.items())[1:]:
         arrays[name] = state_array(d, name, (n_nodes,), dtype=dtype)
-    offsets = np.array([0, n_nodes])
-    if n_trees is not None:
-        offsets = state_array(d, "offsets", (n_trees + 1,), dtype=np.int64)
-        if offsets[0] != 0 or offsets[-1] != n_nodes or (np.diff(offsets) < 1).any():
-            raise ArtifactError(
-                f"tree offsets must rise from 0 to the {n_nodes} nodes, a node or more per tree"
-            )
+    offsets = state_array(d, "offsets", (n_trees + 1,), dtype=np.int64)
+    if offsets[0] != 0 or offsets[-1] != n_nodes or (np.diff(offsets) < 1).any():
+        raise ArtifactError(
+            f"tree offsets must rise from 0 to the {n_nodes} nodes, a node or more per tree"
+        )
     feature = arrays["feature"]
     if n_nodes == 0 or feature.min() < -1 or feature.max() >= n_features:
         raise ArtifactError(f"tree is empty or splits outside the {n_features} features")
@@ -327,10 +313,10 @@ class DecisionTreeCART(BinaryClassifier):
         return self.tree_.predict(X)
 
     def state_to_dict(self) -> dict:
-        return {"tree": self.tree_.to_dict()}
+        return {"trees": _pack_trees([self.tree_])}
 
     def state_from_dict(self, state: dict) -> None:
-        self.tree_ = _FlatTree.from_dict(state["tree"], self.n_features_)
+        (self.tree_,) = _load_trees(state["trees"], 1, self.n_features_)
 
 
 class RandomForest(BinaryClassifier):
@@ -447,8 +433,8 @@ class GradientBoostedTrees(BinaryClassifier):
         return sigmoid(self._raw(X))
 
     def state_to_dict(self) -> dict:
-        return {"f0": self.f0_, "trees": _pack_trees(self.trees_)}
+        return {"f0": array_record(np.float64(self.f0_)), "trees": _pack_trees(self.trees_)}
 
     def state_from_dict(self, state: dict) -> None:
-        self.f0_ = state_scalar(state, "f0")
+        self.f0_ = float(state_array(state, "f0", ()))
         self.trees_ = _load_trees(state["trees"], self.n_trees, self.n_features_)

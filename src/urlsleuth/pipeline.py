@@ -42,7 +42,7 @@ from .models.base import array_record, state_array
 from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
 
 PIPELINE_ARTIFACT_TAG = "urlsleuth-pipeline"
-PIPELINE_ARTIFACT_VERSION = 7
+PIPELINE_ARTIFACT_VERSION = 8
 CHAIN_DIR = "chains"  # beside the model files; one chain file per distinct chain
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 

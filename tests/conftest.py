@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import json
@@ -50,6 +51,15 @@ def write_artifact(payload: dict, chain: dict, path) -> None:
     path.write_text(json.dumps({**payload, "chain": digest}), encoding="utf-8")
 
 
+def coded_record(values, code: str) -> dict:
+    """An array record of ``values`` saved with the dtype code ``code``,
+    whether or not ``array_record`` would pick it: the form of an older
+    format or of a hand edit."""
+    arr = np.asarray(values, dtype=code)
+    data = base64.b64encode(arr.tobytes()).decode("ascii")
+    return {"b64": data, "dtype": code, "shape": list(arr.shape)}
+
+
 def records_to_lists(obj):
     """``obj`` with every array record in it replaced by the nested list it
     holds (decoded by ``state_array``): the decimal form of format 4."""
@@ -67,8 +77,8 @@ def lists_to_records(obj):
     """The inverse of ``records_to_lists``: every list of numbers, nested to
     any depth, becomes an ``array_record``.  Its dtype follows the values,
     so a list holding a fraction becomes a ``"<f8"`` record even where the
-    field is an integer one, and integers become ``"<i8"`` records.  A
-    record already in ``obj`` (one an edit put there) is kept as it is."""
+    field is an integer one, and integers take the narrowest integer code.
+    A record already in ``obj`` (one an edit put there) is kept as it is."""
     if isinstance(obj, dict) and obj.keys() == RECORD_KEYS:
         return obj
     if isinstance(obj, dict):

@@ -5,8 +5,9 @@
 fit: every node runs a stable argsort of every candidate column on its
 own rows, and a random forest grows each tree on the bootstrap copy
 ``X[rows]``.  ``dt_state``, ``rf_state`` and ``gbt_state`` drive it the
-way the three tree families did, and return the state dict each family
-saves, so a test can compare the saved bytes of both implementations.
+way the three tree families did, and return each family's state with
+every tree as a dict of node lists (``tree_lists``), so a test can
+compare the saved trees of both implementations byte for byte.
 
 ``average_ranks`` is the tie-averaging rank loop that
 ``urlsleuth.evaluation._average_ranks`` ran before it took the ranks
@@ -152,17 +153,23 @@ def average_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def tree_lists(tree: _FlatTree) -> dict:
+    """The node fields of ``tree`` as lists, in the order a tree is saved."""
+    names = ("feature", "threshold", "left", "right", "value")
+    return {name: getattr(tree, name).tolist() for name in names}
+
+
 def dt_state(X, y, max_depth=None, min_samples_split=2) -> dict:
-    """The state a ``DecisionTreeCART`` fit saved."""
+    """The state of a ``DecisionTreeCART`` fit."""
     tree = build_tree(X, y.astype(np.float64), None, max_depth, min_samples_split, None)
-    return {"tree": tree.to_dict()}
+    return {"tree": tree_lists(tree)}
 
 
 def rf_state(
     X, y, n_trees=50, max_depth=None, min_samples_split=2, bootstrap=True,
     max_features=None, seed=0,
 ) -> dict:
-    """The state a ``RandomForest`` fit saved: each tree grown on ``X[rows]``."""
+    """The state of a ``RandomForest`` fit: each tree grown on ``X[rows]``."""
     rng = np.random.default_rng(seed)
     targets = y.astype(np.float64)
     trees = []
@@ -174,11 +181,11 @@ def rf_state(
         trees.append(
             build_tree(X[rows], targets[rows], rng, max_depth, min_samples_split, max_features)
         )
-    return {"trees": [t.to_dict() for t in trees]}
+    return {"trees": [tree_lists(t) for t in trees]}
 
 
 def gbt_state(X, y, n_trees=30, learning_rate=0.3, max_depth=3, min_samples_split=2) -> dict:
-    """The state a ``GradientBoostedTrees`` fit saved."""
+    """The state of a ``GradientBoostedTrees`` fit."""
     p0 = float(y.mean())
     f0 = math.log(p0 / (1.0 - p0))
     raw = np.full(len(X), f0, dtype=np.float64)
@@ -196,7 +203,7 @@ def gbt_state(X, y, n_trees=30, learning_rate=0.3, max_depth=3, min_samples_spli
         tree.value[leaves] = newton[leaves]
         raw += learning_rate * tree.predict(X)
         trees.append(tree)
-    return {"f0": f0, "trees": [t.to_dict() for t in trees]}
+    return {"f0": f0, "trees": [tree_lists(t) for t in trees]}
 
 
 _PREDICTABLE = frozenset(_ID) - {BEGIN}

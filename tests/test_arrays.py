@@ -1,5 +1,6 @@
 """The saved form of every model and chain array: ``array_record`` encodes,
 ``state_array`` is the one decoder, and no saved state holds decimals.
+An integer array has one saved code, the narrowest that holds its values.
 A matrix saved as per-column value dictionaries (KNN's training rows)
 goes through ``columns_record`` and ``state_columns``."""
 
@@ -21,7 +22,7 @@ from urlsleuth.models.neighbors import KNearestNeighbors
 from urlsleuth.models.base import array_record, columns_record, state_array, state_columns
 from urlsleuth.pipeline import fit_chain
 
-from conftest import RECORD_KEYS
+from conftest import RECORD_KEYS, coded_record
 
 _SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5)
 _FLOATS = st.one_of(
@@ -30,6 +31,40 @@ _FLOATS = st.one_of(
                      np.finfo(np.float64).max, -np.finfo(np.float64).max]),
 )
 _INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+_INT64_MAX, _UINT64_MAX = int(np.iinfo(np.int64).max), int(np.iinfo(np.uint64).max)
+# Bounds on both sides of every width in either ladder, and any bound at all.
+_EDGES = sorted({s * 2**k + d for k in (0, 7, 8, 15, 16, 31, 32, 63, 64)
+                 for s in (1, -1) for d in (-1, 0, 1)})
+_BOUNDS = st.one_of(
+    st.sampled_from([e for e in _EDGES if -(2**63) <= e <= _UINT64_MAX]),
+    st.integers(-(2**63), _UINT64_MAX),
+)
+
+
+@st.composite
+def integer_arrays(draw) -> np.ndarray:
+    """An int64 or uint64 array whose values lie between two random bounds,
+    with both bounds among them when it has two cells or more."""
+    lo, hi = sorted((draw(_BOUNDS), draw(_BOUNDS)))
+    if lo < 0:
+        hi = min(hi, _INT64_MAX)  # no integer type holds both
+    dtype = np.uint64 if hi > _INT64_MAX else np.int64
+    arr = draw(hnp.arrays(dtype, _SHAPES, elements=st.integers(lo, hi)))
+    if arr.size >= 2:
+        arr.flat[0], arr.flat[-1] = lo, hi
+    return arr
+
+
+def narrowest_code(arr: np.ndarray) -> str:
+    """The first type of the unsigned ladder (minimum >= 0) or the signed
+    one whose range holds the values of ``arr``; ``|u1`` when it is empty."""
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    ladder = ("|u1", "<u2", "<u4", "<u8") if lo >= 0 else ("|i1", "<i2", "<i4", "<i8")
+    for code in ladder:
+        info = np.iinfo(np.dtype(code))
+        if info.min <= lo and hi <= info.max:
+            return code
+    raise AssertionError(f"no integer type holds [{lo}, {hi}]")
 
 
 def saved(arr: np.ndarray) -> dict:
@@ -52,6 +87,30 @@ class TestRoundTrip:
         assert got.dtype == np.int64 and got.shape == arr.shape
         assert np.array_equal(got, arr)
 
+    @given(integer_arrays())
+    @settings(max_examples=400, deadline=None)
+    def test_integers_exact_in_the_narrowest_code(self, arr):
+        state = saved(arr)
+        assert state["a"]["dtype"] == narrowest_code(arr)
+        got = state_array(state, "a", (None,) * arr.ndim, dtype=arr.dtype.type)
+        assert got.dtype == arr.dtype and got.shape == arr.shape
+        assert np.array_equal(got, arr)
+
+    @pytest.mark.parametrize(
+        "values, code",
+        [([-1], "|i1"), ([-1, 127], "|i1"), ([-1, 128], "<i2"), ([-129], "<i2"),
+         ([0, 255], "|u1"), ([0, 256], "<u2"), ([], "|u1")],
+    )
+    def test_pinned_widths(self, values, code):
+        arr = np.array(values, dtype=np.int64)
+        state = saved(arr)
+        assert state["a"]["dtype"] == code
+        assert np.array_equal(state_array(state, "a", (len(values),), np.int64), arr)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64, np.dtype(">i8")])
+    def test_code_depends_only_on_the_values(self, dtype):
+        assert array_record(np.array([[3, 100]], dtype=dtype)) == array_record(np.array([[3, 100]]))
+
     def test_extremes(self):
         ints = np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max])
         assert np.array_equal(state_array(saved(ints), "a", (4,), dtype=np.int64), ints)
@@ -64,22 +123,32 @@ class TestRoundTrip:
         record = array_record(arr)
         assert record == {"b64": base64.b64encode(np.array([1.5, -2.0], "<f8").tobytes()).decode(),
                           "dtype": "<f8", "shape": [2]}
-        assert array_record(np.array([[3, -4]], dtype=">i4"))["dtype"] == "<i8"
+        assert array_record(np.array([[300, -4]], dtype=">i4")) == {
+            "b64": base64.b64encode(np.array([300, -4], "<i2").tobytes()).decode(),
+            "dtype": "<i2", "shape": [1, 2],
+        }
 
     @pytest.mark.parametrize(
         "dtype, code",
         [(np.uint8, "|u1"), (np.dtype(">u2"), "<u2"), (np.uint32, "<u4"), (np.uint64, "<u8")],
     )
-    def test_unsigned_kept_at_their_width(self, dtype, code):
+    def test_unsigned_type_maximum_takes_that_type(self, dtype, code):
         arr = np.array([[0, 1], [np.iinfo(dtype).max, 7]], dtype=dtype)
         state = saved(arr)
         assert state["a"]["dtype"] == code
         assert len(base64.b64decode(state["a"]["b64"])) == 4 * np.dtype(dtype).itemsize
         got = state_array(state, "a", (2, 2), dtype=arr.dtype.type)
         assert got.dtype == arr.dtype.type and np.array_equal(got, arr)
-        # A field may take any of several codes and decode them to one dtype.
-        wide = state_array(state, "a", (2, 2), np.int64, codes=("|u1", "<u2", "<u4", "<u8"))
-        assert wide.dtype == np.int64 and np.array_equal(wide, arr.astype(np.int64))
+        # Every code decodes to a wider field that holds its values.
+        wide = state_array(state, "a", (2, 2), np.uint64)
+        assert wide.dtype == np.uint64 and np.array_equal(wide, arr.astype(np.uint64))
+
+    @pytest.mark.parametrize("value", [0.25, -0.0, 5e-324, -np.finfo(np.float64).max])
+    def test_scalar_is_a_0_d_record(self, value):
+        state = saved(np.float64(value))
+        assert state["a"]["dtype"] == "<f8" and state["a"]["shape"] == []
+        got = state_array(state, "a", ())
+        assert got.shape == () and np.float64(got).tobytes() == np.float64(value).tobytes()
 
     def test_decoded_array_is_owned_writable_native(self):
         got = state_array(saved(np.arange(6.0).reshape(2, 3)), "a", (2, None))
@@ -129,8 +198,8 @@ class TestRejected:
             (_with(shape=[2, 2, 1]), np.float64),
             (_with(shape=[1, 4]), np.float64),
             (array_record(np.arange(4).reshape(4, 1)), np.int64),
-            (array_record(np.arange(4, dtype=np.uint8).reshape(2, 2)), np.int64),
-            (array_record(np.arange(4).reshape(2, 2)), np.uint8),
+            (coded_record([[0, 1], [2, 3]], "<u2"), np.int64),
+            (array_record(np.array([[0, 1], [2, 300]])), np.uint8),
             (_with(dtype="|u1"), np.uint8),
             (_with(b64="!!!!" + _good()["b64"][4:]), np.float64),
             (_with(b64=_good()["b64"][:-1]), np.float64),
@@ -147,7 +216,7 @@ class TestRejected:
             "list", "str", "null", "missing-dtype", "extra-key", "big-endian", "float32",
             "int-in-float-field", "float-in-int-field", "dtype-null", "shape-not-list",
             "shape-str", "shape-float", "shape-bool", "shape-negative", "shape-rank-1",
-            "shape-rank-3", "shape-rows", "shape-int-field", "uint8-in-int-field",
+            "shape-rank-3", "shape-rows", "shape-int-field", "int-code-too-wide",
             "int-in-uint8-field", "uint8-bytes-of-floats", "b64-bad-chars", "b64-bad-padding",
             "b64-newline", "b64-non-ascii", "b64-number", "bytes-short", "bytes-long", "nan",
             "inf", "-inf",
@@ -157,6 +226,31 @@ class TestRejected:
         shape = (2, None) if dtype is np.float64 else (2, 2)
         with pytest.raises(ArtifactError, match="'weights'"):
             state_array({"weights": record}, "weights", shape, dtype)
+
+    @pytest.mark.parametrize(
+        "record, dtype, reason",
+        [
+            (coded_record([[0, 1], [2, 3]], "<u2"), np.int64,
+             r"has dtype '<u2', but its values are saved as '\|u1'"),
+            (coded_record([[0, 1], [2, 3]], "|i1"), np.int64,
+             r"has dtype '\|i1', but its values are saved as '\|u1'"),
+            (coded_record([[0, 1], [-2, 3]], "<i8"), np.int64,
+             r"has dtype '<i8', but its values are saved as '\|i1'"),
+            (coded_record([[0, 1], [2, 2**63]], "<u8"), np.int64,
+             r"holds values outside int64 \(\[0, 9223372036854775808\]\)"),
+            (array_record(np.array([[0, 1], [2, 300]])), np.uint8, "holds values outside uint8"),
+            (array_record(np.array([[0, -1], [2, 3]])), np.uint8, "holds values outside uint8"),
+            (_with(dtype=">i8"), np.int64, "has dtype '>i8', expected an integer code"),
+            (_with(dtype="<f8"), np.int64, "has dtype '<f8', expected an integer code"),
+            (_with(dtype="<i8"), np.float64, "has dtype '<i8', expected '<f8'"),
+        ],
+        ids=["int-code-too-wide", "signed-code-for-unsigned-values", "int64-code-for-int8-values",
+             "u8-above-int64", "int-in-uint8-field", "negative-in-uint8-field", "big-endian-int",
+             "float-in-int-field", "int-in-float-field"],
+    )
+    def test_integer_code_refused_for_its_reason(self, record, dtype, reason):
+        with pytest.raises(ArtifactError, match=f"saved array 'weights' {reason}"):
+            state_array({"weights": record}, "weights", (2, 2), dtype)
 
     def test_negative_dimensions(self):
         # Their product matches the bytes, and any size would be allowed.
@@ -298,10 +392,12 @@ class TestColumnsRejected:
             (_columns(), 3),
             (_columns(), 1),
             (_columns(codes=np.array([[0], [1], [0]], dtype=np.uint8)), 2),
-            (_columns(codes=_CODES.astype(np.int64)), 2),
-            (_columns(codes=_CODES.astype(np.uint64)), 2),
+            (_columns(codes=coded_record(_CODES, "<i8")), 2),
+            (_columns(codes=coded_record(_CODES, "<u8")), 2),
             (_columns(codes=_CODES.astype(np.float64)), 2),
-            (_columns(offsets=np.array([0, 2, 4], dtype=np.uint8)), 2),
+            (_columns(codes=np.array([[0, 1], [1, -1], [0, 0]])), 2),
+            (_columns(offsets=coded_record([0, 2, 4], "<i8")), 2),
+            (_columns(offsets=coded_record([0, 2, 2**63], "<u8")), 2),
             (_columns(offsets=np.array([0.0, 2.0, 4.0])), 2),
             (_columns(values=np.array([1.0, 2.0, 0.0, np.nan])), 2),
             (_columns(values=np.array([1.0, np.inf, 0.0, -0.0])), 2),
@@ -313,13 +409,21 @@ class TestColumnsRejected:
             "offsets-descending", "offsets-descending-no-rows", "values-descending", "values-duplicate",
             "values-zeros-swapped", "code-past-its-column", "code-past-the-values",
             "width-over", "width-under", "codes-width", "codes-signed", "codes-u8",
-            "codes-float", "offsets-unsigned", "offsets-float", "values-nan", "values-inf",
+            "codes-float", "code-negative", "offsets-int64", "offsets-above-int64",
+            "offsets-float", "values-nan", "values-inf",
             "values-int",
         ],
     )
     def test_malformed_columns(self, record, n_features):
         with pytest.raises(ArtifactError, match="'train_X"):
             state_columns({"train_X": record}, "train_X", n_features)
+
+    def test_negative_code_refused(self):
+        # Its canonical code is signed; read, it would index the column before.
+        record = _columns(codes=np.array([[0, 1], [1, -1], [0, 0]]))
+        assert record["codes"]["dtype"] == "|i1"
+        with pytest.raises(ArtifactError, match="'train_X': a code is outside its column's values"):
+            state_columns({"train_X": record}, "train_X", 2)
 
 
 def number_lists(obj, path: str = "$") -> list[str]:

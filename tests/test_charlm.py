@@ -26,6 +26,7 @@ from urlsleuth.errors import ArtifactError, ModelError
 from urlsleuth.models.base import array_record
 from urlsleuth.synth import generate_dataset
 
+from conftest import coded_record
 from oracles import DictGramModel
 
 
@@ -378,14 +379,14 @@ class TestMalformedCounts:
              r"'keys' has shape \[\d+, 2\], expected \[n, 3\]"),
             (lambda k, c: _side_records(k, _set(c, 0, 0)), ModelError, "integers in"),
             (lambda k, c: _side_records(k, _set(c, 0, 2**53)), ModelError, "integers in"),
-            (lambda k, c: _side_records(k, _set(c.astype(np.uint64), 0, 2**64 - 1)), ModelError,
-             "integers in"),
-            (lambda k, c: _side_records(k, _set(c, 0, -1), np.int64), ArtifactError,
-             "'counts' has dtype '<i8'"),
+            (lambda k, c: _side_records(k, _set(c.astype(np.uint64), 0, 2**64 - 1)), ArtifactError,
+             r"'counts' holds values outside int64"),
+            (lambda k, c: {**_side_records(k, c), "counts": coded_record(_set(c, 0, -1), "<i8")},
+             ArtifactError, r"'counts' has dtype '<i8', but its values are saved as '\|i1'"),
             (lambda k, c: _side_records(k, c, np.float64), ArtifactError,
              "'counts' has dtype '<f8'"),
-            (lambda k, c: {**_side_records(k, c), "keys": array_record(k.astype(np.int64))},
-             ArtifactError, "'keys' has dtype '<i8'"),
+            (lambda k, c: {**_side_records(k, c), "keys": coded_record(k, "<i8")},
+             ArtifactError, r"'keys' has dtype '<i8', but its values are saved as '\|u1'"),
             (lambda k, c: _side_records(k, c[:-1]), ArtifactError, "'counts' has shape"),
             (lambda k, c: _side_records(k[[1, 0, *range(2, len(k))]], c), ModelError,
              "strictly increasing"),

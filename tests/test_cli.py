@@ -25,7 +25,8 @@ from urlsleuth.synth import generate_dataset, materialize_run
 from urlsleuth.urlfeat import catalog
 
 from conftest import (
-    columns_matrix, edit_arrays, read_artifact, records_to_lists, write_artifact, write_csv,
+    coded_record, columns_matrix, edit_arrays, read_artifact, records_to_lists, write_artifact,
+    write_csv,
 )
 from oracles import DictGramModel
 
@@ -473,6 +474,23 @@ class TestClassify:
         assert main(["classify", "--artifact", str(artifact), str(urls_file)]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 2
 
+    def test_bom_prefixed_input_reads_like_plain(self, workspace, tmp_path, monkeypatch):
+        text = "http://a.com/x\nhttps://b.org/\u00e9?q=1\n".encode("utf-8")
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        artifact = str(workspace["out_dir"] / "models" / "LR.json")
+        outputs = []
+        for name, source in (("plain", [str(plain)]), ("bom", [str(bom)]), ("stdin", [])):
+            if not source:
+                stdin = io.TextIOWrapper(io.BytesIO(bom.read_bytes()), encoding="utf-8")
+                monkeypatch.setattr(sys, "stdin", stdin)
+            out_file = tmp_path / f"{name}.csv"
+            assert main(["classify", "--artifact", artifact, "--out-file", str(out_file), *source]) == 0
+            outputs.append(out_file.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert outputs[0].split(b"\n")[1].startswith(b"http://a.com/x,")
+
     def test_only_newline_ends_a_url(self, workspace, tmp_path, capsys):
         urls = ["http://a.com/x\x0by", "http://b.com/p\x85q", "http://c.com/\u2028r\rs"]
         urls_file = tmp_path / "urls.txt"
@@ -667,10 +685,10 @@ class TestErrorPaths:
             ),
             ("GNB", lambda s: s.update(means=[row[:3] for row in s["means"]]), "'means' has shape"),
             ("MLP", lambda s: s.update(params=s["params"][:5]), "'params' has shape"),
-            ("DT", lambda s: s["tree"]["feature"].__setitem__(0, 999), "splits outside"),
+            ("DT", lambda s: s["trees"]["feature"].__setitem__(0, 999), "splits outside"),
             (
                 "DT",
-                lambda s: s["tree"]["left"].__setitem__(0, len(s["tree"]["left"])),
+                lambda s: s["trees"]["left"].__setitem__(0, len(s["trees"]["left"])),
                 "does not follow its parent",
             ),
         ],
@@ -841,7 +859,7 @@ class TestErrorPaths:
         old = tmp_path / "RF.json"
         write_artifact({**payload, "format_version": 5}, chain, old)
         err = self._classify_fails(old, tmp_path, capsys)
-        assert "unsupported pipeline artifact version 5; this build reads version 7" in err
+        assert "unsupported pipeline artifact version 5; this build reads version 8" in err
 
     def test_format_6_artifact_reported(self, workspace, tmp_path, capsys):
         # Format 6 saved KNN's training matrix as one float64 record and
@@ -853,19 +871,43 @@ class TestErrorPaths:
         old = tmp_path / "KNN.json"
         write_artifact({**payload, "format_version": 6}, chain, old)
         err = self._classify_fails(old, tmp_path, capsys)
-        assert "unsupported pipeline artifact version 6; this build reads version 7" in err
+        assert "unsupported pipeline artifact version 6; this build reads version 8" in err
+
+    def test_format_7_artifact_reported(self, workspace, tmp_path, capsys):
+        # Format 7 saved a scalar as a JSON number, a decision tree as one
+        # record per node field and every signed integer array as int64.
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / "LR.json")
+        state = payload["model"]["state"]
+        state["bias"] = records_to_lists(state["bias"])
+        kept = records_to_lists(chain["selector"]["retained_indices"])
+        chain["selector"]["retained_indices"] = coded_record(kept, "<i8")
+        old = tmp_path / "LR.json"
+        write_artifact({**payload, "format_version": 7}, chain, old)
+        err = self._classify_fails(old, tmp_path, capsys)
+        assert "unsupported pipeline artifact version 7; this build reads version 8" in err
 
     @pytest.mark.parametrize(
         "model, key", [("LR", "bias"), ("LINEAR_SVM", "bias"), ("GBT", "f0")]
     )
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5"], ids=["NaN", "inf", "str"])
-    def test_non_finite_model_scalar_reported(self, model, key, value, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            (array_record(np.float64(np.nan)), "contains NaN or infinite values"),
+            (array_record(np.float64(np.inf)), "contains NaN or infinite values"),
+            ("0.5", "must be an object with keys b64, dtype, shape"),
+            (0.5, "must be an object with keys b64, dtype, shape"),
+        ],
+        ids=["NaN", "inf", "str", "format-7-number"],
+    )
+    def test_non_finite_model_scalar_reported(
+        self, model, key, value, reason, workspace, tmp_path, capsys
+    ):
         payload, chain = read_artifact(workspace["out_dir"] / "models" / f"{model}.json")
         payload["model"]["state"][key] = value
         edited = tmp_path / f"{model}.json"
-        write_artifact(payload, chain, edited)  # writes NaN, Infinity
+        write_artifact(payload, chain, edited)
         err = self._classify_fails(edited, tmp_path, capsys)
-        assert f"saved scalar '{key}' must be a finite number" in err
+        assert f"saved array '{key}' {reason}" in err
 
     @pytest.mark.parametrize(
         "family, grid",

@@ -216,6 +216,21 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             load_run_config(path)
 
+    @pytest.mark.parametrize(
+        "section, key", [("language_model", "smoothing_k"), ("features", "variance_target")]
+    )
+    @pytest.mark.parametrize(
+        "text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "1e400", "10**400"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, section, key, text):
+        # Python's json reads NaN, Infinity and 1e400 (an infinity).
+        raw = {**minimal_raw(), section: {key: "VALUE"}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw).replace('"VALUE"', text), encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be a finite number"):
+            load_run_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(tmp_path / "absent.json")

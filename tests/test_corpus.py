@@ -113,6 +113,44 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"line 4: expected 2 fields"):
             load_dataset(str(path), {"0": 0}, id="d")
 
+    def test_bom_prefixed_file_loads_the_same_records(self, tmp_path):
+        rows = [("http://a.com", "benign"), ("http://b.biz/é", "malicious")]
+        plain = write_csv(tmp_path / "d.csv", rows)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + bom.with_name("d.csv").read_bytes())
+        assert load_dataset(str(bom), LABEL_MAP, id="d") == load_dataset(plain, LABEL_MAP, id="d")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "url,label\nhttp://a.com/,0\nhttp://b.com/,1\n\n",
+            "url,label\nhttp://a.com/,0\n\nhttp://b.com/,1\n",
+            "\nurl,label\nhttp://a.com/,0\n\n\nhttp://b.com/,1\n\n",
+            "url,label\r\nhttp://a.com/,0\r\n\r\nhttp://b.com/,1\r\n\r\n",
+        ],
+        ids=["trailing", "mid-file", "several-and-before-header", "crlf"],
+    )
+    def test_empty_lines_skipped(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        ds = load_dataset(str(path), {"0": 0, "1": 1}, id="d")
+        assert [(r.url, r.label) for r in ds.records] == [("http://a.com/", 0), ("http://b.com/", 1)]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("http://a.com/,0\n\nhttp://b.com\n", "line 4: expected 2 fields, got 1"),
+            ("http://a.com/,0\n\n\nhttp://b.com/,zzz\n", "line 5: unmapped label 'zzz'"),
+            ('"http://a.com/\n",0\n\nhttp://b.com/,zzz\n', "line 5: unmapped label 'zzz'"),
+        ],
+        ids=["one-empty-line", "two-empty-lines", "after-a-two-line-record"],
+    )
+    def test_error_after_an_empty_line_names_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "d.csv"
+        path.write_text("url,label\n" + rows, encoding="utf-8")
+        with pytest.raises(DataError, match=rf"d\.csv: {message}"):
+            load_dataset(str(path), {"0": 0}, id="d")
+
     def test_empty_url_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [("", "benign")])
         with pytest.raises(DataError, match="empty URL"):

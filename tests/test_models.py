@@ -614,7 +614,7 @@ class TestPersistence:
                 train_X=columns_record(columns_matrix(s["train_X"])[:2]),
                 train_y=array_record(np.uint8(s["train_y"][:2])),
             )),
-            ("DT", lambda s: s["tree"]["left"].__setitem__(0, 0)),
+            ("DT", lambda s: s["trees"]["left"].__setitem__(0, 0)),
             ("KMEANS", lambda s: s.update(cluster_fractions=s["cluster_fractions"][:1])),
             ("RF", lambda s: s["trees"].update(offsets=s["trees"]["offsets"][:-1])),
             ("RF", lambda s: s["trees"]["offsets"].__setitem__(1, 0)),
@@ -634,14 +634,33 @@ class TestPersistence:
 
     @pytest.mark.parametrize("family, key", [("LR", "bias"), ("LINEAR_SVM", "bias"), ("GBT", "f0")])
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), -float("inf"), "0.5", True, None, [0.5], 10**400],
-        ids=["nan", "inf", "-inf", "str", "true", "none", "list", "huge-int"],
+        "value, reason",
+        [
+            *[
+                (value, "must be an object with keys b64, dtype, shape")
+                for value in (float("nan"), float("inf"), -float("inf"), "0.5", True, None, [0.5],
+                              10**400)
+            ],
+            *[
+                (array_record(np.float64(value)), "contains NaN or infinite values")
+                for value in (np.nan, np.inf, -np.inf)
+            ],
+            (array_record(np.array([0.5])), r"has shape \[1\], expected \[\]"),
+            (array_record(np.int64(1)), r"has dtype '\|u1', expected '<f8'"),
+            (array_record(np.int64(10**18)), "has dtype '<u8', expected '<f8'"),
+        ],
+        ids=["nan", "inf", "-inf", "str", "true", "none", "list", "huge-int", "record-nan",
+             "record-inf", "record--inf", "record-1-d", "record-int", "record-huge-int"],
     )
-    def test_non_finite_or_non_numeric_scalar_rejected(self, family, key, value, blob_data):
+    def test_non_finite_or_non_numeric_scalar_rejected(
+        self, family, key, value, reason, blob_data
+    ):
+        # A scalar is a 0-d "<f8" record; nothing else is read as one.
         x, y = blob_data
         payload = fit_model(spec_for(family), x, y).to_dict()
+        assert payload["state"][key]["dtype"] == "<f8" and payload["state"][key]["shape"] == []
         payload["state"][key] = value
-        with pytest.raises(ArtifactError, match=f"saved scalar '{key}' must be a finite number"):
+        with pytest.raises(ArtifactError, match=f"saved array '{key}' {reason}"):
             TrainedModel.from_dict(json.loads(json.dumps(payload)))
 
     def test_dict_round_trip(self, blob_data):
@@ -693,8 +712,8 @@ ORACLE_CASES = [
 
 
 def unpacked_trees(packed: dict) -> list[dict]:
-    """A forest's packed trees (in list form) as one dict per tree, the
-    form ``_FlatTree.to_dict`` saves and the oracle states hold."""
+    """Packed trees (in list form) as one dict per tree, the form the
+    oracle states hold."""
     offsets = packed["offsets"]
     names = ("feature", "threshold", "left", "right", "value")
     return [
@@ -703,12 +722,13 @@ def unpacked_trees(packed: dict) -> list[dict]:
 
 
 def saved_state_bytes(family: str, params: dict, x, y, seed: int = 0) -> bytes:
-    """The saved state in the list form of format 4, a forest's packed
-    trees unpacked to one dict per tree, as JSON bytes."""
+    """The saved state in the list form of format 4, the packed trees
+    unpacked to one dict per tree (DT's one tree under ``"tree"``), as
+    JSON bytes."""
     model = fit_model(ModelSpec(family, params, seed=seed), x, y)
     state = records_to_lists(model.to_dict()["state"])
-    if family in ("RF", "GBT"):
-        state["trees"] = unpacked_trees(state["trees"])
+    trees = unpacked_trees(state.pop("trees"))
+    state.update({"tree": trees[0]} if family == "DT" else {"trees": trees})
     return json.dumps(state).encode("utf-8")
 
 

@@ -472,7 +472,7 @@ class TestPipelinePersistence:
         path, payload, chain = self._saved(url_corpus, tmp_path)
         assert set(payload) == {"artifact", "format_version", "catalog_version", "chain", "model"}
         assert payload["artifact"] == "urlsleuth-pipeline"
-        assert payload["format_version"] == 7
+        assert payload["format_version"] == 8
         assert payload["catalog_version"] == CATALOG_VERSION
         assert set(chain) == {"lm", "scaler", "selector", "projection"}
         assert set(chain["lm"]) == {"order", "k", "benign", "malicious"}
@@ -530,7 +530,7 @@ class TestPipelinePersistence:
         with pytest.raises(ArtifactError):
             load_pipeline(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
     def test_wrong_version_rejected(self, url_corpus, tmp_path, version):
         path, payload, _ = self._saved(url_corpus, tmp_path)
         payload["format_version"] = version
