@@ -158,13 +158,13 @@ def columns_record(X: np.ndarray) -> dict:
     ``offsets``, where each column's values start (``d + 1`` entries); and
     ``codes``, one index per cell into its column's values."""
     bits = np.ascontiguousarray(X, dtype=np.float64).view(np.uint64)
-    n, d = bits.shape
-    columns = [np.unique(bits[:, j], return_inverse=True) for j in range(d)]
-    codes = np.empty((n, d), dtype=np.int64)
-    for j, (_, inverse) in enumerate(columns):
-        codes[:, j] = inverse
-    values = np.concatenate([distinct for distinct, _ in columns] + [np.empty(0, np.uint64)])
-    counts = [len(distinct) for distinct, _ in columns]
+    codes = np.empty(bits.shape, dtype=np.int64)
+    columns = []
+    for j in range(bits.shape[1]):
+        distinct, codes[:, j] = np.unique(bits[:, j], return_inverse=True)
+        columns.append(distinct)
+    values = np.concatenate(columns + [np.empty(0, np.uint64)])
+    counts = [len(distinct) for distinct in columns]
     return {
         "values": array_record(values.view(np.float64)),
         "offsets": array_record(np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))),
