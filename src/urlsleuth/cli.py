@@ -22,7 +22,7 @@ from . import corpus
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, DataError, UrlsleuthError
 from .evaluation import (
-    METRIC_NAMES,
+    MetricReport,
     aggregate_rank_table,
     baseline_report,
     compute_metrics,
@@ -71,17 +71,76 @@ def _load_datasets(cfg: RunConfig) -> list[corpus.Dataset]:
     return out
 
 
-def _partition(cfg: RunConfig, datasets: list[corpus.Dataset]):
+def _run_data(cfg: RunConfig) -> tuple[corpus.PartitionPlan, dict]:
+    """The partition plan, and ``{dataset id: (urls, labels)}`` for every
+    configured dataset in config order."""
+    datasets = _load_datasets(cfg)
     plan = corpus.partition(
         datasets, (cfg.partition.train, cfg.partition.val, cfg.partition.test),
         cfg.partition.seed,
     )
-    by_id = {d.id: d for d in datasets}
-    return plan, by_id
+    data = {
+        d.id: ([r.url for r in d.records], np.array([r.label for r in d.records], dtype=np.int64))
+        for d in datasets
+    }
+    return plan, data
 
 
-def _urls_and_labels(records) -> tuple[list[str], np.ndarray]:
-    return [r.url for r in records], np.array([r.label for r in records], dtype=np.int64)
+def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families, seed: int):
+    """Fit the feature chain on the pooled training datasets once, then
+    yield one in-memory ``PipelineArtifact`` per family, grid-searched on
+    the validation datasets.  Each family is fitted only when the caller
+    asks for it, so one chosen model is alive at a time besides the chain."""
+    train_urls = [url for ds_id in plan.train_ids for url in data[ds_id][0]]
+    train_labels = np.concatenate([data[ds_id][1] for ds_id in plan.train_ids])
+    chain, train_matrix = fit_chain(
+        train_urls, train_labels, lm_order=cfg.lm.order, lm_smoothing=cfg.lm.smoothing_k,
+        top_k=cfg.features.selector_top_k if cfg.features.use_selector else None,
+        use_projection=cfg.features.use_projection, variance_target=cfg.features.variance_target,
+    )
+    val_sets = [(chain.transform(data[ds_id][0]), data[ds_id][1]) for ds_id in plan.val_ids]
+    for family in families:
+        model = grid_search(
+            family, cfg.grid_for(family), (train_matrix, train_labels), val_sets,
+            target_metric=cfg.tuning_metric, seed=seed,
+        )
+        yield PipelineArtifact(chain, model)
+
+
+def score_datasets(artifacts: dict[str, PipelineArtifact], data, ids) -> list[MetricReport]:
+    """One metric report per dataset in ``ids`` and family in ``artifacts``,
+    dataset by dataset.  Artifacts sharing a chain object featurize each
+    dataset once."""
+    reports = []
+    for ds_id in ids:
+        urls, labels = data[ds_id]
+        features = {}  # id(chain) -> matrix; the artifacts keep each chain alive
+        for family, artifact in artifacts.items():
+            key = id(artifact.chain)
+            if key not in features:
+                features[key] = artifact.featurize(urls)
+            scores = artifact.model.predict_scores(features[key])
+            predictions = (scores >= 0.5).astype(np.int64)
+            reports.append(
+                compute_metrics(labels, predictions, scores, dataset_id=ds_id, family=family)
+            )
+    return reports
+
+
+def _saved_artifacts(out_dir: Path) -> dict[str, PipelineArtifact]:
+    """Every family's saved artifact under ``out_dir/models``.  Artifacts
+    naming the same chain digest share one chain object, so each distinct
+    chain is read and built once."""
+    models_dir = out_dir / "models"
+    chains = {}
+    artifacts = {}
+    for family in FAMILIES:
+        path = models_dir / f"{family}.json"
+        if path.exists():
+            artifacts[family] = load_pipeline(path, chains=chains)
+    if not artifacts:
+        raise ConfigError(f"no model artifacts found under {models_dir}; run train first")
+    return artifacts
 
 
 def cmd_ingest(args) -> int:
@@ -126,60 +185,38 @@ def cmd_audit(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg, out_dir, _ = _resolve(args)
-    datasets = _load_datasets(cfg)
+    _, data = _run_data(cfg)
     feature_names = list(catalog().names)
-    for ds in datasets:
-        urls, labels = _urls_and_labels(ds.records)
+    for ds_id, (urls, labels) in data.items():
         matrix = extract_matrix(urls)
         rows = (
             [url, int(label), *[repr(v) for v in row.tolist()]]
             for url, label, row in zip(urls, labels, matrix)
         )
         write_text_atomic(
-            csv_text(["url", "label", *feature_names], rows), out_dir / f"features_{ds.id}.csv"
+            csv_text(["url", "label", *feature_names], rows), out_dir / f"features_{ds_id}.csv"
         )
-    print(f"feature matrices for {len(datasets)} datasets written to {out_dir}")
+    print(f"feature matrices for {len(data)} datasets written to {out_dir}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg, out_dir, seed = _resolve(args)
-    datasets = _load_datasets(cfg)
-    plan, by_id = _partition(cfg, datasets)
-    train_urls, train_labels = _urls_and_labels(
-        corpus.pool_records([by_id[i] for i in plan.train_ids])
-    )
-    chain, train_matrix = fit_chain(
-        train_urls,
-        train_labels,
-        lm_order=cfg.lm.order,
-        lm_smoothing=cfg.lm.smoothing_k,
-        top_k=cfg.features.selector_top_k if cfg.features.use_selector else None,
-        use_projection=cfg.features.use_projection,
-        variance_target=cfg.features.variance_target,
-    )
-    val_sets = []
-    for ds_id in plan.val_ids:
-        urls, labels = _urls_and_labels(by_id[ds_id].records)
-        val_sets.append((chain.transform(urls), labels))
-
+    plan, data = _run_data(cfg)
     families = [args.model] if args.model else list(FAMILIES)
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     chosen = {}
-    for family in families:
-        model = grid_search(
-            family, cfg.grid_for(family), (train_matrix, train_labels), val_sets,
-            target_metric=cfg.tuning_metric, seed=seed,
-        )
-        save_pipeline(PipelineArtifact(chain, model), models_dir / f"{family}.json")
-        chosen[family] = {"hyperparameters": model.spec.hyperparameters, "seed": model.spec.seed}
-        print(f"trained {family}: {model.spec.hyperparameters}")
+    for artifact in fit_run(cfg, plan, data, families, seed):
+        spec = artifact.model.spec
+        save_pipeline(artifact, models_dir / f"{spec.family}.json")
+        chosen[spec.family] = {"hyperparameters": spec.hyperparameters, "seed": spec.seed}
+        print(f"trained {spec.family}: {spec.hyperparameters}")
     if not args.model:
         # All 11 model files now name this chain; a chain file left by an
         # earlier train with another config is named by none of them.
         # ``--model`` keeps them: other model files may still name one.
-        for name in remove_other_chains(models_dir, chain):
+        for name in remove_other_chains(models_dir, artifact.chain):
             print(f"removed unused chain {name}")
     write_json_atomic(
         {
@@ -197,50 +234,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _partition_ids(plan: corpus.PartitionPlan, which: str) -> tuple[str, ...]:
-    return {"train": plan.train_ids, "val": plan.val_ids, "test": plan.test_ids}[which]
-
-
-def _evaluate_partition(cfg: RunConfig, out_dir: Path, which: str):
-    datasets = _load_datasets(cfg)
-    plan, by_id = _partition(cfg, datasets)
-    models_dir = out_dir / "models"
-    # Artifacts naming the same chain digest share one chain object, so each
-    # distinct chain is read and built once, and featurizes each dataset once.
-    chains = {}
-    artifacts = {}
-    for family in FAMILIES:
-        path = models_dir / f"{family}.json"
-        if path.exists():
-            artifacts[family] = load_pipeline(path, chains=chains)
-    if not artifacts:
-        raise ConfigError(f"no model artifacts found under {models_dir}; run train first")
-    digest_of = {id(chain): digest for digest, chain in chains.items()}
-    reports = []
-    per_dataset = {}
-    for ds_id in _partition_ids(plan, which):
-        urls, labels = _urls_and_labels(by_id[ds_id].records)
-        features = {}
-        family_reports = {}
-        for family, artifact in artifacts.items():
-            digest = digest_of[id(artifact.chain)]
-            if digest not in features:
-                features[digest] = artifact.featurize(urls)
-            scores = artifact.model.predict_scores(features[digest])
-            predictions = (scores >= 0.5).astype(np.int64)
-            report = compute_metrics(
-                labels, predictions, scores, dataset_id=ds_id, family=family
-            )
-            reports.append(report)
-            if family != "BASELINE":
-                family_reports[family] = report
-        per_dataset[ds_id] = (family_reports, baseline_report(labels, dataset_id=ds_id))
-    return reports, per_dataset
-
-
 def cmd_evaluate(args) -> int:
     cfg, out_dir, _ = _resolve(args)
-    reports, _ = _evaluate_partition(cfg, out_dir, args.partition)
+    plan, data = _run_data(cfg)
+    ids = getattr(plan, f"{args.partition}_ids")
+    reports = score_datasets(_saved_artifacts(out_dir), data, ids)
     path = out_dir / f"metrics_{args.partition}.csv"
     write_text_atomic(metric_reports_to_csv(reports), path)
     print(f"metric reports written to {path}")
@@ -249,12 +247,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_rank(args) -> int:
     cfg, out_dir, _ = _resolve(args)
-    _, per_dataset = _evaluate_partition(cfg, out_dir, args.partition)
-    rank_maps = {
-        ds_id: per_dataset_ranks(family_reports, baseline)
-        for ds_id, (family_reports, baseline) in per_dataset.items()
-    }
-    table = aggregate_rank_table(rank_maps)
+    plan, data = _run_data(cfg)
+    ids = getattr(plan, f"{args.partition}_ids")
+    family_reports = {ds_id: {} for ds_id in ids}
+    for report in score_datasets(_saved_artifacts(out_dir), data, ids):
+        if report.family != "BASELINE":
+            family_reports[report.dataset_id][report.family] = report
+    table = aggregate_rank_table({
+        ds_id: per_dataset_ranks(by_family, baseline_report(data[ds_id][1], dataset_id=ds_id))
+        for ds_id, by_family in family_reports.items()
+    })
     path = out_dir / f"rank_{args.partition}.csv"
     write_text_atomic(rank_table_to_csv(table), path)
     print(f"rank table written to {path}")

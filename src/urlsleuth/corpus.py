@@ -13,7 +13,7 @@ import csv
 import logging
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DataError
 
@@ -213,10 +213,3 @@ def class_balance(d: Dataset) -> float:
         raise DataError("class_balance requires a non-empty dataset")
     return sum(r.label for r in d.records) / len(d.records)
 
-
-def pool_records(datasets: Iterable[Dataset]) -> list[UrlRecord]:
-    """Concatenate records from several datasets in the given order."""
-    pooled: list[UrlRecord] = []
-    for d in datasets:
-        pooled.extend(d.records)
-    return pooled

@@ -199,7 +199,7 @@ class TestTrain:
             for e in cfg.datasets
         }
         summary = workspace["summary"]
-        records = corpus.pool_records([by_id[i] for i in summary["partition"]["train"]])
+        records = [r for i in summary["partition"]["train"] for r in by_id[i].records]
         labels = np.array([r.label for r in records], dtype=np.int64)
         chain, X_train = fit_chain(
             [r.url for r in records],

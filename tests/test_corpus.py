@@ -8,14 +8,12 @@ import pytest
 
 from urlsleuth.corpus import (
     Dataset,
-    UrlRecord,
     class_balance,
     dedup_stats,
     deduplicate,
     load_dataset,
     overlap_fraction,
     partition,
-    pool_records,
     sample_for_audit,
 )
 from urlsleuth.errors import DataError
@@ -269,10 +267,3 @@ class TestAuditAndStats:
         assert class_balance(ds) == pytest.approx(0.75)
         with pytest.raises(DataError):
             class_balance(Dataset(id="e", name="e", records=()))
-
-    def test_pool_preserves_order(self):
-        a = make_dataset([("u1", 0), ("u2", 1)], id="a")
-        b = make_dataset([("v1", 1)], id="b")
-        pooled = pool_records([a, b])
-        assert [r.url for r in pooled] == ["u1", "u2", "v1"]
-        assert isinstance(pooled[0], UrlRecord)
