@@ -46,20 +46,21 @@ from .urlfeat import catalog, extract_matrix
 OVERLAP_FLAG_THRESHOLD = 0.20
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, seed: bool = False) -> None:
     parser.add_argument("--config", required=True, help="run configuration JSON file")
     parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--seed", type=int, help="seed override for this command")
+    if seed:  # only train and audit draw random numbers
+        parser.add_argument("--seed", type=int, help="seed override for this command")
 
 
 def _resolve(args) -> tuple[RunConfig, Path, int]:
     cfg = load_run_config(args.config)
-    if args.seed is not None and args.seed < 0:  # checked before anything is made or fitted
-        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:  # checked before anything is made or fitted
+        raise ConfigError(f"seed must be an integer >= 0, got {seed}")
     out_dir = Path(args.out) if args.out else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else cfg.seed
-    return cfg, out_dir, seed
+    return cfg, out_dir, cfg.seed if seed is None else seed
 
 
 def _load_datasets(cfg: RunConfig) -> list[corpus.Dataset]:
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("audit", help="cross-dataset overlap matrix and label samples")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("featurize", help="export lexical feature matrices as CSV")
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="fit preprocessing and all model families")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--model", choices=FAMILIES, help="train only this family")
     p.set_defaults(func=cmd_train)
 

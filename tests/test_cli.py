@@ -983,6 +983,18 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0, got -1")
         assert not out.exists()
 
+    def test_negative_seed_reported_by_audit(self, workspace, tmp_path, capsys):
+        argv = ["audit", "--config", str(workspace["config_path"]), "--out", str(tmp_path)]
+        assert main([*argv, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0, got -1")
+
+    @pytest.mark.parametrize("command", ["ingest", "featurize", "evaluate", "rank"])
+    def test_seed_only_on_train_and_audit(self, command, workspace, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(workspace["config_path"]), "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 1
         assert "not found" in capsys.readouterr().err
