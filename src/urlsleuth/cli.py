@@ -13,6 +13,7 @@ across repeat runs with the same config and seeds.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .evaluation import (
     per_dataset_ranks,
     rank_table_to_csv,
 )
-from .fileio import csv_text, write_json_atomic, write_text_atomic
+from .fileio import csv_text, read_json, write_json_atomic, write_text_atomic
 from .models import FAMILIES
 from .pipeline import (
     PipelineArtifact,
@@ -87,6 +88,35 @@ def _run_data(cfg: RunConfig) -> tuple[corpus.PartitionPlan, dict]:
     return plan, data
 
 
+def _partition_record(plan: corpus.PartitionPlan) -> dict:
+    return {
+        "train": list(plan.train_ids),
+        "val": list(plan.val_ids),
+        "test": list(plan.test_ids),
+        "seed": plan.seed,
+    }
+
+
+def _recorded_summary(out_dir: Path, plan: corpus.PartitionPlan) -> dict | None:
+    """``out_dir``'s train summary, or None when it holds none.  Models
+    trained on another partition would be scored on their own training
+    datasets, so a plan other than the recorded one is refused."""
+    path = out_dir / "train_summary.json"
+    if not path.exists():
+        return None
+    summary = read_json(path)
+    if "partition" not in summary or not isinstance(summary.get("chosen"), dict):
+        raise ConfigError(f"train summary {path} is malformed: needs 'partition' and 'chosen'")
+    recorded, planned = summary["partition"], _partition_record(plan)
+    if recorded != planned:
+        raise ConfigError(
+            f"the models in {out_dir} were trained on partition "
+            f"{json.dumps(recorded, sort_keys=True)}, but this config gives partition "
+            f"{json.dumps(planned, sort_keys=True)}; train again, or use another --out"
+        )
+    return summary
+
+
 def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families, seed: int):
     """Fit the feature chain on the pooled training datasets once, then
     yield one in-memory ``PipelineArtifact`` per family, grid-searched on
@@ -128,10 +158,12 @@ def score_datasets(artifacts: dict[str, PipelineArtifact], data, ids) -> list[Me
     return reports
 
 
-def _saved_artifacts(out_dir: Path) -> dict[str, PipelineArtifact]:
-    """Every family's saved artifact under ``out_dir/models``.  Artifacts
-    naming the same chain digest share one chain object, so each distinct
-    chain is read and built once."""
+def _saved_artifacts(out_dir: Path, plan: corpus.PartitionPlan) -> dict[str, PipelineArtifact]:
+    """Every family's saved artifact under ``out_dir/models``, once the
+    recorded partition, if any, matches ``plan``.  Artifacts naming the
+    same chain digest share one chain object, so each distinct chain is
+    read and built once."""
+    _recorded_summary(out_dir, plan)
     models_dir = out_dir / "models"
     chains = {}
     artifacts = {}
@@ -204,10 +236,13 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     cfg, out_dir, seed = _resolve(args)
     plan, data = _run_data(cfg)
+    chosen = {}
+    if args.model:  # the other families' model files stay, and so do their entries
+        summary = _recorded_summary(out_dir, plan)
+        chosen = summary["chosen"] if summary else {}
     families = [args.model] if args.model else list(FAMILIES)
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    chosen = {}
     for artifact in fit_run(cfg, plan, data, families, seed):
         spec = artifact.model.spec
         save_pipeline(artifact, models_dir / f"{spec.family}.json")
@@ -220,16 +255,7 @@ def cmd_train(args) -> int:
         for name in remove_other_chains(models_dir, artifact.chain):
             print(f"removed unused chain {name}")
     write_json_atomic(
-        {
-            "partition": {
-                "train": list(plan.train_ids),
-                "val": list(plan.val_ids),
-                "test": list(plan.test_ids),
-                "seed": plan.seed,
-            },
-            "chosen": chosen,
-        },
-        out_dir / "train_summary.json",
+        {"partition": _partition_record(plan), "chosen": chosen}, out_dir / "train_summary.json"
     )
     print(f"artifacts written to {models_dir}")
     return 0
@@ -239,7 +265,7 @@ def cmd_evaluate(args) -> int:
     cfg, out_dir, _ = _resolve(args)
     plan, data = _run_data(cfg)
     ids = getattr(plan, f"{args.partition}_ids")
-    reports = score_datasets(_saved_artifacts(out_dir), data, ids)
+    reports = score_datasets(_saved_artifacts(out_dir, plan), data, ids)
     path = out_dir / f"metrics_{args.partition}.csv"
     write_text_atomic(metric_reports_to_csv(reports), path)
     print(f"metric reports written to {path}")
@@ -251,7 +277,7 @@ def cmd_rank(args) -> int:
     plan, data = _run_data(cfg)
     ids = getattr(plan, f"{args.partition}_ids")
     family_reports = {ds_id: {} for ds_id in ids}
-    for report in score_datasets(_saved_artifacts(out_dir), data, ids):
+    for report in score_datasets(_saved_artifacts(out_dir, plan), data, ids):
         if report.family != "BASELINE":
             family_reports[report.dataset_id][report.family] = report
     table = aggregate_rank_table({

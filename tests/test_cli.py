@@ -61,6 +61,27 @@ def workspace(tmp_path_factory) -> dict:
     }
 
 
+def variant_config(workspace, name: str, edit) -> Path:
+    """The workspace config changed by ``edit``, saved beside it as ``name``
+    (dataset paths are relative to the config)."""
+    config = json.loads(workspace["config_path"].read_text(encoding="utf-8"))
+    edit(config)
+    path = workspace["root"] / name
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def copy_run(workspace, out: Path) -> Path:
+    """``out`` holding a copy of the workspace's models and train summary."""
+    shutil.copytree(workspace["out_dir"] / "models", out / "models")
+    shutil.copy(workspace["out_dir"] / "train_summary.json", out)
+    return out
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestIngest:
     def test_report_contents(self, workspace):
         report = json.loads(
@@ -331,6 +352,21 @@ class TestTrain:
             out_b / "models" / "RF.json"
         ).read_bytes()
 
+    def test_single_family_train_keeps_the_other_entries(self, workspace, tmp_path):
+        out = copy_run(workspace, tmp_path / "out")
+        before = workspace["summary"]
+        assert before["chosen"]["RF"]["hyperparameters"] != {"n_trees": 3}
+        config = variant_config(
+            workspace, "rf_3_trees.json", lambda c: c.update(grids={"RF": {"n_trees": [3]}})
+        )
+        assert main(["train", "--config", str(config), "--out", str(out), "--model", "RF"]) == 0
+        summary = json.loads((out / "train_summary.json").read_text(encoding="utf-8"))
+        assert summary["partition"] == before["partition"]
+        assert sorted(summary["chosen"]) == sorted(FAMILIES)
+        assert summary["chosen"]["RF"]["hyperparameters"] == {"n_trees": 3}
+        others = lambda chosen: {f: e for f, e in chosen.items() if f != "RF"}
+        assert others(summary["chosen"]) == others(before["chosen"])
+
 
 class TestEvaluate:
     def test_metrics_csv_for_test_partition(self, workspace):
@@ -411,6 +447,55 @@ class TestRank:
         by_family = {row["family"]: int(row["RNK"]) for row in rows}
         for family in ("LR", "DT", "RF", "KNN", "GNB"):
             assert by_family[family] < 10, family
+
+
+class TestRecordedPartition:
+    """evaluate, rank and train --model use the models in --out only on
+    the partition its train_summary.json records."""
+
+    @pytest.fixture
+    def other_seed(self, workspace):
+        def edit(config):
+            config["partition"]["seed"] += 1
+
+        return variant_config(workspace, "partition_seed.json", edit)
+
+    @pytest.mark.parametrize("argv", [["evaluate"], ["rank"], ["train", "--model", "RF"]])
+    def test_other_partition_refused(self, argv, workspace, other_seed, tmp_path, capsys):
+        out = copy_run(workspace, tmp_path / "out")
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert main([*argv, "--config", str(other_seed), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the models in {out} were trained on partition ")
+        recorded = workspace["summary"]["partition"]
+        assert json.dumps(recorded, sort_keys=True) in err
+        assert f'"seed": {recorded["seed"] + 1}' in err
+        assert "Traceback" not in err
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"partition": {}}', '{"chosen": {}}'])
+    @pytest.mark.parametrize("argv", [["evaluate"], ["train", "--model", "RF"]])
+    def test_malformed_summary_reported(self, argv, text, workspace, tmp_path, capsys):
+        out = copy_run(workspace, tmp_path / "out")
+        (out / "train_summary.json").write_text(text, encoding="utf-8")
+        assert main([*argv, "--config", str(workspace["config_path"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "train_summary.json" in err
+        assert "Traceback" not in err
+
+    def test_models_without_a_summary_still_evaluate(self, workspace, other_seed, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out_dir"] / "models", out / "models")
+        assert main(["evaluate", "--config", str(other_seed), "--out", str(out)]) == 0
+
+    def test_full_train_replaces_the_recorded_partition(self, workspace, other_seed, tmp_path):
+        out = copy_run(workspace, tmp_path / "out")
+        assert main(["train", "--config", str(other_seed), "--out", str(out)]) == 0
+        summary = json.loads((out / "train_summary.json").read_text(encoding="utf-8"))
+        assert summary["partition"]["seed"] == workspace["summary"]["partition"]["seed"] + 1
+        assert main(["evaluate", "--config", str(other_seed), "--out", str(out)]) == 0
 
 
 class TestClassify:
