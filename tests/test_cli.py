@@ -498,6 +498,63 @@ class TestRecordedPartition:
         assert main(["evaluate", "--config", str(other_seed), "--out", str(out)]) == 0
 
 
+class TestConfigPaths:
+    """Runs through the feature toggles that the other tests leave at
+    their defaults."""
+
+    VARIANTS = {"projection": {"use_projection": True}, "no_selector": {"use_selector": False}}
+
+    @pytest.fixture(scope="class")
+    def runs(self, workspace, tmp_path_factory):
+        """Each variant's train, evaluate, rank and classify, run twice."""
+        root = tmp_path_factory.mktemp("config_paths")
+        urls = root / "urls.txt"
+        urls.write_text("http://www.news.example.com/story\nhttp://203.0.113.9/x?q=1\n")
+        runs = {}
+        for name, features in self.VARIANTS.items():
+            config = variant_config(
+                workspace, f"{name}.json", lambda c: c.setdefault("features", {}).update(features)
+            )
+            for tag in ("a", "b"):
+                out = root / name / tag
+                base = ["--config", str(config), "--out", str(out)]
+                for command in ("train", "evaluate", "rank"):
+                    assert main([command, *base]) == 0, (name, command)
+                knn = ["--model", "KNN", "--out-file", str(out / "knn.csv"), str(urls)]
+                assert main(["classify", *base, *knn]) == 0
+                runs[name, tag] = out
+        return runs
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_run_is_byte_identical(self, name, runs):
+        a, b = runs[name, "a"], runs[name, "b"]
+        assert (a / "rank_test.csv").is_file() and (a / "knn.csv").is_file()
+        assert tree_bytes(a) == tree_bytes(b)
+
+    def test_projected_models_take_one_input_per_component(self, runs):
+        models_dir = runs["projection", "a"] / "models"
+        (chain_file,) = (models_dir / "chains").iterdir()
+        for family in FAMILIES:
+            artifact = load_pipeline(models_dir / f"{family}.json")
+            n_components = len(artifact.chain.projection.components)
+            payload, _ = read_artifact(models_dir / f"{family}.json")
+            assert payload["model"]["n_features"] == n_components, family
+            assert f"{payload['chain']}.json" == chain_file.name
+
+    def test_no_selector_writes_the_top_80_chain(self, runs, workspace, tmp_path):
+        def edit(config):
+            config.setdefault("features", {})["selector_top_k"] = 80
+
+        config = variant_config(workspace, "top_k_80.json", edit)
+        out = tmp_path / "top_k_80"
+        assert main(["train", "--config", str(config), "--out", str(out), "--model", "LR"]) == 0
+        (top_80,) = (out / "models" / "chains").iterdir()
+        (no_selector,) = (runs["no_selector", "a"] / "models" / "chains").iterdir()
+        (top_40,) = (workspace["out_dir"] / "models" / "chains").iterdir()
+        assert no_selector.name == top_80.name != top_40.name
+        assert no_selector.read_bytes() == top_80.read_bytes()
+
+
 class TestClassify:
     def test_with_artifact_path(self, workspace, tmp_path, capsys):
         urls_file = tmp_path / "urls.txt"
