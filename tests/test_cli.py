@@ -16,8 +16,9 @@ import pytest
 
 from urlsleuth import corpus
 from urlsleuth.charlm import CharGramModel
-from urlsleuth.cli import main
+from urlsleuth.cli import _run_data, fit_run, main, score_datasets
 from urlsleuth.config import DEFAULT_GRIDS, load_run_config
+from urlsleuth.evaluation import metric_reports_to_csv
 from urlsleuth.models import FAMILIES, BinaryClassifier, ModelSpec, fit_model
 from urlsleuth.models.base import array_record, columns_record
 from urlsleuth.pipeline import PipelineArtifact, fit_chain, load_pipeline, save_pipeline
@@ -496,6 +497,33 @@ class TestRecordedPartition:
         summary = json.loads((out / "train_summary.json").read_text(encoding="utf-8"))
         assert summary["partition"]["seed"] == workspace["summary"]["partition"]["seed"] + 1
         assert main(["evaluate", "--config", str(other_seed), "--out", str(out)]) == 0
+
+
+class TestInMemoryRun:
+    @pytest.fixture(scope="class")
+    def in_memory(self, workspace):
+        cfg = load_run_config(workspace["config_path"])
+        plan, data = _run_data(cfg)
+        artifacts = {a.model.spec.family: a for a in fit_run(cfg, plan, data, FAMILIES, cfg.seed)}
+        return plan, data, artifacts
+
+    def test_fit_run_shares_one_chain(self, in_memory):
+        _, _, artifacts = in_memory
+        assert list(artifacts) == list(FAMILIES)
+        assert len({id(a.chain) for a in artifacts.values()}) == 1
+
+    @pytest.mark.parametrize("partition", ["test", "val", "train"])
+    def test_scores_equal_evaluate_over_the_saved_files(
+        self, partition, in_memory, workspace, tmp_path
+    ):
+        plan, data, artifacts = in_memory
+        out = copy_run(workspace, tmp_path / "out")
+        argv = ["evaluate", "--config", str(workspace["config_path"]), "--out", str(out)]
+        assert main([*argv, "--partition", partition]) == 0
+        reports = score_datasets(artifacts, data, getattr(plan, f"{partition}_ids"))
+        # Every float is written as its repr, so equal text is equal floats.
+        expected = (out / f"metrics_{partition}.csv").read_text(encoding="utf-8")
+        assert metric_reports_to_csv(reports) == expected
 
 
 class TestConfigPaths:
