@@ -42,6 +42,7 @@ UNK = "\x1a"
 PRINTABLE = tuple(chr(c) for c in range(0x20, 0x7F))
 SYMBOLS = PRINTABLE + (END, UNK)
 VOCAB_SIZE = len(SYMBOLS)  # 97
+SIDES = ("benign", "malicious")  # an LmScorePair's models, in column order
 
 # Table ids: printable -> 0-94, UNK 95, END 96, BEGIN 97.  The symbols
 # are the ids below VOCAB_SIZE.
@@ -74,6 +75,18 @@ def _grams(urls: list[str], lengths: np.ndarray, n: int) -> np.ndarray:
     for j in range(n + 1):
         grams[j] = seq[j : j + predicted.size][predicted]
     return grams
+
+
+def _lone_grams(url: str, n: int) -> np.ndarray:
+    """``_grams([url], lengths, n)`` of one URL, as overlapping windows
+    of one padded id array: row j is its ids from position j on.  A view
+    built by the ``ndarray`` constructor, a fraction of the cost of
+    ``sliding_window_view`` on one short URL."""
+    seq = np.empty(len(url) + n + 1, np.uint8)
+    seq[:n] = _BEGIN_ID
+    seq[n:-1] = _text_ids(url)
+    seq[-1] = _END_ID
+    return np.ndarray((n + 1, len(url) + 1), np.uint8, seq, 0, (1, 1))
 
 
 @dataclass(eq=False)
@@ -256,7 +269,7 @@ class LmScorePair:
     malicious: CharGramModel | None = None
 
     def __post_init__(self) -> None:
-        for side in ("benign", "malicious"):
+        for side in SIDES:
             model = getattr(self, side)
             if model is not None and (model.order, model.k) != (self.order, self.k):
                 raise ModelError(
@@ -279,24 +292,35 @@ class LmScorePair:
         )
         return self
 
-    def transform(self, urls) -> np.ndarray:
-        """Each model's length-normalized log-likelihood of every URL:
-        the sum of the natural-log add-k probabilities of its characters
-        and its end marker, over ``len(url) + 1``.  Each block of URLs is
-        padded and windowed once, each model gathers one log-prob per
-        predicted position, and ``bincount`` sums them per URL in position
-        order."""
+    def transform(self, urls, sides=SIDES) -> np.ndarray:
+        """Each named model's length-normalized log-likelihood of every
+        URL, one column per entry of ``sides`` (by default benign, then
+        malicious): the sum of the natural-log add-k probabilities of its
+        characters and its end marker, over ``len(url) + 1``.  A side not
+        named is never scored, so its table is never built.  Each block of
+        URLs is padded and windowed once (a lone URL by ``_lone_grams``),
+        each model gathers one log-prob per predicted position, and
+        ``bincount`` sums them per URL in position order."""
         if self.benign is None or self.malicious is None:
             raise ModelError("score pair is not fitted")
+        if not set(sides) <= set(SIDES):
+            raise ModelError(f"sides must be among {SIDES}, got {sides!r}")
+        models = [getattr(self, side) for side in sides]
         n = self.order - 1
+        out = np.empty((len(urls), len(models)), dtype=np.float64)
+        if len(urls) == 1:
+            grams = _lone_grams(urls[0], n)
+            rows = np.zeros(grams.shape[1], np.intp)
+            for col, model in enumerate(models):
+                out[0, col] = np.bincount(rows, model._logprobs(grams), 1)[0] / grams.shape[1]
+            return out
         lengths = np.fromiter(map(len, urls), np.int64, len(urls))
-        out = np.empty((len(urls), 2), dtype=np.float64)
         for lo, hi in _blocks(lengths + n + 1):
             seg = lengths[lo:hi]
             grams = _grams(urls[lo:hi], seg, n)
             scored = seg + 1
             rows = np.repeat(np.arange(hi - lo), scored)
-            for col, model in enumerate((self.benign, self.malicious)):
+            for col, model in enumerate(models):
                 out[lo:hi, col] = np.bincount(rows, model._logprobs(grams), hi - lo) / scored
         return out
 
@@ -316,7 +340,7 @@ class LmScorePair:
         """Rebuild a fitted pair; an error names the side it was found in."""
         order, k = d["order"], d["k"]
         models = []
-        for side in ("benign", "malicious"):
+        for side in SIDES:
             try:
                 models.append(CharGramModel.from_dict(order, k, d[side]))
             except (ArtifactError, ModelError) as exc:

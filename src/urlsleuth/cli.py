@@ -6,8 +6,9 @@ samples, ``featurize`` dumps lexical feature matrices, ``train`` fits
 the preprocessing chain plus every model family with grid search,
 ``evaluate`` scores saved artifacts on a partition, ``rank`` emits the
 cross-dataset rank table, and ``classify`` labels URLs with one saved
-artifact.  Every output is written atomically and is byte-identical
-across repeat runs with the same config and seeds.
+artifact.  Every output is written atomically, into an output directory
+made only at a command's first write, and is byte-identical across
+repeat runs with the same config and seeds.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .evaluation import (
     per_dataset_ranks,
     rank_table_to_csv,
 )
-from .fileio import csv_text, read_json, write_json_atomic, write_text_atomic
+from .fileio import csv_text, json_text, read_json, write_text_atomic
 from .models import FAMILIES
 from .pipeline import (
     PipelineArtifact,
@@ -60,8 +61,14 @@ def _resolve(args) -> tuple[RunConfig, Path, int]:
     if seed is not None and seed < 0:  # checked before anything is made or fitted
         raise ConfigError(f"seed must be an integer >= 0, got {seed}")
     out_dir = Path(args.out) if args.out else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir, cfg.seed if seed is None else seed
+
+
+def _write(text: str, path: Path) -> None:
+    """Write ``path`` atomically, making its directory first, so that a
+    command which fails before its first write leaves no directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(text, path)
 
 
 def _load_datasets(cfg: RunConfig) -> list[corpus.Dataset]:
@@ -189,8 +196,8 @@ def cmd_ingest(args) -> int:
             "records_kept": len(deduped),
             "malicious_fraction": corpus.class_balance(deduped),
         }
-        write_text_atomic(records_to_csv(deduped.records), out_dir / f"ingested_{entry.id}.csv")
-    write_json_atomic(report, out_dir / "ingest_report.json")
+        _write(records_to_csv(deduped.records), out_dir / f"ingested_{entry.id}.csv")
+    _write(json_text(report), out_dir / "ingest_report.json")
     print(f"ingested {len(cfg.datasets)} datasets into {out_dir}")
     return 0
 
@@ -205,13 +212,13 @@ def cmd_audit(args) -> int:
                 continue
             frac = corpus.overlap_fraction(a, b)
             rows.append([a.id, b.id, repr(frac), int(frac > OVERLAP_FLAG_THRESHOLD)])
-    write_text_atomic(
+    _write(
         csv_text(["from_id", "to_id", "overlap_fraction", "flagged"], rows),
         out_dir / "audit_overlap.csv",
     )
     for ds in datasets:
         sample = corpus.sample_for_audit(ds, min(100, len(ds)), seed)
-        write_text_atomic(records_to_csv(sample), out_dir / f"audit_sample_{ds.id}.csv")
+        _write(records_to_csv(sample), out_dir / f"audit_sample_{ds.id}.csv")
     print(f"audit reports written to {out_dir}")
     return 0
 
@@ -226,9 +233,7 @@ def cmd_featurize(args) -> int:
             [url, int(label), *[repr(v) for v in row.tolist()]]
             for url, label, row in zip(urls, labels, matrix)
         )
-        write_text_atomic(
-            csv_text(["url", "label", *feature_names], rows), out_dir / f"features_{ds_id}.csv"
-        )
+        _write(csv_text(["url", "label", *feature_names], rows), out_dir / f"features_{ds_id}.csv")
     print(f"feature matrices for {len(data)} datasets written to {out_dir}")
     return 0
 
@@ -241,8 +246,7 @@ def cmd_train(args) -> int:
         summary = _recorded_summary(out_dir, plan)
         chosen = summary["chosen"] if summary else {}
     families = [args.model] if args.model else list(FAMILIES)
-    models_dir = out_dir / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
+    models_dir = out_dir / "models"  # save_pipeline makes it with the first model file
     for artifact in fit_run(cfg, plan, data, families, seed):
         spec = artifact.model.spec
         save_pipeline(artifact, models_dir / f"{spec.family}.json")
@@ -254,8 +258,9 @@ def cmd_train(args) -> int:
         # ``--model`` keeps them: other model files may still name one.
         for name in remove_other_chains(models_dir, artifact.chain):
             print(f"removed unused chain {name}")
-    write_json_atomic(
-        {"partition": _partition_record(plan), "chosen": chosen}, out_dir / "train_summary.json"
+    _write(
+        json_text({"partition": _partition_record(plan), "chosen": chosen}),
+        out_dir / "train_summary.json",
     )
     print(f"artifacts written to {models_dir}")
     return 0
@@ -267,7 +272,7 @@ def cmd_evaluate(args) -> int:
     ids = getattr(plan, f"{args.partition}_ids")
     reports = score_datasets(_saved_artifacts(out_dir, plan), data, ids)
     path = out_dir / f"metrics_{args.partition}.csv"
-    write_text_atomic(metric_reports_to_csv(reports), path)
+    _write(metric_reports_to_csv(reports), path)
     print(f"metric reports written to {path}")
     return 0
 
@@ -285,7 +290,7 @@ def cmd_rank(args) -> int:
         for ds_id, by_family in family_reports.items()
     })
     path = out_dir / f"rank_{args.partition}.csv"
-    write_text_atomic(rank_table_to_csv(table), path)
+    _write(rank_table_to_csv(table), path)
     print(f"rank table written to {path}")
     return 0
 

@@ -101,24 +101,26 @@ class KNearestNeighbors(BinaryClassifier):
         exact = np.ones(len(X), dtype=bool)
         for start in range(0, len(X), rows):
             block = X[start : start + rows]
+            at = np.arange(len(block))  # each query's row, for direct indexing
             est = block @ self.train_X_.T
             est *= -2.0
             est += self._train_sq
             if m < n:
                 part = np.argpartition(est, m, axis=1)
                 cand = part[:, :m]
-                bound = np.take_along_axis(est, part[:, m : m + 1], axis=1)[:, 0]
+                bound = est[at, part[:, m]]
             else:
                 cand = np.broadcast_to(np.arange(n), est.shape)
                 bound = np.inf
             d2 = ((block[:, None, :] - self.train_X_[cand]) ** 2).sum(axis=-1)
             order = np.lexsort((cand, d2), axis=1)[:, : self.k]
-            kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+            kth = d2[at, order[:, -1]]
             q_sq = np.einsum("ij,ij->i", block, block)
             slack = slack_per_norm * (np.sqrt(q_sq) + self._train_norm_max) ** 2
             exact[start : start + rows] = kth < bound + q_sq - slack
-            nearest = np.take_along_axis(cand, order, axis=1)
-            out[start : start + rows] = self.train_y_[nearest].mean(axis=1)
+            nearest = cand[at[:, None], order]
+            # Labels are 0 or 1: the integer sum over k gives the mean's bits.
+            out[start : start + rows] = self.train_y_[nearest].sum(axis=1) / self.k
         redo = np.flatnonzero(~exact)
         if redo.size:
             out[redo] = self._brute_force(X[redo])

@@ -4,7 +4,8 @@ Stage order is fixed: extract the 78 lexical features, append the two
 language-model scores (80 columns), z-scale, select by mutual
 information, optionally project onto principal components, then hand the
 matrix to a model.  ``fit_chain`` fits every stage on training rows only
-and returns them as one ``FeatureChain``, a pure function afterwards.  A
+and returns them as one ``FeatureChain``, a pure function afterwards
+that computes only the columns its selector keeps.  A
 ``PipelineArtifact`` is that chain plus one trained model; ``train``
 shares a single chain across every family of a run.  An artifact is
 saved as two files: the chain's saved form (``FeatureChain.to_dict``:
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .charlm import LmScorePair
+from .charlm import SIDES, LmScorePair
 from .errors import ArtifactError, CatalogMismatchError, ConfigError, DataError, ModelError
 from .evaluation import compute_metrics
 from .fileio import (
@@ -47,7 +48,8 @@ CHAIN_DIR = "chains"  # beside the model files; one chain file per distinct chai
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
 MI_BIN_COUNT = 10
-CHAIN_INPUT_COLUMNS = len(catalog().names) + 2  # lexical features, then both LM scores
+LEXICAL_COLUMNS = len(catalog().names)
+CHAIN_INPUT_COLUMNS = LEXICAL_COLUMNS + len(SIDES)  # lexical features, then both LM scores
 
 
 @dataclass(frozen=True)
@@ -194,15 +196,32 @@ class FeatureChain:
     selector: Selector
     projection: Projection | None
 
-    def transform(self, urls) -> np.ndarray:
-        """Raw URLs to the model's input space (78 lexical + 2 LM scores,
-        then select/scale/project).  Scaling is elementwise, so scaling
-        only the retained columns gives the bits of scaling all 80 and
-        selecting after."""
-        X = np.hstack([extract_matrix(urls), self.lm_pair.transform(urls)])
-        X = apply_selector(self.selector, X)
+    @cached_property
+    def _retained(self) -> tuple[np.ndarray, tuple[str, ...], Scaler]:
+        """(columns, sides, scaler) of the columns the selector keeps,
+        derived once per chain.  ``sides`` names the kept language models
+        in column order; ``columns`` indexes the kept columns in the 78
+        lexical columns followed by those sides' scores; the scaler is the
+        fitted one sliced to the kept columns."""
         kept = self.selector.retained_indices
-        X = apply_scaler(Scaler(self.scaler.mean[kept], self.scaler.std[kept]), X)
+        lexical = kept[kept < LEXICAL_COLUMNS]
+        sides = tuple(SIDES[i - LEXICAL_COLUMNS] for i in kept[len(lexical) :].tolist())
+        columns = np.concatenate((lexical, LEXICAL_COLUMNS + np.arange(len(sides))))
+        return columns, sides, Scaler(self.scaler.mean[kept], self.scaler.std[kept])
+
+    def transform(self, urls) -> np.ndarray:
+        """Raw URLs to the model's input space: the kept lexical columns and
+        kept LM scores, scaled, then projected.  A language model the
+        selector drops is never scored.  Gathering and scaling are
+        elementwise, so this gives the bits of building all 80 columns,
+        scaling them and selecting; the gather is the same fancy index
+        as the selector's, so the matrix has the memory layout the
+        model's products were fitted and checked on."""
+        columns, sides, scaler = self._retained
+        X = extract_matrix(urls)
+        if sides:
+            X = np.hstack([X, self.lm_pair.transform(urls, sides)])
+        X = apply_scaler(scaler, X[:, columns])
         if self.projection is not None:
             X = apply_projection(self.projection, X)
         return X
@@ -361,11 +380,11 @@ def grid_search(
 def save_pipeline(artifact: PipelineArtifact, path) -> None:
     """Write the chain to ``chains/<sha256>.json`` beside ``path`` (the same
     bytes, so the same name, for every artifact sharing the chain), then
-    the model file naming it."""
+    the model file naming it; missing directories are made first."""
     path = Path(path)
     digest, text = artifact.chain._saved
     chain_dir = path.parent / CHAIN_DIR
-    chain_dir.mkdir(exist_ok=True)
+    chain_dir.mkdir(parents=True, exist_ok=True)
     write_text_atomic(text, chain_dir / f"{digest}.json")
     write_json_atomic(
         {

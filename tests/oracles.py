@@ -28,6 +28,11 @@ into it, ``to_arrays`` writes its map in the array form.
 took one ``np.exp(-|z|)`` and one ``np.where``: it split ``z`` by sign
 with a mask, worked out each side on its gathered values and scattered
 them back.
+
+``chain_transform`` is ``urlsleuth.pipeline.FeatureChain.transform`` as it
+was before it computed only the columns its selector keeps: all 78
+lexical columns and both language-model scores stacked into 80, the
+selector, the scaler sliced to the kept columns, then the projection.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ from urlsleuth.charlm import _ID, BEGIN, END, UNK, VOCAB_SIZE, CharGramModel
 from urlsleuth.errors import ModelError
 from urlsleuth.models.base import sigmoid
 from urlsleuth.models.trees import _FlatTree
+from urlsleuth.pipeline import Scaler, apply_projection, apply_scaler, apply_selector
+from urlsleuth.urlfeat import extract_matrix
 
 
 def _best_split(
@@ -319,3 +326,14 @@ def masked_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def chain_transform(chain, urls) -> np.ndarray:
+    """Raw URLs to ``chain``'s model input through all 80 columns."""
+    X = np.hstack([extract_matrix(urls), chain.lm_pair.transform(urls)])
+    X = apply_selector(chain.selector, X)
+    kept = chain.selector.retained_indices
+    X = apply_scaler(Scaler(chain.scaler.mean[kept], chain.scaler.std[kept]), X)
+    if chain.projection is not None:
+        X = apply_projection(chain.projection, X)
+    return X

@@ -16,11 +16,14 @@ from urlsleuth.charlm import (
     _ID,
     BEGIN,
     END,
+    SIDES,
     SYMBOLS,
     UNK,
     VOCAB_SIZE,
     CharGramModel,
     LmScorePair,
+    _grams,
+    _lone_grams,
 )
 from urlsleuth.errors import ArtifactError, ModelError
 from urlsleuth.models.base import array_record
@@ -291,6 +294,35 @@ class TestVectorizedScores:
     def test_empty_batch(self):
         pair = LmScorePair(order=2).fit(["ab", "cd"], np.array([0, 1]))
         assert pair.transform([]).shape == (0, 2)
+
+    @given(url=_TEXT, order=st.integers(1, 5))
+    @example(url=_LONG_URL, order=3)
+    @example(url="", order=1)
+    @settings(max_examples=60, deadline=None)
+    def test_lone_windows_equal_batch_windows(self, url, order):
+        batch = _grams([url], np.array([len(url)]), order - 1)
+        lone = _lone_grams(url, order - 1)
+        assert lone.dtype == batch.dtype
+        assert np.array_equal(lone, batch)
+
+    def test_only_the_named_sides_are_scored(self):
+        train = generate_dataset("lm-sides", 200, 0.3, seed=108).records
+        pair = LmScorePair(3).fit([r.url for r in train], np.array([r.label for r in train]))
+        probes = [r.url for r in train[:20]] + ["", _LONG_URL]
+        full = pair.transform(probes)
+        for sides in [(), ("benign",), ("malicious",), ("malicious", "benign"), SIDES]:
+            columns = [SIDES.index(side) for side in sides]
+            for rows in [slice(None), slice(0, 1), slice(-1, None)]:
+                fresh = LmScorePair.from_dict(pair.to_dict())
+                got = fresh.transform(probes[rows], sides)
+                assert got.tobytes() == full[rows][:, columns].tobytes(), (sides, rows)
+                for side in SIDES:
+                    assert ("_table" in vars(getattr(fresh, side))) == (side in sides)
+
+    def test_unknown_side_rejected(self):
+        pair = LmScorePair(order=2).fit(["ab", "cd"], np.array([0, 1]))
+        with pytest.raises(ModelError, match="sides must be among"):
+            pair.transform(["ab"], ("benign", "order"))
 
     def test_refit_drops_the_table(self):
         model = CharGramModel(order=2).fit(["ab"])

@@ -1153,6 +1153,13 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0, got -1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "rank"])
+    def test_failing_command_leaves_no_out_directory(self, command, workspace, tmp_path, capsys):
+        out = tmp_path / "typo_out"
+        assert main([command, "--config", str(workspace["config_path"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: no model artifacts found under")
+        assert not out.exists()
+
     def test_negative_seed_reported_by_audit(self, workspace, tmp_path, capsys):
         argv = ["audit", "--config", str(workspace["config_path"]), "--out", str(tmp_path)]
         assert main([*argv, "--seed", "-1"]) == 1

@@ -347,6 +347,37 @@ class TestKnn:
         assert np.array_equal(got, knn_oracle(x, y, q, k))
         assert np.all(got == 1.0)
 
+    def test_one_row_and_multi_block_queries_equal_brute_force(self, monkeypatch):
+        # A zero query has one row at distance 0, then 100 tied at 0.25,
+        # more than the candidates kept, so its 5th neighbor ties and it
+        # takes the fallback.  Only the first 4 tied rows are labeled 1.
+        rng = np.random.default_rng(12)
+        n, d, k = 301, 8, 5
+        tied = np.tile(np.eye(d)[:1] * 0.5, (100, 1))
+        x = np.vstack([rng.normal(size=(200, d)) + 3.0, np.zeros((1, d)), tied])
+        y = (rng.random(n) > 0.5).astype(np.int64)
+        y[200:] = 0
+        y[201:205] = 1
+        block = neighbors._BLOCK_ELEMENTS // max(n, neighbors.candidate_count(k, n) * d)
+        q = rng.normal(size=(2 * block + 3, d)) + 3.0  # crosses two query-block boundaries
+        q[::400] = 0.0
+        clf = KNearestNeighbors(k=k).fit(x, y)
+        fell_back = []
+        brute_force = KNearestNeighbors._brute_force
+
+        def counted(self, X):
+            fell_back.append(len(X))
+            return brute_force(self, X)
+
+        monkeypatch.setattr(KNearestNeighbors, "_brute_force", counted)
+        assert clf._score(q).tobytes() == brute_force(clf, q).tobytes()
+        assert fell_back == [len(q[::400])]
+        for row in [0, 1, 2, 400, block, block + 1, len(q) - 1]:
+            fell_back.clear()
+            one = q[row : row + 1]
+            assert clf._score(one).tobytes() == brute_force(clf, one).tobytes(), row
+            assert fell_back == ([1] if row % 400 == 0 else []), row
+
 
 class TestGaussianNaiveBayes:
     def test_symmetric_point_scores_half(self):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urlsleuth.charlm import LmScorePair
+from urlsleuth.charlm import SIDES, LmScorePair
 from urlsleuth.errors import (
     ArtifactError,
     CatalogMismatchError,
@@ -27,8 +27,11 @@ from urlsleuth.errors import (
 from urlsleuth.fileio import write_json_atomic
 from urlsleuth.models import ModelSpec, fit_model
 from urlsleuth.pipeline import (
+    LEXICAL_COLUMNS,
     MI_BIN_COUNT,
+    FeatureChain,
     PipelineArtifact,
+    Selector,
     apply_projection,
     apply_scaler,
     apply_selector,
@@ -43,7 +46,7 @@ from urlsleuth.pipeline import (
 from urlsleuth.urlfeat import CATALOG_VERSION, extract_matrix
 
 from conftest import edit_arrays, read_artifact, write_artifact
-from oracles import mutual_information
+from oracles import chain_transform, mutual_information
 
 
 def fit_artifact(urls, labels, spec: ModelSpec, **chain_kwargs) -> PipelineArtifact:
@@ -435,6 +438,54 @@ class TestFitChain:
             chain, scaler=dataclasses.replace(chain.scaler, std=chain.scaler.std * 2.0)
         )
         assert chain.to_dict() != rescaled.to_dict()
+
+
+# Over 16,384 predicted positions: a lone URL longer than one scoring block.
+_LONG_URL = ("http://a.com/?" + "".join(f"q{i}=v{i % 7}&" for i in range(4000)))[:20000]
+
+
+class TestChainOracle:
+    """``FeatureChain.transform`` against ``oracles.chain_transform``, bit
+    for bit, whichever language-model columns the selector keeps."""
+
+    KEPT = {
+        "all-80": list(range(80)),
+        "both-lm": [*range(0, 78, 4), 78, 79],
+        "benign-lm": [*range(1, 78, 5), 78],
+        "malicious-lm": [*range(2, 78, 6), 79],
+        "no-lm": list(range(3, 78, 3)),
+    }
+
+    @pytest.fixture(scope="class")
+    def base(self, url_corpus) -> FeatureChain:
+        urls, labels = url_corpus
+        return fit_chain(urls, labels)[0]
+
+    @pytest.mark.parametrize("project", [False, True], ids=["plain", "projected"])
+    @pytest.mark.parametrize("kept", list(KEPT))
+    def test_transform_equals_oracle(self, url_corpus, base, kept, project):
+        urls, _ = url_corpus
+        kept = np.array(self.KEPT[kept])
+        selector = Selector(kept, base.selector.score_per_feature)
+        projection = None
+        if project:
+            plain = FeatureChain(base.lm_pair, base.scaler, selector, None)
+            projection = fit_projection(chain_transform(plain, urls), 0.9)
+        # A pair whose tables are not built yet, so a dropped side shows.
+        pair = LmScorePair.from_dict(base.lm_pair.to_dict())
+        chain = FeatureChain(pair, base.scaler, selector, projection)
+        probes = urls[:40] + ["", "http://\u4e2d\u6587.com/é?\x00", _LONG_URL]
+        batch = chain.transform(probes)
+        lone = [chain.transform([url]) for url in probes]
+        for column, side in enumerate(SIDES, LEXICAL_COLUMNS):
+            assert ("_table" in vars(getattr(pair, side))) == (column in kept), side
+        expected = chain_transform(chain, probes)
+        # Equal strides too: a product's bits can follow the memory layout.
+        assert (batch.shape, batch.strides) == (expected.shape, expected.strides)
+        assert batch.tobytes() == expected.tobytes()
+        for url, row in zip(probes, lone):
+            single = chain_transform(chain, [url])
+            assert (row.strides, row.tobytes()) == (single.strides, single.tobytes()), url[:40]
 
 
 class TestPipelinePersistence:
