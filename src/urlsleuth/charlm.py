@@ -303,16 +303,14 @@ class LmScorePair:
         ``bincount`` sums them per URL in position order."""
         if self.benign is None or self.malicious is None:
             raise ModelError("score pair is not fitted")
-        if not set(sides) <= set(SIDES):
-            raise ModelError(f"sides must be among {SIDES}, got {sides!r}")
         models = [getattr(self, side) for side in sides]
         n = self.order - 1
         out = np.empty((len(urls), len(models)), dtype=np.float64)
         if len(urls) == 1:
             grams = _lone_grams(urls[0], n)
-            rows = np.zeros(grams.shape[1], np.intp)
+            rows = np.zeros(grams.shape[1], np.intp)  # bincount: the batch path's sum order
             for col, model in enumerate(models):
-                out[0, col] = np.bincount(rows, model._logprobs(grams), 1)[0] / grams.shape[1]
+                out[0, col] = np.bincount(rows, model._logprobs(grams))[0] / len(rows)
             return out
         lengths = np.fromiter(map(len, urls), np.int64, len(urls))
         for lo, hi in _blocks(lengths + n + 1):

@@ -319,11 +319,6 @@ class TestVectorizedScores:
                 for side in SIDES:
                     assert ("_table" in vars(getattr(fresh, side))) == (side in sides)
 
-    def test_unknown_side_rejected(self):
-        pair = LmScorePair(order=2).fit(["ab", "cd"], np.array([0, 1]))
-        with pytest.raises(ModelError, match="sides must be among"):
-            pair.transform(["ab"], ("benign", "order"))
-
     def test_refit_drops_the_table(self):
         model = CharGramModel(order=2).fit(["ab"])
         pair = LmScorePair(order=2, benign=model, malicious=model)
