@@ -214,13 +214,14 @@ class FeatureChain:
         kept LM scores, scaled, then projected.  A language model the
         selector drops is never scored.  Gathering and scaling are
         elementwise, so this gives the bits of building all 80 columns,
-        scaling them and selecting; the gather is the same fancy index
-        as the selector's, so the matrix has the memory layout the
-        model's products were fitted and checked on."""
+        selecting and scaling.  The gather is a fancy index, as the
+        selector's is, so the matrix keeps that memory layout too: the
+        bits of a product with it (a projection, a model) can follow the
+        layout."""
         columns, sides, scaler = self._retained
         X = extract_matrix(urls)
         if sides:
-            X = np.hstack([X, self.lm_pair.transform(urls, sides)])
+            X = np.concatenate((X, self.lm_pair.transform(urls, sides)), axis=1)
         X = apply_scaler(scaler, X[:, columns])
         if self.projection is not None:
             X = apply_projection(self.projection, X)
