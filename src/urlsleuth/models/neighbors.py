@@ -99,16 +99,23 @@ class KNearestNeighbors(BinaryClassifier):
         slack_per_norm = _ROUNDOFF_FACTOR * (d + 2) * np.finfo(np.float64).eps
         out = np.empty(len(X), dtype=np.float64)
         exact = np.ones(len(X), dtype=bool)
+        # A block's large temporaries are its estimates and their partition.
+        # The estimates go into one buffer for every block and the partition
+        # is freed before the re-rank allocates, so a block never holds the
+        # last block's temporaries beside its own, and the memory it frees
+        # is reused by the next block instead of returned and faulted in again.
+        estimates = np.empty((min(rows, len(X)), n))
         for start in range(0, len(X), rows):
             block = X[start : start + rows]
             at = np.arange(len(block))  # each query's row, for direct indexing
-            est = block @ self.train_X_.T
+            est = np.matmul(block, self.train_X_.T, out=estimates[: len(block)])
             est *= -2.0
             est += self._train_sq
             if m < n:
                 part = np.argpartition(est, m, axis=1)
-                cand = part[:, :m]
+                cand = part[:, :m].copy()
                 bound = est[at, part[:, m]]
+                del part
             else:
                 cand = np.broadcast_to(np.arange(n), est.shape)
                 bound = np.inf
