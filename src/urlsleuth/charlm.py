@@ -49,8 +49,11 @@ SIDES = ("benign", "malicious")  # an LmScorePair's models, in column order
 _ID = {ch: i for i, ch in enumerate(PRINTABLE + (UNK, END, BEGIN))}
 _UNK_ID, _END_ID, _BEGIN_ID = _ID[UNK], _ID[END], _ID[BEGIN]
 _N_IDS = len(_ID)  # 98
-# Scoring works through blocks of about this many predicted positions.
-_BLOCK_POSITIONS = 1 << 14
+# Scoring, and each stage of ``FeatureChain.transform``, works through
+# blocks of about this many predicted positions.  On 10,000 bulk URLs a
+# lexical block of 16k characters peaks at 6.7 MiB, one of 8k at 3.7 MiB
+# and one of 4k at 2.0 MiB, and the chain took 0.165, 0.179 and 0.212 s.
+_BLOCK_POSITIONS = 1 << 13
 
 
 def _text_ids(text: str) -> np.ndarray:

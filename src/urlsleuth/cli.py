@@ -32,7 +32,7 @@ from .evaluation import (
     per_dataset_ranks,
     rank_table_to_csv,
 )
-from .fileio import csv_text, json_text, read_json, write_text_atomic
+from .fileio import atomic_file, csv_text, json_text, read_json, write_text_atomic
 from .models import FAMILIES
 from .pipeline import (
     PipelineArtifact,
@@ -46,6 +46,8 @@ from .synth import records_to_csv
 from .urlfeat import catalog, extract_matrix
 
 OVERLAP_FLAG_THRESHOLD = 0.20
+# classify formats and writes its CSV this many rows at a time.
+CSV_CHUNK_ROWS = 1024
 
 
 def _add_common(parser: argparse.ArgumentParser, *, seed: bool = False) -> None:
@@ -295,6 +297,14 @@ def cmd_rank(args) -> int:
     return 0
 
 
+def _csv_chunks(urls, labels, scores):
+    """classify's CSV, ``CSV_CHUNK_ROWS`` rows at a time, the header first."""
+    for lo in range(0, len(urls), CSV_CHUNK_ROWS):
+        hi = lo + CSV_CHUNK_ROWS
+        rows = zip(urls[lo:hi], labels[lo:hi].tolist(), map(repr, scores[lo:hi].tolist()))
+        yield csv_text(None if lo else ["url", "label", "score"], rows)
+
+
 def cmd_classify(args) -> int:
     if args.artifact:
         artifact_path = Path(args.artifact)
@@ -321,19 +331,19 @@ def cmd_classify(args) -> int:
     urls = [line.strip() for line in text.split("\n") if line.strip()]
     if not urls:
         raise ConfigError("no URLs to classify: input is empty")
-    labels, scores = artifact.predict(urls)
-    table = csv_text(
-        ["url", "label", "score"],
-        ([url, int(label), repr(float(score))] for url, label, score in zip(urls, labels, scores)),
-    )
+    labels, scores = artifact.predict(urls)  # one batch; only the CSV is chunked
+    chunks = _csv_chunks(urls, labels, scores)
     if args.out_file:
         try:
-            write_text_atomic(table, args.out_file)
+            with atomic_file(args.out_file) as fh:
+                for chunk in chunks:
+                    fh.write(chunk.encode("utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot write --out-file {args.out_file}: {exc}") from exc
         print(f"predictions for {len(urls)} URLs written to {args.out_file}")
     else:
-        sys.stdout.write(table)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     return 0
 
 

@@ -13,18 +13,23 @@ import csv
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import ArtifactError
 
 
-def write_text_atomic(text: str, path) -> None:
+@contextmanager
+def atomic_file(path):
+    """A binary file, written in a temp file beside ``path``, that replaces
+    ``path`` when the block ends; on any error the temp file is deleted
+    and ``path`` is left as it was."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:  # no newline translation: the bytes are the text's
-            fh.write(text.encode("utf-8"))
+        with os.fdopen(fd, "wb") as fh:  # no newline translation: the bytes are the caller's
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -32,8 +37,14 @@ def write_text_atomic(text: str, path) -> None:
         raise
 
 
+def write_text_atomic(text: str, path) -> None:
+    with atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def csv_text(header, rows) -> str:
-    """CSV text of a header row then ``rows``, each line ending in a bare newline.
+    """CSV text of a header row (none when ``header`` is None) then
+    ``rows``, each line ending in a bare newline.
 
     A field holding ``\\r`` is quoted, so ``csv.reader`` reads its row back
     whole and every Python version writes the same bytes (3.13's writer
@@ -43,7 +54,8 @@ def csv_text(header, rows) -> str:
     # "\r" in the terminator makes the writer quote fields holding it; each
     # row's "\r\n" is then cut back to "\n".
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    writer.writerow(header)
+    if header is not None:
+        writer.writerow(header)
     writer.writerows(rows)
     return "".join(line[:-2] + "\n" for line in lines)
 

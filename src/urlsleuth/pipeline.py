@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .charlm import SIDES, LmScorePair
+from .charlm import SIDES, LmScorePair, _blocks
 from .errors import ArtifactError, CatalogMismatchError, ConfigError, DataError, ModelError
 from .evaluation import compute_metrics
 from .fileio import (
@@ -212,20 +212,41 @@ class FeatureChain:
     def transform(self, urls) -> np.ndarray:
         """Raw URLs to the model's input space: the kept lexical columns and
         kept LM scores, scaled, then projected.  A language model the
-        selector drops is never scored.  Gathering and scaling are
-        elementwise, so this gives the bits of building all 80 columns,
-        selecting and scaling.  The gather is a fancy index, as the
-        selector's is, so the matrix keeps that memory layout too: the
-        bits of a product with it (a projection, a model) can follow the
-        layout."""
+        selector drops is never scored.
+
+        Two or more URLs are worked through one block of whole URLs at a
+        time (``charlm._blocks``), each block's scaled columns written
+        into one preallocated matrix, so that beyond its input and output
+        only one block's working set is alive; the projection then runs
+        once on the whole matrix.  Extraction, the LM scores, gathering
+        and scaling give a row the same bits whatever block it is in, so
+        this gives the bits of building all 80 columns, selecting and
+        scaling.  The matrix also keeps that path's memory layout, the
+        F order of the selector's fancy index, since the bits of a
+        product with it (a projection, a model) can follow the layout."""
+        if len(urls) < 2:
+            X = self._block(urls)
+        else:
+            # The F order of the selector's gather of one whole matrix, as
+            # the scaler keeps it (a lone column, both C- and F-contiguous,
+            # comes out C-ordered).
+            kept = len(self._retained[0])
+            X = np.empty((kept, len(urls))).T if kept > 1 else np.empty((len(urls), 1))
+            positions = np.fromiter(map(len, urls), np.int64, len(urls))
+            positions += self.lm_pair.order  # each URL's padded LM windows
+            for lo, hi in _blocks(positions):
+                X[lo:hi] = self._block(urls[lo:hi])
+        if self.projection is not None:
+            X = apply_projection(self.projection, X)
+        return X
+
+    def _block(self, urls) -> np.ndarray:
+        """The kept columns of ``urls``, scaled: one block of ``transform``."""
         columns, sides, scaler = self._retained
         X = extract_matrix(urls)
         if sides:
             X = np.concatenate((X, self.lm_pair.transform(urls, sides)), axis=1)
-        X = apply_scaler(scaler, X[:, columns])
-        if self.projection is not None:
-            X = apply_projection(self.projection, X)
-        return X
+        return apply_scaler(scaler, X[:, columns])
 
     def to_dict(self) -> dict:
         """The language-model pair's dict, then each stage's fields as
@@ -430,7 +451,8 @@ def load_pipeline(path, *, chains: dict[str, FeatureChain] | None = None) -> Pip
     ``chains`` maps digests to chains already built; a caller loading
     several artifacts passes one dict so that each distinct chain is read,
     checked and built once.  An artifact whose features come from another
-    catalog version raises ``CatalogMismatchError``.
+    catalog version raises ``CatalogMismatchError``, and a model whose
+    feature count is not the width of its chain's output ``ArtifactError``.
     """
     path = Path(path)
     payload = read_json(path)
@@ -464,5 +486,13 @@ def load_pipeline(path, *, chains: dict[str, FeatureChain] | None = None) -> Pip
         raise CatalogMismatchError(
             f"artifact was built for feature catalog {catalog_version!r}; "
             f"this build extracts {CATALOG_VERSION!r}"
+        )
+    width = len(chain.selector.retained_indices)  # the chain's output columns
+    if chain.projection is not None:
+        width = len(chain.projection.components)
+    if model.classifier.n_features_ != width:
+        raise ArtifactError(
+            f"model file {path} takes {model.classifier.n_features_} features, "
+            f"but its chain gives {width}"
         )
     return PipelineArtifact(chain, model)

@@ -9,9 +9,10 @@ is frozen per catalog version so that feature matrices stay comparable
 across runs; ``catalog()`` returns the active version and
 ``catalog_manifest()`` its machine-readable form.
 
-``extract_matrix`` calls ``_split`` once per URL and does everything else
-in array passes over blocks of whole URLs, about 16k characters each (the
-block size of the character LM's scorer):
+``extract_matrix`` works through blocks of whole URLs, about 8k
+characters each (the block size of the character LM's scorer), so that
+beside the matrix only one block's working set is alive.  In a block
+``_split`` runs once per URL, and everything else is array passes:
 
 * each block is decoded once to code points;
 * a class table (one class per counted special character, then digits,
@@ -641,14 +642,22 @@ def _entropies(text: str, codes, u, region, totals: np.ndarray) -> np.ndarray:
     return (0.0 - np.bincount(seg, terms, totals.size)).reshape(totals.shape)
 
 
-def _extract_block(urls, bounds: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-    """Features of one block of URLs into ``out``: a fixed number of array
-    passes over the block's characters, whatever the number of URLs.
-
-    ``bounds`` holds each URL's region bounds, ``values`` its source
-    columns from ``_URL_LENGTH`` on.
+def _extract_block(urls, out: np.ndarray) -> None:
+    """Features of one block of URLs into ``out``: ``_split`` places each
+    URL's parts, then a fixed number of array passes over the block's
+    characters, whatever the number of URLs, gives every feature.
     """
     n = len(urls)
+    schemes, *offsets = zip(*map(_split, urls))
+    table = np.array(
+        [*offsets, list(map(len, urls)), list(map("https".__eq__, schemes)), [0] * n], np.int64
+    )
+    differences = table[_DIFFERENCES[0]] - table[_DIFFERENCES[1]]
+    values = differences * _KEEP + np.minimum(differences, 1) * _WEIGHT
+    host_len = values[_HOST_LENGTH - _URL_LENGTH]
+    # Each URL's source columns from ``_URL_LENGTH`` on, and its region bounds.
+    values = np.concatenate((values, [(host_len > 0) & (host_len <= 7)])).T
+    bounds = table[_REGION_BOUNDS]
     text = "".join(urls)
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.int64)
     size = codes.size
@@ -696,6 +705,8 @@ def _extract_block(urls, bounds: np.ndarray, values: np.ndarray, out: np.ndarray
     region_len = src[:, :_N_CELLS].reshape(n, _N_REGIONS, _N_CLASSES).sum(2)
     totals = np.concatenate((lengths[:, None], region_len), axis=1)
     out[:, _ENTROPY_COLUMNS] = _entropies(text, codes, u, region, totals)[:, _ENTROPY_SEGMENTS]
+    out[:, _RATIOS[0]] /= np.maximum(out[:, _RATIOS[1]], 1)  # 0 over 0 stays 0
+    out[:, _THRESHOLD_COLUMNS] = out[:, _THRESHOLD_COLUMNS] >= _THRESHOLDS
 
 
 # One URL up to this long is extracted faster by ``_feature_dict`` than by
@@ -720,25 +731,13 @@ def extract_matrix(urls) -> np.ndarray:
 
 
 def _blocked_matrix(urls) -> np.ndarray:
-    """The feature matrix by blocks: ``_split`` places each URL's parts;
-    everything else is worked out over blocks of whole URLs, about 16k
-    characters each, with the same array passes whatever a block holds.
+    """The feature matrix by blocks of whole URLs, about
+    ``charlm._BLOCK_POSITIONS`` characters each (``_extract_block``), so
+    that beyond the matrix only one block's working set is alive.  A
+    row's bits do not depend on the block it is in.
     """
     out = np.empty((len(urls), len(_NAMES)), dtype=np.float64)
-    if not len(urls):
-        return out
-    schemes, *offsets = zip(*map(_split, urls))
-    n = len(urls)
-    table = np.array(
-        [*offsets, list(map(len, urls)), list(map("https".__eq__, schemes)), [0] * n], np.int64
-    )
-    differences = table[_DIFFERENCES[0]] - table[_DIFFERENCES[1]]
-    values = differences * _KEEP + np.minimum(differences, 1) * _WEIGHT
-    host_len = values[_HOST_LENGTH - _URL_LENGTH]
-    values = np.concatenate((values, [(host_len > 0) & (host_len <= 7)])).T
-    bounds = table[_REGION_BOUNDS]
-    for lo, hi in _blocks(table[_LENGTH] + 1):
-        _extract_block(urls[lo:hi], bounds[:, lo:hi], values[lo:hi], out[lo:hi])
-    out[:, _RATIOS[0]] /= np.maximum(out[:, _RATIOS[1]], 1)  # 0 over 0 stays 0
-    out[:, _THRESHOLD_COLUMNS] = out[:, _THRESHOLD_COLUMNS] >= _THRESHOLDS
+    lengths = np.fromiter(map(len, urls), np.int64, len(urls))
+    for lo, hi in _blocks(lengths + 1):
+        _extract_block(urls[lo:hi], out[lo:hi])
     return out

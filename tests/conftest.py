@@ -7,6 +7,7 @@ import csv
 import hashlib
 import json
 import os
+import tracemalloc
 from pathlib import Path
 from typing import Sequence
 
@@ -118,6 +119,24 @@ def columns_matrix(plain: dict) -> np.ndarray:
     ``edit_arrays`` hands an edit."""
     values, offsets, codes = (np.array(plain[k]) for k in ("values", "offsets", "codes"))
     return values[offsets[:-1] + codes]
+
+
+def bytes_beside_result(fn, *args) -> int:
+    """The tracemalloc peak of ``fn(*args)`` less its result's ``nbytes``:
+    the working memory the call needs beside its input and output."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - result.nbytes
+
+
+# Beside its output, a blocked pass may keep a few int64s per URL (its
+# lengths, block sizes and block ends); anything more per URL is state
+# kept across blocks.
+BLOCKED_BYTES_PER_URL = 64
 
 
 def make_dataset(rows: Sequence[tuple[str, int]], id: str = "d0") -> Dataset:

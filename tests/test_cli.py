@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
+import os
 import shutil
 import sys
 from collections import Counter
@@ -16,9 +18,10 @@ import pytest
 
 from urlsleuth import corpus
 from urlsleuth.charlm import CharGramModel
-from urlsleuth.cli import _run_data, fit_run, main, score_datasets
+from urlsleuth.cli import CSV_CHUNK_ROWS, _run_data, fit_run, main, score_datasets
 from urlsleuth.config import DEFAULT_GRIDS, load_run_config
 from urlsleuth.evaluation import metric_reports_to_csv
+from urlsleuth.fileio import csv_text
 from urlsleuth.models import FAMILIES, BinaryClassifier, ModelSpec, fit_model
 from urlsleuth.models.base import array_record, columns_record
 from urlsleuth.pipeline import PipelineArtifact, fit_chain, load_pipeline, save_pipeline
@@ -688,6 +691,65 @@ class TestClassify:
         assert "\nhttp://d.com/," in text
 
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+    def test_chunked_csv_equals_one_table(self, extra, workspace, tmp_path, capsys, monkeypatch):
+        """The CSV written a chunk at a time is the one-string table of
+        every URL, from a file, from stdin and into ``--out-file``."""
+        urls = [r.url for r in generate_dataset("c", CSV_CHUNK_ROWS + extra, 0.3, seed=3).records]
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text("".join(url + "\n" for url in urls), encoding="utf-8")
+        artifact = workspace["out_dir"] / "models" / "LR.json"
+        labels, scores = load_pipeline(artifact).predict(urls)
+        table = csv_text(
+            ["url", "label", "score"],
+            ([u, int(y), repr(float(p))] for u, y, p in zip(urls, labels, scores)),
+        ).encode("utf-8")
+        argv = ["classify", "--artifact", str(artifact)]
+        assert main([*argv, str(urls_file)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == table
+        stdin = io.TextIOWrapper(io.BytesIO(urls_file.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == table
+        out_file = tmp_path / "preds.csv"
+        assert main([*argv, "--out-file", str(out_file), str(urls_file)]) == 0
+        assert out_file.read_bytes() == table
+
+    def test_failed_write_leaves_no_file(self, workspace, tmp_path, capsys, monkeypatch):
+        """A write that fails after the first chunk leaves neither the
+        target nor its temp file."""
+        urls = [r.url for r in generate_dataset("c", CSV_CHUNK_ROWS + 1, 0.3, seed=3).records]
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text("".join(url + "\n" for url in urls), encoding="utf-8")
+        out_dir = tmp_path / "preds"
+        out_dir.mkdir()
+        fdopen = os.fdopen
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(fdopen(fd, mode)))
+        artifact = workspace["out_dir"] / "models" / "LR.json"
+        argv = ["classify", "--artifact", str(artifact), "--out-file", str(out_dir / "p.csv")]
+        assert main([*argv, str(urls_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out-file") and "No space left" in err
+        assert list(out_dir.iterdir()) == []
+
+
 class TestErrorPaths:
     def test_unmapped_label_names_the_value(self, tmp_path, capsys):
         write_csv(tmp_path / "bad.csv", [("http://a.com", "weird")])
@@ -966,6 +1028,35 @@ class TestErrorPaths:
         edited = tmp_path / "LR.json"
         write_artifact(payload, chain, edited)
         assert f"{name} must be an integer" in self._classify_fails(edited, tmp_path, capsys)
+
+    @pytest.mark.parametrize("projected", [False, True], ids=["plain", "projected"])
+    def test_model_width_other_than_its_chain_reported_before_input_is_read(
+        self, projected, workspace, tmp_path, capsys, monkeypatch
+    ):
+        """A model taking fewer features than its chain gives is refused at
+        load, naming the model file and both widths; stdin is never read."""
+        urls, labels = _run_data(load_run_config(workspace["config_path"]))[1][workspace["test_id"]]
+        chain, X = fit_chain(urls, labels, top_k=40, use_projection=projected)
+        model = fit_model(ModelSpec("LR", {"n_iters": 20}), X, labels)
+        path = tmp_path / "LR.json"
+        save_pipeline(PipelineArtifact(chain, model), path)
+        payload, chain_payload = read_artifact(path)
+        width = X.shape[1]
+        payload["model"]["n_features"] = width - 1
+        edit_arrays(payload["model"]["state"], lambda s: s.update(weights=s["weights"][:-1]))
+        write_artifact(payload, chain_payload, path)
+
+        class Unread:
+            @property
+            def buffer(self):
+                raise AssertionError("the URLs were read before the model was checked")
+
+        monkeypatch.setattr(sys, "stdin", Unread())
+        assert main(["classify", "--artifact", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(path) in err and f"takes {width - 1} features" in err
+        assert f"its chain gives {width}" in err
 
     @pytest.mark.parametrize(
         "reference", ["../../x", "", "UPPER", 12345], ids=["path", "empty", "uppercase", "number"]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urlsleuth.charlm import SIDES, LmScorePair
+from urlsleuth.charlm import SIDES, LmScorePair, _blocks
 from urlsleuth.errors import (
     ArtifactError,
     CatalogMismatchError,
@@ -43,9 +43,12 @@ from urlsleuth.pipeline import (
     load_pipeline,
     save_pipeline,
 )
-from urlsleuth.urlfeat import CATALOG_VERSION, extract_matrix
+from urlsleuth.synth import generate_dataset
+from urlsleuth.urlfeat import _SCALAR_MAX_LENGTH, CATALOG_VERSION, extract_matrix
 
-from conftest import edit_arrays, read_artifact, write_artifact
+from conftest import (
+    BLOCKED_BYTES_PER_URL, bytes_beside_result, edit_arrays, read_artifact, write_artifact,
+)
 from oracles import chain_transform, mutual_information
 
 
@@ -487,6 +490,43 @@ class TestChainOracle:
             single = chain_transform(chain, [url])
             assert (row.strides, row.tobytes()) == (single.strides, single.tobytes()), url[:40]
 
+    BLOCK_KEPT = {**KEPT, "one-column": [78]}
+
+    @pytest.mark.parametrize("project", [False, True], ids=["plain", "projected"])
+    @pytest.mark.parametrize("kept", ["all-80", "benign-lm", "no-lm", "one-column"])
+    def test_blocks_equal_oracle(self, url_corpus, base, kept, project):
+        """A batch worked through several blocks, blocks of one short URL
+        among them, gives the bytes and strides of one whole matrix."""
+        urls, _ = url_corpus
+        kept = np.array(self.BLOCK_KEPT[kept])
+        selector = Selector(kept, base.selector.score_per_feature)
+        plain = FeatureChain(base.lm_pair, base.scaler, selector, None)
+        projection = fit_projection(chain_transform(plain, urls), 0.9) if project else None
+        chain = FeatureChain(base.lm_pair, base.scaler, selector, projection)
+        odd = ["", "http://\u4e2d\u6587.com/\u00e9?\x00", "https://b\u00fccher.de/stra\u00dfe"]
+        probes = urls + odd + urls[:5] + [_LONG_URL, urls[5], _LONG_URL] + odd + urls
+        blocks = list(_blocks(np.fromiter(map(len, probes), np.int64) + chain.lm_pair.order))
+        assert sum(hi - lo > 1 for lo, hi in blocks) >= 3
+        lone = [lo for lo, hi in blocks if hi - lo == 1 and len(probes[lo]) <= _SCALAR_MAX_LENGTH]
+        assert lone, "no short URL has a block of its own"
+        for batch in (probes, [], [urls[0]], [urls[1], urls[2]], [urls[3], _LONG_URL]):
+            got, expected = chain.transform(batch), chain_transform(chain, batch)
+            assert (got.shape, got.strides) == (expected.shape, expected.strides), len(batch)
+            assert got.tobytes() == expected.tobytes(), len(batch)
+
+
+def test_transform_memory_does_not_grow_with_the_batch(url_corpus):
+    """``transform`` holds one block's working set beside its output, so
+    four times the URLs (the same 2,000, four times over, so that the
+    blocks hold alike) need only a few bytes per URL more."""
+    urls, labels = url_corpus
+    chain = fit_chain(urls, labels, top_k=40)[0]
+    batch = [r.url for r in generate_dataset("mem", 2000, 0.3, seed=5).records]
+    chain.transform(batch[:10])  # the LM scoring tables are built on first use
+    small = bytes_beside_result(chain.transform, batch)
+    large = bytes_beside_result(chain.transform, batch * 4)
+    assert large - small <= BLOCKED_BYTES_PER_URL * 3 * len(batch), (small, large)
+
 
 class TestPipelinePersistence:
     def _artifact(self, url_corpus, **kwargs):
@@ -684,6 +724,14 @@ class TestPipelinePersistence:
         payload["catalog_version"] = "lex78-v0"
         write_json_atomic(payload, path)
         with pytest.raises(CatalogMismatchError, match="lex78-v0"):
+            load_pipeline(path)
+
+    def test_model_narrower_than_its_chain_rejected_at_load(self, url_corpus, tmp_path):
+        path, payload, chain = self._saved(url_corpus, tmp_path, top_k=40)
+        payload["model"]["n_features"] = 30
+        edit_arrays(payload["model"]["state"], lambda s: s.update(weights=s["weights"][:30]))
+        write_artifact(payload, chain, path)
+        with pytest.raises(ArtifactError, match=r"pipe\.json takes 30 features, but its chain gives 40"):
             load_pipeline(path)
 
 

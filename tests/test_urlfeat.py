@@ -29,6 +29,8 @@ from urlsleuth.urlfeat import (
     extract_matrix,
 )
 
+from conftest import BLOCKED_BYTES_PER_URL, bytes_beside_result
+
 NAMES = catalog().names
 IDX = {name: i for i, name in enumerate(NAMES)}
 
@@ -347,6 +349,16 @@ EDGE_URLS = [
     "http://user:pw@1.2.3.4:99/x", "http://256.1.1.1/", "1.2.3.4", "xn--p1ai.XN--e1a",
     "a..b...c", "http://a.com//b//c///", "?a&&b=&=c&", "http://a.com:/p", "http://a.com:12x/",
 ]
+
+
+def test_extract_memory_does_not_grow_with_the_batch():
+    """``extract_matrix`` holds one block's working set beside its output,
+    so four times the URLs (the same 2,000, four times over, so that the
+    blocks hold alike) need only a few bytes per URL more."""
+    batch = [r.url for r in generate_dataset("mem", 2000, 0.3, seed=5).records]
+    small = bytes_beside_result(extract_matrix, batch)
+    large = bytes_beside_result(extract_matrix, batch * 4)
+    assert large - small <= BLOCKED_BYTES_PER_URL * 3 * len(batch), (small, large)
 
 
 def golden_urls() -> list[str]:
