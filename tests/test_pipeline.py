@@ -726,14 +726,6 @@ class TestPipelinePersistence:
         with pytest.raises(CatalogMismatchError, match="lex78-v0"):
             load_pipeline(path)
 
-    def test_model_narrower_than_its_chain_rejected_at_load(self, url_corpus, tmp_path):
-        path, payload, chain = self._saved(url_corpus, tmp_path, top_k=40)
-        payload["model"]["n_features"] = 30
-        edit_arrays(payload["model"]["state"], lambda s: s.update(weights=s["weights"][:30]))
-        write_artifact(payload, chain, path)
-        with pytest.raises(ArtifactError, match=r"pipe\.json takes 30 features, but its chain gives 40"):
-            load_pipeline(path)
-
 
 # Arbitrary Unicode (lone surrogates and control characters included),
 # IPv6 literals and URL pieces, repeated up to 32 KB.
