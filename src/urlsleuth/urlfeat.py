@@ -721,8 +721,10 @@ def extract_matrix(urls) -> np.ndarray:
     """Feature matrix (one row per URL) in catalog order.
 
     A lone URL of at most ``_SCALAR_MAX_LENGTH`` characters goes through
-    ``_feature_dict``; everything else through ``_blocked_matrix``.  Both
-    give the same bits.
+    ``_feature_dict``; everything else through ``_blocked_matrix``, one
+    block of whole URLs at a time, so that beside the matrix only one
+    block's working set is alive.  Both give the same bits, and a row's
+    bits do not depend on the block it is in.
     """
     if len(urls) == 1 and len(urls[0]) <= _SCALAR_MAX_LENGTH:
         features = _feature_dict(urls[0])
@@ -731,11 +733,8 @@ def extract_matrix(urls) -> np.ndarray:
 
 
 def _blocked_matrix(urls) -> np.ndarray:
-    """The feature matrix by blocks of whole URLs, about
-    ``charlm._BLOCK_POSITIONS`` characters each (``_extract_block``), so
-    that beyond the matrix only one block's working set is alive.  A
-    row's bits do not depend on the block it is in.
-    """
+    """The feature matrix by ``_extract_block`` on blocks of whole URLs,
+    about ``charlm._BLOCK_POSITIONS`` characters each."""
     out = np.empty((len(urls), len(_NAMES)), dtype=np.float64)
     lengths = np.fromiter(map(len, urls), np.int64, len(urls))
     for lo, hi in _blocks(lengths + 1):
