@@ -690,7 +690,6 @@ class TestClassify:
         assert '\n"http://a.com/x\ry",' in text
         assert "\nhttp://d.com/," in text
 
-
     @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
     def test_chunked_csv_equals_one_table(self, extra, workspace, tmp_path, capsys, monkeypatch):
         """The CSV written a chunk at a time is the one-string table of
