@@ -50,10 +50,11 @@ _ID = {ch: i for i, ch in enumerate(PRINTABLE + (UNK, END, BEGIN))}
 _UNK_ID, _END_ID, _BEGIN_ID = _ID[UNK], _ID[END], _ID[BEGIN]
 _N_IDS = len(_ID)  # 98
 # Scoring, and each stage of ``FeatureChain.transform``, works through
-# blocks of about this many predicted positions.  On 10,000 bulk URLs a
-# lexical block of 16k characters peaks at 6.7 MiB, one of 8k at 3.7 MiB
-# and one of 4k at 2.0 MiB, and the chain took 0.165, 0.179 and 0.212 s.
-_BLOCK_POSITIONS = 1 << 13
+# blocks of about this many predicted positions.  On the 10,000 seed-20
+# bulk URLs the LR chain holds 3.8 MiB beside its result with blocks of
+# 8k and 2.0 MiB with blocks of 4k, and took 0.203 and 0.244 s (medians
+# of 15 alternating runs, one thread of a shared 2-vCPU VM).
+_BLOCK_POSITIONS = 1 << 12
 
 
 def _text_ids(text: str) -> np.ndarray:

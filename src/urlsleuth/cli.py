@@ -170,16 +170,16 @@ def score_datasets(artifacts: dict[str, PipelineArtifact], data, ids) -> list[Me
 def _saved_artifacts(out_dir: Path, plan: corpus.PartitionPlan) -> dict[str, PipelineArtifact]:
     """Every family's saved artifact under ``out_dir/models``, once the
     recorded partition, if any, matches ``plan``.  Artifacts naming the
-    same chain digest share one chain object, so each distinct chain is
-    read and built once."""
+    same chain digest share one chain object (``load_pipeline``), so each
+    distinct chain is built once and ``score_datasets`` featurizes each
+    dataset once per chain."""
     _recorded_summary(out_dir, plan)
     models_dir = out_dir / "models"
-    chains = {}
     artifacts = {}
     for family in FAMILIES:
         path = models_dir / f"{family}.json"
         if path.exists():
-            artifacts[family] = load_pipeline(path, chains=chains)
+            artifacts[family] = load_pipeline(path)
     if not artifacts:
         raise ConfigError(f"no model artifacts found under {models_dir}; run train first")
     return artifacts
@@ -329,6 +329,7 @@ def cmd_classify(args) -> int:
     # One URL per "\n"-terminated line: the other characters splitlines()
     # breaks at (\x0b, \x85, U+2028, a lone \r, ...) stay inside the URL.
     urls = [line.strip() for line in text.split("\n") if line.strip()]
+    del text  # the URLs are the only copy of the input kept while scoring
     if not urls:
         raise ConfigError("no URLs to classify: input is empty")
     labels, scores = artifact.predict(urls)  # one batch; only the CSV is chunked

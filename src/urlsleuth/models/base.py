@@ -102,6 +102,12 @@ def state_array(state: dict, key: str, shape: tuple, dtype=np.float64) -> np.nda
     (``"<f8"`` for a float ``dtype``), a shape that matches, valid base64
     of exactly that many values and only values ``dtype`` holds, finite
     ones for floats; anything else raises ``ArtifactError``."""
+    return _saved_array(state, key, shape, dtype).astype(dtype)  # a writable copy
+
+
+def _saved_array(state: dict, key: str, shape: tuple, dtype) -> np.ndarray:
+    """``state_array`` before its conversion: the checked values as a
+    read-only array in the type they were saved in."""
     record = state[key]
     if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
         raise ArtifactError(f"saved array {key!r} must be an object with keys b64, dtype, shape")
@@ -143,7 +149,7 @@ def state_array(state: dict, key: str, shape: tuple, dtype=np.float64) -> np.nda
             )
     elif not np.all(np.isfinite(saved)):
         raise ArtifactError(f"saved array {key!r} contains NaN or infinite values")
-    return saved.astype(dtype)  # a writable copy
+    return saved
 
 
 # The saved form of a float matrix whose columns repeat few values: each
@@ -173,13 +179,16 @@ def columns_record(X: np.ndarray) -> dict:
 
 
 def state_columns(state: dict, key: str, n_features: int) -> np.ndarray:
-    """``state[key]``, a ``columns_record``, as an owned float64 matrix of
-    ``n_features`` columns.  Besides each record's own checks
+    """``state[key]``, a ``columns_record``, as an owned C-ordered float64
+    matrix of ``n_features`` columns.  Besides each record's own checks
     (``state_array``), ``offsets`` must start at 0, never fall and end at
     the number of values, each column's values must rise strictly as
     uint64 and every code must index its own column's values (so a
     column of a matrix with rows holds a value or more); anything else
-    raises ``ArtifactError`` naming ``key``."""
+    raises ``ArtifactError`` naming ``key``.  The codes stay in the type
+    they were saved in and the matrix is filled one column at a time, so
+    beside the matrix only the saved codes and one column's temporaries
+    are alive."""
     record = state[key]
     if not isinstance(record, dict) or record.keys() != _COLUMNS_KEYS:
         raise ArtifactError(
@@ -188,7 +197,7 @@ def state_columns(state: dict, key: str, n_features: int) -> np.ndarray:
     parts = {f"{key}.{name}": part for name, part in record.items()}
     values = state_array(parts, f"{key}.values", (None,))
     offsets = state_array(parts, f"{key}.offsets", (n_features + 1,), dtype=np.int64)
-    codes = state_array(parts, f"{key}.codes", (None, n_features), dtype=np.int64)
+    codes = _saved_array(parts, f"{key}.codes", (None, n_features), dtype=np.int64)
     counts = np.diff(offsets)
     if offsets[0] != 0 or offsets[-1] != len(values) or np.any(counts < 0):
         raise ArtifactError(
@@ -201,7 +210,10 @@ def state_columns(state: dict, key: str, n_features: int) -> np.ndarray:
         raise ArtifactError(f"saved columns {key!r}: a column's values do not rise strictly")
     if np.any((codes < 0) | (codes >= counts)):
         raise ArtifactError(f"saved columns {key!r}: a code is outside its column's values")
-    return values[offsets[:-1] + codes]
+    X = np.empty(codes.shape)
+    for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        X[:, j] = values[lo:hi][codes[:, j]]
+    return X
 
 
 def check_features(X) -> np.ndarray:

@@ -13,10 +13,11 @@ from .base import (
 # derivation in ``KNearestNeighbors._score`` needs 1, and the margin covers
 # the rounding of the allowance and of the comparison themselves.
 _ROUNDOFF_FACTOR = 8.0
-# Float64 elements one query block may use per temporary (2 MiB).  On
-# 10,000 queries a half-size block scored as fast and peaked at 4.1
-# against 8.2 MiB.
-_BLOCK_ELEMENTS = 1 << 18
+# Float64 elements one query block may use per temporary (1 MiB).  On
+# the 10,000 seed-20 bulk rows, blocks of 2^18 and 2^17 elements held 4.1
+# and 2.0 MiB beside the scores and scored in 0.367 and 0.369 s (medians
+# of 15 alternating runs, one thread of a shared 2-vCPU VM).
+_BLOCK_ELEMENTS = 1 << 17
 
 
 def candidate_count(k: int, n: int) -> int:

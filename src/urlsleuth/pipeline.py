@@ -14,9 +14,11 @@ then each stage's arrays, all as base64 records) in
 ``chains/<sha256>.json`` beside the model file, named by the SHA-256 of
 its bytes, and the model file itself: a tag, a format version, the
 feature catalog version, that digest and the model (spec, feature
-count, state).  Every family of a run names the same chain file.  ``grid_search`` fits each grid point
-once and returns the best fitted model; an empty grid is the defaults,
-a failed fit is never chosen.
+count, state).  Every family of a run names the same chain file, and
+the artifacts loaded in one process from model files naming one digest
+share one chain object.  ``grid_search`` fits each grid point once and
+returns the best fitted model; an empty grid is the defaults, a failed
+fit is never chosen.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import hashlib
 import itertools
 import re
 import warnings
+import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -102,10 +105,14 @@ def _quantile_bins(X: np.ndarray, n_bins: int) -> np.ndarray:
 
 def _mutual_information(bins: np.ndarray, labels: np.ndarray, n_bins: int) -> np.ndarray:
     """I(bin; label) in nats of every column of ``bins``, from the empirical
-    joint frequencies: one ``bincount`` over (column, bin, label)."""
+    joint frequencies: one ``bincount`` over (column, bin, label).  The
+    cell indices are formed in ``bins`` itself, which is overwritten."""
     n, d = bins.shape
     classes, labels = np.unique(labels, return_inverse=True)
-    cells = (np.arange(d) * n_bins + bins) * len(classes) + labels.reshape(-1, 1)
+    cells = bins  # in place: no n x d temporaries beside it
+    cells += np.arange(d) * n_bins
+    cells *= len(classes)
+    cells += labels.reshape(-1, 1)
     joint = np.bincount(cells.reshape(-1), minlength=d * n_bins * len(classes))
     p_joint = joint.reshape(d, n_bins, len(classes)) / n
     p_bin = p_joint.sum(axis=2, keepdims=True)
@@ -434,23 +441,35 @@ def remove_other_chains(models_dir, chain: FeatureChain) -> list[str]:
     return removed
 
 
+# Every chain built in this process, by the SHA-256 of its file.  A chain
+# is dropped with the last artifact that holds it.
+_CHAINS: weakref.WeakValueDictionary[str, FeatureChain] = weakref.WeakValueDictionary()
+
+
 def _load_chain(path: Path, digest: str) -> FeatureChain:
-    """Parse the chain file after checking its bytes hash to ``digest``."""
+    """The chain in ``path``, once its bytes hash to ``digest``: the one
+    already built from those bytes if one is alive, else parsed and built
+    now.  The file is read and checked on every call."""
     data = read_artifact_bytes(path)
     if hashlib.sha256(data).hexdigest() != digest:
         raise ArtifactError(f"chain file {path} does not match the SHA-256 in its name")
-    try:
-        return FeatureChain.from_dict(parse_json(data, path))
-    except (AttributeError, KeyError, TypeError, ValueError, ModelError) as exc:
-        raise ArtifactError(f"feature chain {path} is malformed: {exc}") from exc
+    chain = _CHAINS.get(digest)
+    if chain is None:
+        try:
+            chain = FeatureChain.from_dict(parse_json(data, path))
+        except (AttributeError, KeyError, TypeError, ValueError, ModelError) as exc:
+            raise ArtifactError(f"feature chain {path} is malformed: {exc}") from exc
+        _CHAINS[digest] = chain
+    return chain
 
 
-def load_pipeline(path, *, chains: dict[str, FeatureChain] | None = None) -> PipelineArtifact:
+def load_pipeline(path) -> PipelineArtifact:
     """Rebuild an artifact from its model file and the chain file it names.
 
-    ``chains`` maps digests to chains already built; a caller loading
-    several artifacts passes one dict so that each distinct chain is read,
-    checked and built once.  An artifact whose features come from another
+    The chain file is read and hash-checked on every load, but artifacts
+    loaded in one process whose model files name the same digest share
+    one ``FeatureChain``, built on the first of those loads and kept while
+    any of them is alive.  An artifact whose features come from another
     catalog version raises ``CatalogMismatchError``, and a model whose
     feature count is not the width of its chain's output ``ArtifactError``.
     """
@@ -473,10 +492,7 @@ def load_pipeline(path, *, chains: dict[str, FeatureChain] | None = None) -> Pip
         raise ArtifactError(
             f"artifact {path} must name its chain by 64 lowercase hex digits, got {digest!r}"
         )
-    chains = {} if chains is None else chains
-    if digest not in chains:
-        chains[digest] = _load_chain(path.parent / CHAIN_DIR / f"{digest}.json", digest)
-    chain = chains[digest]
+    chain = _load_chain(path.parent / CHAIN_DIR / f"{digest}.json", digest)
     try:
         model = TrainedModel.from_dict(payload["model"])
         catalog_version = payload["catalog_version"]

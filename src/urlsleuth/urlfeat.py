@@ -722,9 +722,10 @@ def extract_matrix(urls) -> np.ndarray:
 
     A lone URL of at most ``_SCALAR_MAX_LENGTH`` characters goes through
     ``_feature_dict``; everything else through ``_blocked_matrix``, one
-    block of whole URLs at a time, so that beside the matrix only one
-    block's working set is alive.  Both give the same bits, and a row's
-    bits do not depend on the block it is in.
+    block of whole URLs (about 4k characters, ``charlm._BLOCK_POSITIONS``)
+    at a time, so that beside the matrix only one block's working set is
+    alive.  Both give the same bits, and a row's bits do not depend on
+    the block it is in.
     """
     if len(urls) == 1 and len(urls[0]) <= _SCALAR_MAX_LENGTH:
         features = _feature_dict(urls[0])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,15 @@ def saved_columns(X: np.ndarray) -> dict:
     return json.loads(json_text({"X": columns_record(X)}))
 
 
+def columns_oracle(record: dict, n_features: int) -> np.ndarray:
+    """The matrix a valid ``columns_record`` holds, by one gather: every
+    code widened to int64 and offset by its column's start."""
+    values = state_array(record, "values", (None,))
+    offsets = state_array(record, "offsets", (n_features + 1,), np.int64)
+    codes = state_array(record, "codes", (None, n_features), np.int64)
+    return values[offsets[:-1] + codes]
+
+
 def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -328,6 +338,34 @@ class TestColumnsRoundTrip:
         X = np.array([[3.0, 1.0], [1.0, 1.0], [3.0, -0.0]])
         assert json_text(columns_record(X)) == json_text(columns_record(X.copy(order="F")))
 
+    @pytest.mark.parametrize("distinct, code", [(200, "|u1"), (300, "<u2"), (70_000, "<u4")])
+    def test_matches_the_int64_index_sum(self, distinct, code):
+        rng = np.random.default_rng(distinct)
+        X = rng.normal(size=(distinct, 5))
+        X[:, 1:] = np.round(X[:, 1:], 1)  # a few distinct values in the other columns
+        state = saved_columns(rng.permutation(np.vstack([X, X[: distinct // 3]])))
+        assert state["X"]["codes"]["dtype"] == code
+        got = state_columns(state, "X", 5)
+        expected = columns_oracle(state["X"], 5)
+        assert bits_equal(got, expected)
+        assert got.flags.c_contiguous and got.strides == expected.strides
+
+    def test_decoding_holds_little_beside_the_matrix(self):
+        # 4,000 x 40 with 600 values a column: the codes are saved as "<u2".
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 600, size=(4000, 40)) * 0.25
+        state = saved_columns(X)
+        assert state["X"]["codes"]["dtype"] == "<u2"
+        tracemalloc.start()
+        try:
+            got = state_columns(state, "X", 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits_equal(got, X)
+        # Widening the codes to int64 and adding the offsets took 3.2x.
+        assert peak <= 2.5 * got.nbytes
+
     def test_knn_state(self, blob_data):
         x, y = blob_data
         model = KNearestNeighbors(k=3).fit(x, y)
@@ -358,6 +396,158 @@ def _columns(**parts) -> dict:
 _CODES = np.array([[0, 1], [1, 0], [0, 0]], dtype=np.uint8)
 
 
+# Each malformed saved matrix with the whole message it is refused with.
+_MALFORMED_COLUMNS = [
+    pytest.param(
+        array_record(_GOOD_X), 2,  # format 6: one float64 record
+        "saved columns 'train_X' must be an object with keys codes, offsets, values",
+        id="format-6-record",
+    ),
+    pytest.param(
+        _GOOD_X.tolist(), 2,
+        "saved columns 'train_X' must be an object with keys codes, offsets, values",
+        id="list",
+    ),
+    pytest.param(
+        {k: v for k, v in _columns().items() if k != "codes"}, 2,
+        "saved columns 'train_X' must be an object with keys codes, offsets, values",
+        id="missing-codes",
+    ),
+    pytest.param(
+        {**_columns(), "rows": 3}, 2,
+        "saved columns 'train_X' must be an object with keys codes, offsets, values",
+        id="extra-key",
+    ),
+    pytest.param(
+        _columns(values=np.array([7.0, 1.0, 2.0, 0.0, -0.0]), offsets=np.array([1, 3, 5])), 2,
+        "saved columns 'train_X': offsets must rise from 0 to the 5 values",
+        id="offsets-start",
+    ),
+    pytest.param(
+        _columns(offsets=np.array([0, 2, 3])), 2,
+        "saved columns 'train_X': offsets must rise from 0 to the 4 values",
+        id="offsets-end-short",
+    ),
+    pytest.param(
+        _columns(offsets=np.array([0, 2, 5])), 2,
+        "saved columns 'train_X': offsets must rise from 0 to the 4 values",
+        id="offsets-end-long",
+    ),
+    pytest.param(
+        _columns(offsets=np.array([0, 0, 4])), 2,
+        "saved columns 'train_X': a column's values do not rise strictly",
+        id="offsets-empty-column",
+    ),
+    pytest.param(
+        _columns(offsets=np.array([0, 5, 4])), 2,
+        "saved columns 'train_X': offsets must rise from 0 to the 4 values",
+        id="offsets-descending",
+    ),
+    pytest.param(
+        _columns(values=np.array([1.0, 2.0]), offsets=np.array([0, 3, 2]),
+                 codes=np.empty((0, 2), dtype=np.uint8)),
+        2,
+        "saved columns 'train_X': offsets must rise from 0 to the 2 values",
+        id="offsets-descending-no-rows",
+    ),
+    pytest.param(
+        _columns(values=np.array([2.0, 1.0, 0.0, -0.0])), 2,
+        "saved columns 'train_X': a column's values do not rise strictly",
+        id="values-descending",
+    ),
+    pytest.param(
+        _columns(values=np.array([1.0, 1.0, 0.0, -0.0])), 2,
+        "saved columns 'train_X': a column's values do not rise strictly",
+        id="values-duplicate",
+    ),
+    pytest.param(
+        _columns(values=np.array([1.0, 2.0, -0.0, 0.0])), 2,
+        "saved columns 'train_X': a column's values do not rise strictly",
+        id="values-zeros-swapped",
+    ),
+    pytest.param(
+        _columns(codes=np.array([[2, 1], [1, 0], [0, 0]], dtype=np.uint8)), 2,
+        "saved columns 'train_X': a code is outside its column's values",
+        id="code-past-its-column",
+    ),
+    pytest.param(
+        _columns(codes=np.array([[0, 2], [1, 0], [0, 0]], dtype=np.uint8)), 2,
+        "saved columns 'train_X': a code is outside its column's values",
+        id="code-past-the-values",
+    ),
+    pytest.param(
+        _columns(), 3,
+        "saved array 'train_X.offsets' has shape [3], expected [4]",
+        id="width-over",
+    ),
+    pytest.param(
+        _columns(), 1,
+        "saved array 'train_X.offsets' has shape [3], expected [2]",
+        id="width-under",
+    ),
+    pytest.param(
+        _columns(codes=np.array([[0], [1], [0]], dtype=np.uint8)), 2,
+        "saved array 'train_X.codes' has shape [3, 1], expected [n, 2]",
+        id="codes-width",
+    ),
+    pytest.param(
+        _columns(codes=coded_record(_CODES, "<i8")), 2,
+        "saved array 'train_X.codes' has dtype '<i8', but its values are saved as '|u1'",
+        id="codes-signed",
+    ),
+    pytest.param(
+        _columns(codes=coded_record(_CODES, "<u8")), 2,
+        "saved array 'train_X.codes' has dtype '<u8', but its values are saved as '|u1'",
+        id="codes-u8",
+    ),
+    pytest.param(
+        _columns(codes=_CODES.astype(np.float64)), 2,
+        "saved array 'train_X.codes' has dtype '<f8', expected an integer code",
+        id="codes-float",
+    ),
+    pytest.param(
+        _columns(codes=np.array([[0, 1], [1, -1], [0, 0]])), 2,
+        "saved columns 'train_X': a code is outside its column's values",
+        id="code-negative",
+    ),
+    pytest.param(
+        _columns(offsets=coded_record([0, 2, 4], "<i8")), 2,
+        "saved array 'train_X.offsets' has dtype '<i8', but its values are saved as '|u1'",
+        id="offsets-int64",
+    ),
+    pytest.param(
+        _columns(offsets=coded_record([0, 2, 2**63], "<u8")), 2,
+        "saved array 'train_X.offsets' holds values outside int64 ([0, 9223372036854775808])",
+        id="offsets-above-int64",
+    ),
+    pytest.param(
+        _columns(codes=coded_record([[0, 1], [1, 2**63], [0, 0]], "<u8")), 2,
+        "saved array 'train_X.codes' holds values outside int64 ([0, 9223372036854775808])",
+        id="codes-above-int64",
+    ),
+    pytest.param(
+        _columns(offsets=np.array([0.0, 2.0, 4.0])), 2,
+        "saved array 'train_X.offsets' has dtype '<f8', expected an integer code",
+        id="offsets-float",
+    ),
+    pytest.param(
+        _columns(values=np.array([1.0, 2.0, 0.0, np.nan])), 2,
+        "saved array 'train_X.values' contains NaN or infinite values",
+        id="values-nan",
+    ),
+    pytest.param(
+        _columns(values=np.array([1.0, np.inf, 0.0, -0.0])), 2,
+        "saved array 'train_X.values' contains NaN or infinite values",
+        id="values-inf",
+    ),
+    pytest.param(
+        _columns(values=np.array([1, 2, 3, 4])), 2,
+        "saved array 'train_X.values' has dtype '|u1', expected '<f8'",
+        id="values-int",
+    ),
+]
+
+
 class TestColumnsRejected:
     """Every malformed saved matrix raises ``ArtifactError`` naming its key."""
 
@@ -367,56 +557,11 @@ class TestColumnsRejected:
             state_array(_columns(), "codes", (3, 2), np.uint8), _CODES
         )
 
-    @pytest.mark.parametrize(
-        "record, n_features",
-        [
-            (array_record(_GOOD_X), 2),  # format 6: one float64 record
-            (_GOOD_X.tolist(), 2),
-            ({k: v for k, v in _columns().items() if k != "codes"}, 2),
-            ({**_columns(), "rows": 3}, 2),
-            (_columns(values=np.array([7.0, 1.0, 2.0, 0.0, -0.0]), offsets=np.array([1, 3, 5])), 2),
-            (_columns(offsets=np.array([0, 2, 3])), 2),
-            (_columns(offsets=np.array([0, 2, 5])), 2),
-            (_columns(offsets=np.array([0, 0, 4])), 2),
-            (_columns(offsets=np.array([0, 5, 4])), 2),
-            (
-                _columns(values=np.array([1.0, 2.0]), offsets=np.array([0, 3, 2]),
-                         codes=np.empty((0, 2), dtype=np.uint8)),
-                2,
-            ),
-            (_columns(values=np.array([2.0, 1.0, 0.0, -0.0])), 2),
-            (_columns(values=np.array([1.0, 1.0, 0.0, -0.0])), 2),
-            (_columns(values=np.array([1.0, 2.0, -0.0, 0.0])), 2),
-            (_columns(codes=np.array([[2, 1], [1, 0], [0, 0]], dtype=np.uint8)), 2),
-            (_columns(codes=np.array([[0, 2], [1, 0], [0, 0]], dtype=np.uint8)), 2),
-            (_columns(), 3),
-            (_columns(), 1),
-            (_columns(codes=np.array([[0], [1], [0]], dtype=np.uint8)), 2),
-            (_columns(codes=coded_record(_CODES, "<i8")), 2),
-            (_columns(codes=coded_record(_CODES, "<u8")), 2),
-            (_columns(codes=_CODES.astype(np.float64)), 2),
-            (_columns(codes=np.array([[0, 1], [1, -1], [0, 0]])), 2),
-            (_columns(offsets=coded_record([0, 2, 4], "<i8")), 2),
-            (_columns(offsets=coded_record([0, 2, 2**63], "<u8")), 2),
-            (_columns(offsets=np.array([0.0, 2.0, 4.0])), 2),
-            (_columns(values=np.array([1.0, 2.0, 0.0, np.nan])), 2),
-            (_columns(values=np.array([1.0, np.inf, 0.0, -0.0])), 2),
-            (_columns(values=np.array([1, 2, 3, 4])), 2),
-        ],
-        ids=[
-            "format-6-record", "list", "missing-codes", "extra-key", "offsets-start",
-            "offsets-end-short", "offsets-end-long", "offsets-empty-column",
-            "offsets-descending", "offsets-descending-no-rows", "values-descending", "values-duplicate",
-            "values-zeros-swapped", "code-past-its-column", "code-past-the-values",
-            "width-over", "width-under", "codes-width", "codes-signed", "codes-u8",
-            "codes-float", "code-negative", "offsets-int64", "offsets-above-int64",
-            "offsets-float", "values-nan", "values-inf",
-            "values-int",
-        ],
-    )
-    def test_malformed_columns(self, record, n_features):
-        with pytest.raises(ArtifactError, match="'train_X"):
+    @pytest.mark.parametrize("record, n_features, message", _MALFORMED_COLUMNS)
+    def test_malformed_columns(self, record, n_features, message):
+        with pytest.raises(ArtifactError) as raised:
             state_columns({"train_X": record}, "train_X", n_features)
+        assert str(raised.value) == message
 
     def test_negative_code_refused(self):
         # Its canonical code is signed; read, it would index the column before.

@@ -10,6 +10,7 @@ import math
 import os
 import shutil
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -713,6 +714,37 @@ class TestClassify:
         out_file = tmp_path / "preds.csv"
         assert main([*argv, "--out-file", str(out_file), str(urls_file)]) == 0
         assert out_file.read_bytes() == table
+
+    def test_input_text_is_not_held_while_scoring(self, workspace, tmp_path, monkeypatch):
+        """From N to 2N URLs, the memory alive when ``predict`` is entered
+        grows by the URL list's growth alone, not also by the decoded text."""
+        urls = [r.url for r in generate_dataset("m", 6000, 0.3, seed=5).records]
+        seen = {}
+        predict = PipelineArtifact.predict
+
+        def traced(self, batch):
+            seen[len(batch)] = (
+                tracemalloc.get_traced_memory()[0],
+                sys.getsizeof(batch) + sum(map(sys.getsizeof, batch)),
+            )
+            return predict(self, batch)
+
+        monkeypatch.setattr(PipelineArtifact, "predict", traced)
+        artifact = str(workspace["out_dir"] / "models" / "LR.json")
+        tracemalloc.start()
+        try:
+            for n in (100, 3000, 6000):  # the first call fills the caches
+                urls_file = tmp_path / f"urls{n}.txt"
+                urls_file.write_text("".join(u + "\n" for u in urls[:n]), encoding="utf-8")
+                out_file = str(tmp_path / "preds.csv")
+                assert main(["classify", "--artifact", artifact, "--out-file", out_file,
+                             str(urls_file)]) == 0
+        finally:
+            tracemalloc.stop()
+        (held_n, list_n), (held_2n, list_2n) = seen[3000], seen[6000]
+        text_growth = sum(map(len, urls[3000:]))
+        assert text_growth > 128 * 1024
+        assert held_2n - held_n <= list_2n - list_n + 32 * 1024
 
     def test_failed_write_leaves_no_file(self, workspace, tmp_path, capsys, monkeypatch):
         """A write that fails after the first chunk leaves neither the

@@ -4,11 +4,13 @@ end-to-end URL pipeline."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
-import json
 import math
 import pathlib
 import random
+import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urlsleuth.charlm import SIDES, LmScorePair, _blocks
+from urlsleuth.cli import _saved_artifacts, score_datasets
 from urlsleuth.errors import (
     ArtifactError,
     CatalogMismatchError,
@@ -25,7 +28,7 @@ from urlsleuth.errors import (
     ModelError,
 )
 from urlsleuth.fileio import write_json_atomic
-from urlsleuth.models import ModelSpec, fit_model
+from urlsleuth.models import FAMILIES, ModelSpec, fit_model
 from urlsleuth.pipeline import (
     LEXICAL_COLUMNS,
     MI_BIN_COUNT,
@@ -161,6 +164,21 @@ class TestSelector:
             assert sel.score_per_feature[j] == pytest.approx(
                 mutual_information(bins, y), rel=1e-12, abs=1e-15
             ), f"feature {j}"
+
+    def test_scoring_holds_little_beside_the_matrix(self):
+        # The training rows' shape in the acceptance run: 4,000 x 80.
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(4000, 80))
+        y = (rng.random(4000) < 0.3).astype(np.int64)
+        tracemalloc.start()
+        try:
+            fit_selector(X, y, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The sorted copy np.quantile takes and the bins; forming the cell
+        # indices in two more n x d temporaries took 3.5x.
+        assert peak <= 2 * X.nbytes
 
     def test_top_k_keeps_best_features_in_index_order(self):
         rng = np.random.default_rng(5)
@@ -582,37 +600,110 @@ class TestPipelinePersistence:
         assert chain_file.read_bytes() == expected.read_bytes()
         assert chain_file.name == hashlib.sha256(expected.read_bytes()).hexdigest() + ".json"
 
-    def test_artifacts_sharing_a_chain_share_its_file(self, url_corpus, tmp_path):
+    def _two_families(self, url_corpus, tmp_path) -> tuple[PipelineArtifact, PipelineArtifact]:
+        """KNN and LR on one chain, saved as ``KNN.json`` and ``LR.json``
+        under ``tmp_path``.  ``top_k=33`` gives a chain no other test of
+        this module saves, so no chain with its digest is alive yet."""
         urls, labels = url_corpus
-        chain, X = fit_chain(urls, labels)
+        chain, X = fit_chain(urls, labels, top_k=33)
         knn = PipelineArtifact(chain, fit_model(ModelSpec("KNN", {"k": 3}), X, labels))
         lr = PipelineArtifact(chain, fit_model(ModelSpec("LR", {"n_iters": 60}), X, labels))
         save_pipeline(knn, tmp_path / "KNN.json")
         save_pipeline(lr, tmp_path / "LR.json")
+        gc.collect()
+        return knn, lr
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list[int]:
+        """A list that grows by one at each ``FeatureChain.from_dict`` call."""
+        built = []
+        from_dict = FeatureChain.from_dict
+        monkeypatch.setattr(
+            FeatureChain, "from_dict", classmethod(lambda cls, d: built.append(1) or from_dict(d))
+        )
+        return built
+
+    def test_artifacts_naming_one_digest_share_one_chain(self, url_corpus, tmp_path):
+        urls, _ = url_corpus
+        knn, lr = self._two_families(url_corpus, tmp_path)
         assert len(list((tmp_path / "chains").iterdir())) == 1
-        chains = {}
-        a = load_pipeline(tmp_path / "KNN.json", chains=chains)
-        b = load_pipeline(tmp_path / "LR.json", chains=chains)
+        a = load_pipeline(tmp_path / "KNN.json")  # two separate calls, nothing passed between
+        b = load_pipeline(tmp_path / "LR.json")
         assert a.chain is b.chain
-        assert list(chains) == [json.loads((tmp_path / "LR.json").read_text())["chain"]]
+        assert np.array_equal(a.predict(urls)[1], knn.predict(urls)[1])
         assert np.array_equal(b.predict(urls)[1], lr.predict(urls)[1])
 
-    def test_shared_chain_is_read_once(self, url_corpus, tmp_path, monkeypatch):
-        artifact, _ = self._artifact(url_corpus)
-        for name in ("a.json", "b.json", "c.json"):
-            save_pipeline(artifact, tmp_path / name)
+    def test_shared_chain_is_read_on_every_load_and_built_once(
+        self, url_corpus, tmp_path, monkeypatch
+    ):
+        self._two_families(url_corpus, tmp_path)
         read = []
         read_bytes = pathlib.Path.read_bytes
         monkeypatch.setattr(
             pathlib.Path, "read_bytes", lambda self: read.append(self.parent.name) or read_bytes(self)
         )
-        chains = {}
-        for name in ("a.json", "b.json", "c.json"):
-            load_pipeline(tmp_path / name, chains=chains)
-        assert Counter(read) == {tmp_path.name: 3, "chains": 1}
-        read.clear()
-        load_pipeline(tmp_path / "a.json")  # no shared dict: the chain is read again
-        assert Counter(read) == {tmp_path.name: 1, "chains": 1}
+        built = self._count_builds(monkeypatch)
+        loaded = [load_pipeline(tmp_path / name) for name in ("KNN.json", "LR.json", "KNN.json")]
+        assert Counter(read) == {tmp_path.name: 3, "chains": 3}  # every load checks the hash
+        assert len(built) == 1
+        assert len({id(artifact.chain) for artifact in loaded}) == 1
+
+    def test_chain_is_freed_with_its_last_artifact(self, url_corpus, tmp_path, monkeypatch):
+        self._two_families(url_corpus, tmp_path)
+        built = self._count_builds(monkeypatch)
+        a = load_pipeline(tmp_path / "KNN.json")
+        b = load_pipeline(tmp_path / "LR.json")
+        first = weakref.ref(a.chain)
+        del a
+        gc.collect()
+        assert first() is b.chain  # still held by LR
+        del b
+        gc.collect()
+        assert first() is None
+        c = load_pipeline(tmp_path / "LR.json")
+        assert len(built) == 2  # the next load builds a new chain
+        assert c.predict(["http://a.example/x"])[1].shape == (1,)
+
+    def test_tampered_or_missing_chain_refused_while_its_digest_is_alive(
+        self, url_corpus, tmp_path
+    ):
+        urls, _ = url_corpus
+        _, lr = self._two_families(url_corpus, tmp_path)
+        alive = load_pipeline(tmp_path / "LR.json")
+        (chain_file,) = (tmp_path / "chains").iterdir()
+        original = chain_file.read_bytes()
+        chain_file.write_bytes(original + b" ")  # same JSON, other bytes
+        with pytest.raises(ArtifactError, match="SHA-256"):
+            load_pipeline(tmp_path / "KNN.json")
+        chain_file.unlink()
+        with pytest.raises(ArtifactError, match="not found"):
+            load_pipeline(tmp_path / "KNN.json")
+        chain_file.write_bytes(original)
+        assert load_pipeline(tmp_path / "KNN.json").chain is alive.chain
+        assert np.array_equal(alive.predict(urls)[1], lr.predict(urls)[1])
+
+    def test_saved_run_builds_its_chain_once_and_featurizes_once(
+        self, url_corpus, tmp_path, monkeypatch
+    ):
+        urls, labels = url_corpus
+        chain, X = fit_chain(urls, labels, top_k=34)  # a digest no other test saves
+        for family in FAMILIES:
+            artifact = PipelineArtifact(chain, fit_model(ModelSpec(family, {}), X, labels))
+            save_pipeline(artifact, tmp_path / "models" / f"{family}.json")
+        del artifact
+        gc.collect()
+        built = self._count_builds(monkeypatch)
+        artifacts = _saved_artifacts(tmp_path, plan=None)  # no train summary to match
+        assert list(artifacts) == list(FAMILIES)
+        assert len(built) == 1
+        calls = []
+        featurize = PipelineArtifact.featurize
+        monkeypatch.setattr(
+            PipelineArtifact, "featurize", lambda self, u: calls.append(len(u)) or featurize(self, u)
+        )
+        reports = score_datasets(artifacts, {"d": (urls, labels)}, ["d"])
+        assert len(reports) == len(FAMILIES)
+        assert calls == [len(urls)]  # one dataset, one chain
 
     def test_wrong_tag_rejected(self, url_corpus, tmp_path):
         path, payload, _ = self._saved(url_corpus, tmp_path)
