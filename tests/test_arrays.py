@@ -23,7 +23,7 @@ from urlsleuth.models.neighbors import KNearestNeighbors
 from urlsleuth.models.base import array_record, columns_record, state_array, state_columns
 from urlsleuth.pipeline import fit_chain
 
-from conftest import RECORD_KEYS, coded_record
+from conftest import RECORD_KEYS, coded_record, columns_matrix, records_to_lists
 
 _SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5)
 _FLOATS = st.one_of(
@@ -264,15 +264,6 @@ def saved_columns(X: np.ndarray) -> dict:
     return json.loads(json_text({"X": columns_record(X)}))
 
 
-def columns_oracle(record: dict, n_features: int) -> np.ndarray:
-    """The matrix a valid ``columns_record`` holds, by one gather: every
-    code widened to int64 and offset by its column's start."""
-    values = state_array(record, "values", (None,))
-    offsets = state_array(record, "offsets", (n_features + 1,), np.int64)
-    codes = state_array(record, "codes", (None, n_features), np.int64)
-    return values[offsets[:-1] + codes]
-
-
 def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -346,7 +337,7 @@ class TestColumnsRoundTrip:
         state = saved_columns(rng.permutation(np.vstack([X, X[: distinct // 3]])))
         assert state["X"]["codes"]["dtype"] == code
         got = state_columns(state, "X", 5)
-        expected = columns_oracle(state["X"], 5)
+        expected = columns_matrix(records_to_lists(state["X"]))  # one int64 gather
         assert bits_equal(got, expected)
         assert got.flags.c_contiguous and got.strides == expected.strides
 
