@@ -93,6 +93,16 @@ def _lone_grams(url: str, n: int) -> np.ndarray:
     return np.ndarray((n + 1, len(url) + 1), np.uint8, seq, 0, (1, 1))
 
 
+def _check_order_and_k(order, k) -> None:
+    """Raise ``ModelError`` unless ``order`` is an int >= 1 and ``k`` a
+    finite real > 0."""
+    # bool is an int and a Real: True would pass as 1.
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ModelError(f"order must be an integer >= 1, got {order!r}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Real) or not math.isfinite(k) or k <= 0:
+        raise ModelError(f"smoothing constant must be a finite number > 0, got {k!r}")
+
+
 @dataclass(eq=False)
 class CharGramModel:
     """Add-k smoothed character n-gram model.
@@ -108,16 +118,7 @@ class CharGramModel:
     counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # bool is an int and a Real: True would pass as 1.
-        if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
-            raise ModelError(f"order must be an integer >= 1, got {self.order!r}")
-        if (
-            isinstance(self.k, bool)
-            or not isinstance(self.k, numbers.Real)
-            or not math.isfinite(self.k)
-            or self.k <= 0
-        ):
-            raise ModelError(f"smoothing constant must be a finite number > 0, got {self.k!r}")
+        _check_order_and_k(self.order, self.k)
         self.keys = np.zeros((0, self.order), np.uint8)
         self.counts = np.zeros(0, np.int64)
 
@@ -265,6 +266,8 @@ class LmScorePair:
     ``transform`` maps URLs to a two-column matrix: column 0 is the benign
     model's normalized log-likelihood, column 1 the malicious model's.
     Both models must have the pair's order and k, the only ones saved.
+    A side may be absent (``None``), as in a pair loaded with only the
+    sides a chain scores; only the sides asked for must be there.
     """
 
     order: int = 3
@@ -273,6 +276,7 @@ class LmScorePair:
     malicious: CharGramModel | None = None
 
     def __post_init__(self) -> None:
+        _check_order_and_k(self.order, self.k)
         for side in SIDES:
             model = getattr(self, side)
             if model is not None and (model.order, model.k) != (self.order, self.k):
@@ -304,10 +308,12 @@ class LmScorePair:
         named is never scored, so its table is never built.  Each block of
         URLs is padded and windowed once (a lone URL by ``_lone_grams``),
         each model gathers one log-prob per predicted position, and
-        ``bincount`` sums them per URL in position order."""
-        if self.benign is None or self.malicious is None:
-            raise ModelError("score pair is not fitted")
+        ``bincount`` sums them per URL in position order.  A side named but
+        absent raises ``ModelError`` naming it."""
         models = [getattr(self, side) for side in sides]
+        for side, model in zip(sides, models):
+            if model is None:
+                raise ModelError(f"score pair has no {side} model")
         n = self.order - 1
         out = np.empty((len(urls), len(models)), dtype=np.float64)
         if len(urls) == 1:
@@ -327,24 +333,22 @@ class LmScorePair:
         return out
 
     def to_dict(self) -> dict:
-        """Order, k and each model's ``to_dict``."""
-        if self.benign is None or self.malicious is None:
-            raise ModelError("score pair is not fitted")
+        """Order, k and the ``to_dict`` of each model the pair holds."""
+        models = {side: getattr(self, side) for side in SIDES}
         return {
             "order": self.order,
             "k": self.k,
-            "benign": self.benign.to_dict(),
-            "malicious": self.malicious.to_dict(),
+            **{side: model.to_dict() for side, model in models.items() if model is not None},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LmScorePair":
-        """Rebuild a fitted pair; an error names the side it was found in."""
-        order, k = d["order"], d["k"]
-        models = []
-        for side in SIDES:
+        """Rebuild a pair saved by ``to_dict``: each side it saved, the
+        others absent.  An error names the side it was found in."""
+        models = {}
+        for side in [side for side in SIDES if side in d]:
             try:
-                models.append(CharGramModel.from_dict(order, k, d[side]))
+                models[side] = CharGramModel.from_dict(d["order"], d["k"], d[side])
             except (ArtifactError, ModelError) as exc:
                 raise type(exc)(f"{side} {exc}") from exc
-        return cls(order, k, *models)
+        return cls(d["order"], d["k"], **models)

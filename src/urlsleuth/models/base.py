@@ -154,7 +154,8 @@ def _saved_array(state: dict, key: str, shape: tuple, dtype) -> np.ndarray:
 
 # The saved form of a float matrix whose columns repeat few values: each
 # column's distinct values, taken by bit pattern so -0.0 and 0.0 stay
-# apart, and one code per cell indexing its column's values.
+# apart, and one code per cell indexing its column's values, saved column
+# by column so that each column's codes take the width its own values need.
 _COLUMNS_KEYS = frozenset({"values", "offsets", "codes"})
 
 
@@ -162,33 +163,35 @@ def columns_record(X: np.ndarray) -> dict:
     """The saved form of the 2-D float64 matrix ``X``: ``values``, every
     column's distinct values in rising uint64 order, column after column;
     ``offsets``, where each column's values start (``d + 1`` entries); and
-    ``codes``, one index per cell into its column's values."""
+    ``codes``, one ``array_record`` per column of its cells' indices into
+    its column's values."""
     bits = np.ascontiguousarray(X, dtype=np.float64).view(np.uint64)
-    codes = np.empty(bits.shape, dtype=np.int64)
-    columns = []
+    columns, codes = [], []
     for j in range(bits.shape[1]):
-        distinct, codes[:, j] = np.unique(bits[:, j], return_inverse=True)
+        distinct, code = np.unique(bits[:, j], return_inverse=True)
         columns.append(distinct)
+        codes.append(array_record(code))
     values = np.concatenate(columns + [np.empty(0, np.uint64)])
     counts = [len(distinct) for distinct in columns]
     return {
         "values": array_record(values.view(np.float64)),
         "offsets": array_record(np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))),
-        "codes": array_record(codes),
+        "codes": codes,
     }
 
 
 def state_columns(state: dict, key: str, n_features: int) -> np.ndarray:
     """``state[key]``, a ``columns_record``, as an owned C-ordered float64
     matrix of ``n_features`` columns.  Besides each record's own checks
-    (``state_array``), ``offsets`` must start at 0, never fall and end at
-    the number of values, each column's values must rise strictly as
-    uint64 and every code must index its own column's values (so a
-    column of a matrix with rows holds a value or more); anything else
-    raises ``ArtifactError`` naming ``key``.  The codes stay in the type
-    they were saved in and the matrix is filled one column at a time, so
-    beside the matrix only the saved codes and one column's temporaries
-    are alive."""
+    (``state_array``; a column's codes must carry the code its own values
+    are saved as), ``offsets`` must start at 0, never fall and end at the
+    number of values, each column's values must rise strictly as uint64,
+    ``codes`` must be a list of ``n_features`` records of one length and
+    every code must index its own column's values (so a column of a
+    matrix with rows holds a value or more); anything else raises
+    ``ArtifactError`` naming ``key``.  The matrix is filled one column at
+    a time, each column decoded in the width it was saved in, so beside
+    the matrix only one column's codes and temporaries are alive."""
     record = state[key]
     if not isinstance(record, dict) or record.keys() != _COLUMNS_KEYS:
         raise ArtifactError(
@@ -197,7 +200,6 @@ def state_columns(state: dict, key: str, n_features: int) -> np.ndarray:
     parts = {f"{key}.{name}": part for name, part in record.items()}
     values = state_array(parts, f"{key}.values", (None,))
     offsets = state_array(parts, f"{key}.offsets", (n_features + 1,), dtype=np.int64)
-    codes = _saved_array(parts, f"{key}.codes", (None, n_features), dtype=np.int64)
     counts = np.diff(offsets)
     if offsets[0] != 0 or offsets[-1] != len(values) or np.any(counts < 0):
         raise ArtifactError(
@@ -208,11 +210,20 @@ def state_columns(state: dict, key: str, n_features: int) -> np.ndarray:
     starts[offsets[:-1][counts > 0]] = True
     if not np.all((bits[1:] > bits[:-1]) | starts[1:]):
         raise ArtifactError(f"saved columns {key!r}: a column's values do not rise strictly")
-    if np.any((codes < 0) | (codes >= counts)):
-        raise ArtifactError(f"saved columns {key!r}: a code is outside its column's values")
-    X = np.empty(codes.shape)
-    for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        X[:, j] = values[lo:hi][codes[:, j]]
+    codes = record["codes"]
+    if not isinstance(codes, list) or len(codes) != n_features:
+        raise ArtifactError(
+            f"saved columns {key!r}: codes must be a list of {n_features} column records"
+        )
+    X = np.empty((0, n_features))
+    for j, (column, lo, hi) in enumerate(zip(codes, offsets[:-1], offsets[1:])):
+        name = f"{key}.codes[{j}]"
+        code = _saved_array({name: column}, name, (len(X) if j else None,), dtype=np.int64)
+        if np.any((code < 0) | (code >= hi - lo)):
+            raise ArtifactError(f"saved array {name!r} holds a code outside its column's values")
+        if not j:
+            X = np.empty((len(code), n_features))
+        X[:, j] = values[lo:hi][code]
     return X
 
 

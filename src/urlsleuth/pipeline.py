@@ -9,8 +9,9 @@ that computes only the columns its selector keeps.  A
 ``PipelineArtifact`` is that chain plus one trained model; ``train``
 shares a single chain across every family of a run.  An artifact is
 saved as two files: the chain's saved form (``FeatureChain.to_dict``:
-the language-model pair as its order, k and each model's count arrays,
-then each stage's arrays, all as base64 records) in
+the language-model pair as its order, k and the count arrays of each
+model whose score the selector keeps, then each stage's arrays, all as
+base64 records) in
 ``chains/<sha256>.json`` beside the model file, named by the SHA-256 of
 its bytes, and the model file itself: a tag, a format version, the
 feature catalog version, that digest and the model (spec, feature
@@ -28,7 +29,7 @@ import itertools
 import re
 import warnings
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from .models.base import array_record, state_array
 from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
 
 PIPELINE_ARTIFACT_TAG = "urlsleuth-pipeline"
-PIPELINE_ARTIFACT_VERSION = 8
+PIPELINE_ARTIFACT_VERSION = 9
 CHAIN_DIR = "chains"  # beside the model files; one chain file per distinct chain
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
@@ -193,10 +194,18 @@ def apply_projection(projection: Projection, X) -> np.ndarray:
     return (X - projection.mean) @ projection.components.T
 
 
+def _kept_sides(kept: np.ndarray) -> tuple[str, ...]:
+    """The language models whose score columns the rising column indices
+    ``kept`` (into the 80 chain inputs) hold, in column order."""
+    return tuple(SIDES[i - LEXICAL_COLUMNS] for i in kept[kept >= LEXICAL_COLUMNS].tolist())
+
+
 @dataclass(frozen=True)
 class FeatureChain:
-    """The fitted stages from raw URLs to a model's input: both language
-    models, the scaler, the selector and the optional projection."""
+    """The fitted stages from raw URLs to a model's input: the language
+    models (a fitted chain holds both, a loaded one only those whose
+    score the selector keeps), the scaler, the selector and the optional
+    projection."""
 
     lm_pair: LmScorePair
     scaler: Scaler
@@ -211,8 +220,8 @@ class FeatureChain:
         lexical columns followed by those sides' scores; the scaler is the
         fitted one sliced to the kept columns."""
         kept = self.selector.retained_indices
-        lexical = kept[kept < LEXICAL_COLUMNS]
-        sides = tuple(SIDES[i - LEXICAL_COLUMNS] for i in kept[len(lexical) :].tolist())
+        sides = _kept_sides(kept)
+        lexical = kept[: len(kept) - len(sides)]
         columns = np.concatenate((lexical, LEXICAL_COLUMNS + np.arange(len(sides))))
         return columns, sides, Scaler(self.scaler.mean[kept], self.scaler.std[kept])
 
@@ -256,16 +265,18 @@ class FeatureChain:
         return apply_scaler(scaler, X[:, columns])
 
     def to_dict(self) -> dict:
-        """The language-model pair's dict, then each stage's fields as
-        ``array_record``s (``None`` for no projection)."""
+        """The dict of the language-model pair cut to the sides the
+        selector keeps, then each stage's fields as ``array_record``s
+        (``None`` for no projection)."""
 
         def stage(obj) -> dict | None:
             if obj is None:
                 return None
             return {f.name: array_record(getattr(obj, f.name)) for f in fields(obj)}
 
+        dropped = {side: None for side in SIDES if side not in self._retained[1]}
         return {
-            "lm": self.lm_pair.to_dict(),
+            "lm": replace(self.lm_pair, **dropped).to_dict(),
             "scaler": stage(self.scaler),
             "selector": stage(self.selector),
             "projection": stage(self.projection),
@@ -280,9 +291,9 @@ class FeatureChain:
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureChain":
         """Rebuild a chain saved by ``to_dict``; every stage must fit the
-        80 input columns and the stage before it."""
+        80 input columns and the stage before it, and the language-model
+        pair must hold exactly the sides the selector keeps."""
         width = CHAIN_INPUT_COLUMNS
-        lm_pair = LmScorePair.from_dict(d["lm"])
         scaler = Scaler(
             mean=state_array(d["scaler"], "mean", (width,)),
             std=state_array(d["scaler"], "std", (width,)),
@@ -290,6 +301,15 @@ class FeatureChain:
         kept = state_array(d["selector"], "retained_indices", (None,), dtype=np.int64)
         if kept.size == 0 or kept[0] < 0 or kept[-1] >= width or (np.diff(kept) <= 0).any():
             raise ArtifactError(f"selector must retain increasing column indices in [0, {width})")
+        sides = _kept_sides(kept)
+        for side in SIDES:
+            if (side in d["lm"]) != (side in sides):
+                state = "holds" if side in d["lm"] else "lacks"
+                verb = "keeps" if side in sides else "drops"
+                raise ArtifactError(
+                    f"chain {state} the {side} language model, whose column its selector {verb}"
+                )
+        lm_pair = LmScorePair.from_dict(d["lm"])
         selector = Selector(
             retained_indices=kept,
             score_per_feature=state_array(d["selector"], "score_per_feature", (width,)),

@@ -116,8 +116,10 @@ def edit_arrays(section: dict, edit) -> None:
 
 def columns_matrix(plain: dict) -> np.ndarray:
     """The matrix a ``columns_record`` holds, from the list form that
-    ``edit_arrays`` hands an edit."""
-    values, offsets, codes = (np.array(plain[k]) for k in ("values", "offsets", "codes"))
+    ``edit_arrays`` hands an edit (``codes`` one list per column): every
+    code widened to int64 and offset into the values, then one gather."""
+    values, offsets = np.array(plain["values"]), np.array(plain["offsets"], dtype=np.int64)
+    codes = np.array(plain["codes"], dtype=np.int64).T.copy()  # n x d, C order
     return values[offsets[:-1] + codes]
 
 

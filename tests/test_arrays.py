@@ -306,24 +306,25 @@ class TestColumnsRoundTrip:
         assert state_array(state["X"], "offsets", (5,), np.int64).tolist() == [0] * 5
         assert state_columns(state, "X", 4).shape == (0, 4)
 
-    @pytest.mark.parametrize(
-        "distinct, code",
-        [(1, "|u1"), (256, "|u1"), (257, "<u2"), (65_536, "<u2"), (65_537, "<u4")],
-    )
-    def test_codes_take_the_narrowest_width(self, distinct, code):
-        # The widest column sets the width; the other holds one value.
-        col = np.arange(distinct, dtype=np.float64) * -0.25
-        X = np.column_stack([np.zeros(distinct), col[::-1]])
+    def test_codes_take_the_narrowest_width(self):
+        # Each column's codes take the width its own values need.
+        distinct = [1, 256, 257, 65_536, 65_537]
+        rows = np.arange(max(distinct))
+        X = np.column_stack([(rows % n)[::-1] * -0.25 for n in distinct])
         state = saved_columns(X)
-        assert state["X"]["codes"]["dtype"] == code
-        assert bits_equal(state_columns(state, "X", 2), X)
+        assert [r["dtype"] for r in state["X"]["codes"]] == ["|u1", "|u1", "<u2", "<u2", "<u4"]
+        assert state_array(state["X"], "offsets", (6,), np.int64).tolist() == [
+            0, *np.cumsum(distinct).tolist()
+        ]
+        assert bits_equal(state_columns(state, "X", 5), X)
 
     def test_values_rise_as_bit_patterns(self):
         # -1.0's bit pattern is above 2.0's, so it comes last.
         state = saved_columns(np.array([[-1.0], [2.0], [0.0], [2.0]]))
         values = state_array(state["X"], "values", (3,))
         assert values.tolist() == [0.0, 2.0, -1.0]
-        assert state_array(state["X"], "codes", (4, 1), np.uint8).ravel().tolist() == [2, 1, 0, 1]
+        (codes,) = state["X"]["codes"]
+        assert state_array({"codes": codes}, "codes", (4,), np.uint8).tolist() == [2, 1, 0, 1]
 
     def test_bytes_depend_only_on_the_matrix(self):
         X = np.array([[3.0, 1.0], [1.0, 1.0], [3.0, -0.0]])
@@ -335,7 +336,7 @@ class TestColumnsRoundTrip:
         X = rng.normal(size=(distinct, 5))
         X[:, 1:] = np.round(X[:, 1:], 1)  # a few distinct values in the other columns
         state = saved_columns(rng.permutation(np.vstack([X, X[: distinct // 3]])))
-        assert state["X"]["codes"]["dtype"] == code
+        assert [r["dtype"] for r in state["X"]["codes"]] == [code] + ["|u1"] * 4
         got = state_columns(state, "X", 5)
         expected = columns_matrix(records_to_lists(state["X"]))  # one int64 gather
         assert bits_equal(got, expected)
@@ -346,7 +347,7 @@ class TestColumnsRoundTrip:
         rng = np.random.default_rng(4)
         X = rng.integers(0, 600, size=(4000, 40)) * 0.25
         state = saved_columns(X)
-        assert state["X"]["codes"]["dtype"] == "<u2"
+        assert {r["dtype"] for r in state["X"]["codes"]} == {"<u2"}
         tracemalloc.start()
         try:
             got = state_columns(state, "X", 40)
@@ -377,14 +378,18 @@ _GOOD_X = np.array([[1.0, -0.0], [2.0, 0.0], [1.0, 0.0]])
 
 def _columns(**parts) -> dict:
     """The saved columns of ``_GOOD_X`` with some parts replaced; an array
-    is encoded with ``array_record``, anything else is kept as given."""
+    is encoded with ``array_record`` (a matrix of codes as one record per
+    column), anything else is kept as given."""
     record = columns_record(_GOOD_X)
     for name, part in parts.items():
+        if name == "codes" and isinstance(part, np.ndarray):
+            part = [array_record(column) for column in part.T]
         record[name] = array_record(part) if isinstance(part, np.ndarray) else part
     return record
 
 
 _CODES = np.array([[0, 1], [1, 0], [0, 0]], dtype=np.uint8)
+_CODE_0, _CODE_1 = (array_record(column) for column in _CODES.T)
 
 
 # Each malformed saved matrix with the whole message it is refused with.
@@ -458,12 +463,12 @@ _MALFORMED_COLUMNS = [
     ),
     pytest.param(
         _columns(codes=np.array([[2, 1], [1, 0], [0, 0]], dtype=np.uint8)), 2,
-        "saved columns 'train_X': a code is outside its column's values",
+        "saved array 'train_X.codes[0]' holds a code outside its column's values",
         id="code-past-its-column",
     ),
     pytest.param(
         _columns(codes=np.array([[0, 2], [1, 0], [0, 0]], dtype=np.uint8)), 2,
-        "saved columns 'train_X': a code is outside its column's values",
+        "saved array 'train_X.codes[1]' holds a code outside its column's values",
         id="code-past-the-values",
     ),
     pytest.param(
@@ -477,28 +482,58 @@ _MALFORMED_COLUMNS = [
         id="width-under",
     ),
     pytest.param(
-        _columns(codes=np.array([[0], [1], [0]], dtype=np.uint8)), 2,
-        "saved array 'train_X.codes' has shape [3, 1], expected [n, 2]",
+        _columns(codes=[_CODE_0]), 2,
+        "saved columns 'train_X': codes must be a list of 2 column records",
         id="codes-width",
     ),
     pytest.param(
-        _columns(codes=coded_record(_CODES, "<i8")), 2,
-        "saved array 'train_X.codes' has dtype '<i8', but its values are saved as '|u1'",
+        _columns(codes=[_CODE_0, _CODE_1, _CODE_1]), 2,
+        "saved columns 'train_X': codes must be a list of 2 column records",
+        id="codes-too-many",
+    ),
+    pytest.param(
+        _columns(codes=array_record(_CODES)), 2,  # format 8: one record for all columns
+        "saved columns 'train_X': codes must be a list of 2 column records",
+        id="format-8-codes",
+    ),
+    pytest.param(
+        _columns(codes=[_CODE_0, [1, 0, 0]]), 2,
+        "saved array 'train_X.codes[1]' must be an object with keys b64, dtype, shape",
+        id="codes-column-list",
+    ),
+    pytest.param(
+        _columns(codes=[_CODE_0, array_record(np.uint8([1, 0]))]), 2,
+        "saved array 'train_X.codes[1]' has shape [2], expected [3]",
+        id="codes-column-short",
+    ),
+    pytest.param(
+        _columns(codes=[array_record(np.uint8([0, 1, 0, 1])), _CODE_1]), 2,
+        "saved array 'train_X.codes[1]' has shape [3], expected [4]",
+        id="codes-column-0-long",
+    ),
+    pytest.param(
+        _columns(codes=[_CODE_0, coded_record(_CODES[:, 1], "<u2")]), 2,
+        "saved array 'train_X.codes[1]' has dtype '<u2', but its values are saved as '|u1'",
+        id="codes-column-wide",
+    ),
+    pytest.param(
+        _columns(codes=[coded_record(_CODES[:, 0], "<i8"), _CODE_1]), 2,
+        "saved array 'train_X.codes[0]' has dtype '<i8', but its values are saved as '|u1'",
         id="codes-signed",
     ),
     pytest.param(
-        _columns(codes=coded_record(_CODES, "<u8")), 2,
-        "saved array 'train_X.codes' has dtype '<u8', but its values are saved as '|u1'",
+        _columns(codes=[_CODE_0, coded_record(_CODES[:, 1], "<u8")]), 2,
+        "saved array 'train_X.codes[1]' has dtype '<u8', but its values are saved as '|u1'",
         id="codes-u8",
     ),
     pytest.param(
         _columns(codes=_CODES.astype(np.float64)), 2,
-        "saved array 'train_X.codes' has dtype '<f8', expected an integer code",
+        "saved array 'train_X.codes[0]' has dtype '<f8', expected an integer code",
         id="codes-float",
     ),
     pytest.param(
         _columns(codes=np.array([[0, 1], [1, -1], [0, 0]])), 2,
-        "saved columns 'train_X': a code is outside its column's values",
+        "saved array 'train_X.codes[1]' holds a code outside its column's values",
         id="code-negative",
     ),
     pytest.param(
@@ -512,8 +547,8 @@ _MALFORMED_COLUMNS = [
         id="offsets-above-int64",
     ),
     pytest.param(
-        _columns(codes=coded_record([[0, 1], [1, 2**63], [0, 0]], "<u8")), 2,
-        "saved array 'train_X.codes' holds values outside int64 ([0, 9223372036854775808])",
+        _columns(codes=[_CODE_0, coded_record([1, 2**63, 0], "<u8")]), 2,
+        "saved array 'train_X.codes[1]' holds values outside int64 ([0, 9223372036854775808])",
         id="codes-above-int64",
     ),
     pytest.param(
@@ -544,9 +579,7 @@ class TestColumnsRejected:
 
     def test_good_record_decodes(self):
         assert bits_equal(state_columns({"train_X": _columns()}, "train_X", 2), _GOOD_X)
-        assert np.array_equal(
-            state_array(_columns(), "codes", (3, 2), np.uint8), _CODES
-        )
+        assert _columns()["codes"] == [_CODE_0, _CODE_1]
 
     @pytest.mark.parametrize("record, n_features, message", _MALFORMED_COLUMNS)
     def test_malformed_columns(self, record, n_features, message):
@@ -557,8 +590,8 @@ class TestColumnsRejected:
     def test_negative_code_refused(self):
         # Its canonical code is signed; read, it would index the column before.
         record = _columns(codes=np.array([[0, 1], [1, -1], [0, 0]]))
-        assert record["codes"]["dtype"] == "|i1"
-        with pytest.raises(ArtifactError, match="'train_X': a code is outside its column's values"):
+        assert [r["dtype"] for r in record["codes"]] == ["|u1", "|i1"]
+        with pytest.raises(ArtifactError, match=r"'train_X.codes\[1\]' holds a code outside"):
             state_columns({"train_X": record}, "train_X", 2)
 
 

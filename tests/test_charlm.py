@@ -217,6 +217,34 @@ class TestLmScorePair:
         restored = LmScorePair.from_dict(pair.to_dict())
         assert np.array_equal(restored.transform(["aza"]), pair.transform(["aza"]))
 
+    @pytest.mark.parametrize("saved", [(), ("benign",), ("malicious",)])
+    def test_absent_sides(self, saved):
+        """A pair holding some sides saves and loads only those and scores
+        them; naming an absent side raises an error naming it."""
+        fitted = LmScorePair(order=3, k=1.0).fit(["aaa", "zzz"], np.array([0, 1]))
+        pair = LmScorePair(order=3, k=1.0, **{side: getattr(fitted, side) for side in saved})
+        payload = json.loads(json.dumps(pair.to_dict()))
+        assert set(payload) == {"order", "k", *saved}
+        restored = LmScorePair.from_dict(payload)
+        assert restored.to_dict() == payload
+        assert restored.transform(["aza"], saved).tobytes() == fitted.transform(["aza"], saved).tobytes()
+        for side in SIDES:
+            if side not in saved:
+                assert getattr(restored, side) is None
+                with pytest.raises(ModelError, match=f"score pair has no {side} model"):
+                    restored.transform(["aza", "zz"], (side,))
+
+    @pytest.mark.parametrize(
+        "order, k, message",
+        [(True, 1.0, "order must be"), ("3", 1.0, "order must be"), (3, 0.0, "smoothing"),
+         (3, math.inf, "smoothing")],
+    )
+    def test_pair_without_models_checks_order_and_k(self, order, k, message):
+        # A chain that keeps no LM score saves no model, but its order
+        # still sizes the scoring blocks.
+        with pytest.raises(ModelError, match=message):
+            LmScorePair.from_dict({"order": order, "k": k})
+
 
 # Text as classify receives it: URL-like runs, any code point including
 # lone surrogates, and the model's own marker characters given literally.

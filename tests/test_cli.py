@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from urlsleuth import corpus
-from urlsleuth.charlm import CharGramModel
+from urlsleuth.charlm import SIDES, CharGramModel
 from urlsleuth.cli import CSV_CHUNK_ROWS, _run_data, fit_run, main, score_datasets
 from urlsleuth.config import DEFAULT_GRIDS, load_run_config
 from urlsleuth.evaluation import metric_reports_to_csv
@@ -989,12 +989,14 @@ class TestErrorPaths:
              "count-2**64-1"],
     )
     def test_malformed_lm_counts_reported(self, edit, workspace, tmp_path, capsys):
+        # The selector of this run keeps only the benign score, so only that
+        # side is saved.
         payload, chain = read_artifact(workspace["out_dir"] / "models" / "LR.json")
         lm = chain["lm"]
-        model = CharGramModel.from_dict(lm["order"], lm["k"], lm["malicious"])
+        model = CharGramModel.from_dict(lm["order"], lm["k"], lm["benign"])
         keys, counts = model.keys, model.counts.astype(np.uint64)
         edit(keys, counts)
-        lm["malicious"] = {"keys": array_record(keys), "counts": array_record(counts)}
+        lm["benign"] = {"keys": array_record(keys), "counts": array_record(counts)}
         edited = tmp_path / "LR.json"
         write_artifact(payload, chain, edited)
         urls_file = tmp_path / "urls.txt"
@@ -1002,7 +1004,7 @@ class TestErrorPaths:
         assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "malicious" in err
+        assert "benign" in err
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1139,7 +1141,9 @@ class TestErrorPaths:
         # Format 5 had the same two files, with each LM's counts as a
         # context -> symbol -> count map and a forest's trees one by one.
         payload, chain = read_artifact(workspace["out_dir"] / "models" / "RF.json")
-        for side in ("benign", "malicious"):
+        for side in SIDES:
+            if side not in chain["lm"]:  # a side this run's selector drops
+                continue
             model = CharGramModel.from_dict(chain["lm"]["order"], chain["lm"]["k"], chain["lm"][side])
             chain["lm"][side] = DictGramModel.from_model(model).counts
         trees = records_to_lists(payload["model"]["state"]["trees"])
@@ -1151,7 +1155,7 @@ class TestErrorPaths:
         old = tmp_path / "RF.json"
         write_artifact({**payload, "format_version": 5}, chain, old)
         err = self._classify_fails(old, tmp_path, capsys)
-        assert "unsupported pipeline artifact version 5; this build reads version 8" in err
+        assert "unsupported pipeline artifact version 5; this build reads version 9" in err
 
     def test_format_6_artifact_reported(self, workspace, tmp_path, capsys):
         # Format 6 saved KNN's training matrix as one float64 record and
@@ -1163,7 +1167,7 @@ class TestErrorPaths:
         old = tmp_path / "KNN.json"
         write_artifact({**payload, "format_version": 6}, chain, old)
         err = self._classify_fails(old, tmp_path, capsys)
-        assert "unsupported pipeline artifact version 6; this build reads version 8" in err
+        assert "unsupported pipeline artifact version 6; this build reads version 9" in err
 
     def test_format_7_artifact_reported(self, workspace, tmp_path, capsys):
         # Format 7 saved a scalar as a JSON number, a decision tree as one
@@ -1176,7 +1180,20 @@ class TestErrorPaths:
         old = tmp_path / "LR.json"
         write_artifact({**payload, "format_version": 7}, chain, old)
         err = self._classify_fails(old, tmp_path, capsys)
-        assert "unsupported pipeline artifact version 7; this build reads version 8" in err
+        assert "unsupported pipeline artifact version 7; this build reads version 9" in err
+
+    def test_format_8_artifact_reported(self, workspace, tmp_path, capsys):
+        # Format 8 saved KNN's codes as one record for all columns and both
+        # language models whatever the selector kept.
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / "KNN.json")
+        train_X = payload["model"]["state"]["train_X"]
+        codes = np.array(records_to_lists(train_X["codes"])).T
+        train_X["codes"] = array_record(codes)
+        chain["lm"] = {**{side: chain["lm"]["benign"] for side in SIDES}, **chain["lm"]}
+        old = tmp_path / "KNN.json"
+        write_artifact({**payload, "format_version": 8}, chain, old)
+        err = self._classify_fails(old, tmp_path, capsys)
+        assert "unsupported pipeline artifact version 8; this build reads version 9" in err
 
     @pytest.mark.parametrize(
         "model, key", [("LR", "bias"), ("LINEAR_SVM", "bias"), ("GBT", "f0")]

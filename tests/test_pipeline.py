@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import json
 import math
 import pathlib
 import random
@@ -29,6 +30,7 @@ from urlsleuth.errors import (
 )
 from urlsleuth.fileio import write_json_atomic
 from urlsleuth.models import FAMILIES, ModelSpec, fit_model
+from urlsleuth.models.base import state_array
 from urlsleuth.pipeline import (
     LEXICAL_COLUMNS,
     MI_BIN_COUNT,
@@ -508,6 +510,53 @@ class TestChainOracle:
             single = chain_transform(chain, [url])
             assert (row.strides, row.tobytes()) == (single.strides, single.tobytes()), url[:40]
 
+    @staticmethod
+    def _sides(kept: list[int]) -> set[str]:
+        return {side for column, side in enumerate(SIDES, LEXICAL_COLUMNS) if column in kept}
+
+    @pytest.mark.parametrize("project", [False, True], ids=["plain", "projected"])
+    @pytest.mark.parametrize("kept", list(KEPT))
+    def test_saved_chain_equals_fitted(self, url_corpus, base, kept, project):
+        """A chain saved with only the sides its selector keeps loads back
+        to the fitted chain's bytes and strides, and saves to the same
+        text, so its digest survives save, load and save."""
+        urls, _ = url_corpus
+        selector = Selector(np.array(self.KEPT[kept]), base.selector.score_per_feature)
+        chain = FeatureChain(base.lm_pair, base.scaler, selector, None)
+        if project:
+            projection = fit_projection(chain_transform(chain, urls), 0.9)
+            chain = FeatureChain(base.lm_pair, base.scaler, selector, projection)
+        digest, text = chain._saved
+        sides = self._sides(self.KEPT[kept])
+        assert set(json.loads(text)["lm"]) == {"order", "k", *sides}
+        loaded = FeatureChain.from_dict(json.loads(text))
+        assert {side for side in SIDES if getattr(loaded.lm_pair, side) is not None} == sides
+        assert loaded._saved == (digest, text)
+        probes = urls[:40] + ["", "http://\u4e2d\u6587.com/\u00e9?\x00", _LONG_URL]
+        for batch in (probes, [probes[0]], [_LONG_URL]):
+            got, expected = loaded.transform(batch), chain.transform(batch)
+            assert (got.shape, got.strides) == (expected.shape, expected.strides), len(batch)
+            assert got.tobytes() == expected.tobytes(), len(batch)
+
+    @pytest.mark.parametrize("kept", list(KEPT))
+    def test_saved_sides_must_be_the_kept_ones(self, base, kept):
+        """A chain file holding a side its selector drops, or lacking one it
+        keeps, is refused with an error naming that side."""
+        selector = Selector(np.array(self.KEPT[kept]), base.selector.score_per_feature)
+        saved = json.loads(FeatureChain(base.lm_pair, base.scaler, selector, None)._saved[1])
+        both = base.lm_pair.to_dict()
+        for side in SIDES:
+            edited = json.loads(json.dumps(saved))
+            if side in self._sides(self.KEPT[kept]):
+                del edited["lm"][side]
+                message = f"chain lacks the {side} language model, whose column its selector keeps"
+            else:
+                edited["lm"][side] = both[side]
+                message = f"chain holds the {side} language model, whose column its selector drops"
+            with pytest.raises(ArtifactError) as raised:
+                FeatureChain.from_dict(edited)
+            assert str(raised.value) == message
+
     BLOCK_KEPT = {**KEPT, "one-column": [78]}
 
     @pytest.mark.parametrize("project", [False, True], ids=["plain", "projected"])
@@ -578,18 +627,36 @@ class TestPipelinePersistence:
         assert np.array_equal(restored.predict(urls)[1], artifact.predict(urls)[1])
 
     def test_payload_fields(self, url_corpus, tmp_path):
-        path, payload, chain = self._saved(url_corpus, tmp_path)
+        path, payload, chain = self._saved(url_corpus, tmp_path, top_k=30)
         assert set(payload) == {"artifact", "format_version", "catalog_version", "chain", "model"}
         assert payload["artifact"] == "urlsleuth-pipeline"
-        assert payload["format_version"] == 8
+        assert payload["format_version"] == 9
         assert payload["catalog_version"] == CATALOG_VERSION
         assert set(chain) == {"lm", "scaler", "selector", "projection"}
-        assert set(chain["lm"]) == {"order", "k", "benign", "malicious"}
-        assert set(chain["lm"]["benign"]) == set(chain["lm"]["malicious"]) == {"keys", "counts"}
+        # Only the language models whose score the selector keeps are saved.
+        kept = state_array(chain["selector"], "retained_indices", (30,), np.int64)
+        assert [i for i in kept.tolist() if i >= LEXICAL_COLUMNS] == [LEXICAL_COLUMNS]  # benign only
+        assert set(chain["lm"]) == {"order", "k", "benign"}
+        assert set(chain["lm"]["benign"]) == {"keys", "counts"}
         assert set(payload["model"]) == {"spec", "n_features", "state"}
         assert chain["projection"] is None
         restored = load_pipeline(path)
         assert isinstance(restored, PipelineArtifact)
+
+    def test_all_features_save_both_sides(self, url_corpus, tmp_path):
+        # ``use_selector: false`` fits the chain with ``top_k=None``.
+        _, _, chain = self._saved(url_corpus, tmp_path, top_k=None)
+        assert set(chain["lm"]) == {"order", "k", *SIDES}
+        assert all(set(chain["lm"][side]) == {"keys", "counts"} for side in SIDES)
+
+    def test_dropped_side_in_chain_file_refused(self, url_corpus, tmp_path):
+        urls, labels = url_corpus
+        path, payload, chain = self._saved(url_corpus, tmp_path, top_k=30)
+        both = LmScorePair(order=3, k=1.0).fit(urls, labels).to_dict()
+        chain["lm"]["malicious"] = both["malicious"]
+        write_artifact(payload, chain, path)
+        with pytest.raises(ArtifactError, match="chain holds the malicious language model"):
+            load_pipeline(path)
 
     def test_chain_file_is_the_chains_json_named_by_its_sha256(self, url_corpus, tmp_path):
         artifact, _ = self._artifact(url_corpus)
