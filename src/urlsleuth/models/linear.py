@@ -8,39 +8,30 @@ import numpy as np
 from .base import BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array
 
 
-def logistic_loss_and_grad(
-    params: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """Mean log loss and its gradient; params packs [weights..., bias].
-
-    The loss uses log(1 + exp(z)) - y*z via logaddexp, which is stable
-    for large |z|.  The bias is not regularized.
-    """
+def logistic_grad(params: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
+    """Gradient of the mean log loss plus L2 penalty; params packs
+    [weights..., bias].  The bias is not regularized."""
     w, b = params[:-1], params[-1]
     z = X @ w + b
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(w, w))
     residual = sigmoid(z) - y
     grad_w = X.T @ residual / len(X) + l2 * w
     grad_b = float(np.mean(residual))
-    return loss, np.append(grad_w, grad_b)
+    return np.append(grad_w, grad_b)
 
 
-def hinge_loss_and_subgrad(
-    params: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """Mean hinge loss plus L2 penalty and one valid subgradient."""
+def hinge_subgrad(params: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
+    """One valid subgradient of the mean hinge loss plus L2 penalty."""
     w, b = params[:-1], params[-1]
     t = 2.0 * y - 1.0  # labels in {-1, +1}
     margins = 1.0 - t * (X @ w + b)
     active = margins > 0
-    loss = float(np.mean(np.maximum(margins, 0.0)) + 0.5 * l2 * np.dot(w, w))
     grad_w = -(X[active].T @ t[active]) / len(X) + l2 * w
     grad_b = -float(np.sum(t[active])) / len(X)
-    return loss, np.append(grad_w, grad_b)
+    return np.append(grad_w, grad_b)
 
 
 class _GradientDescentLinear(BinaryClassifier):
-    """Common descent loop; subclasses pick the objective."""
+    """Common descent loop; subclasses pick the gradient as ``_gradient``."""
 
     def __init__(self, learning_rate: float = 0.1, n_iters: int = 300, l2: float = 0.0):
         super().__init__()
@@ -49,18 +40,11 @@ class _GradientDescentLinear(BinaryClassifier):
         self.l2 = check_real("l2", l2, 0.0)
         self.weights_: np.ndarray | None = None
         self.bias_: float = 0.0
-        self.loss_history_: list[float] = []
-
-    @staticmethod
-    def _objective(params, X, y, l2):  # overridden
-        raise NotImplementedError
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         params = np.zeros(X.shape[1] + 1, dtype=np.float64)
-        self.loss_history_ = []
         for _ in range(self.n_iters):
-            loss, grad = self._objective(params, X, y, self.l2)
-            self.loss_history_.append(loss)
+            grad = self._gradient(params, X, y, self.l2)
             params = params - self.learning_rate * grad
         self.weights_ = params[:-1]
         self.bias_ = float(params[-1])
@@ -81,7 +65,7 @@ class LogisticRegressionGD(_GradientDescentLinear):
     """Logistic regression; the score is the model probability."""
 
     family = "LR"
-    _objective = staticmethod(logistic_loss_and_grad)
+    _gradient = staticmethod(logistic_grad)
 
 
 class LinearSvmSubgradient(_GradientDescentLinear):
@@ -93,4 +77,4 @@ class LinearSvmSubgradient(_GradientDescentLinear):
     def __init__(self, learning_rate: float = 0.1, n_iters: int = 300, l2: float = 0.01):
         super().__init__(learning_rate=learning_rate, n_iters=n_iters, l2=l2)
 
-    _objective = staticmethod(hinge_loss_and_subgrad)
+    _gradient = staticmethod(hinge_subgrad)

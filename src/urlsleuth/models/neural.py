@@ -37,7 +37,6 @@ class MlpClassifier(BinaryClassifier):
         self.l2 = check_real("l2", l2, 0.0)
         self.seed = check_int("seed", seed, 0)
         self.params_: np.ndarray | None = None
-        self.loss_history_: list[float] = []
 
     def _unpack(self, params: np.ndarray, d: int):
         h = self.hidden_units
@@ -57,35 +56,26 @@ class MlpClassifier(BinaryClassifier):
         params[d * h + h : d * h + 2 * h] = rng.normal(0.0, 0.5, size=h)  # w2
         return params
 
-    def loss_and_gradient(
-        self, params: np.ndarray, X: np.ndarray, y: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Mean log loss plus L2 on the weight matrices, with gradient."""
+    def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient of the mean log loss plus L2 on the weight matrices."""
         d = X.shape[1]
         w1, b1, w2, b2 = self._unpack(params, d)
         a1 = np.tanh(X @ w1 + b1)
         z2 = a1 @ w2 + b2
-        loss = float(
-            np.mean(np.logaddexp(0.0, z2) - y * z2)
-            + 0.5 * self.l2 * (np.sum(w1 * w1) + np.dot(w2, w2))
-        )
         delta2 = (sigmoid(z2) - y) / len(X)
         grad_w2 = a1.T @ delta2 + self.l2 * w2
         grad_b2 = float(delta2.sum())
         delta1 = np.outer(delta2, w2) * (1.0 - a1 * a1)
         grad_w1 = X.T @ delta1 + self.l2 * w1
         grad_b1 = delta1.sum(axis=0)
-        grad = np.concatenate([grad_w1.ravel(), grad_b1, grad_w2, [grad_b2]])
-        return loss, grad
+        return np.concatenate([grad_w1.ravel(), grad_b1, grad_w2, [grad_b2]])
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         rng = np.random.default_rng(self.seed)
         params = self.init_params(X.shape[1], rng)
         yf = y.astype(np.float64)
-        self.loss_history_ = []
         for _ in range(self.n_iters):
-            loss, grad = self.loss_and_gradient(params, X, yf)
-            self.loss_history_.append(loss)
+            grad = self.gradient(params, X, yf)
             params = params - self.learning_rate * grad
         self.params_ = params
 

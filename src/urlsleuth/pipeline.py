@@ -475,9 +475,10 @@ def _load_chain(path: Path, digest: str) -> FeatureChain:
         raise ArtifactError(f"chain file {path} does not match the SHA-256 in its name")
     chain = _CHAINS.get(digest)
     if chain is None:
+        payload = parse_json(data, path)
         try:
-            chain = FeatureChain.from_dict(parse_json(data, path))
-        except (AttributeError, KeyError, TypeError, ValueError, ModelError) as exc:
+            chain = FeatureChain.from_dict(payload)
+        except (AttributeError, KeyError, TypeError, ValueError, ModelError, ArtifactError) as exc:
             raise ArtifactError(f"feature chain {path} is malformed: {exc}") from exc
         _CHAINS[digest] = chain
     return chain
@@ -516,8 +517,8 @@ def load_pipeline(path) -> PipelineArtifact:
     try:
         model = TrainedModel.from_dict(payload["model"])
         catalog_version = payload["catalog_version"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"pipeline artifact is malformed: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError, ModelError, ArtifactError) as exc:
+        raise ArtifactError(f"model file {path} is malformed: {exc}") from exc
     if catalog_version != CATALOG_VERSION:
         raise CatalogMismatchError(
             f"artifact was built for feature catalog {catalog_version!r}; "

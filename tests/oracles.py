@@ -33,6 +33,14 @@ them back.
 was before it computed only the columns its selector keeps: all 78
 lexical columns and both language-model scores stacked into 80, the
 selector, the scaler sliced to the kept columns, then the projection.
+
+``logistic_loss_and_grad``, ``hinge_loss_and_subgrad`` and
+``mlp_loss_and_gradient`` are the objectives of LR, LINEAR_SVM and MLP as
+they were before the fits computed only the gradient: each returns the
+mean loss plus its L2 penalty together with the gradient.  The gradient
+checks take finite differences of these losses.  ``descent_replay`` runs a
+fit's loop with them, one step per iteration, and returns the final
+parameters with the loss of every iteration.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import numpy as np
 from urlsleuth.charlm import _ID, BEGIN, END, UNK, VOCAB_SIZE, CharGramModel
 from urlsleuth.errors import ModelError
 from urlsleuth.models.base import sigmoid
+from urlsleuth.models.neural import MlpClassifier
 from urlsleuth.models.trees import _FlatTree
 from urlsleuth.pipeline import Scaler, apply_projection, apply_scaler, apply_selector
 from urlsleuth.urlfeat import extract_matrix
@@ -337,3 +346,76 @@ def chain_transform(chain, urls) -> np.ndarray:
     if chain.projection is not None:
         X = apply_projection(chain.projection, X)
     return X
+
+
+def logistic_loss_and_grad(
+    params: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float
+) -> tuple[float, np.ndarray]:
+    """Mean log loss and its gradient; params packs [weights..., bias].
+
+    The loss uses log(1 + exp(z)) - y*z via logaddexp, which is stable
+    for large |z|.  The bias is not regularized.
+    """
+    w, b = params[:-1], params[-1]
+    z = X @ w + b
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(w, w))
+    residual = sigmoid(z) - y
+    grad_w = X.T @ residual / len(X) + l2 * w
+    grad_b = float(np.mean(residual))
+    return loss, np.append(grad_w, grad_b)
+
+
+def hinge_loss_and_subgrad(
+    params: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float
+) -> tuple[float, np.ndarray]:
+    """Mean hinge loss plus L2 penalty and one valid subgradient."""
+    w, b = params[:-1], params[-1]
+    t = 2.0 * y - 1.0  # labels in {-1, +1}
+    margins = 1.0 - t * (X @ w + b)
+    active = margins > 0
+    loss = float(np.mean(np.maximum(margins, 0.0)) + 0.5 * l2 * np.dot(w, w))
+    grad_w = -(X[active].T @ t[active]) / len(X) + l2 * w
+    grad_b = -float(np.sum(t[active])) / len(X)
+    return loss, np.append(grad_w, grad_b)
+
+
+def mlp_loss_and_gradient(
+    clf: MlpClassifier, params: np.ndarray, X: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean log loss plus L2 on the weight matrices, with gradient."""
+    d = X.shape[1]
+    w1, b1, w2, b2 = clf._unpack(params, d)
+    a1 = np.tanh(X @ w1 + b1)
+    z2 = a1 @ w2 + b2
+    loss = float(
+        np.mean(np.logaddexp(0.0, z2) - y * z2)
+        + 0.5 * clf.l2 * (np.sum(w1 * w1) + np.dot(w2, w2))
+    )
+    delta2 = (sigmoid(z2) - y) / len(X)
+    grad_w2 = a1.T @ delta2 + clf.l2 * w2
+    grad_b2 = float(delta2.sum())
+    delta1 = np.outer(delta2, w2) * (1.0 - a1 * a1)
+    grad_w1 = X.T @ delta1 + clf.l2 * w1
+    grad_b1 = delta1.sum(axis=0)
+    grad = np.concatenate([grad_w1.ravel(), grad_b1, grad_w2, [grad_b2]])
+    return loss, grad
+
+
+def descent_replay(clf, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The packed parameters an unfitted LR, LINEAR_SVM or MLP ``clf``
+    reaches on (X, y), and the loss at each of its ``n_iters`` steps:
+    loss and gradient from one objective call, then one step."""
+    if isinstance(clf, MlpClassifier):
+        params = clf.init_params(X.shape[1], np.random.default_rng(clf.seed))
+        yf = y.astype(np.float64)
+        objective = lambda p: mlp_loss_and_gradient(clf, p, X, yf)
+    else:
+        params = np.zeros(X.shape[1] + 1, dtype=np.float64)
+        loss_and_grad = logistic_loss_and_grad if clf.family == "LR" else hinge_loss_and_subgrad
+        objective = lambda p: loss_and_grad(p, X, y, clf.l2)
+    losses = []
+    for _ in range(clf.n_iters):
+        loss, grad = objective(params)
+        losses.append(loss)
+        params = params - clf.learning_rate * grad
+    return params, losses

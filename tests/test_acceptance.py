@@ -30,13 +30,13 @@ from urlsleuth.evaluation import (
     compute_metrics,
 )
 from urlsleuth.models.clustering import GaussianMixtureDetector, KMeansDetector
-from urlsleuth.models.linear import logistic_loss_and_grad
+from urlsleuth.models.linear import logistic_grad
 from urlsleuth.models.neighbors import KNearestNeighbors
 from urlsleuth.models.neural import MlpClassifier
 from urlsleuth.pipeline import MI_BIN_COUNT, fit_selector, load_pipeline, save_pipeline
 from urlsleuth.synth import generate_dataset, materialize_run
 
-from oracles import DictGramModel
+from oracles import DictGramModel, logistic_loss_and_grad, mlp_loss_and_gradient
 
 # Reference cross-benchmark rank grid: per-dataset ranks of ten detector
 # families on five test datasets, with the expected aggregate RNK column.
@@ -221,28 +221,35 @@ def test_criterion_05_gradient_checks():
     y = (x @ rng.normal(size=d) + rng.normal(scale=0.8, size=n) > 0).astype(np.int64)
     eps = 1e-6
 
-    def check(loss_fn, params):
-        _, analytic = loss_fn(params)
+    def check(loss_fn, grad_fn, params):
+        analytic = grad_fn(params)
         worst = 0.0
         for i in range(len(params)):
             hi, lo = params.copy(), params.copy()
             hi[i] += eps
             lo[i] -= eps
-            numeric = (loss_fn(hi)[0] - loss_fn(lo)[0]) / (2 * eps)
+            numeric = (loss_fn(hi) - loss_fn(lo)) / (2 * eps)
             denom = max(abs(analytic[i]) + abs(numeric), 1e-8)
             worst = max(worst, abs(analytic[i] - numeric) / denom)
         return worst
 
+    def lr_loss(p):
+        return logistic_loss_and_grad(p, x, y, 0.1)[0]
+
     worst_lr = 0.0
     for _ in range(20):
         params = rng.normal(scale=0.6, size=d + 1)
-        worst_lr = max(worst_lr, check(lambda p: logistic_loss_and_grad(p, x, y, 0.1), params))
+        worst_lr = max(worst_lr, check(lr_loss, lambda p: logistic_grad(p, x, y, 0.1), params))
 
     clf = MlpClassifier(hidden_units=4, l2=0.05)
+
+    def mlp_loss(p):
+        return mlp_loss_and_gradient(clf, p, x, y)[0]
+
     worst_mlp = 0.0
     for _ in range(20):
         params = rng.normal(scale=0.4, size=clf.n_params(d))
-        worst_mlp = max(worst_mlp, check(lambda p: clf.loss_and_gradient(p, x, y), params))
+        worst_mlp = max(worst_mlp, check(mlp_loss, lambda p: clf.gradient(p, x, y), params))
 
     elapsed = time.monotonic() - start
     print(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import gc
 import io
 import json
 import math
@@ -723,6 +724,7 @@ class TestClassify:
         predict = PipelineArtifact.predict
 
         def traced(self, batch):
+            gc.collect()  # count what is alive, not cycles not yet collected
             seen[len(batch)] = (
                 tracemalloc.get_traced_memory()[0],
                 sys.getsizeof(batch) + sum(map(sys.getsizeof, batch)),
@@ -974,6 +976,58 @@ class TestErrorPaths:
         assert main(["classify", "--artifact", str(edited), str(urls_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert reason in err
+
+    @pytest.mark.parametrize(
+        "family, edit, in_chain, reason",
+        [
+            ("LR", lambda m, c: c["lm"].pop("benign"), True, "lacks the benign language model"),
+            (
+                "LR",
+                lambda m, c: c["scaler"].update(
+                    mean=coded_record(records_to_lists(c["scaler"]["mean"]), "<i8")
+                ),
+                True,
+                "'mean' has dtype '<i8'",
+            ),
+            (
+                "LR",
+                lambda m, c: m["state"].update(
+                    weights=coded_record(records_to_lists(m["state"]["weights"]), "<i8")
+                ),
+                False,
+                "'weights' has dtype '<i8'",
+            ),
+            (
+                "LR",
+                lambda m, c: m["spec"]["hyperparameters"].update(n_iters=0),
+                False,
+                "n_iters must be",
+            ),
+            ("LR", lambda m, c: m.pop("state"), False, "'state'"),
+            (
+                "KNN",
+                lambda m, c: m["state"].update(
+                    train_y=coded_record(records_to_lists(m["state"]["train_y"]), "<f8")
+                ),
+                False,
+                "'train_y' has dtype '<f8'",
+            ),
+        ],
+        ids=["chain-no-benign", "chain-mean-i8", "LR-weights-i8", "LR-n_iters-0",
+             "LR-no-state", "KNN-train_y-f8"],
+    )
+    def test_artifact_error_names_its_file(
+        self, family, edit, in_chain, reason, workspace, tmp_path, capsys
+    ):
+        payload, chain = read_artifact(workspace["out_dir"] / "models" / f"{family}.json")
+        edit(payload["model"], chain)
+        edited = tmp_path / f"{family}.json"
+        write_artifact(payload, chain, edited)
+        if in_chain:
+            edited = tmp_path / "chains" / f"{read_artifact(edited)[0]['chain']}.json"
+        err = self._classify_fails(tmp_path / f"{family}.json", tmp_path, capsys)
+        assert str(edited) in err
         assert reason in err
 
     @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from urlsleuth.models import neighbors, trees
 from urlsleuth.models.base import array_record, columns_record, sigmoid
 from urlsleuth.models.bayes import GaussianNaiveBayes
 from urlsleuth.models.clustering import GaussianMixtureDetector, KMeansDetector
-from urlsleuth.models.linear import LogisticRegressionGD
+from urlsleuth.models.linear import LinearSvmSubgradient, LogisticRegressionGD
 from urlsleuth.models.neighbors import KNearestNeighbors
 from urlsleuth.models.neural import MlpClassifier
 from urlsleuth.models.trees import DecisionTreeCART, RandomForest
@@ -585,12 +585,30 @@ class TestHyperparameters:
 
 
 class TestLinearModels:
-    def test_loss_history_decreases(self, noisy_data):
+    @pytest.mark.parametrize("l2", [0.0, 0.05], ids=["l2-0", "l2-0.05"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda l2: LogisticRegressionGD(learning_rate=0.1, n_iters=120, l2=l2),
+            lambda l2: LinearSvmSubgradient(learning_rate=0.1, n_iters=120, l2=l2),
+            lambda l2: MlpClassifier(hidden_units=4, n_iters=120, l2=l2, seed=3),
+        ],
+        ids=["LR", "LINEAR_SVM", "MLP"],
+    )
+    def test_fit_replays_the_oracle_descent(self, make, l2, noisy_data):
+        """The gradient-only fit ends on the oracle loop's parameters bit
+        for bit, and the oracle's loss falls over the fit."""
         x, y = noisy_data
-        clf = LogisticRegressionGD(learning_rate=0.1, n_iters=120).fit(x, y)
-        hist = clf.loss_history_
-        assert len(hist) == 120
-        assert hist[-1] < hist[0]
+        clf = make(l2)
+        params, losses = oracles.descent_replay(clf, x, y)
+        clf.fit(x, y)
+        if isinstance(clf, MlpClassifier):
+            fitted = clf.params_
+        else:
+            fitted = np.append(clf.weights_, clf.bias_)
+        assert fitted.tobytes() == params.tobytes()
+        assert len(losses) == 120
+        assert losses[-1] < losses[0]
 
     def test_l2_shrinks_weights(self, noisy_data):
         x, y = noisy_data
