@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import errno
-import gc
 import io
 import json
 import math
@@ -724,7 +723,6 @@ class TestClassify:
         predict = PipelineArtifact.predict
 
         def traced(self, batch):
-            gc.collect()  # count what is alive, not cycles not yet collected
             seen[len(batch)] = (
                 tracemalloc.get_traced_memory()[0],
                 sys.getsizeof(batch) + sum(map(sys.getsizeof, batch)),
