@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
+import warnings
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, DataError, UrlsleuthError
+from .errors import ConfigError, DataError, ModelError, UrlsleuthError
 from .evaluation import (
     MetricReport,
     aggregate_rank_table,
@@ -128,9 +132,11 @@ def _recorded_summary(out_dir: Path, plan: corpus.PartitionPlan) -> dict | None:
 
 def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families, seed: int):
     """Fit the feature chain on the pooled training datasets once, then
-    yield one in-memory ``PipelineArtifact`` per family, grid-searched on
-    the validation datasets.  Each family is fitted only when the caller
-    asks for it, so one chosen model is alive at a time besides the chain."""
+    yield one in-memory ``PipelineArtifact`` per family, in ``families``
+    order, grid-searched on the validation datasets.  The families' grid
+    searches run in forked child processes, at most one per usable CPU at
+    once, so models finished ahead of their turn wait in memory
+    (``_fitted_models``)."""
     train_urls = [url for ds_id in plan.train_ids for url in data[ds_id][0]]
     train_labels = np.concatenate([data[ds_id][1] for ds_id in plan.train_ids])
     chain, train_matrix = fit_chain(
@@ -139,12 +145,90 @@ def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families, seed: in
         use_projection=cfg.features.use_projection, variance_target=cfg.features.variance_target,
     )
     val_sets = [(chain.transform(data[ds_id][0]), data[ds_id][1]) for ds_id in plan.val_ids]
-    for family in families:
-        model = grid_search(
+
+    def fit(family):
+        return grid_search(
             family, cfg.grid_for(family), (train_matrix, train_labels), val_sets,
             target_metric=cfg.tuning_metric, seed=seed,
         )
-        yield PipelineArtifact(chain, model)
+
+    with closing(_fitted_models(fit, families)) as models:
+        for model in models:
+            yield PipelineArtifact(chain, model)
+
+
+def _fit_in_child(conn, fit, family: str) -> None:
+    """A forked child's whole work: send back ``fit(family)`` or the
+    exception it raised, with the warnings it recorded instead of printing."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            model, error = fit(family), None
+        except Exception as exc:
+            model, error = None, exc
+    conn.send((model, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+
+
+def _fitted_models(fit, families):
+    """``fit(family)`` for each of ``families``, yielded in order.
+
+    With several families and several usable CPUs, each family fits in a
+    child process forked in ``families`` order, at most one per CPU alive
+    at once.  The children's pipes are read in the calling thread; a
+    family's warnings are re-issued here, and its exception raised here,
+    when its turn comes.  Every child is ended and joined before this
+    returns, raises, or is closed.  Otherwise each family fits in this
+    process when its turn comes."""
+    import multiprocessing  # here, not at module level: classify never forks
+    from multiprocessing.connection import wait
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(families) < 2 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        for family in families:
+            yield fit(family)
+        return
+    context = multiprocessing.get_context("fork")  # children inherit the matrices unpickled
+    queued = enumerate(families)
+    running = {}  # the parent's end of a child's pipe -> (position, family, child)
+    done = {}  # position -> (model, error, warnings) as the child sent them
+
+    def start_next() -> None:
+        position, family = next(queued, (None, None))
+        if family is None:
+            return
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=_fit_in_child, args=(writer, fit, family), daemon=True)
+        child.start()
+        writer.close()  # the child holds the only writer, so its death reads as EOF
+        running[reader] = (position, family, child)
+
+    try:
+        for _ in range(cpus):
+            start_next()
+        for position in range(len(families)):
+            while position not in done:
+                for reader in wait(list(running)):
+                    finished, family, child = running.pop(reader)
+                    try:
+                        done[finished] = reader.recv()
+                    except EOFError:
+                        error = ModelError(f"the process fitting {family} ended without a model")
+                        done[finished] = None, error, []
+                    reader.close()
+                    child.join()
+                    start_next()
+            model, error, caught = done.pop(position)
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            if error is not None:
+                raise error
+            yield model
+    finally:
+        for _, _, child in running.values():
+            child.terminate()
+        for reader, (_, _, child) in running.items():
+            child.join()
+            reader.close()
 
 
 def score_datasets(artifacts: dict[str, PipelineArtifact], data, ids) -> list[MetricReport]:

@@ -1,14 +1,18 @@
-"""In-process tests for every CLI subcommand."""
+"""In-process tests for every CLI subcommand, and one `train` in a
+subprocess whose stdout is a file."""
 
 from __future__ import annotations
 
 import csv
 import errno
+import gc
 import io
 import json
 import math
+import multiprocessing
 import os
 import shutil
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from urlsleuth import corpus
+from urlsleuth import cli, corpus
 from urlsleuth.charlm import SIDES, CharGramModel
 from urlsleuth.cli import CSV_CHUNK_ROWS, _run_data, fit_run, main, score_datasets
 from urlsleuth.config import DEFAULT_GRIDS, load_run_config
@@ -245,20 +249,115 @@ class TestTrain:
             assert saved.read_bytes() == fresh.read_bytes(), family
 
     def test_each_grid_point_is_fitted_once(self, workspace, tmp_path, monkeypatch):
-        fits = []
+        # The families fit in forked children, so each fit is logged to a
+        # file that every process appends to.
+        log = tmp_path / "fits.txt"
         fit = BinaryClassifier.fit
 
         def counted(self, X, y):
-            fits.append(self.family)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {self.family}\n")
             return fit(self, X, y)
 
         monkeypatch.setattr(BinaryClassifier, "fit", counted)
-        argv = ["train", "--config", str(workspace["config_path"]), "--out", str(tmp_path)]
+        argv = ["train", "--config", str(workspace["config_path"]), "--out", str(tmp_path / "out")]
         assert main(argv) == 0
+        pids, fits = zip(*(line.split() for line in log.read_text(encoding="utf-8").splitlines()))
         # an empty grid is one point, the family's defaults
         points = {f: math.prod(len(v) for v in DEFAULT_GRIDS[f].values()) for f in FAMILIES}
         assert Counter(fits) == points
         assert len(fits) == 16
+        if len(os.sched_getaffinity(0)) > 1:  # every family fitted in a child
+            assert str(os.getpid()) not in pids
+
+    def test_one_cpu_writes_the_same_bytes(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(workspace["config_path"]), "--out", str(out)]) == 0
+        assert tree_bytes(out / "models") == tree_bytes(workspace["out_dir"] / "models")
+        summary = "train_summary.json"
+        assert (out / summary).read_bytes() == (workspace["out_dir"] / summary).read_bytes()
+
+    def test_family_failing_in_a_child_ends_train_as_in_process(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        config = variant_config(  # every RF point fails: bootstrap must be a bool
+            workspace, "grid_RF_failing.json",
+            lambda c: c.update(grids={"RF": {"bootstrap": ["false"], "n_trees": [3]}}),
+        )
+        errors = []
+        for cpus in (os.sched_getaffinity(0), {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"cpus{len(cpus)}"
+            with pytest.warns(UserWarning, match="failed to fit"):
+                assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+            saved = sorted(p.stem for p in (out / "models").glob("*.json"))
+            assert saved == sorted(FAMILIES[:FAMILIES.index("RF")])
+            assert not (out / "train_summary.json").exists()
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: invalid RF hyperparameters: bootstrap must be")
+
+    def test_child_ending_without_a_model_is_an_error(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        parent, search = os.getpid(), cli.grid_search
+
+        def dying(family, *args, **kwargs):
+            if family == "KNN" and os.getpid() != parent:
+                os._exit(3)
+            return search(family, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "grid_search", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # fit in children
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(workspace["config_path"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: the process fitting KNN ended without a model\n"
+        saved = sorted(p.stem for p in (out / "models").glob("*.json"))
+        assert saved == sorted(FAMILIES[:FAMILIES.index("KNN")])
+        assert multiprocessing.active_children() == []
+
+    def test_failed_grid_point_warns_once_in_the_parent(self, workspace, tmp_path):
+        config = variant_config(
+            workspace, "grid_MLP_mixed_full.json",
+            lambda c: c.update(grids={"MLP": {"hidden_units": [-1, 4]}}),
+        )
+        argv = ["train", "--config", str(config), "--out", str(tmp_path)]
+        with pytest.warns(UserWarning, match="-1.*failed to fit") as caught:
+            assert main(argv) == 0
+        assert sum("failed to fit" in str(w.message) for w in caught) == 1
+        summary = json.loads((tmp_path / "train_summary.json").read_text(encoding="utf-8"))
+        assert summary["chosen"]["MLP"]["hyperparameters"] == {"hidden_units": 4}
+
+    def test_redirected_output_holds_each_line_once(self, workspace, tmp_path):
+        """A child forked while the parent's stdout buffer held a line would
+        write that line again at its exit."""
+        config = variant_config(
+            workspace, "grid_MLP_mixed_redirected.json",
+            lambda c: c.update(grids={"MLP": {"hidden_units": [-1, 4]}}),
+        )
+        stdout, stderr = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+        with open(stdout, "wb") as out, open(stderr, "wb") as err:
+            argv = ["train", "--config", str(config), "--out", str(tmp_path / "out")]
+            code = subprocess.run([sys.executable, "-m", "urlsleuth.cli", *argv],
+                                  stdout=out, stderr=err, stdin=subprocess.DEVNULL).returncode
+        assert code == 0, stderr.read_text(encoding="utf-8")
+        lines = stdout.read_text(encoding="utf-8").splitlines()
+        trained = [line.split(":")[0].split()[1] for line in lines if line.startswith("trained ")]
+        assert trained == list(FAMILIES)
+        assert len(lines) == len(FAMILIES) + 1  # and "artifacts written to ..."
+        assert stderr.read_text(encoding="utf-8").count("failed to fit") == 1
+
+    def test_closing_fit_run_early_leaves_no_child(self, workspace):
+        cfg = load_run_config(workspace["config_path"])
+        plan, data = _run_data(cfg)
+        runs = fit_run(cfg, plan, data, FAMILIES, cfg.seed)
+        assert next(runs).model.spec.family == FAMILIES[0]
+        children = multiprocessing.active_children()
+        runs.close()
+        assert multiprocessing.active_children() == []
+        assert all(child.exitcode is not None for child in children)
 
     def test_single_family_flag(self, workspace, tmp_path):
         out = tmp_path / "solo"
@@ -723,6 +822,7 @@ class TestClassify:
         predict = PipelineArtifact.predict
 
         def traced(self, batch):
+            gc.collect()  # unreachable cycles are not held input
             seen[len(batch)] = (
                 tracemalloc.get_traced_memory()[0],
                 sys.getsizeof(batch) + sum(map(sys.getsizeof, batch)),
