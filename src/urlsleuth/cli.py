@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import signal
 import sys
+import traceback
 import warnings
 from contextlib import closing
 from pathlib import Path
@@ -52,6 +52,15 @@ from .urlfeat import catalog, extract_matrix
 OVERLAP_FLAG_THRESHOLD = 0.20
 # classify formats and writes its CSV this many rows at a time.
 CSV_CHUNK_ROWS = 1024
+# train fits at most this many families at once, each in a child process:
+# two CPUs is the widest host its speed and memory were measured on.
+FIT_PROCESSES = 2
+# The families whose grid searches run longest on the default grids
+# (in-process seconds on 4 x 2000 URLs: MLP 0.33, RF 0.21, KNN 0.13,
+# GBT 0.13, LR 0.10, LINEAR_SVM 0.06, every other family under 0.03),
+# in that order.  train starts their children first, so that no long
+# search starts last; the order children start in changes no output.
+LONGEST_FITS = ("MLP", "RF", "KNN", "GBT", "LR", "LINEAR_SVM")
 
 
 def _add_common(parser: argparse.ArgumentParser, *, seed: bool = False) -> None:
@@ -134,9 +143,8 @@ def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families, seed: in
     """Fit the feature chain on the pooled training datasets once, then
     yield one in-memory ``PipelineArtifact`` per family, in ``families``
     order, grid-searched on the validation datasets.  The families' grid
-    searches run in forked child processes, at most one per usable CPU at
-    once, so models finished ahead of their turn wait in memory
-    (``_fitted_models``)."""
+    searches run in forked child processes, a few at once, so models
+    finished ahead of their turn wait in memory (``_fitted_models``)."""
     train_urls = [url for ds_id in plan.train_ids for url in data[ds_id][0]]
     train_labels = np.concatenate([data[ds_id][1] for ds_id in plan.train_ids])
     chain, train_matrix = fit_chain(
@@ -158,37 +166,63 @@ def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families, seed: in
 
 
 def _fit_in_child(conn, fit, family: str) -> None:
-    """A forked child's whole work: send back ``fit(family)`` or the
-    exception it raised, with the warnings it recorded instead of printing."""
+    """A forked child's whole work: send back ``fit(family)``, or the
+    exception it raised with its traceback as text, and the warnings it
+    recorded instead of printing."""
+    import signal  # here, not at module level, as multiprocessing is
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     with warnings.catch_warnings(record=True) as caught:
         try:
             model, error = fit(family), None
         except Exception as exc:
-            model, error = None, exc
+            model, error = None, (exc, traceback.format_exc())
     conn.send((model, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+
+
+class ChildTraceback(Exception):
+    """The traceback, as text, of an exception raised in a child process;
+    the cause of that exception when it is raised again in the parent,
+    which receives the exception without its frames."""
+
+
+def _reissue(message, category, filename: str, lineno: int) -> None:
+    """Issue a warning recorded in a child as ``warnings.warn`` would have
+    issued it here: under the module that ``filename`` holds and in that
+    module's registry, so filters by module and printing once per
+    location both apply."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    if module is None:
+        warnings.warn_explicit(message, category, filename, lineno)
+    else:
+        registry = vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
 
 
 def _fitted_models(fit, families):
     """``fit(family)`` for each of ``families``, yielded in order.
 
     With several families and several usable CPUs, each family fits in a
-    child process forked in ``families`` order, at most one per CPU alive
-    at once.  The children's pipes are read in the calling thread; a
+    forked child process, at most ``FIT_PROCESSES`` alive at once, started
+    longest first (``LONGEST_FITS``), so finished models wait here for
+    their turn.  The children's pipes are read in the calling thread; a
     family's warnings are re-issued here, and its exception raised here,
     when its turn comes.  Every child is ended and joined before this
-    returns, raises, or is closed.  Otherwise each family fits in this
-    process when its turn comes."""
+    returns, raises, or is closed.  Otherwise (one family, one usable CPU,
+    or no ``os.sched_getaffinity`` on the platform) each family fits in
+    this process when its turn comes."""
     import multiprocessing  # here, not at module level: classify never forks
     from multiprocessing.connection import wait
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(families) < 2 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if len(families) < 2 or cpus < 2:
         for family in families:
             yield fit(family)
         return
     context = multiprocessing.get_context("fork")  # children inherit the matrices unpickled
-    queued = enumerate(families)
+    first = {family: rank for rank, family in enumerate(LONGEST_FITS)}
+    queued = iter(sorted(enumerate(families), key=lambda item: first.get(item[1], len(first))))
     running = {}  # the parent's end of a child's pipe -> (position, family, child)
     done = {}  # position -> (model, error, warnings) as the child sent them
 
@@ -203,7 +237,7 @@ def _fitted_models(fit, families):
         running[reader] = (position, family, child)
 
     try:
-        for _ in range(cpus):
+        for _ in range(min(cpus, FIT_PROCESSES)):
             start_next()
         for position in range(len(families)):
             while position not in done:
@@ -213,15 +247,16 @@ def _fitted_models(fit, families):
                         done[finished] = reader.recv()
                     except EOFError:
                         error = ModelError(f"the process fitting {family} ended without a model")
-                        done[finished] = None, error, []
+                        done[finished] = None, (error, None), []
                     reader.close()
                     child.join()
                     start_next()
             model, error, caught = done.pop(position)
             for message, category, filename, lineno in caught:
-                warnings.warn_explicit(message, category, filename, lineno)
+                _reissue(message, category, filename, lineno)
             if error is not None:
-                raise error
+                exc, text = error
+                raise exc from (ChildTraceback(text) if text else None)
             yield model
     finally:
         for _, _, child in running.values():

@@ -15,6 +15,8 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import traceback
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -329,6 +331,33 @@ class TestTrain:
         assert sum("failed to fit" in str(w.message) for w in caught) == 1
         summary = json.loads((tmp_path / "train_summary.json").read_text(encoding="utf-8"))
         assert summary["chosen"]["MLP"]["hyperparameters"] == {"hidden_units": 4}
+        # As in one process, the warning is issued under urlsleuth.cli, and
+        # the default action shows it once however often train runs.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("ignore")
+            warnings.filterwarnings("default", module=r"urlsleuth\.cli$")
+            for run in range(2):
+                assert main(["train", "--config", str(config), "--out", str(tmp_path / f"again{run}")]) == 0
+        assert sum("failed to fit" in str(w.message) for w in caught) == 1
+
+    def test_error_raised_in_a_child_keeps_its_traceback(self, workspace, tmp_path, monkeypatch):
+        parent, search = os.getpid(), cli.grid_search
+
+        def broken_knn_search(family, *args, **kwargs):
+            if family == "KNN" and os.getpid() != parent:
+                raise ValueError("a bug while fitting")
+            return search(family, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "grid_search", broken_knn_search)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # fit in children
+        argv = ["train", "--config", str(workspace["config_path"]), "--out", str(tmp_path)]
+        with pytest.raises(ValueError, match="a bug while fitting") as raised:
+            main(argv)
+        shown = "".join(traceback.format_exception(raised.value))
+        assert "in broken_knn_search" in shown and "ChildTraceback" in shown
+        saved = sorted(p.stem for p in (tmp_path / "models").glob("*.json"))
+        assert saved == sorted(FAMILIES[:FAMILIES.index("KNN")])
+        assert multiprocessing.active_children() == []
 
     def test_redirected_output_holds_each_line_once(self, workspace, tmp_path):
         """A child forked while the parent's stdout buffer held a line would
