@@ -63,20 +63,14 @@ FIT_PROCESSES = 2
 LONGEST_FITS = ("MLP", "RF", "KNN", "GBT", "LR", "LINEAR_SVM")
 
 
-def _add_common(parser: argparse.ArgumentParser, *, seed: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="run configuration JSON file")
     parser.add_argument("--out", help="output directory (overrides the config)")
-    if seed:  # only train and audit draw random numbers
-        parser.add_argument("--seed", type=int, help="seed override for this command")
 
 
-def _resolve(args) -> tuple[RunConfig, Path, int]:
+def _resolve(args) -> tuple[RunConfig, Path]:
     cfg = load_run_config(args.config)
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:  # checked before anything is made or fitted
-        raise ConfigError(f"seed must be an integer >= 0, got {seed}")
-    out_dir = Path(args.out) if args.out else cfg.output_dir
-    return cfg, out_dir, cfg.seed if seed is None else seed
+    return cfg, Path(args.out) if args.out else cfg.output_dir
 
 
 def _write(text: str, path: Path) -> None:
@@ -90,7 +84,7 @@ def _load_datasets(cfg: RunConfig) -> list[corpus.Dataset]:
     """Load, standardize, and deduplicate every configured dataset."""
     out = []
     for entry in cfg.datasets:
-        ds = corpus.load_dataset(str(entry.path), entry.label_map, entry.id, entry.name)
+        ds = corpus.load_dataset(str(entry.path), entry.label_map, entry.id)
         out.append(corpus.deduplicate(ds))
     return out
 
@@ -139,7 +133,7 @@ def _recorded_summary(out_dir: Path, plan: corpus.PartitionPlan) -> dict | None:
     return summary
 
 
-def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families, seed: int):
+def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families):
     """Fit the feature chain on the pooled training datasets once, then
     yield one in-memory ``PipelineArtifact`` per family, in ``families``
     order, grid-searched on the validation datasets.  The families' grid
@@ -149,7 +143,7 @@ def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families, seed: in
     train_labels = np.concatenate([data[ds_id][1] for ds_id in plan.train_ids])
     chain, train_matrix = fit_chain(
         train_urls, train_labels, lm_order=cfg.lm.order, lm_smoothing=cfg.lm.smoothing_k,
-        top_k=cfg.features.selector_top_k if cfg.features.use_selector else None,
+        top_k=cfg.features.selector_top_k,
         use_projection=cfg.features.use_projection, variance_target=cfg.features.variance_target,
     )
     val_sets = [(chain.transform(data[ds_id][0]), data[ds_id][1]) for ds_id in plan.val_ids]
@@ -157,7 +151,7 @@ def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families, seed: in
     def fit(family):
         return grid_search(
             family, cfg.grid_for(family), (train_matrix, train_labels), val_sets,
-            target_metric=cfg.tuning_metric, seed=seed,
+            target_metric=cfg.tuning_metric, seed=cfg.seed,
         )
 
     with closing(_fitted_models(fit, families)) as models:
@@ -305,10 +299,10 @@ def _saved_artifacts(out_dir: Path, plan: corpus.PartitionPlan) -> dict[str, Pip
 
 
 def cmd_ingest(args) -> int:
-    cfg, out_dir, _ = _resolve(args)
+    cfg, out_dir = _resolve(args)
     report = {}
     for entry in cfg.datasets:
-        raw = corpus.load_dataset(str(entry.path), entry.label_map, entry.id, entry.name)
+        raw = corpus.load_dataset(str(entry.path), entry.label_map, entry.id)
         deduped, removed, conflicts = corpus.dedup_stats(raw)
         report[entry.id] = {
             "rows_loaded": len(raw),
@@ -324,7 +318,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg, out_dir, seed = _resolve(args)
+    cfg, out_dir = _resolve(args)
     datasets = _load_datasets(cfg)
     rows = []
     for a in datasets:
@@ -338,14 +332,14 @@ def cmd_audit(args) -> int:
         out_dir / "audit_overlap.csv",
     )
     for ds in datasets:
-        sample = corpus.sample_for_audit(ds, min(100, len(ds)), seed)
+        sample = corpus.sample_for_audit(ds, min(100, len(ds)), cfg.seed)
         _write(records_to_csv(sample), out_dir / f"audit_sample_{ds.id}.csv")
     print(f"audit reports written to {out_dir}")
     return 0
 
 
 def cmd_featurize(args) -> int:
-    cfg, out_dir, _ = _resolve(args)
+    cfg, out_dir = _resolve(args)
     _, data = _run_data(cfg)
     feature_names = list(catalog().names)
     for ds_id, (urls, labels) in data.items():
@@ -360,7 +354,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, out_dir, seed = _resolve(args)
+    cfg, out_dir = _resolve(args)
     plan, data = _run_data(cfg)
     chosen = {}
     if args.model:  # the other families' model files stay, and so do their entries
@@ -368,7 +362,7 @@ def cmd_train(args) -> int:
         chosen = summary["chosen"] if summary else {}
     families = [args.model] if args.model else list(FAMILIES)
     models_dir = out_dir / "models"  # save_pipeline makes it with the first model file
-    for artifact in fit_run(cfg, plan, data, families, seed):
+    for artifact in fit_run(cfg, plan, data, families):
         spec = artifact.model.spec
         save_pipeline(artifact, models_dir / f"{spec.family}.json")
         chosen[spec.family] = {"hyperparameters": spec.hyperparameters, "seed": spec.seed}
@@ -388,7 +382,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg, out_dir, _ = _resolve(args)
+    cfg, out_dir = _resolve(args)
     plan, data = _run_data(cfg)
     ids = getattr(plan, f"{args.partition}_ids")
     reports = score_datasets(_saved_artifacts(out_dir, plan), data, ids)
@@ -399,7 +393,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    cfg, out_dir, _ = _resolve(args)
+    cfg, out_dir = _resolve(args)
     plan, data = _run_data(cfg)
     ids = getattr(plan, f"{args.partition}_ids")
     family_reports = {ds_id: {} for ds_id in ids}
@@ -425,15 +419,7 @@ def _csv_chunks(urls, labels, scores):
 
 
 def cmd_classify(args) -> int:
-    if args.artifact:
-        artifact_path = Path(args.artifact)
-    elif args.config and args.model:
-        cfg = load_run_config(args.config)
-        out_dir = Path(args.out) if args.out else cfg.output_dir
-        artifact_path = out_dir / "models" / f"{args.model}.json"
-    else:
-        raise ConfigError("classify needs --artifact, or --config together with --model")
-    artifact = load_pipeline(artifact_path)
+    artifact = load_pipeline(args.artifact)
     if args.urls_file:
         source = Path(args.urls_file)
         if not source.is_file():
@@ -480,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("audit", help="cross-dataset overlap matrix and label samples")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("featurize", help="export lexical feature matrices as CSV")
@@ -488,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="fit preprocessing and all model families")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.add_argument("--model", choices=FAMILIES, help="train only this family")
     p.set_defaults(func=cmd_train)
 
@@ -508,11 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("classify", help="label URLs with a saved artifact")
-    p.add_argument("--artifact", help="path to a saved pipeline artifact")
-    p.add_argument("--config", help="run config (with --model, locates the artifact)")
-    p.add_argument("--model", choices=FAMILIES, help="family whose artifact to use")
-    p.add_argument("--out", help="output directory holding models/ (with --config)")
+    # No abbreviations: "--out DIR" must not be read as --out-file.
+    p = sub.add_parser("classify", help="label URLs with a saved artifact", allow_abbrev=False)
+    p.add_argument("--artifact", required=True, help="path to a saved pipeline artifact")
     p.add_argument("--out-file", help="write predictions CSV here instead of stdout")
     p.add_argument("urls_file", nargs="?", help="file of URLs, one per line (default: stdin)")
     p.set_defaults(func=cmd_classify)

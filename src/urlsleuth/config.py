@@ -1,8 +1,10 @@
 """Run configuration: a strict JSON schema parsed fully before any work.
 
 Unknown keys are rejected everywhere so a typo cannot silently disable a
-stage.  Dataset paths are resolved relative to the config file location.
-All randomness in a run flows from the seeds declared here.
+stage.  Every accepted key can change an output, and no two keys set the
+same thing, so each run setting has one spelling.  Dataset paths are
+resolved relative to the config file location.  All randomness in a run
+flows from the seeds declared here.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class DatasetEntry:
     id: str
     path: Path
     label_map: dict[str, int]
-    name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class LmConfig:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    use_selector: bool = True
     selector_top_k: int = 40
     use_projection: bool = False
     variance_target: float = 0.95
@@ -118,7 +118,8 @@ def _parse_dataset_entry(raw: dict, index: int, base_dir: Path) -> DatasetEntry:
     where = f"datasets[{index}]"
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
-    _require_keys(raw, {"id", "path", "label_map", "name"}, {"id", "path", "label_map"}, where)
+    keys = {"id", "path", "label_map"}
+    _require_keys(raw, keys, keys, where)
     if not isinstance(raw["id"], str) or not raw["id"]:
         raise ConfigError(f"{where}.id must be a non-empty string")
     if not isinstance(raw["path"], str) or not raw["path"]:
@@ -131,14 +132,10 @@ def _parse_dataset_entry(raw: dict, index: int, base_dir: Path) -> DatasetEntry:
             raise ConfigError(
                 f"{where}.label_map[{k!r}] must map to 0 or 1, got {v!r}"
             )
-    name = raw.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ConfigError(f"{where}.name must be a string")
     return DatasetEntry(
         id=raw["id"],
         path=(base_dir / raw["path"]).resolve(),
         label_map=dict(label_map),
-        name=name,
     )
 
 
@@ -202,13 +199,9 @@ def parse_run_config(raw: dict, base_dir: Path) -> RunConfig:
     if not isinstance(feat_raw, dict):
         raise ConfigError("features must be an object")
     _require_keys(
-        feat_raw,
-        {"use_selector", "selector_top_k", "use_projection", "variance_target"},
-        set(),
-        "features",
+        feat_raw, {"selector_top_k", "use_projection", "variance_target"}, set(), "features"
     )
     features = FeatureConfig(
-        use_selector=_check_bool(feat_raw.get("use_selector", True), "features.use_selector"),
         selector_top_k=_check_int(feat_raw.get("selector_top_k", 40), "features.selector_top_k", 1),
         use_projection=_check_bool(
             feat_raw.get("use_projection", False), "features.use_projection"

@@ -1,8 +1,8 @@
 """Dataset ingestion, standardization, deduplication, and partitioning.
 
 Every URL dataset is reduced to one canonical shape: a URL string plus a
-binary label (0 = benign, 1 = malicious) tagged with the dataset it came
-from.  Datasets are immutable after construction and all operations here
+binary label (0 = benign, 1 = malicious), held in a dataset named by its
+id.  Datasets are immutable after construction and all operations here
 are pure functions, so they are safe to run concurrently over distinct
 datasets.
 """
@@ -24,11 +24,10 @@ CSV_HEADER = ("url", "label")
 
 @dataclass(frozen=True)
 class UrlRecord:
-    """One standardized observation: URL text, binary label, dataset id."""
+    """One standardized observation: URL text and binary label."""
 
     url: str
     label: int
-    source_id: str
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,10 @@ class Dataset:
     """An ordered, immutable collection of standardized records.
 
     Duplicate URLs may be present straight after loading; ``deduplicate``
-    establishes uniqueness.  Records all carry this dataset's id.
+    establishes uniqueness.
     """
 
     id: str
-    name: str
     records: tuple[UrlRecord, ...]
 
     def __len__(self) -> int:
@@ -60,8 +58,9 @@ class PartitionPlan:
     seed: int
 
 
-def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | None = None) -> Dataset:
-    """Read a ``url,label`` CSV and standardize it to binary labels.
+def load_dataset(path: str, label_map: Mapping[str, int], id: str) -> Dataset:
+    """Read a ``url,label`` CSV and standardize it to binary labels, as the
+    dataset ``id``.
 
     ``label_map`` translates every source-specific label string (e.g.
     ``"bad"``, ``"1"``, ``"malicious"``) to 0 or 1.  Cells are trimmed of
@@ -110,12 +109,12 @@ def load_dataset(path: str, label_map: Mapping[str, int], id: str, name: str | N
                     raise DataError(
                         f"{path}: line {line}: unmapped label {raw_label!r} (not in label map)"
                     )
-                records.append(UrlRecord(url=url, label=label_map[raw_label], source_id=id))
+                records.append(UrlRecord(url=url, label=label_map[raw_label]))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise DataError(f"{path}: line {reader.line_num}: malformed CSV: {exc}") from exc
-    return Dataset(id=id, name=name if name is not None else id, records=tuple(records))
+    return Dataset(id=id, records=tuple(records))
 
 
 def dedup_stats(d: Dataset) -> tuple[Dataset, int, int]:
@@ -132,7 +131,7 @@ def dedup_stats(d: Dataset) -> tuple[Dataset, int, int]:
             continue
         first_label[rec.url] = rec.label
         kept.append(rec)
-    return Dataset(id=d.id, name=d.name, records=tuple(kept)), removed, conflicts
+    return Dataset(id=d.id, records=tuple(kept)), removed, conflicts
 
 
 def deduplicate(d: Dataset) -> Dataset:

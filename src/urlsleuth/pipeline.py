@@ -332,15 +332,15 @@ def fit_chain(
     *,
     lm_order: int = 3,
     lm_smoothing: float = 1.0,
-    top_k: int | None = None,
+    top_k: int = CHAIN_INPUT_COLUMNS,
     use_projection: bool = False,
     variance_target: float = 0.95,
 ) -> tuple[FeatureChain, np.ndarray]:
     """Fit every stage on the given training rows only; returns the chain
     and the training matrix it produced along the way.
 
-    ``top_k=None`` keeps all features (the selector still reports its
-    scores, so the chain shape never changes with the toggle).
+    The selector keeps the ``top_k`` best-scoring features; the default
+    keeps all ``CHAIN_INPUT_COLUMNS`` of them, and so both LM sides.
     """
     urls = list(urls)
     y = np.asarray(labels)
@@ -348,7 +348,7 @@ def fit_chain(
     X = np.hstack([extract_matrix(urls), lm_pair.transform(urls)])
     scaler = fit_scaler(X)
     X = apply_scaler(scaler, X)
-    selector = fit_selector(X, y, top_k if top_k is not None else X.shape[1])
+    selector = fit_selector(X, y, top_k)
     X = apply_selector(selector, X)
     projection = None
     if use_projection:

@@ -90,10 +90,10 @@ def generate_dataset(
     n_records: int = 2000,
     malicious_fraction: float = 0.3,
     seed: int = 0,
-    name: str | None = None,
 ) -> Dataset:
-    """One pseudo-dataset with unique URLs and the exact requested balance
-    (malicious count = round(n_records * malicious_fraction))."""
+    """One pseudo-dataset, with id ``dataset_id``, of unique URLs and the
+    exact requested balance (malicious count = round(n_records *
+    malicious_fraction))."""
     if n_records < 1:
         raise DataError(f"n_records must be >= 1, got {n_records}")
     if not 0.0 <= malicious_fraction <= 1.0:
@@ -115,10 +115,10 @@ def generate_dataset(
             if url in seen:
                 continue
             seen.add(url)
-            records.append(UrlRecord(url=url, label=label, source_id=dataset_id))
+            records.append(UrlRecord(url=url, label=label))
             produced += 1
     rng.shuffle(records)
-    return Dataset(id=dataset_id, name=name or dataset_id, records=tuple(records))
+    return Dataset(id=dataset_id, records=tuple(records))
 
 
 def generate_corpus(

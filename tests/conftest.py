@@ -142,8 +142,7 @@ BLOCKED_BYTES_PER_URL = 64
 
 
 def make_dataset(rows: Sequence[tuple[str, int]], id: str = "d0") -> Dataset:
-    records = tuple(UrlRecord(url=u, label=y, source_id=id) for u, y in rows)
-    return Dataset(id=id, name=id, records=records)
+    return Dataset(id=id, records=tuple(UrlRecord(url=u, label=y) for u, y in rows))
 
 
 @pytest.fixture(scope="session")

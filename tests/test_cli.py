@@ -227,7 +227,7 @@ class TestTrain:
     def test_each_artifact_equals_a_fresh_fit_of_its_chosen_spec(self, workspace, tmp_path):
         cfg = load_run_config(workspace["config_path"])
         by_id = {
-            e.id: corpus.deduplicate(corpus.load_dataset(str(e.path), e.label_map, e.id, e.name))
+            e.id: corpus.deduplicate(corpus.load_dataset(str(e.path), e.label_map, e.id))
             for e in cfg.datasets
         }
         summary = workspace["summary"]
@@ -238,7 +238,7 @@ class TestTrain:
             labels,
             lm_order=cfg.lm.order,
             lm_smoothing=cfg.lm.smoothing_k,
-            top_k=cfg.features.selector_top_k if cfg.features.use_selector else None,
+            top_k=cfg.features.selector_top_k,
             use_projection=cfg.features.use_projection,
             variance_target=cfg.features.variance_target,
         )
@@ -381,7 +381,7 @@ class TestTrain:
     def test_closing_fit_run_early_leaves_no_child(self, workspace):
         cfg = load_run_config(workspace["config_path"])
         plan, data = _run_data(cfg)
-        runs = fit_run(cfg, plan, data, FAMILIES, cfg.seed)
+        runs = fit_run(cfg, plan, data, FAMILIES)
         assert next(runs).model.spec.family == FAMILIES[0]
         children = multiprocessing.active_children()
         runs.close()
@@ -636,7 +636,7 @@ class TestInMemoryRun:
     def in_memory(self, workspace):
         cfg = load_run_config(workspace["config_path"])
         plan, data = _run_data(cfg)
-        artifacts = {a.model.spec.family: a for a in fit_run(cfg, plan, data, FAMILIES, cfg.seed)}
+        artifacts = {a.model.spec.family: a for a in fit_run(cfg, plan, data, FAMILIES)}
         return plan, data, artifacts
 
     def test_fit_run_shares_one_chain(self, in_memory):
@@ -662,7 +662,7 @@ class TestConfigPaths:
     """Runs through the feature toggles that the other tests leave at
     their defaults."""
 
-    VARIANTS = {"projection": {"use_projection": True}, "no_selector": {"use_selector": False}}
+    VARIANTS = {"projection": {"use_projection": True}, "top_k_80": {"selector_top_k": 80}}
 
     @pytest.fixture(scope="class")
     def runs(self, workspace, tmp_path_factory):
@@ -680,8 +680,9 @@ class TestConfigPaths:
                 base = ["--config", str(config), "--out", str(out)]
                 for command in ("train", "evaluate", "rank"):
                     assert main([command, *base]) == 0, (name, command)
-                knn = ["--model", "KNN", "--out-file", str(out / "knn.csv"), str(urls)]
-                assert main(["classify", *base, *knn]) == 0
+                knn = out / "models" / "KNN.json"
+                argv = ["classify", "--artifact", str(knn), "--out-file", str(out / "knn.csv")]
+                assert main([*argv, str(urls)]) == 0
                 runs[name, tag] = out
         return runs
 
@@ -701,19 +702,6 @@ class TestConfigPaths:
             assert payload["model"]["n_features"] == n_components, family
             assert f"{payload['chain']}.json" == chain_file.name
 
-    def test_no_selector_writes_the_top_80_chain(self, runs, workspace, tmp_path):
-        def edit(config):
-            config.setdefault("features", {})["selector_top_k"] = 80
-
-        config = variant_config(workspace, "top_k_80.json", edit)
-        out = tmp_path / "top_k_80"
-        assert main(["train", "--config", str(config), "--out", str(out), "--model", "LR"]) == 0
-        (top_80,) = (out / "models" / "chains").iterdir()
-        (no_selector,) = (runs["no_selector", "a"] / "models" / "chains").iterdir()
-        (top_40,) = (workspace["out_dir"] / "models" / "chains").iterdir()
-        assert no_selector.name == top_80.name != top_40.name
-        assert no_selector.read_bytes() == top_80.read_bytes()
-
 
 class TestClassify:
     def test_with_artifact_path(self, workspace, tmp_path, capsys):
@@ -732,23 +720,6 @@ class TestClassify:
             cells = line.split(",")
             assert cells[1] in {"0", "1"}
             assert 0.0 <= float(cells[2]) <= 1.0
-
-    def test_config_and_model_locate_artifact(self, workspace, tmp_path, capsys):
-        urls_file = tmp_path / "urls.txt"
-        urls_file.write_text("http://anything.example/\n", encoding="utf-8")
-        code = main(
-            [
-                "classify",
-                "--config",
-                str(workspace["config_path"]),
-                "--model",
-                "BASELINE",
-                str(urls_file),
-            ]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[1].endswith(",1,1.0")
 
     def test_stdin_input(self, workspace, capsys, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b"http://www.shop.example.org/\n"), encoding="utf-8")
@@ -978,11 +949,13 @@ class TestErrorPaths:
         assert "error:" in err
         assert "no_such_urls.txt" in err
 
-    def test_classify_without_artifact_or_config(self, tmp_path, capsys):
+    def test_classify_without_artifact_exits_2(self, tmp_path, capsys):
         urls_file = tmp_path / "urls.txt"
         urls_file.write_text("http://a.com\n", encoding="utf-8")
-        assert main(["classify", str(urls_file)]) == 1
-        assert "--artifact" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(urls_file)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --artifact" in capsys.readouterr().err
 
     def test_classify_empty_input(self, workspace, tmp_path, capsys):
         urls_file = tmp_path / "urls.txt"
@@ -1038,7 +1011,7 @@ class TestErrorPaths:
         if target == "artifact":
             argv = ["classify", "--artifact", str(directory), str(urls_file)]
         elif target == "config":
-            argv = ["classify", "--config", str(directory), "--model", "LR", str(urls_file)]
+            argv = ["ingest", "--config", str(directory)]
         else:
             artifact = workspace["out_dir"] / "models" / "LR.json"
             argv = [
@@ -1457,20 +1430,13 @@ class TestErrorPaths:
         summary = json.loads((tmp_path / "train_summary.json").read_text(encoding="utf-8"))
         assert summary["chosen"][family]["hyperparameters"] == chosen
 
-    @pytest.mark.parametrize("family", ["RF", "LR"])
-    def test_negative_seed_reported(self, family, workspace, tmp_path, capsys):
-        # LR draws no random numbers, but its saved spec would not load.
-        argv = ["train", "--config", str(workspace["config_path"]), "--out", str(tmp_path)]
-        assert main([*argv, "--model", family, "--seed", "-1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: seed must be an integer >= 0, got -1")
-        assert "Traceback" not in err
-
-    def test_negative_seed_rejected_before_out_is_made(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "audit"])
+    def test_negative_seed_refused_before_out_is_made(self, command, workspace, tmp_path, capsys):
+        config = variant_config(workspace, "negative_seed.json", lambda c: c.update(seed=-1))
         out = tmp_path / "fresh"
-        argv = ["train", "--config", str(workspace["config_path"]), "--out", str(out)]
-        assert main([*argv, "--model", "RF", "--seed", "-1"]) == 1
-        assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0, got -1")
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "rank"])
@@ -1480,17 +1446,28 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error: no model artifacts found under")
         assert not out.exists()
 
-    def test_negative_seed_reported_by_audit(self, workspace, tmp_path, capsys):
-        argv = ["audit", "--config", str(workspace["config_path"]), "--out", str(tmp_path)]
-        assert main([*argv, "--seed", "-1"]) == 1
-        assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0, got -1")
-
-    @pytest.mark.parametrize("command", ["ingest", "featurize", "evaluate", "rank"])
-    def test_seed_only_on_train_and_audit(self, command, workspace, capsys):
+    @pytest.mark.parametrize(
+        "command", ["ingest", "audit", "featurize", "train", "evaluate", "rank", "classify"]
+    )
+    def test_no_subcommand_takes_seed(self, command, workspace, capsys):
+        # The config's seed is the only one.
+        if command == "classify":
+            argv = ["--artifact", str(workspace["out_dir"] / "models" / "LR.json"), "urls.txt"]
+        else:
+            argv = ["--config", str(workspace["config_path"])]
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(workspace["config_path"]), "--seed", "7"])
+            main([command, *argv, "--seed", "7"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--model", "--out"])
+    def test_classify_takes_only_an_artifact(self, flag, workspace, tmp_path, capsys):
+        value = {"--config": workspace["config_path"], "--model": "LR", "--out": tmp_path}[flag]
+        artifact = workspace["out_dir"] / "models" / "LR.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--artifact", str(artifact), "urls.txt", flag, str(value)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 1

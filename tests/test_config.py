@@ -39,7 +39,7 @@ class TestParsing:
         assert cfg.partition.seed == 7
         assert cfg.lm == LmConfig(order=3, smoothing_k=1.0)
         assert cfg.features == FeatureConfig(
-            use_selector=True, selector_top_k=40, use_projection=False, variance_target=0.95
+            selector_top_k=40, use_projection=False, variance_target=0.95
         )
         assert cfg.grids == {}
         assert cfg.tuning_metric == "f1"
@@ -50,7 +50,6 @@ class TestParsing:
         raw = minimal_raw()
         raw["language_model"] = {"order": 4, "smoothing_k": 0.5}
         raw["features"] = {
-            "use_selector": True,
             "selector_top_k": 25,
             "use_projection": True,
             "variance_target": 0.9,
@@ -78,10 +77,6 @@ class TestParsing:
         assert set(DEFAULT_GRIDS) == set(FAMILIES)
         for family, grid in DEFAULT_GRIDS.items():
             assert set(grid) <= set(HYPERPARAMETER_SCHEMA[family])
-
-    def test_dataset_name_defaults_to_none(self):
-        cfg = parse_run_config(minimal_raw(), BASE)
-        assert cfg.datasets[0].name is None
 
 
 class TestRejection:
@@ -119,6 +114,21 @@ class TestRejection:
         raw["features"] = {"use_pca": True}
         with pytest.raises(ConfigError, match="use_pca"):
             parse_run_config(raw, BASE)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw["datasets"][0].update(name="demo"), "datasets[0]: name"),
+            (lambda raw: raw.update(features={"use_selector": False}), "features: use_selector"),
+        ],
+        ids=["dataset-name", "use_selector"],
+    )
+    def test_removed_key_is_unknown(self, edit, message):
+        raw = minimal_raw()
+        edit(raw)
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(raw, BASE)
+        assert str(exc.value) == f"unknown keys in {message}"
 
     def test_duplicate_dataset_ids(self):
         raw = minimal_raw()

@@ -29,16 +29,10 @@ class TestLoadDataset:
             tmp_path / "d.csv",
             [("http://a.com", "benign"), ("http://b.biz/x", "malicious"), ("c.org", "0")],
         )
-        ds = load_dataset(path, LABEL_MAP, id="d1", name="demo")
+        ds = load_dataset(path, LABEL_MAP, id="d1")
         assert ds.id == "d1"
-        assert ds.name == "demo"
         assert [r.url for r in ds.records] == ["http://a.com", "http://b.biz/x", "c.org"]
         assert [r.label for r in ds.records] == [0, 1, 0]
-        assert all(r.source_id == "d1" for r in ds.records)
-
-    def test_name_defaults_to_id(self, tmp_path):
-        path = write_csv(tmp_path / "d.csv", [("http://a.com", "benign")])
-        assert load_dataset(path, LABEL_MAP, id="dx").name == "dx"
 
     def test_cells_are_stripped(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -211,7 +205,7 @@ class TestOverlap:
 
     def test_empty_rejected(self):
         a = make_dataset([("u1", 0)], id="a")
-        b = Dataset(id="b", name="b", records=())
+        b = Dataset(id="b", records=())
         with pytest.raises(DataError):
             overlap_fraction(a, b)
         with pytest.raises(DataError):
@@ -266,4 +260,4 @@ class TestAuditAndStats:
         ds = make_dataset([("u1", 0), ("u2", 1), ("u3", 1), ("u4", 1)])
         assert class_balance(ds) == pytest.approx(0.75)
         with pytest.raises(DataError):
-            class_balance(Dataset(id="e", name="e", records=()))
+            class_balance(Dataset(id="e", records=()))

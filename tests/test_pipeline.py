@@ -437,7 +437,7 @@ class TestFitPipeline:
 class TestFitChain:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"top_k": None}, {"top_k": 20}, {"top_k": 30, "use_projection": True}],
+        [{}, {"top_k": 20}, {"top_k": 30, "use_projection": True}],
         ids=["all-features", "top20", "top30-projected"],
     )
     def test_returned_train_matrix_equals_replay(self, url_corpus, kwargs):
@@ -644,8 +644,8 @@ class TestPipelinePersistence:
         assert isinstance(restored, PipelineArtifact)
 
     def test_all_features_save_both_sides(self, url_corpus, tmp_path):
-        # ``use_selector: false`` fits the chain with ``top_k=None``.
-        _, _, chain = self._saved(url_corpus, tmp_path, top_k=None)
+        # fit_chain's default top_k keeps all CHAIN_INPUT_COLUMNS.
+        _, _, chain = self._saved(url_corpus, tmp_path)
         assert set(chain["lm"]) == {"order", "k", *SIDES}
         assert all(set(chain["lm"][side]) == {"keys", "counts"} for side in SIDES)
 
