@@ -32,6 +32,7 @@ from .evaluation import (
     aggregate_rank_table,
     baseline_report,
     compute_metrics,
+    metric_reports_from_csv,
     metric_reports_to_csv,
     per_dataset_ranks,
     rank_table_to_csv,
@@ -50,17 +51,19 @@ from .synth import records_to_csv
 from .urlfeat import catalog, extract_matrix
 
 OVERLAP_FLAG_THRESHOLD = 0.20
+PARTITIONS = ("train", "val", "test")
 # classify formats and writes its CSV this many rows at a time.
 CSV_CHUNK_ROWS = 1024
 # train fits at most this many families at once, each in a child process:
 # two CPUs is the widest host its speed and memory were measured on.
 FIT_PROCESSES = 2
 # The families whose grid searches run longest on the default grids
-# (in-process seconds on 4 x 2000 URLs: MLP 0.33, RF 0.21, KNN 0.13,
-# GBT 0.13, LR 0.10, LINEAR_SVM 0.06, every other family under 0.03),
+# (median seconds in train's two fitting children on 4 x 2000 URLs,
+# seed 20, one BLAS thread, 2 vCPUs: MLP 0.37, KNN 0.15, LR 0.12,
+# GBT 0.11, RF 0.09, LINEAR_SVM 0.08, every other family under 0.05),
 # in that order.  train starts their children first, so that no long
 # search starts last; the order children start in changes no output.
-LONGEST_FITS = ("MLP", "RF", "KNN", "GBT", "LR", "LINEAR_SVM")
+LONGEST_FITS = ("MLP", "KNN", "LR", "GBT", "RF", "LINEAR_SVM")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -89,14 +92,19 @@ def _load_datasets(cfg: RunConfig) -> list[corpus.Dataset]:
     return out
 
 
+def _plan(cfg: RunConfig) -> corpus.PartitionPlan:
+    """The partition plan, which reads only the configured dataset ids."""
+    return corpus.partition(
+        cfg.datasets, (cfg.partition.train, cfg.partition.val, cfg.partition.test),
+        cfg.partition.seed,
+    )
+
+
 def _run_data(cfg: RunConfig) -> tuple[corpus.PartitionPlan, dict]:
     """The partition plan, and ``{dataset id: (urls, labels)}`` for every
     configured dataset in config order."""
     datasets = _load_datasets(cfg)
-    plan = corpus.partition(
-        datasets, (cfg.partition.train, cfg.partition.val, cfg.partition.test),
-        cfg.partition.seed,
-    )
+    plan = _plan(cfg)
     data = {
         d.id: ([r.url for r in d.records], np.array([r.label for r in d.records], dtype=np.int64))
         for d in datasets
@@ -280,6 +288,16 @@ def score_datasets(artifacts: dict[str, PipelineArtifact], data, ids) -> list[Me
     return reports
 
 
+def _saved_families(out_dir: Path) -> list[str]:
+    """The families with a model file under ``out_dir/models``, in
+    ``FAMILIES`` order; none is an error."""
+    models_dir = out_dir / "models"
+    families = [family for family in FAMILIES if (models_dir / f"{family}.json").exists()]
+    if not families:
+        raise ConfigError(f"no model artifacts found under {models_dir}; run train first")
+    return families
+
+
 def _saved_artifacts(out_dir: Path, plan: corpus.PartitionPlan) -> dict[str, PipelineArtifact]:
     """Every family's saved artifact under ``out_dir/models``, once the
     recorded partition, if any, matches ``plan``.  Artifacts naming the
@@ -287,15 +305,33 @@ def _saved_artifacts(out_dir: Path, plan: corpus.PartitionPlan) -> dict[str, Pip
     distinct chain is built once and ``score_datasets`` featurizes each
     dataset once per chain."""
     _recorded_summary(out_dir, plan)
-    models_dir = out_dir / "models"
-    artifacts = {}
-    for family in FAMILIES:
-        path = models_dir / f"{family}.json"
-        if path.exists():
-            artifacts[family] = load_pipeline(path)
-    if not artifacts:
-        raise ConfigError(f"no model artifacts found under {models_dir}; run train first")
-    return artifacts
+    return {
+        family: load_pipeline(out_dir / "models" / f"{family}.json")
+        for family in _saved_families(out_dir)
+    }
+
+
+def _metrics_path(out_dir: Path, partition: str) -> Path:
+    """The file ``evaluate`` writes for ``partition`` and ``rank`` reads."""
+    return out_dir / f"metrics_{partition}.csv"
+
+
+def _evaluated_reports(path: Path, ids, families) -> dict | None:
+    """``{(dataset id, family): report}`` as ``evaluate`` wrote them to
+    ``path``, when it holds a row for every dataset in ``ids`` and every
+    family in ``families`` and BASELINE; otherwise None.  ``train``
+    deletes the file, so it always scores the models now saved."""
+    if not path.exists():
+        return None
+    reports = {}
+    for report in metric_reports_from_csv(path.read_bytes().decode("utf-8"), path):
+        key = report.dataset_id, report.family
+        if key in reports:
+            raise DataError(f"metrics file {path} holds two rows for {key[1]} on {key[0]!r}")
+        reports[key] = report
+    if all((ds_id, family) in reports for ds_id in ids for family in [*families, "BASELINE"]):
+        return reports
+    return None
 
 
 def cmd_ingest(args) -> int:
@@ -361,6 +397,11 @@ def cmd_train(args) -> int:
         summary = _recorded_summary(out_dir, plan)
         chosen = summary["chosen"] if summary else {}
     families = [args.model] if args.model else list(FAMILIES)
+    # Metrics of the models about to change would let rank read stale rows.
+    for path in (_metrics_path(out_dir, partition) for partition in PARTITIONS):
+        if path.exists():
+            path.unlink()
+            print(f"removed {path.name}, which scored the models before this train")
     models_dir = out_dir / "models"  # save_pipeline makes it with the first model file
     for artifact in fit_run(cfg, plan, data, families):
         spec = artifact.model.spec
@@ -386,7 +427,7 @@ def cmd_evaluate(args) -> int:
     plan, data = _run_data(cfg)
     ids = getattr(plan, f"{args.partition}_ids")
     reports = score_datasets(_saved_artifacts(out_dir, plan), data, ids)
-    path = out_dir / f"metrics_{args.partition}.csv"
+    path = _metrics_path(out_dir, args.partition)
     _write(metric_reports_to_csv(reports), path)
     print(f"metric reports written to {path}")
     return 0
@@ -394,15 +435,22 @@ def cmd_evaluate(args) -> int:
 
 def cmd_rank(args) -> int:
     cfg, out_dir = _resolve(args)
-    plan, data = _run_data(cfg)
+    plan = _plan(cfg)
     ids = getattr(plan, f"{args.partition}_ids")
-    family_reports = {ds_id: {} for ds_id in ids}
-    for report in score_datasets(_saved_artifacts(out_dir, plan), data, ids):
-        if report.family != "BASELINE":
-            family_reports[report.dataset_id][report.family] = report
+    _recorded_summary(out_dir, plan)
+    families = [family for family in _saved_families(out_dir) if family != "BASELINE"]
+    reports = _evaluated_reports(_metrics_path(out_dir, args.partition), ids, families)
+    if reports is None:  # no evaluate since the last train, or not of every model
+        _, data = _run_data(cfg)
+        scored = score_datasets(_saved_artifacts(out_dir, plan), data, ids)
+        reports = {(report.dataset_id, report.family): report for report in scored}
+        for ds_id in ids:
+            reports[ds_id, "BASELINE"] = baseline_report(data[ds_id][1], dataset_id=ds_id)
     table = aggregate_rank_table({
-        ds_id: per_dataset_ranks(by_family, baseline_report(data[ds_id][1], dataset_id=ds_id))
-        for ds_id, by_family in family_reports.items()
+        ds_id: per_dataset_ranks(
+            {family: reports[ds_id, family] for family in families}, reports[ds_id, "BASELINE"]
+        )
+        for ds_id in ids
     })
     path = out_dir / f"rank_{args.partition}.csv"
     _write(rank_table_to_csv(table), path)
@@ -461,45 +509,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="standardize, deduplicate, and report balance")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
+    def command(name: str, func, summary: str, common: bool = True) -> argparse.ArgumentParser:
+        # No abbreviations: "--out DIR" must not be read as --out-file, and
+        # a spelling that works today must not break when an option is added.
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if common:
+            _add_common(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("audit", help="cross-dataset overlap matrix and label samples")
-    _add_common(p)
-    p.set_defaults(func=cmd_audit)
+    command("ingest", cmd_ingest, "standardize, deduplicate, and report balance")
+    command("audit", cmd_audit, "cross-dataset overlap matrix and label samples")
+    command("featurize", cmd_featurize, "export lexical feature matrices as CSV")
 
-    p = sub.add_parser("featurize", help="export lexical feature matrices as CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("train", help="fit preprocessing and all model families")
-    _add_common(p)
+    p = command("train", cmd_train, "fit preprocessing and all model families")
     p.add_argument("--model", choices=FAMILIES, help="train only this family")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="metric reports for saved artifacts")
-    _add_common(p)
+    p = command("evaluate", cmd_evaluate, "metric reports for saved artifacts")
     p.add_argument(
-        "--partition", choices=("train", "val", "test"), default="test",
+        "--partition", choices=PARTITIONS, default="test",
         help="which partition's datasets to evaluate (default: test)",
     )
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("rank", help="cross-dataset rank table for saved artifacts")
-    _add_common(p)
+    p = command("rank", cmd_rank, "cross-dataset rank table for saved artifacts")
     p.add_argument(
-        "--partition", choices=("train", "val", "test"), default="test",
+        "--partition", choices=PARTITIONS, default="test",
         help="which partition's datasets to rank on (default: test)",
     )
-    p.set_defaults(func=cmd_rank)
 
-    # No abbreviations: "--out DIR" must not be read as --out-file.
-    p = sub.add_parser("classify", help="label URLs with a saved artifact", allow_abbrev=False)
+    p = command("classify", cmd_classify, "label URLs with a saved artifact", common=False)
     p.add_argument("--artifact", required=True, help="path to a saved pipeline artifact")
     p.add_argument("--out-file", help="write predictions CSV here instead of stdout")
     p.add_argument("urls_file", nargs="?", help="file of URLs, one per line (default: stdin)")
-    p.set_defaults(func=cmd_classify)
 
     return parser
 

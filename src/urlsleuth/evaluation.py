@@ -11,6 +11,8 @@ half-up-rounded mean of per-dataset ranks.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -228,6 +230,43 @@ def metric_reports_to_csv(reports) -> str:
         ["dataset_id", "family", *METRIC_NAMES],
         ([r.dataset_id, r.family] + [repr(getattr(r, m)) for m in METRIC_NAMES] for r in reports),
     )
+
+
+def metric_reports_from_csv(text: str, source) -> list[MetricReport]:
+    """The reports in ``text``, which ``metric_reports_to_csv`` wrote to the
+    file ``source``.  Every float reads back as the float written (each is
+    saved as its ``repr``); a wrong header, a row of another length or a
+    metric that is not a finite float raises ``DataError`` naming
+    ``source``."""
+    header = ["dataset_id", "family", *METRIC_NAMES]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    reports = []
+    try:
+        if next(reader, None) != header:
+            raise DataError(
+                f"metrics file {source} does not start with the header {','.join(header)}"
+            )
+        for row in reader:
+            where = f"metrics file {source} line {reader.line_num}"
+            if len(row) != len(header):
+                raise DataError(f"{where} has {len(row)} fields, expected {len(header)}")
+            values = {}
+            for name, cell in zip(METRIC_NAMES, row[2:]):
+                values[name] = _finite_float(cell)
+                if values[name] is None:
+                    raise DataError(f"{where}: {name} {cell!r} is not a finite float")
+            reports.append(MetricReport(**values, dataset_id=row[0], family=row[1]))
+    except csv.Error as exc:
+        raise DataError(f"metrics file {source} is not CSV: {exc}") from exc
+    return reports
+
+
+def _finite_float(cell: str) -> float | None:
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def rank_table_to_csv(table: RankTable) -> str:

@@ -9,6 +9,17 @@ to minimizing the weighted Gini impurity (node Gini = 2 * variance for
 0/1 targets), so the same prefix-sum scan serves classification trees
 and the boosted regression trees.  Ties break toward the lower feature
 index, then the lower threshold, so split choice is deterministic.
+
+A tree's root is split from what the fit derives from that one sort,
+without the sorted lists, which are built only when a child of the root
+goes on to split.  A forest sums each run of equal values in a column
+with one ``np.bincount`` per tree, as a histogram splitter does
+(LightGBM, Ke et al., NeurIPS 2017): its weights are bootstrap counts
+and its targets 0 or 1, so every sum is an exact integer and equals the
+prefix sum of the sorted scan.  DT and GBT weigh every row once; GBT's
+residuals are floats, so their roots keep the prefix sums along the
+sorted rows, and what does not depend on the targets (change positions,
+counts, thresholds) is worked out once per fit.
 """
 
 from __future__ import annotations
@@ -127,7 +138,13 @@ def _check_max_features(value) -> int | str | None:
 def sort_columns(X: np.ndarray) -> np.ndarray:
     """Row ids of each column of ``X`` in ascending (value, row) order, one
     row per column: the one sort a tree fit runs."""
-    return np.argsort(X, axis=0, kind="stable").T.copy()
+    return np.argsort(np.ascontiguousarray(X.T), axis=1, kind="stable")
+
+
+def _root_lists(order: np.ndarray, present: np.ndarray, n_present: int) -> np.ndarray:
+    """``order`` cut to the ``n_present`` rows marked in ``present``: the
+    root's sorted lists."""
+    return order if n_present == len(present) else order[present[order]].reshape(-1, n_present)
 
 
 def _split_sorted_lists(
@@ -146,6 +163,19 @@ def _split_sorted_lists(
 # Sorted-list cells scanned per block of candidate features, so the
 # block's temporaries stay small and cached.
 _BLOCK_CELLS = 1 << 15
+
+
+def _sse(nl, nr, sl, sl2, total, total2):
+    """Summed squared error of the two sides of each candidate split, from
+    the left side's weight, sum and sum of squares and the node's."""
+    return (sl2 - sl * sl / nl) + ((total2 - sl2) - (total - sl) ** 2 / nr)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """The threshold between adjacent values ``lo < hi``: their midpoint,
+    or ``lo`` where the midpoint rounds up to ``hi``."""
+    thr = lo + (hi - lo) / 2.0
+    return float(lo if thr >= hi else thr)
 
 
 def _lowest_sse_split(
@@ -181,22 +211,103 @@ def _lowest_sse_split(
         nl = cw[f, pos]
         nr = cw[f, -1] - nl
         sl, sl2 = csum[f, pos], csum2[f, pos]
-        sse = (sl2 - sl * sl / nl) + ((total2 - sl2) - (total - sl) ** 2 / nr)
+        sse = _sse(nl, nr, sl, sl2, total, total2)
         i = int(np.argmin(sse))
         if sse[i] < best_sse:
-            lo, hi = vals[f[i], pos[i]], vals[f[i], pos[i] + 1]
-            thr = lo + (hi - lo) / 2.0
-            if thr >= hi:  # midpoint rounded up to the right value
-                thr = lo
             best_sse = sse[i]
-            best = (int(feats[f[i]]), float(thr))
+            best = (int(feats[f[i]]), _midpoint(vals[f[i], pos[i]], vals[f[i], pos[i] + 1]))
     return best
+
+
+class RunSums:
+    """A fit's presorted columns and their runs of equal values, for trees
+    whose weights count rows and whose targets are the 0/1 ``labels``
+    (RF's bootstrap trees).
+
+    ``order`` is ``sort_columns(X)``.  Runs are numbered column after
+    column; ``codes[j, i]`` is twice the number of row ``i``'s run in
+    column ``j``, plus the row's label.  One ``np.bincount`` of a tree's
+    weights over the codes gives, for every run of every column, the
+    weight of its rows of each label.  These sums are exact integers, so
+    any order of addition gives the floats the sorted scan forms."""
+
+    def __init__(self, X: np.ndarray, labels: np.ndarray) -> None:
+        self.order = sort_columns(X)
+        values = np.take_along_axis(X.T, self.order, axis=1)
+        first = np.ones(values.shape, dtype=bool)
+        first[:, 1:] = values[:, 1:] > values[:, :-1]
+        run = np.cumsum(first.ravel()).reshape(first.shape) - 1
+        self.codes = np.empty_like(run)
+        np.put_along_axis(self.codes, self.order, 2 * run, axis=1)
+        self.codes += labels
+        self.run_column = np.repeat(np.arange(len(first)), first.sum(axis=1))
+        self.run_value = values[first]
+
+    def root_split(self, cand, weights, wt, wt2) -> tuple[int, float] | None:
+        """``_lowest_sse_split`` over the root's rows, those of positive
+        ``weights``; ``wt`` is ``weights`` times the labels, so it equals
+        ``wt2``."""
+        codes = self.codes if len(cand) == len(self.codes) else self.codes[cand]
+        by_label = np.bincount(codes.ravel(), np.tile(weights, len(codes)), 2 * len(self.run_value))
+        ones = by_label[1::2]  # each run's sum of wt, and so of wt2
+        present = np.flatnonzero(by_label[::2] + ones)  # the runs holding rows, in cand's columns
+        column = self.run_column[present]
+        cut = np.flatnonzero(column[1:] == column[:-1])  # a split after present run cut[i]
+        if cut.size == 0:
+            return None
+        # cand's columns follow one another and each sums to the node's
+        # totals, so a run's sums within its column are the running sums
+        # less the totals once per earlier candidate column.
+        rank = np.zeros(len(self.codes), dtype=np.intp)
+        rank[cand] = np.arange(len(cand))
+        earlier = rank[column[cut]]
+        total_w, total = weights.sum(), wt.sum()
+        nl = np.cumsum(by_label[::2][present] + ones[present])[cut] - earlier * total_w
+        sl = np.cumsum(ones[present])[cut] - earlier * total
+        i = cut[np.argmin(_sse(nl, total_w - nl, sl, sl, total, total))]
+        return int(column[i]), _midpoint(self.run_value[present[i]], self.run_value[present[i + 1]])
+
+
+class PrefixScan:
+    """A fit's presorted columns, for trees of unit weights on every row
+    and every column a candidate (DT and GBT), with the part of the root
+    scan that does not depend on the targets: where each sorted column's
+    value changes, the counts on both sides and the threshold there.  A
+    tree's root then adds only its targets' prefix sums along the sorted
+    rows, so float targets give the sorted scan's bits."""
+
+    def __init__(self, X: np.ndarray) -> None:
+        n = X.shape[0]
+        self.order = sort_columns(X)
+        values = np.take_along_axis(X.T, self.order, axis=1)
+        f, pos = np.divmod(np.flatnonzero(values[:, 1:] > values[:, :-1]), n - 1)
+        self.feature = f
+        self.at = f * n + pos  # flat positions in the sorted columns
+        self.last = f * n + n - 1
+        self.lo, self.hi = values[f, pos], values[f, pos + 1]
+        self.nl = (pos + 1).astype(np.float64)
+        self.nr = n - self.nl
+        self._sums = np.empty(values.shape)  # prefix sums, reused by every root
+
+    def root_split(self, cand, weights, wt, wt2) -> tuple[int, float] | None:
+        """``_lowest_sse_split`` over every row and column."""
+        if self.feature.size == 0:
+            return None
+        sums = []
+        for v in (wt, wt2):
+            np.take(v, self.order, out=self._sums)
+            np.cumsum(self._sums, axis=1, out=self._sums)
+            flat = self._sums.ravel()
+            sums.append((flat[self.at], flat[self.last]))
+        (sl, total), (sl2, total2) = sums
+        i = int(np.argmin(_sse(self.nl, self.nr, sl, sl2, total, total2)))
+        return int(self.feature[i]), _midpoint(self.lo[i], self.hi[i])
 
 
 def build_tree(
     X: np.ndarray,
     targets: np.ndarray,
-    order: np.ndarray,
+    presorted: RunSums | PrefixScan,
     weights: np.ndarray,
     rng: np.random.Generator | None,
     max_depth: int | None,
@@ -205,15 +316,19 @@ def build_tree(
 ) -> _FlatTree:
     """Grow a regression tree on real targets (labels or residuals).
 
-    ``order`` is ``sort_columns(X)``, computed once per fit and shared by
-    every tree grown on ``X``.  Row ``i`` counts ``weights[i]`` times (a
-    bootstrap multiplicity); rows of weight 0 are left out, and
-    ``min_samples_split`` compares with the weight sum.
+    ``presorted`` is ``X`` sorted once per fit and shared by every tree
+    grown on ``X``; its ``root_split`` finds the root's split, so it must
+    suit the weights and targets (``RunSums`` or ``PrefixScan``).  Row
+    ``i`` counts ``weights[i]`` times (a bootstrap multiplicity); rows of
+    weight 0 are left out, and ``min_samples_split`` compares with the
+    weight sum.
 
     A node owns one segment of ``lists``: row 0 holds its rows in
     ascending order, row ``1 + j`` its rows sorted by column ``j``, ties
     by row.  A split stably moves the segment's lists into a left and a
-    right part, so no node sorts again.  With unit weights the prefix
+    right part, so no node sorts again.  The root's lists are built from
+    ``presorted.order`` only when a child of the root goes on to split,
+    so a one-split tree builds none.  With unit weights the prefix
     sums therefore run in the order a stable argsort of the node's rows
     gives, and with 0/1 targets every sum is an exact integer, so a
     forest tree equals the tree grown on its bootstrap copy ``X[rows]``.
@@ -238,8 +353,7 @@ def build_tree(
     present = weights > 0
     rows = np.flatnonzero(present)
     lists = np.empty((d + 1, rows.size), dtype=np.intp)
-    lists[0] = rows
-    lists[1:] = order if rows.size == len(X) else order[present[order]].reshape(d, rows.size)
+    lists[0] = rows  # lists[1:] too, once a child of the root splits
     wt = weights * targets
     wt2 = wt * targets
     goes_left = np.zeros(len(X), dtype=bool)
@@ -265,10 +379,15 @@ def build_tree(
             cand = feats_all
         else:
             cand = np.sort(rng.choice(d, size=n_cand, replace=False))
-        if unsorted:
-            _split_sorted_lists(lists, *unsorted, goes_left)
-            unsorted.clear()
-        best = _lowest_sse_split(X, cand, lists[1:, start:stop], weights, wt, wt2)
+        if depth == 0:
+            best = presorted.root_split(cand, weights, wt, wt2)
+        else:
+            if unsorted:
+                if depth == 1:
+                    lists[1:] = _root_lists(presorted.order, present, rows.size)
+                _split_sorted_lists(lists, *unsorted, goes_left)
+                unsorted.clear()
+            best = _lowest_sse_split(X, cand, lists[1:, start:stop], weights, wt, wt2)
         if best is None:
             continue
         j, thr = best
@@ -303,9 +422,8 @@ class DecisionTreeCART(BinaryClassifier):
         self.tree_: _FlatTree | None = None
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        order = sort_columns(X)
         self.tree_ = build_tree(
-            X, y.astype(np.float64), order, np.ones(len(X)), None,
+            X, y.astype(np.float64), PrefixScan(X), np.ones(len(X)), None,
             self.max_depth, self.min_samples_split, None,
         )
 
@@ -347,7 +465,7 @@ class RandomForest(BinaryClassifier):
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         rng = np.random.default_rng(self.seed)
         targets = y.astype(np.float64)
-        order = sort_columns(X)
+        runs = RunSums(X, y)
         n = len(X)
         self.trees_ = []
         for _ in range(self.n_trees):
@@ -357,7 +475,7 @@ class RandomForest(BinaryClassifier):
                 weights = np.ones(n)
             self.trees_.append(
                 build_tree(
-                    X, targets, order, weights, rng,
+                    X, targets, runs, weights, rng,
                     self.max_depth, self.min_samples_split, self.max_features,
                 )
             )
@@ -404,14 +522,14 @@ class GradientBoostedTrees(BinaryClassifier):
         p0 = float(y.mean())  # in (0, 1): both classes are required
         self.f0_ = math.log(p0 / (1.0 - p0))
         raw = np.full(len(X), self.f0_, dtype=np.float64)
-        order = sort_columns(X)
+        scan = PrefixScan(X)
         ones = np.ones(len(X))
         self.trees_ = []
         for _ in range(self.n_trees):
             p = sigmoid(raw)
             residual = y - p
             tree = build_tree(
-                X, residual, order, ones, None, self.max_depth, self.min_samples_split, None
+                X, residual, scan, ones, None, self.max_depth, self.min_samples_split, None
             )
             leaf_ids = tree.apply(X)
             hess = p * (1.0 - p)

@@ -618,6 +618,24 @@ class TestRecordedPartition:
         assert "train_summary.json" in err
         assert "Traceback" not in err
 
+    def test_rank_refused_before_the_metrics_file_is_read(
+        self, workspace, other_seed, tmp_path, monkeypatch, capsys
+    ):
+        out = copy_run(workspace, tmp_path / "out")
+        assert main(["evaluate", "--config", str(workspace["config_path"]), "--out", str(out)]) == 0
+        before = tree_bytes(out)
+
+        def unread(*args):
+            raise AssertionError(f"read {args}")
+
+        for module, name in ((corpus, "load_dataset"), (cli, "load_pipeline"),
+                             (cli, "metric_reports_from_csv")):
+            monkeypatch.setattr(module, name, unread)
+        capsys.readouterr()
+        assert main(["rank", "--config", str(other_seed), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: the models in {out} were trained on ")
+        assert tree_bytes(out) == before
+
     def test_models_without_a_summary_still_evaluate(self, workspace, other_seed, tmp_path):
         out = tmp_path / "out"
         shutil.copytree(workspace["out_dir"] / "models", out / "models")
@@ -629,6 +647,99 @@ class TestRecordedPartition:
         summary = json.loads((out / "train_summary.json").read_text(encoding="utf-8"))
         assert summary["partition"]["seed"] == workspace["summary"]["partition"]["seed"] + 1
         assert main(["evaluate", "--config", str(other_seed), "--out", str(out)]) == 0
+
+
+class TestRankReuse:
+    """rank builds its table from evaluate's metrics file when the file
+    scores every saved model, and scores the models itself otherwise."""
+
+    @pytest.fixture(scope="class", params=[20, 21], ids=lambda seed: f"seed={seed}")
+    def run(self, request, tmp_path_factory):
+        root = tmp_path_factory.mktemp(f"reuse_{request.param}")
+        config = materialize_run(
+            root, n_datasets=4, n_records=120, malicious_fraction=0.3, seed=request.param
+        )
+        for command in ("train", "evaluate", "rank"):
+            assert main([command, "--config", str(config)]) == 0
+        return config, root / "out"
+
+    @staticmethod
+    def rank(config, out, monkeypatch) -> int:
+        """``rank`` on ``out``; returns how many datasets it scored itself."""
+        scored = []
+        score = cli.score_datasets
+
+        def counted(artifacts, data, ids):
+            scored.extend(ids)
+            return score(artifacts, data, ids)
+
+        monkeypatch.setattr(cli, "score_datasets", counted)
+        assert main(["rank", "--config", str(config), "--out", str(out)]) == 0
+        return len(scored)
+
+    def test_table_equals_the_scored_table(self, run, tmp_path, monkeypatch):
+        config, out = run
+        reused, scored = tmp_path / "reused", tmp_path / "scored"
+        shutil.copytree(out, reused)
+        shutil.copytree(out, scored)
+        (scored / "metrics_test.csv").unlink()
+        assert self.rank(config, reused, monkeypatch) == 0
+        assert self.rank(config, scored, monkeypatch) == 1
+        assert (reused / "rank_test.csv").read_bytes() == (scored / "rank_test.csv").read_bytes()
+
+    def test_reuse_reads_no_dataset_model_or_chain_file(self, run, tmp_path, monkeypatch):
+        config, out = run
+        copy = shutil.copytree(out, tmp_path / "out")
+
+        def unread(*args):
+            raise AssertionError(f"read {args}")
+
+        monkeypatch.setattr(corpus, "load_dataset", unread)
+        monkeypatch.setattr(cli, "load_pipeline", unread)
+        assert self.rank(config, copy, monkeypatch) == 0
+
+    @pytest.mark.parametrize("family", ["GBT", "BASELINE"])
+    def test_missing_rows_are_scored(self, family, run, tmp_path, monkeypatch):
+        config, out = run
+        copy = shutil.copytree(out, tmp_path / "out")
+        path = copy / "metrics_test.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if f",{family}," not in l), encoding="utf-8")
+        assert self.rank(config, copy, monkeypatch) == 1
+        assert (copy / "rank_test.csv").read_bytes() == (out / "rank_test.csv").read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("auc", "AUC", 1), "does not start with the header"),
+        (lambda text: text[:-1] + ",0.5\n", "has 8 fields, expected 7"),
+        (lambda text: text + text.split("\n", 2)[1] + "\n", "holds two rows for"),
+        (lambda text: text.rsplit(",", 1)[0] + ",one\n", "auc 'one' is not a finite float"),
+    ])
+    def test_malformed_metrics_file_is_an_error(self, edit, message, run, tmp_path, monkeypatch,
+                                                capsys):
+        config, out = run
+        copy = shutil.copytree(out, tmp_path / "out")
+        path = copy / "metrics_test.csv"
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        before = tree_bytes(copy)
+        monkeypatch.setattr(cli, "score_datasets", lambda *args: pytest.fail("rescored"))
+        capsys.readouterr()
+        assert main(["rank", "--config", str(config), "--out", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: metrics file {path}")
+        assert message in err
+        assert tree_bytes(copy) == before
+
+    @pytest.mark.parametrize("argv", [[], ["--model", "LR"]], ids=["full", "LR"])
+    def test_train_removes_the_metrics_files(self, argv, run, tmp_path, capsys):
+        config, out = run
+        copy = shutil.copytree(out, tmp_path / "out")
+        assert main(["evaluate", "--config", str(config), "--out", str(copy),
+                     "--partition", "val"]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(copy), *argv]) == 0
+        assert not list(copy.glob("metrics_*.csv"))
+        printed = capsys.readouterr().out
+        assert "removed metrics_val.csv" in printed and "removed metrics_test.csv" in printed
 
 
 class TestInMemoryRun:
@@ -1468,6 +1579,41 @@ class TestErrorPaths:
             main(["classify", "--artifact", str(artifact), "urls.txt", flag, str(value)])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--conf", "{config}"],
+        ["audit", "--config", "{config}", "--o", "{out}"],
+        ["featurize", "--confi", "{config}"],
+        ["train", "--conf", "{config}", "--out", "{out}"],
+        ["train", "--config", "{config}", "--mod", "RF"],
+        ["train", "--config", "{config}", "--ou", "{out}"],
+        ["evaluate", "--config", "{config}", "--part", "val"],
+        ["rank", "--config", "{config}", "--partition", "val", "--ou", "{out}"],
+        ["classify", "--art", "{artifact}", "urls.txt"],
+        ["classify", "--artifact", "{artifact}", "--out", "{out}", "urls.txt"],
+    ])
+    def test_abbreviated_option_exits_2(self, argv, workspace, tmp_path, capsys):
+        values = {"config": workspace["config_path"], "out": tmp_path / "out",
+                  "artifact": workspace["out_dir"] / "models" / "LR.json"}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**values) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "arguments are required" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["train", "--config", "c", "--out", "o", "--model", "RF"],
+         {"config": "c", "out": "o", "model": "RF"}),
+        (["evaluate", "--config", "c", "--partition", "val"], {"partition": "val", "out": None}),
+        (["rank", "--config", "c", "--out", "o", "--partition", "train"], {"partition": "train"}),
+        (["featurize", "--config", "c", "--out", "o"], {"config": "c", "out": "o"}),
+        (["classify", "--artifact", "a", "--out-file", "p", "u"],
+         {"artifact": "a", "out_file": "p", "urls_file": "u"}),
+    ])
+    def test_full_spellings_parse(self, argv, expected):
+        args = cli.build_parser().parse_args(argv)
+        assert {key: getattr(args, key) for key in expected} == expected
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 1

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urlsleuth.errors import DataError
+from urlsleuth.models import ModelSpec, fit_model
 from urlsleuth.evaluation import (
     FAILED_GATE_RANK,
     GATED_METRICS,
@@ -21,6 +24,7 @@ from urlsleuth.evaluation import (
     beats_baseline,
     compute_metrics,
     confusion,
+    metric_reports_from_csv,
     metric_reports_to_csv,
     per_dataset_ranks,
     rank_table_to_csv,
@@ -222,6 +226,18 @@ class TestBaselineAndGate:
         base = report(family="BASELINE")
         assert not beats_baseline(base, base)
 
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=60))
+    def test_baseline_artifact_scores_equal_the_closed_form(self, labels):
+        # rank takes evaluate's BASELINE row in place of baseline_report.
+        y = np.array(labels, dtype=np.int64)
+        x = np.zeros((max(2, len(y)), 3))
+        model = fit_model(ModelSpec("BASELINE", {}), x, np.resize(y, len(x)))
+        scores = model.predict_scores(np.zeros((len(y), 3)))
+        scored = compute_metrics(
+            y, (scores >= 0.5).astype(np.int64), scores, dataset_id="d", family="BASELINE"
+        )
+        assert scored == baseline_report(y, dataset_id="d")
+
 
 class TestPerDatasetRanks:
     def _baseline(self):
@@ -363,6 +379,37 @@ class TestCsvRendering:
         assert lines[0] == "family,d1,d2,RNK"
         assert lines[1] == "A,1,2,2"
         assert lines[2] == "B,10,10,10"
+
+    @given(st.lists(
+        st.tuples(
+            st.text(st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",))),
+            st.sampled_from(["LR", "BASELINE", "a,b", 'q"uote', "line\r\nbreak"]),
+            *[st.floats(allow_nan=False, allow_infinity=False)] * len(METRIC_NAMES),
+        ),
+        max_size=8,
+    ))
+    @example([("d", "LR", -0.0, 5e-324, 1.0, 2.2250738585072009e-308, 0.1)])
+    def test_metric_reports_read_back_bit_for_bit(self, rows):
+        reports = [MetricReport(*values, dataset_id=ds, family=fam) for ds, fam, *values in rows]
+        back = metric_reports_from_csv(metric_reports_to_csv(reports), "m.csv")
+        assert [(r.dataset_id, r.family) for r in back] == [(r.dataset_id, r.family) for r in reports]
+        bits = lambda rs: [struct.pack("<5d", *(getattr(r, m) for m in METRIC_NAMES)) for r in rs]
+        assert bits(back) == bits(reports)  # -0.0 and subnormals too
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "does not start with the header"),
+        ("dataset_id,family,acc,pcsn,rec,f1\nd,LR,1,1,1,1\n", "does not start with the header"),
+        ("dataset_id,family,acc,pcsn,rec,f1,auc\nd,LR,1.0,1.0,1.0,1.0\n", "line 2 has 6 fields"),
+        ("dataset_id,family,acc,pcsn,rec,f1,auc\nd,LR,1,1,1,1,1,1\n", "line 2 has 8 fields"),
+        ("dataset_id,family,acc,pcsn,rec,f1,auc\nd,LR,1,1,x,1,1\n", "rec 'x' is not a finite float"),
+        ("dataset_id,family,acc,pcsn,rec,f1,auc\nd,LR,1,1,1,1,\n", "auc '' is not a finite float"),
+        ("dataset_id,family,acc,pcsn,rec,f1,auc\nd,LR,nan,1,1,1,1\n", "acc 'nan' is not a finite"),
+        ("dataset_id,family,acc,pcsn,rec,f1,auc\nd,LR,1,1,1,1,1\n\n", "line 3 has 0 fields"),
+    ])
+    def test_malformed_metric_reports_name_the_file(self, text, message):
+        with pytest.raises(DataError, match="metrics file m.csv") as exc:
+            metric_reports_from_csv(text, "m.csv")
+        assert message in str(exc.value)
 
     def test_metric_names_cover_report_fields(self):
         assert METRIC_NAMES == ("acc", "pcsn", "rec", "f1", "auc")

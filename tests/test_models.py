@@ -852,3 +852,82 @@ class TestTreeOracle:
         with mock.patch.object(trees, "_BLOCK_CELLS", block):
             got = saved_state_bytes(family, params, x, y, seed)
         assert got == oracle_state_bytes(family, params, x, y, seed)
+
+
+def root_candidates(d: int, max_features, seed: int) -> np.ndarray:
+    """The candidate columns ``build_tree`` draws at a root."""
+    if max_features is None:
+        return np.arange(d)
+    n_cand = max(1, math.isqrt(d)) if max_features == "sqrt" else min(max_features, d)
+    return np.sort(np.random.default_rng(seed).choice(d, size=n_cand, replace=False))
+
+
+class TestRootSplit:
+    """A root's split from ``RunSums`` (count weights, 0/1 labels) and from
+    ``PrefixScan`` (unit weights, float targets) equals the sorted scan
+    ``_lowest_sse_split`` over the root's sorted lists, bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_run_sums_match_the_sorted_scan(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        d = data.draw(st.integers(1, 6), label="d")
+        cells = st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d)
+        x = np.array(data.draw(cells, label="x"), dtype=np.float64).reshape(n, d) / 2
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="y"))
+        counts = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+        weights = np.array(data.draw(counts, label="weights"), dtype=np.float64)
+        max_features = data.draw(st.sampled_from([None, "sqrt", 1, 2, 9]), label="max_features")
+        cand = root_candidates(d, max_features, data.draw(st.integers(0, 3), label="seed"))
+        targets = y.astype(np.float64)
+        wt = weights * targets
+        wt2 = wt * targets
+        runs = trees.RunSums(x, y)
+        present = weights > 0
+        lists = trees._root_lists(runs.order, present, int(present.sum()))
+        expected = trees._lowest_sse_split(x, cand, lists, weights, wt, wt2)
+        assert runs.root_split(cand, weights, wt, wt2) == expected
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_scan_matches_the_sorted_scan(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        d = data.draw(st.integers(1, 6), label="d")
+        cells = st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d)
+        x = np.array(data.draw(cells, label="x"), dtype=np.float64).reshape(n, d) / 2
+        scan = trees.PrefixScan(x)
+        ones = np.ones(n)
+        # several rounds on one scan, as a boosted fit reuses it
+        for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+            targets = np.array(data.draw(
+                st.lists(st.floats(-1, 1), min_size=n, max_size=n), label="targets"))
+            wt = ones * targets
+            wt2 = wt * targets
+            expected = trees._lowest_sse_split(x, np.arange(d), scan.order, ones, wt, wt2)
+            assert scan.root_split(np.arange(d), ones, wt, wt2) == expected
+
+    @staticmethod
+    def spied(monkeypatch) -> list[str]:
+        """The names of the sorted-list helpers ``build_tree`` calls from now."""
+        calls = []
+        for name in ("_root_lists", "_split_sorted_lists", "_lowest_sse_split"):
+            def spy(*args, _name=name, _original=getattr(trees, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(trees, name, spy)
+        return calls
+
+    def test_one_split_forest_builds_no_sorted_lists(self, blob_data, monkeypatch):
+        x, y = blob_data
+        calls = self.spied(monkeypatch)
+        model = fit_model(ModelSpec("RF", {"n_trees": 20}, seed=0), x, y)
+        assert [len(tree.feature) for tree in model.classifier.trees_] == [3] * 20
+        assert calls == []
+
+    def test_deeper_forest_builds_its_lists_once_per_tree(self, monkeypatch):
+        x, y = tie_heavy_data(0)
+        calls = self.spied(monkeypatch)
+        model = fit_model(ModelSpec("RF", {"n_trees": 4}, seed=0), x, y)
+        assert all(len(tree.feature) > 3 for tree in model.classifier.trees_)
+        assert calls.count("_root_lists") == 4
