@@ -287,19 +287,22 @@ class PrefixScan:
         self.lo, self.hi = values[f, pos], values[f, pos + 1]
         self.nl = (pos + 1).astype(np.float64)
         self.nr = n - self.nl
-        self._sums = np.empty(values.shape)  # prefix sums, reused by every root
+
+    def _prefix_sums(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``v``'s prefix sums along each sorted column, where its value
+        changes and over the whole column."""
+        sums = v[self.order]
+        np.cumsum(sums, axis=1, out=sums)
+        flat = sums.ravel()
+        return flat[self.at], flat[self.last]
 
     def root_split(self, cand, weights, wt, wt2) -> tuple[int, float] | None:
         """``_lowest_sse_split`` over every row and column."""
         if self.feature.size == 0:
             return None
-        sums = []
-        for v in (wt, wt2):
-            np.take(v, self.order, out=self._sums)
-            np.cumsum(self._sums, axis=1, out=self._sums)
-            flat = self._sums.ravel()
-            sums.append((flat[self.at], flat[self.last]))
-        (sl, total), (sl2, total2) = sums
+        sl, total = self._prefix_sums(wt)
+        # 0/1 targets (DT) square to themselves
+        sl2, total2 = (sl, total) if np.array_equal(wt2, wt) else self._prefix_sums(wt2)
         i = int(np.argmin(_sse(self.nl, self.nr, sl, sl2, total, total2)))
         return int(self.feature[i]), _midpoint(self.lo[i], self.hi[i])
 
