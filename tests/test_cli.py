@@ -704,7 +704,7 @@ class TestRankReuse:
         copy = shutil.copytree(out, tmp_path / "out")
         path = copy / "metrics_test.csv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text("".join(l for l in lines if f",{family}," not in l), encoding="utf-8")
+        path.write_text("".join(line for line in lines if f",{family}," not in line), encoding="utf-8")
         assert self.rank(config, copy, monkeypatch) == 1
         assert (copy / "rank_test.csv").read_bytes() == (out / "rank_test.csv").read_bytes()
 
