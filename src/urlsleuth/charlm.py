@@ -26,14 +26,13 @@ takes one more gather, and the log-probs are summed per URL.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ArtifactError, ModelError
-from .models.base import array_record, state_array
+from .models.base import array_record, check_int, check_real, state_array
 
 BEGIN = "\x02"
 END = "\x03"
@@ -93,16 +92,6 @@ def _lone_grams(url: str, n: int) -> np.ndarray:
     return np.ndarray((n + 1, len(url) + 1), np.uint8, seq, 0, (1, 1))
 
 
-def _check_order_and_k(order, k) -> None:
-    """Raise ``ModelError`` unless ``order`` is an int >= 1 and ``k`` a
-    finite real > 0."""
-    # bool is an int and a Real: True would pass as 1.
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise ModelError(f"order must be an integer >= 1, got {order!r}")
-    if isinstance(k, bool) or not isinstance(k, numbers.Real) or not math.isfinite(k) or k <= 0:
-        raise ModelError(f"smoothing constant must be a finite number > 0, got {k!r}")
-
-
 @dataclass(eq=False)
 class CharGramModel:
     """Add-k smoothed character n-gram model.
@@ -118,7 +107,8 @@ class CharGramModel:
     counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_order_and_k(self.order, self.k)
+        self.order = check_int("order", self.order, 1)
+        check_real("smoothing constant", self.k, 0.0, strict=True)
         self.keys = np.zeros((0, self.order), np.uint8)
         self.counts = np.zeros(0, np.int64)
 
@@ -276,7 +266,8 @@ class LmScorePair:
     malicious: CharGramModel | None = None
 
     def __post_init__(self) -> None:
-        _check_order_and_k(self.order, self.k)
+        self.order = check_int("order", self.order, 1)
+        check_real("smoothing constant", self.k, 0.0, strict=True)
         for side in SIDES:
             model = getattr(self, side)
             if model is not None and (model.order, model.k) != (self.order, self.k):

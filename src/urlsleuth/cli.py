@@ -151,8 +151,7 @@ def fit_run(cfg: RunConfig, plan: corpus.PartitionPlan, data, families):
     train_labels = np.concatenate([data[ds_id][1] for ds_id in plan.train_ids])
     chain, train_matrix = fit_chain(
         train_urls, train_labels, lm_order=cfg.lm.order, lm_smoothing=cfg.lm.smoothing_k,
-        top_k=cfg.features.selector_top_k,
-        use_projection=cfg.features.use_projection, variance_target=cfg.features.variance_target,
+        top_k=cfg.features.selector_top_k, projection_variance=cfg.features.projection_variance,
     )
     val_sets = [(chain.transform(data[ds_id][0]), data[ds_id][1]) for ds_id in plan.val_ids]
 

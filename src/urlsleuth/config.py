@@ -2,7 +2,9 @@
 
 Unknown keys are rejected everywhere so a typo cannot silently disable a
 stage.  Every accepted key can change an output, and no two keys set the
-same thing, so each run setting has one spelling.  Dataset paths are
+same thing, so each run setting has one spelling.  A key left out takes
+its dataclass field's default, and each number is range-checked by
+``models.base``'s ``check_int`` or ``check_real``.  Dataset paths are
 resolved relative to the config file location.  All randomness in a run
 flows from the seeds declared here.
 """
@@ -10,13 +12,14 @@ flows from the seeds declared here.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 from .evaluation import METRIC_NAMES
 from .models import FAMILIES, HYPERPARAMETER_SCHEMA
+from .models.base import check_int, check_real
 
 # Small per-family default grids: broad enough for the search to have
 # something to choose, small enough that a full run stays fast.
@@ -47,7 +50,7 @@ class PartitionConfig:
     train: int
     val: int
     test: int
-    seed: int
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ class LmConfig:
 @dataclass(frozen=True)
 class FeatureConfig:
     selector_top_k: int = 40
-    use_projection: bool = False
-    variance_target: float = 0.95
+    # The share of variance the projection keeps; None projects nothing.
+    projection_variance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,41 @@ class RunConfig:
         return self.grids.get(family, DEFAULT_GRIDS[family])
 
 
+def _tuning_metric(where: str, value) -> str:
+    if value not in METRIC_NAMES:
+        raise ConfigError(f"{where} must be one of {', '.join(METRIC_NAMES)}; got {value!r}")
+    return value
+
+
+def _output_dir(where: str, value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} must be a non-empty string")
+    return value
+
+
+# Each scalar key's check, as ``check(key, value) -> value``, by section;
+# ``models.base``'s checks raise ``ModelError``, the others ``ConfigError``.
+_PARTITION_KEYS = {
+    "train": partial(check_int, low=1),
+    "val": partial(check_int, low=1),
+    "test": partial(check_int, low=1),
+    "seed": partial(check_int, low=0),
+}
+_LM_KEYS = {
+    "order": partial(check_int, low=1),
+    "smoothing_k": partial(check_real, low=0.0, strict=True),
+}
+_FEATURE_KEYS = {
+    "selector_top_k": partial(check_int, low=1),
+    "projection_variance": partial(check_real, low=0.0, strict=True, high=1.0, allow_none=True),
+}
+_RUN_KEYS = {
+    "tuning_metric": _tuning_metric,
+    "seed": partial(check_int, low=0),
+    "output_dir": _output_dir,
+}
+
+
 def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
@@ -88,30 +126,28 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
         raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
 
 
-def _check_int(value, where: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}, got {value}")
-    return value
-
-
-def _check_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+def _checked(section: dict, checks: dict, prefix: str = "") -> dict:
+    """Each key of ``section`` that ``checks`` names, with the value its
+    check returns; the check names the key as ``prefix`` + key, and a
+    ``ModelError`` it raises is raised as a ``ConfigError``.  An absent
+    key stays absent, so the dataclass built from the result gives it
+    its field's default."""
     try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):  # json reads NaN, Infinity and 1e400
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return number
+        return {
+            key: check(prefix + key, section[key]) for key, check in checks.items() if key in section
+        }
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _check_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
+def _section(raw: dict, where: str, checks: dict, required: tuple[str, ...] = ()) -> dict:
+    """The object ``raw[where]`` (``{}`` when absent), holding only keys
+    of ``checks`` and every ``required`` one, through ``_checked``."""
+    section = raw.get(where, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
+    _require_keys(section, set(checks), set(required), where)
+    return _checked(section, checks, f"{where}.")
 
 
 def _parse_dataset_entry(raw: dict, index: int, base_dir: Path) -> DatasetEntry:
@@ -142,21 +178,8 @@ def _parse_dataset_entry(raw: dict, index: int, base_dir: Path) -> DatasetEntry:
 def parse_run_config(raw: dict, base_dir: Path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
-    _require_keys(
-        raw,
-        {
-            "datasets",
-            "partition",
-            "language_model",
-            "features",
-            "grids",
-            "tuning_metric",
-            "seed",
-            "output_dir",
-        },
-        {"datasets", "partition"},
-        "run config",
-    )
+    sections = {"datasets", "partition", "language_model", "features", "grids"}
+    _require_keys(raw, sections | set(_RUN_KEYS), {"datasets", "partition"}, "run config")
 
     raw_datasets = raw["datasets"]
     if not isinstance(raw_datasets, list) or not raw_datasets:
@@ -168,52 +191,16 @@ def parse_run_config(raw: dict, base_dir: Path) -> RunConfig:
     if len(set(ids)) != len(ids):
         raise ConfigError("dataset ids must be unique")
 
-    part = raw["partition"]
-    if not isinstance(part, dict):
-        raise ConfigError("partition must be an object")
-    _require_keys(part, {"train", "val", "test", "seed"}, {"train", "val", "test"}, "partition")
     partition = PartitionConfig(
-        train=_check_int(part["train"], "partition.train", 1),
-        val=_check_int(part["val"], "partition.val", 1),
-        test=_check_int(part["test"], "partition.test", 1),
-        seed=_check_int(part.get("seed", 0), "partition.seed"),
+        **_section(raw, "partition", _PARTITION_KEYS, ("train", "val", "test"))
     )
     if partition.train + partition.val + partition.test != len(entries):
         raise ConfigError(
             f"partition counts sum to {partition.train + partition.val + partition.test}, "
             f"but {len(entries)} datasets are configured"
         )
-
-    lm_raw = raw.get("language_model", {})
-    if not isinstance(lm_raw, dict):
-        raise ConfigError("language_model must be an object")
-    _require_keys(lm_raw, {"order", "smoothing_k"}, set(), "language_model")
-    lm = LmConfig(
-        order=_check_int(lm_raw.get("order", 3), "language_model.order", 1),
-        smoothing_k=_check_number(lm_raw.get("smoothing_k", 1.0), "language_model.smoothing_k"),
-    )
-    if lm.smoothing_k <= 0:
-        raise ConfigError(f"language_model.smoothing_k must be > 0, got {lm.smoothing_k}")
-
-    feat_raw = raw.get("features", {})
-    if not isinstance(feat_raw, dict):
-        raise ConfigError("features must be an object")
-    _require_keys(
-        feat_raw, {"selector_top_k", "use_projection", "variance_target"}, set(), "features"
-    )
-    features = FeatureConfig(
-        selector_top_k=_check_int(feat_raw.get("selector_top_k", 40), "features.selector_top_k", 1),
-        use_projection=_check_bool(
-            feat_raw.get("use_projection", False), "features.use_projection"
-        ),
-        variance_target=_check_number(
-            feat_raw.get("variance_target", 0.95), "features.variance_target"
-        ),
-    )
-    if not 0.0 < features.variance_target <= 1.0:
-        raise ConfigError(
-            f"features.variance_target must be in (0, 1], got {features.variance_target}"
-        )
+    lm = LmConfig(**_section(raw, "language_model", _LM_KEYS))
+    features = FeatureConfig(**_section(raw, "features", _FEATURE_KEYS))
 
     grids_raw = raw.get("grids", {})
     if not isinstance(grids_raw, dict):
@@ -235,27 +222,11 @@ def parse_run_config(raw: dict, base_dir: Path) -> RunConfig:
                 )
         grids[family] = {k: list(v) for k, v in grid.items()}
 
-    tuning_metric = raw.get("tuning_metric", "f1")
-    if tuning_metric not in METRIC_NAMES:
-        raise ConfigError(
-            f"tuning_metric must be one of {', '.join(METRIC_NAMES)}; got {tuning_metric!r}"
-        )
-
-    seed = _check_int(raw.get("seed", 0), "seed", 0)
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir must be a non-empty string")
-
-    return RunConfig(
-        datasets=entries,
-        partition=partition,
-        lm=lm,
-        features=features,
-        grids=grids,
-        tuning_metric=tuning_metric,
-        seed=seed,
-        output_dir=(base_dir / output_dir).resolve(),
+    cfg = RunConfig(
+        datasets=entries, partition=partition, lm=lm, features=features, grids=grids,
+        **_checked(raw, _RUN_KEYS),
     )
+    return replace(cfg, output_dir=(base_dir / cfg.output_dir).resolve())
 
 
 def load_run_config(path) -> RunConfig:

@@ -40,13 +40,21 @@ def _finite(value) -> float:
     return real if math.isfinite(real) else math.nan
 
 
-def check_real(name: str, value, low: float, strict: bool = False) -> float:
-    """``value`` as a finite float >= ``low`` (> ``low`` if ``strict``); an
-    int is taken, a bool, a string, NaN or an infinity raises ``ModelError``."""
+def check_real(
+    name: str, value, low: float, strict: bool = False, high: float = math.inf,
+    allow_none: bool = False,
+) -> float | None:
+    """``value`` as a finite float >= ``low`` (> ``low`` if ``strict``) and
+    <= ``high`` (``None`` too where allowed); an int is taken, a bool, a
+    string, NaN or an infinity raises ``ModelError``."""
+    if value is None and allow_none:
+        return None
     real = _finite(value)
-    if not math.isfinite(real) or real < low or (strict and real == low):
+    if not math.isfinite(real) or real < low or (strict and real == low) or real > high:
+        allowed = "None or " if allow_none else ""
         bound = f"> {low}" if strict else f">= {low}"
-        raise ModelError(f"{name} must be a finite number {bound}, got {value!r}")
+        upper = f" and <= {high}" if high < math.inf else ""
+        raise ModelError(f"{name} must be {allowed}a finite number {bound}{upper}, got {value!r}")
     return real
 
 

@@ -333,14 +333,15 @@ def fit_chain(
     lm_order: int = 3,
     lm_smoothing: float = 1.0,
     top_k: int = CHAIN_INPUT_COLUMNS,
-    use_projection: bool = False,
-    variance_target: float = 0.95,
+    projection_variance: float | None = None,
 ) -> tuple[FeatureChain, np.ndarray]:
     """Fit every stage on the given training rows only; returns the chain
     and the training matrix it produced along the way.
 
     The selector keeps the ``top_k`` best-scoring features; the default
-    keeps all ``CHAIN_INPUT_COLUMNS`` of them, and so both LM sides.
+    keeps all ``CHAIN_INPUT_COLUMNS`` of them, and so both LM sides.  A
+    ``projection_variance`` projects them onto the principal components
+    that keep that share of their variance; ``None`` projects nothing.
     """
     urls = list(urls)
     y = np.asarray(labels)
@@ -351,8 +352,8 @@ def fit_chain(
     selector = fit_selector(X, y, top_k)
     X = apply_selector(selector, X)
     projection = None
-    if use_projection:
-        projection = fit_projection(X, variance_target)
+    if projection_variance is not None:
+        projection = fit_projection(X, projection_variance)
         X = apply_projection(projection, X)
     return FeatureChain(lm_pair, scaler, selector, projection), X
 

@@ -632,7 +632,7 @@ class TestNoDecimalLists:
 
     def test_chain_stages(self, url_corpus):
         urls, labels = url_corpus
-        chain, _ = fit_chain(urls, labels, top_k=30, use_projection=True)
+        chain, _ = fit_chain(urls, labels, top_k=30, projection_variance=0.95)
         saved_chain = json.loads(json_text(chain.to_dict()))
         for stage, fields in (
             ("scaler", {"mean", "std"}),

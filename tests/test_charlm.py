@@ -237,7 +237,8 @@ class TestLmScorePair:
     @pytest.mark.parametrize(
         "order, k, message",
         [(True, 1.0, "order must be"), ("3", 1.0, "order must be"), (3, 0.0, "smoothing"),
-         (3, math.inf, "smoothing")],
+         (3, math.inf, "smoothing"),
+         pytest.param(3, 10**400, "smoothing", id="3-10**400-smoothing")],
     )
     def test_pair_without_models_checks_order_and_k(self, order, k, message):
         # A chain that keeps no LM score saves no model, but its order

@@ -239,8 +239,7 @@ class TestTrain:
             lm_order=cfg.lm.order,
             lm_smoothing=cfg.lm.smoothing_k,
             top_k=cfg.features.selector_top_k,
-            use_projection=cfg.features.use_projection,
-            variance_target=cfg.features.variance_target,
+            projection_variance=cfg.features.projection_variance,
         )
         for family in FAMILIES:
             chosen = summary["chosen"][family]
@@ -773,7 +772,7 @@ class TestConfigPaths:
     """Runs through the feature toggles that the other tests leave at
     their defaults."""
 
-    VARIANTS = {"projection": {"use_projection": True}, "top_k_80": {"selector_top_k": 80}}
+    VARIANTS = {"projection": {"projection_variance": 0.95}, "top_k_80": {"selector_top_k": 80}}
 
     @pytest.fixture(scope="class")
     def runs(self, workspace, tmp_path_factory):
@@ -1334,7 +1333,8 @@ class TestErrorPaths:
         """A model taking fewer features than its chain gives is refused at
         load, naming the model file and both widths; stdin is never read."""
         urls, labels = _run_data(load_run_config(workspace["config_path"]))[1][workspace["test_id"]]
-        chain, X = fit_chain(urls, labels, top_k=40, use_projection=projected)
+        variance = 0.95 if projected else None
+        chain, X = fit_chain(urls, labels, top_k=40, projection_variance=variance)
         model = fit_model(ModelSpec("LR", {"n_iters": 20}), X, labels)
         path = tmp_path / "LR.json"
         save_pipeline(PipelineArtifact(chain, model), path)
@@ -1547,7 +1547,17 @@ class TestErrorPaths:
         out = tmp_path / "fresh"
         assert main([command, "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: seed must be >= 0, got -1\n"
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("use_projection", True), ("variance_target", 0.9)])
+    def test_old_projection_key_refused(self, key, value, workspace, tmp_path, capsys):
+        """The keys ``projection_variance`` replaced are unknown, so an old
+        config stops before any work instead of training unprojected."""
+        config = variant_config(workspace, f"old_{key}.json", lambda c: c.update(features={key: value}))
+        out = tmp_path / "fresh"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unknown keys in features: {key}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "rank"])

@@ -38,9 +38,7 @@ class TestParsing:
         assert cfg.datasets[0].path == (BASE / "d0.csv").resolve()
         assert cfg.partition.seed == 7
         assert cfg.lm == LmConfig(order=3, smoothing_k=1.0)
-        assert cfg.features == FeatureConfig(
-            selector_top_k=40, use_projection=False, variance_target=0.95
-        )
+        assert cfg.features == FeatureConfig(selector_top_k=40, projection_variance=None)
         assert cfg.grids == {}
         assert cfg.tuning_metric == "f1"
         assert cfg.seed == 0
@@ -49,11 +47,7 @@ class TestParsing:
     def test_full_config_round_trip(self):
         raw = minimal_raw()
         raw["language_model"] = {"order": 4, "smoothing_k": 0.5}
-        raw["features"] = {
-            "selector_top_k": 25,
-            "use_projection": True,
-            "variance_target": 0.9,
-        }
+        raw["features"] = {"selector_top_k": 25, "projection_variance": 0.9}
         raw["grids"] = {"KNN": {"k": [1, 3, 5]}, "DT": {"max_depth": [None, 8]}}
         raw["tuning_metric"] = "auc"
         raw["seed"] = 99
@@ -61,6 +55,7 @@ class TestParsing:
         cfg = parse_run_config(raw, BASE)
         assert cfg.lm.order == 4
         assert cfg.features.selector_top_k == 25
+        assert cfg.features.projection_variance == 0.9
         assert cfg.grids["KNN"] == {"k": [1, 3, 5]}
         assert cfg.tuning_metric == "auc"
         assert cfg.seed == 99
@@ -120,8 +115,10 @@ class TestRejection:
         [
             (lambda raw: raw["datasets"][0].update(name="demo"), "datasets[0]: name"),
             (lambda raw: raw.update(features={"use_selector": False}), "features: use_selector"),
+            (lambda raw: raw.update(features={"use_projection": True}), "features: use_projection"),
+            (lambda raw: raw.update(features={"variance_target": 0.9}), "features: variance_target"),
         ],
-        ids=["dataset-name", "use_selector"],
+        ids=["dataset-name", "use_selector", "use_projection", "variance_target"],
     )
     def test_removed_key_is_unknown(self, edit, message):
         raw = minimal_raw()
@@ -196,11 +193,22 @@ class TestRejection:
         with pytest.raises(ConfigError, match="smoothing_k"):
             parse_run_config(raw, BASE)
 
-    def test_variance_target_range(self):
+    @pytest.mark.parametrize("value", [None, 0.5, 1.0], ids=["null", "0.5", "1.0"])
+    def test_projection_variance_accepted(self, value):
         raw = minimal_raw()
-        raw["features"] = {"variance_target": 1.5}
-        with pytest.raises(ConfigError, match="variance_target"):
+        raw["features"] = {"projection_variance": value}
+        assert parse_run_config(raw, BASE).features.projection_variance == value
+
+    @pytest.mark.parametrize("value", [0, 1.5, True, "0.9"], ids=["0", "1.5", "true", "str"])
+    def test_projection_variance_range(self, value):
+        raw = minimal_raw()
+        raw["features"] = {"projection_variance": value}
+        with pytest.raises(ConfigError) as exc:
             parse_run_config(raw, BASE)
+        assert str(exc.value) == (
+            "features.projection_variance must be None or a finite number > 0.0 and <= 1.0, "
+            f"got {value!r}"
+        )
 
     def test_bool_not_accepted_as_int(self):
         raw = minimal_raw()
@@ -218,28 +226,38 @@ class TestLoadRunConfig:
         assert cfg.datasets[0].path == (tmp_path / "d0.csv").resolve()
         assert cfg.output_dir == (tmp_path / "out").resolve()
 
-    def test_negative_seed_rejected(self, tmp_path):
+    # random.Random seeds with the absolute value, so a partition seed of
+    # -1 would give seed 1's partition under another recorded seed.
+    @pytest.mark.parametrize("key", ["seed", "partition.seed"])
+    def test_negative_seed_rejected(self, tmp_path, key):
         raw = minimal_raw()
-        raw["seed"] = -1
+        (raw["partition"] if key == "partition.seed" else raw)["seed"] = -1
         path = tmp_path / "run.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ConfigError) as exc:
             load_run_config(path)
+        assert str(exc.value) == f"{key} must be an integer >= 0, got -1"
 
     @pytest.mark.parametrize(
-        "section, key", [("language_model", "smoothing_k"), ("features", "variance_target")]
+        "section, key, rule",
+        [
+            ("language_model", "smoothing_k", "a finite number > 0.0"),
+            ("features", "projection_variance", "None or a finite number > 0.0 and <= 1.0"),
+        ],
+        ids=["language_model-smoothing_k", "features-projection_variance"],
     )
     @pytest.mark.parametrize(
         "text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
         ids=["NaN", "Infinity", "-Infinity", "1e400", "10**400"],
     )
-    def test_non_finite_number_rejected(self, tmp_path, section, key, text):
+    def test_non_finite_number_rejected(self, tmp_path, section, key, rule, text):
         # Python's json reads NaN, Infinity and 1e400 (an infinity).
         raw = {**minimal_raw(), section: {key: "VALUE"}}
         path = tmp_path / "run.json"
         path.write_text(json.dumps(raw).replace('"VALUE"', text), encoding="utf-8")
-        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be a finite number"):
+        with pytest.raises(ConfigError) as exc:
             load_run_config(path)
+        assert str(exc.value) == f"{section}.{key} must be {rule}, got {json.loads(text)!r}"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -396,9 +396,7 @@ class TestFitPipeline:
     def test_projection_stage_changes_width(self, url_corpus):
         urls, labels = url_corpus
         spec = ModelSpec(family="GNB", hyperparameters={}, seed=0)
-        artifact = fit_artifact(
-            urls, labels, spec, top_k=30, use_projection=True, variance_target=0.9
-        )
+        artifact = fit_artifact(urls, labels, spec, top_k=30, projection_variance=0.9)
         width = artifact.featurize(urls[:2]).shape[1]
         assert width == len(artifact.chain.projection.components)
         assert width < 30
@@ -437,7 +435,7 @@ class TestFitPipeline:
 class TestFitChain:
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"top_k": 20}, {"top_k": 30, "use_projection": True}],
+        [{}, {"top_k": 20}, {"top_k": 30, "projection_variance": 0.95}],
         ids=["all-features", "top20", "top30-projected"],
     )
     def test_returned_train_matrix_equals_replay(self, url_corpus, kwargs):
@@ -452,7 +450,7 @@ class TestFitChain:
         for other in (
             {"top_k": 21},
             {"top_k": 20, "lm_smoothing": 0.5},
-            {"top_k": 20, "use_projection": True},
+            {"top_k": 20, "projection_variance": 0.95},
         ):
             changed, _ = fit_chain(urls, labels, **other)
             assert chain.to_dict() != changed.to_dict(), other
@@ -620,7 +618,7 @@ class TestPipelinePersistence:
         assert np.array_equal(a_scores, b_scores)
 
     def test_round_trip_with_projection(self, url_corpus, tmp_path):
-        artifact, urls = self._artifact(url_corpus, top_k=30, use_projection=True)
+        artifact, urls = self._artifact(url_corpus, top_k=30, projection_variance=0.95)
         path = tmp_path / "pipe.json"
         save_pipeline(artifact, path)
         restored = load_pipeline(path)
@@ -864,7 +862,7 @@ class TestPipelinePersistence:
     )
     def test_malformed_chain_rejected(self, url_corpus, tmp_path, projected, cut):
         path, payload, chain = self._saved(
-            url_corpus, tmp_path, top_k=30, use_projection=projected
+            url_corpus, tmp_path, top_k=30, projection_variance=0.95 if projected else None
         )
         edit_arrays(chain, cut)
         write_artifact(payload, chain, path)
@@ -876,6 +874,21 @@ class TestPipelinePersistence:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ArtifactError):
             load_pipeline(path)
+
+    def test_smoothing_constant_beyond_float_range_reported(self, url_corpus, tmp_path):
+        """A chain whose LM ``k`` is an int too large for a float is refused
+        as malformed, naming its file, not with an ``OverflowError``."""
+        path, payload, chain = self._saved(url_corpus, tmp_path)
+        chain["lm"]["k"] = 10**400
+        write_artifact(payload, chain, path)
+        chain_path = path.parent / "chains" / f"{json.loads(path.read_text())['chain']}.json"
+        side = next(side for side in SIDES if side in chain["lm"])
+        with pytest.raises(ArtifactError) as raised:
+            load_pipeline(path)
+        assert str(raised.value) == (
+            f"feature chain {chain_path} is malformed: {side} smoothing constant must be "
+            f"a finite number > 0.0, got {10**400!r}"
+        )
 
     def test_stale_catalog_rejected_at_load(self, url_corpus, tmp_path):
         path, payload, _ = self._saved(url_corpus, tmp_path)
