@@ -188,9 +188,6 @@ class RankTable:
     dataset_ids: tuple[str, ...]
     rows: tuple[RankRow, ...]  # sorted by family name
 
-    def rnk_by_family(self) -> dict[str, int]:
-        return {row.family: row.rnk for row in self.rows}
-
 
 def aggregate_rank_table(
     per_dataset: dict[str, dict[str, int]]

@@ -1,25 +1,24 @@
 """Tree families: CART decision tree, bagged random forest, and
 gradient-boosted depth-limited trees.
 
-All three share one splitter, which sorts each column once per fit
-(the presorted attribute lists of SLIQ, Mehta, Agrawal & Rissanen, EDBT
-1996) and takes a forest's bootstrap as row weights.  For binary 0/1
-targets, minimizing the summed squared error of a split is equivalent
-to minimizing the weighted Gini impurity (node Gini = 2 * variance for
-0/1 targets), so the same prefix-sum scan serves classification trees
-and the boosted regression trees.  Ties break toward the lower feature
+All three share one splitter, which sorts each column once per fit and
+takes a forest's bootstrap as row weights.  For binary 0/1 targets,
+minimizing the summed squared error of a split is equivalent to
+minimizing the weighted Gini impurity (node Gini = 2 * variance for 0/1
+targets), so the same prefix-sum scan serves classification trees and
+the boosted regression trees.  Ties break toward the lower feature
 index, then the lower threshold, so split choice is deterministic.
 
-A tree's root is split from what the fit derives from that one sort,
-without the sorted lists, which are built only when a child of the root
-goes on to split.  A forest sums each run of equal values in a column
-with one ``np.bincount`` per tree, as a histogram splitter does
-(LightGBM, Ke et al., NeurIPS 2017): its weights are bootstrap counts
-and its targets 0 or 1, so every sum is an exact integer and equals the
-prefix sum of the sorted scan.  DT and GBT weigh every row once; GBT's
-residuals are floats, so their roots keep the prefix sums along the
-sorted rows, and what does not depend on the targets (change positions,
-counts, thresholds) is worked out once per fit.
+A tree's root is split from what the fit derives from that one sort.  A
+forest sums each run of equal values in a column with one
+``np.bincount`` per tree, as a histogram splitter does (LightGBM, Ke et
+al., NeurIPS 2017): its weights are bootstrap counts and its targets 0
+or 1, so every sum is an exact integer and equals the prefix sum of the
+sorted scan.  DT and GBT weigh every row once; GBT's residuals are
+floats, so their roots keep the prefix sums along the sorted rows, and
+what does not depend on the targets (change positions, counts,
+thresholds) is worked out once per fit.  Nodes below the root sort
+their own rows by column ranks derived from the same sort.
 """
 
 from __future__ import annotations
@@ -141,25 +140,6 @@ def sort_columns(X: np.ndarray) -> np.ndarray:
     return np.argsort(np.ascontiguousarray(X.T), axis=1, kind="stable")
 
 
-def _root_lists(order: np.ndarray, present: np.ndarray, n_present: int) -> np.ndarray:
-    """``order`` cut to the ``n_present`` rows marked in ``present``: the
-    root's sorted lists."""
-    return order if n_present == len(present) else order[present[order]].reshape(-1, n_present)
-
-
-def _split_sorted_lists(
-    lists: np.ndarray, start: int, split: int, stop: int, goes_left: np.ndarray
-) -> None:
-    """Stably move the sorted lists of segment ``[start, stop)`` so the
-    rows in ``lists[0, start:split]`` come first in every list."""
-    goes_left[lists[0, start:split]] = True
-    goes_left[lists[0, split:stop]] = False
-    seg = lists[1:, start:stop]
-    left = goes_left[seg]
-    d = len(seg)
-    seg[:] = np.concatenate((seg[left].reshape(d, -1), seg[~left].reshape(d, -1)), axis=1)
-
-
 # Sorted-list cells scanned per block of candidate features, so the
 # block's temporaries stay small and cached.
 _BLOCK_CELLS = 1 << 15
@@ -219,7 +199,24 @@ def _lowest_sse_split(
     return best
 
 
-class RunSums:
+class _Presorted:
+    """A fit's columns, sorted once: ``order`` is ``sort_columns(X)``."""
+
+    _ranks: np.ndarray | None = None
+
+    def ranks(self) -> np.ndarray:
+        """Each cell's index among its column's distinct values, laid out
+        as ``X.T``; -0.0 and 0.0 share one, as the float sort ties them.
+        ``uint16`` where every column fits, which numpy's stable argsort
+        sorts by radix.  Built from the sort's runs on first use, then
+        kept for every tree of the fit."""
+        if self._ranks is None:
+            ranks = self._column_ranks()
+            self._ranks = ranks.astype(np.uint16) if ranks.max() < 1 << 16 else ranks
+        return self._ranks
+
+
+class RunSums(_Presorted):
     """A fit's presorted columns and their runs of equal values, for trees
     whose weights count rows and whose targets are the 0/1 ``labels``
     (RF's bootstrap trees).
@@ -267,8 +264,12 @@ class RunSums:
         i = cut[np.argmin(_sse(nl, total_w - nl, sl, sl, total, total))]
         return int(column[i]), _midpoint(self.run_value[present[i]], self.run_value[present[i + 1]])
 
+    def _column_ranks(self) -> np.ndarray:
+        first_run = np.searchsorted(self.run_column, np.arange(len(self.codes)))
+        return (self.codes >> 1) - first_run[:, None]
 
-class PrefixScan:
+
+class PrefixScan(_Presorted):
     """A fit's presorted columns, for trees of unit weights on every row
     and every column a candidate (DT and GBT), with the part of the root
     scan that does not depend on the targets: where each sorted column's
@@ -306,6 +307,14 @@ class PrefixScan:
         i = int(np.argmin(_sse(self.nl, self.nr, sl, sl2, total, total2)))
         return int(self.feature[i]), _midpoint(self.lo[i], self.hi[i])
 
+    def _column_ranks(self) -> np.ndarray:
+        new_value = np.zeros(self.order.size, dtype=np.intp)
+        new_value[self.at + 1] = 1
+        sorted_ranks = np.cumsum(new_value.reshape(self.order.shape), axis=1)
+        ranks = np.empty_like(sorted_ranks)
+        np.put_along_axis(ranks, self.order, sorted_ranks, axis=1)
+        return ranks
+
 
 def build_tree(
     X: np.ndarray,
@@ -326,15 +335,13 @@ def build_tree(
     weight 0 are left out, and ``min_samples_split`` compares with the
     weight sum.
 
-    A node owns one segment of ``lists``: row 0 holds its rows in
-    ascending order, row ``1 + j`` its rows sorted by column ``j``, ties
-    by row.  A split stably moves the segment's lists into a left and a
-    right part, so no node sorts again.  The root's lists are built from
-    ``presorted.order`` only when a child of the root goes on to split,
-    so a one-split tree builds none.  With unit weights the prefix
-    sums therefore run in the order a stable argsort of the node's rows
-    gives, and with 0/1 targets every sum is an exact integer, so a
-    forest tree equals the tree grown on its bootstrap copy ``X[rows]``.
+    A node holds its rows in ascending order.  One below the root that
+    goes on to split sorts them stably by ``presorted.ranks()`` per
+    candidate column, so ties stay in row order; a one-split tree builds
+    no ranks.  With unit weights the prefix sums therefore run in the
+    order a stable argsort of the node's rows gives, and with 0/1
+    targets every sum is an exact integer, so a forest tree equals the
+    tree grown on its bootstrap copy ``X[rows]``.
 
     A node splits whenever it is impure, large enough, within depth, and
     some candidate feature varies, even when the best split has zero
@@ -353,22 +360,12 @@ def build_tree(
     if n_cand is not None and rng is None:
         raise ModelError("feature subsampling requires a seeded generator")
 
-    present = weights > 0
-    rows = np.flatnonzero(present)
-    lists = np.empty((d + 1, rows.size), dtype=np.intp)
-    lists[0] = rows  # lists[1:] too, once a child of the root splits
     wt = weights * targets
     wt2 = wt * targets
-    goes_left = np.zeros(len(X), dtype=bool)
-
     tree = _FlatTree()
-    # A split reorders only its node's row list; both children share one
-    # ``unsorted`` record of the parent segment, and the first child that
-    # goes on to split moves the sorted lists of the whole segment.
-    stack = [(tree.new_node(), 0, rows.size, 0, [])]
+    stack = [(tree.new_node(), np.flatnonzero(weights > 0), 0)]
     while stack:
-        nid, start, stop, depth, unsorted = stack.pop()
-        idx = lists[0, start:stop]
+        nid, idx, depth = stack.pop()
         t_node = targets[idx]
         w_sum = weights[idx].sum()
         tree.value[nid] = float(wt[idx].sum() / w_sum)
@@ -385,27 +382,26 @@ def build_tree(
         if depth == 0:
             best = presorted.root_split(cand, weights, wt, wt2)
         else:
-            if unsorted:
-                if depth == 1:
-                    lists[1:] = _root_lists(presorted.order, present, rows.size)
-                _split_sorted_lists(lists, *unsorted, goes_left)
-                unsorted.clear()
-            best = _lowest_sse_split(X, cand, lists[1:, start:stop], weights, wt, wt2)
+            ranks = presorted.ranks()
+            if n_cand is None:
+                lists = idx[np.argsort(ranks[:, idx], axis=1, kind="stable")]
+            else:
+                # only the candidates' rows are filled, and only they are read
+                lists = np.empty((d, idx.size), dtype=np.intp)
+                lists[cand] = idx[np.argsort(ranks[cand[:, None], idx], axis=1, kind="stable")]
+            best = _lowest_sse_split(X, cand, lists, weights, wt, wt2)
         if best is None:
             continue
         j, thr = best
         mask = X[idx, j] <= thr
-        split = start + int(np.count_nonzero(mask))
-        lists[0, start:stop] = np.concatenate((idx[mask], idx[~mask]))
         lid = tree.new_node()
         rid = tree.new_node()
         tree.feature[nid] = j
         tree.threshold[nid] = thr
         tree.left[nid] = lid
         tree.right[nid] = rid
-        children = [start, split, stop]
-        stack.append((rid, split, stop, depth + 1, children))
-        stack.append((lid, start, split, depth + 1, children))
+        stack.append((rid, idx[~mask], depth + 1))
+        stack.append((lid, idx[mask], depth + 1))
     return tree.finalize()
 
 

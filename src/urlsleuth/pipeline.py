@@ -43,7 +43,7 @@ from .fileio import (
     write_text_atomic,
 )
 from .models import ModelSpec, TrainedModel, fit_model
-from .models.base import array_record, state_array
+from .models.base import array_record, check_real, state_array
 from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
 
 PIPELINE_ARTIFACT_TAG = "urlsleuth-pipeline"
@@ -157,10 +157,11 @@ class Projection:
     explained_variance: np.ndarray  # non-increasing
 
 
-def fit_projection(X, variance_target: float = 0.95) -> Projection:
+def fit_projection(X, projection_variance: float) -> Projection:
     X = np.asarray(X, dtype=np.float64)
-    if not 0.0 < variance_target <= 1.0:
-        raise ConfigError(f"variance_target must be in (0, 1], got {variance_target}")
+    projection_variance = check_real(
+        "projection_variance", projection_variance, 0.0, strict=True, high=1.0
+    )
     mean = X.mean(axis=0)
     centered = X - mean
     _, singulars, vt = np.linalg.svd(centered, full_matrices=False)
@@ -182,7 +183,7 @@ def fit_projection(X, variance_target: float = 0.95) -> Projection:
         if vt[row, pivot] < 0:
             vt[row] = -vt[row]
     cumulative = np.cumsum(variances) / total
-    k = int(np.searchsorted(cumulative, variance_target - 1e-12) + 1)
+    k = int(np.searchsorted(cumulative, projection_variance - 1e-12) + 1)
     k = min(k, len(variances))
     return Projection(
         mean=mean, components=vt[:k], explained_variance=variances[:k]
@@ -343,6 +344,9 @@ def fit_chain(
     ``projection_variance`` projects them onto the principal components
     that keep that share of their variance; ``None`` projects nothing.
     """
+    check_real(
+        "projection_variance", projection_variance, 0.0, strict=True, high=1.0, allow_none=True
+    )
     urls = list(urls)
     y = np.asarray(labels)
     lm_pair = LmScorePair(order=lm_order, k=lm_smoothing).fit(urls, y)

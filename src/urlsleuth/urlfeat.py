@@ -6,8 +6,7 @@ URL's scheme, host, port, path, query, fragment and TLD by offset, and
 both feature extractors, the blocked pass and the per-URL
 ``_feature_dict``, read the parts from those offsets.  The feature roster
 is frozen per catalog version so that feature matrices stay comparable
-across runs; ``catalog()`` returns the active version and
-``catalog_manifest()`` its machine-readable form.
+across runs; ``catalog()`` returns the active version.
 
 ``extract_matrix`` works through blocks of whole URLs, about 8k
 characters each (the block size of the character LM's scorer), so that
@@ -365,17 +364,6 @@ _NAMES = _CATALOG.names
 def catalog() -> FeatureCatalog:
     """The active, frozen feature catalog."""
     return _CATALOG
-
-
-def catalog_manifest() -> dict:
-    """Machine-readable form of the active catalog."""
-    return {
-        "version": _CATALOG.version,
-        "entries": [
-            {"name": e.name, "category": e.category, "description": e.description}
-            for e in _CATALOG.entries
-        ],
-    }
 
 
 # ---------------------------------------------------------------- extraction

@@ -120,7 +120,7 @@ def test_criterion_01_rank_table_reproduction():
         for i in range(5)
     }
     table = aggregate_rank_table(per_dataset)
-    got = table.rnk_by_family()
+    got = {row.family: row.rnk for row in table.rows}
     elapsed = time.monotonic() - start
     print(f"criterion 1: aggregated RNK column {got} in {elapsed:.3f}s")
     assert got == EXPECTED_RNK

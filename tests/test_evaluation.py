@@ -316,17 +316,17 @@ class TestAggregateRankTable:
         }
         table = aggregate_rank_table(per_dataset)
         assert table.dataset_ids == ("d1", "d2", "d3", "d4", "d5")
-        rnk = table.rnk_by_family()
+        rnk = {row.family: row.rnk for row in table.rows}
         assert rnk["KNN"] == round_half_up(7 / 5)  # 1.4 -> 1
         assert rnk["RF"] == round_half_up(26 / 5)  # 5.2 -> 5
 
     def test_all_failures_aggregate_to_ten(self):
         table = aggregate_rank_table({"d1": {"M": 10}, "d2": {"M": 10}})
-        assert table.rnk_by_family() == {"M": 10}
+        assert [(row.family, row.rnk) for row in table.rows] == [("M", 10)]
 
     def test_half_mean_rounds_up(self):
         table = aggregate_rank_table({"d1": {"M": 1}, "d2": {"M": 2}})
-        assert table.rnk_by_family() == {"M": 2}  # mean 1.5
+        assert [(row.family, row.rnk) for row in table.rows] == [("M", 2)]  # mean 1.5
 
     def test_rows_sorted_by_family(self):
         table = aggregate_rank_table({"d1": {"Z": 1, "A": 2, "M": 3}})

@@ -818,6 +818,28 @@ class TestTreeOracle:
                     family, params, x, y
                 ), (family, params)
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [("DT", {}), ("RF", {"n_trees": 4}), ("RF", {"n_trees": 4, "max_features": 2}),
+         ("GBT", {"n_trees": 5, "max_depth": 5})],
+        ids=repr,
+    )
+    def test_signed_zeros_match_oracle(self, family, params):
+        # -0.0 and 0.0 compare equal, so the float sort ties them and keeps
+        # their rows in row order; the ranks that sort nodes below the
+        # root must tie them too.  On this data, sorting -0.0 first changes
+        # GBT's float prefix sums enough to pick another split.
+        rng = np.random.default_rng(3)
+        x = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(300, 4))
+        y = (x[:, 0] - x[:, 1] * x[:, 2] + rng.normal(scale=0.7, size=300) > 0).astype(np.int64)
+        zeros = x == 0
+        assert np.signbit(x[zeros]).any() and not np.signbit(x[zeros]).all()
+        got = saved_state_bytes(family, params, x, y, seed=1)
+        assert got == oracle_state_bytes(family, params, x, y, seed=1)
+        state = json.loads(got)
+        first = state["tree"] if family == "DT" else state["trees"][0]
+        assert len(first["feature"]) > 3  # nodes below the root split
+
     def test_golden_digest(self):
         # SHA-256 over the saved state bytes of every oracle case on
         # tie_heavy_data(0); it pins the trees across refactors of both sides.
@@ -884,7 +906,7 @@ class TestRootSplit:
         wt2 = wt * targets
         runs = trees.RunSums(x, y)
         present = weights > 0
-        lists = trees._root_lists(runs.order, present, int(present.sum()))
+        lists = runs.order[present[runs.order]].reshape(d, -1)  # cut to the root's rows
         expected = trees._lowest_sse_split(x, cand, lists, weights, wt, wt2)
         assert runs.root_split(cand, weights, wt, wt2) == expected
 
@@ -908,15 +930,32 @@ class TestRootSplit:
 
     @staticmethod
     def spied(monkeypatch) -> list[str]:
-        """The names of the sorted-list helpers ``build_tree`` calls from now."""
+        """What ``build_tree`` calls from now: ``"ranks"`` for each rank
+        build and ``"scan"`` for each sorted scan below a root."""
         calls = []
-        for name in ("_root_lists", "_split_sorted_lists", "_lowest_sse_split"):
-            def spy(*args, _name=name, _original=getattr(trees, name)):
-                calls.append(_name)
+        targets = [
+            (trees.RunSums, "_column_ranks", "ranks"),
+            (trees.PrefixScan, "_column_ranks", "ranks"),
+            (trees, "_lowest_sse_split", "scan"),
+        ]
+        for owner, name, label in targets:
+            def spy(*args, _label=label, _original=getattr(owner, name)):
+                calls.append(_label)
                 return _original(*args)
 
-            monkeypatch.setattr(trees, name, spy)
+            monkeypatch.setattr(owner, name, spy)
         return calls
+
+    def test_ranks_index_each_columns_distinct_values(self):
+        x, y = tie_heavy_data(0)
+        zeros = np.flatnonzero(x == 0)
+        x.flat[zeros[::2]] = -0.0
+        wide = np.arange(70000.0)[::-1, None]  # more distinct values than uint16 holds
+        for matrix, labels, dtype in ((x, y, np.uint16), (wide, np.arange(70000) % 2, np.intp)):
+            want = np.array([np.unique(column, return_inverse=True)[1] for column in matrix.T])
+            for presorted in (trees.RunSums(matrix, labels), trees.PrefixScan(matrix)):
+                assert presorted.ranks().dtype == dtype
+                assert np.array_equal(presorted.ranks(), want)
 
     def test_one_split_forest_builds_no_sorted_lists(self, blob_data, monkeypatch):
         x, y = blob_data
@@ -925,9 +964,17 @@ class TestRootSplit:
         assert [len(tree.feature) for tree in model.classifier.trees_] == [3] * 20
         assert calls == []
 
-    def test_deeper_forest_builds_its_lists_once_per_tree(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "family, params",
+        [("DT", {}), ("RF", {"n_trees": 4}), ("RF", {"n_trees": 4, "max_features": "sqrt"}),
+         ("GBT", {"n_trees": 4, "max_depth": 5})],
+        ids=repr,
+    )
+    def test_deep_fit_builds_its_ranks_once(self, family, params, monkeypatch):
         x, y = tie_heavy_data(0)
         calls = self.spied(monkeypatch)
-        model = fit_model(ModelSpec("RF", {"n_trees": 4}, seed=0), x, y)
-        assert all(len(tree.feature) > 3 for tree in model.classifier.trees_)
-        assert calls.count("_root_lists") == 4
+        model = fit_model(ModelSpec(family, params, seed=0), x, y)
+        grown = [model.classifier.tree_] if family == "DT" else model.classifier.trees_
+        assert all(len(tree.feature) > 3 for tree in grown)
+        assert calls.count("ranks") == 1
+        assert calls.count("scan") >= len(grown)

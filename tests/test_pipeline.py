@@ -232,56 +232,56 @@ class TestProjection:
     def test_components_are_orthonormal(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
-        proj = fit_projection(x, variance_target=1.0)
+        proj = fit_projection(x, projection_variance=1.0)
         gram = proj.components @ proj.components.T
         np.testing.assert_allclose(gram, np.eye(len(proj.components)), atol=1e-9)
 
     def test_explained_variance_non_increasing(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(80, 6)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.1])
-        proj = fit_projection(x, variance_target=1.0)
+        proj = fit_projection(x, projection_variance=1.0)
         ev = proj.explained_variance
         assert all(b <= a + 1e-12 for a, b in zip(ev, ev[1:]))
 
     def test_collinear_data_keeps_one_component(self):
         t = np.linspace(-1, 1, 30)
         x = np.column_stack([t, 2.0 * t])
-        proj = fit_projection(x, variance_target=1.0)
+        proj = fit_projection(x, projection_variance=1.0)
         assert len(proj.components) == 1
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(40, 4))
-        proj = fit_projection(x, variance_target=1.0)
+        proj = fit_projection(x, projection_variance=1.0)
         assert len(proj.components) == 4
         z = apply_projection(proj, x)
         back = z @ proj.components + proj.mean
         np.testing.assert_allclose(back, x, atol=1e-9)
 
-    def test_variance_target_truncates(self):
+    def test_projection_variance_truncates(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(200, 6)) * np.array([10.0, 5.0, 0.1, 0.1, 0.1, 0.1])
-        proj = fit_projection(x, variance_target=0.95)
+        proj = fit_projection(x, projection_variance=0.95)
         assert len(proj.components) < 6
 
     def test_sign_convention_is_deterministic(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(50, 4))
-        proj = fit_projection(x, variance_target=1.0)
+        proj = fit_projection(x, projection_variance=1.0)
         for row in proj.components:
             assert row[int(np.argmax(np.abs(row)))] > 0
 
     def test_zero_variance_input_warns(self):
         x = np.ones((10, 3))
         with pytest.warns(UserWarning, match="zero variance"):
-            proj = fit_projection(x, variance_target=0.95)
+            proj = fit_projection(x, projection_variance=0.95)
         assert len(proj.components) == 1
         np.testing.assert_array_equal(apply_projection(proj, x), np.zeros((10, 1)))
 
     @pytest.mark.parametrize("target", [0.0, -0.5, 1.5])
-    def test_variance_target_range_checked(self, target):
-        with pytest.raises(ConfigError, match="variance_target"):
-            fit_projection(np.ones((5, 2)), variance_target=target)
+    def test_projection_variance_range_checked(self, target):
+        with pytest.raises(ModelError, match="projection_variance"):
+            fit_projection(np.ones((5, 2)), projection_variance=target)
 
 
 class TestGridSearch:
@@ -459,6 +459,18 @@ class TestFitChain:
             chain, scaler=dataclasses.replace(chain.scaler, std=chain.scaler.std * 2.0)
         )
         assert chain.to_dict() != rescaled.to_dict()
+
+    def test_projection_variance_checked_before_any_fit(self, url_corpus, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the LM pair was fitted")
+
+        monkeypatch.setattr(LmScorePair, "fit", no_fit)
+        urls, labels = url_corpus
+        with pytest.raises(ModelError) as raised:
+            fit_chain(urls, labels, projection_variance=1.5)
+        assert str(raised.value) == (
+            "projection_variance must be None or a finite number > 0.0 and <= 1.0, got 1.5"
+        )
 
 
 # Over 16,384 predicted positions: a lone URL longer than one scoring block.

@@ -24,7 +24,6 @@ from urlsleuth.urlfeat import (
     _feature_dict,
     _split,
     catalog,
-    catalog_manifest,
     entropy,
     extract_matrix,
 )
@@ -213,7 +212,12 @@ class TestCatalog:
         shipped = json.loads(
             resources.files("urlsleuth.data").joinpath("feature_catalog_v1.json").read_text()
         )
-        assert shipped == catalog_manifest()
+        live = catalog()
+        entries = [
+            {"name": e.name, "category": e.category, "description": e.description}
+            for e in live.entries
+        ]
+        assert shipped == {"version": live.version, "entries": entries}
 
 
 class TestExtractLexical:
