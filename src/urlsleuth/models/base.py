@@ -113,6 +113,25 @@ def state_array(state: dict, key: str, shape: tuple, dtype=np.float64) -> np.nda
     return _saved_array(state, key, shape, dtype).astype(dtype)  # a writable copy
 
 
+def state_within(
+    state: dict, key: str, shape: tuple, low: float, strict: bool = False,
+    high: float = math.inf,
+) -> np.ndarray:
+    """``state_array(state, key, shape)`` if each value lies in the range a
+    fit gives it: >= ``low`` (> ``low`` if ``strict``) and <= ``high``.  A
+    value outside raises ``ArtifactError``, as a state no fit writes could
+    score outside [0, 1] or as NaN."""
+    values = state_array(state, key, shape)
+    outside = ((values <= low) if strict else (values < low)) | (values > high)
+    if outside.any():
+        bound = f"> {low}" if strict else f">= {low}"
+        upper = f" and <= {high}" if high < math.inf else ""
+        raise ArtifactError(
+            f"saved array {key!r} must hold values {bound}{upper}, got {values[outside][0]}"
+        )
+    return values
+
+
 def _saved_array(state: dict, key: str, shape: tuple, dtype) -> np.ndarray:
     """``state_array`` before its conversion: the checked values as a
     read-only array in the type they were saved in."""

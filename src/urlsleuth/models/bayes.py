@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .base import BinaryClassifier, array_record, sigmoid, state_array, variance_floor
+from .base import BinaryClassifier, array_record, sigmoid, state_array, state_within, variance_floor
 
 
 class GaussianNaiveBayes(BinaryClassifier):
@@ -60,5 +60,5 @@ class GaussianNaiveBayes(BinaryClassifier):
     def state_from_dict(self, state: dict) -> None:
         d = self.n_features_
         self.means_ = state_array(state, "means", (2, d))
-        self.variances_ = state_array(state, "variances", (2, d))
+        self.variances_ = state_within(state, "variances", (2, d), 0.0, strict=True)
         self.log_priors_ = state_array(state, "log_priors", (2,))

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..errors import ModelError
 from .base import (
-    BinaryClassifier, array_record, check_int, check_real, state_array, variance_floor,
+    BinaryClassifier, array_record, check_int, check_real, state_array, state_within,
+    variance_floor,
 )
 
 
@@ -116,7 +117,7 @@ class KMeansDetector(BinaryClassifier):
     def state_from_dict(self, state: dict) -> None:
         k = self.n_clusters
         self.centers_ = state_array(state, "centers", (k, self.n_features_))
-        self.cluster_fractions_ = state_array(state, "cluster_fractions", (k,))
+        self.cluster_fractions_ = state_within(state, "cluster_fractions", (k,), 0.0, high=1.0)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -219,7 +220,7 @@ class GaussianMixtureDetector(BinaryClassifier):
 
     def state_from_dict(self, state: dict) -> None:
         k, d = self.n_components, self.n_features_
-        self.weights_ = state_array(state, "weights", (k,))
+        self.weights_ = state_within(state, "weights", (k,), 0.0, strict=True)
         self.means_ = state_array(state, "means", (k, d))
-        self.variances_ = state_array(state, "variances", (k, d))
+        self.variances_ = state_within(state, "variances", (k, d), 0.0, strict=True)
         self.component_fractions_ = state_array(state, "component_fractions", (k,))

@@ -1,7 +1,7 @@
 """Tree families: CART decision tree, bagged random forest, and
 gradient-boosted depth-limited trees.
 
-All three share one splitter, which sorts each column once per fit and
+All three share one splitter, which codes each column once per fit and
 takes a forest's bootstrap as row weights.  For binary 0/1 targets,
 minimizing the summed squared error of a split is equivalent to
 minimizing the weighted Gini impurity (node Gini = 2 * variance for 0/1
@@ -9,16 +9,16 @@ targets), so the same prefix-sum scan serves classification trees and
 the boosted regression trees.  Ties break toward the lower feature
 index, then the lower threshold, so split choice is deterministic.
 
-A tree's root is split from what the fit derives from that one sort.  A
-forest sums each run of equal values in a column with one
-``np.bincount`` per tree, as a histogram splitter does (LightGBM, Ke et
-al., NeurIPS 2017): its weights are bootstrap counts and its targets 0
-or 1, so every sum is an exact integer and equals the prefix sum of the
-sorted scan.  DT and GBT weigh every row once; GBT's residuals are
-floats, so their roots keep the prefix sums along the sorted rows, and
-what does not depend on the targets (change positions, counts,
-thresholds) is worked out once per fit.  Nodes below the root sort
-their own rows by column ranks derived from the same sort.
+The one coding is each cell's rank among its column's distinct values
+(``rank_columns``), and a fit derives all else from it.  DT and RF sum
+each run of equal values in a column with one ``np.bincount`` per
+tree, as a histogram splitter does (LightGBM, Ke et al., NeurIPS 2017):
+their weights are ones or bootstrap counts and their targets 0 or 1, so
+every sum is an exact integer and equals the prefix sum of the sorted
+scan.  GBT's residuals are floats, so its roots keep the prefix sums
+along the rows sorted by rank, and what does not depend on the targets
+(change positions, counts, thresholds) is worked out once per fit.
+Nodes below the root sort their own rows by the same ranks.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ import math
 import numpy as np
 
 from ..errors import ArtifactError, ModelError
-from .base import BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array
+from .base import (
+    BinaryClassifier, array_record, check_int, check_real, sigmoid, state_array, state_within,
+)
 
 
 class _FlatTree:
@@ -134,10 +136,22 @@ def _check_max_features(value) -> int | str | None:
     return check_int("max_features", value, 1)
 
 
-def sort_columns(X: np.ndarray) -> np.ndarray:
-    """Row ids of each column of ``X`` in ascending (value, row) order, one
-    row per column: the one sort a tree fit runs."""
-    return np.argsort(np.ascontiguousarray(X.T), axis=1, kind="stable")
+def rank_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one coding of ``X`` a tree fit builds: ``ranks``, each cell's
+    index among its column's distinct values, laid out as ``X.T``;
+    ``values``, every column's distinct values in rising order, column
+    after column; and ``offsets``, where each column's values start
+    (``d + 1`` entries).  -0.0 and 0.0 share one rank, as the float sort
+    ties them.  The ranks are ``uint16`` where every column fits, which
+    numpy's stable argsort sorts by radix."""
+    coded = [np.unique(column, return_inverse=True) for column in X.T]
+    wide = any(len(distinct) > 1 << 16 for distinct, _ in coded)
+    ranks = np.empty(X.shape[::-1], dtype=np.intp if wide else np.uint16)
+    for j, (_, rank) in enumerate(coded):
+        ranks[j] = rank
+    offsets = np.cumsum([0] + [len(distinct) for distinct, _ in coded])
+    values = np.concatenate([np.empty(0)] + [distinct for distinct, _ in coded])  # d may be 0
+    return ranks, values, offsets
 
 
 # Sorted-list cells scanned per block of candidate features, so the
@@ -199,46 +213,23 @@ def _lowest_sse_split(
     return best
 
 
-class _Presorted:
-    """A fit's columns, sorted once: ``order`` is ``sort_columns(X)``."""
-
-    _ranks: np.ndarray | None = None
-
-    def ranks(self) -> np.ndarray:
-        """Each cell's index among its column's distinct values, laid out
-        as ``X.T``; -0.0 and 0.0 share one, as the float sort ties them.
-        ``uint16`` where every column fits, which numpy's stable argsort
-        sorts by radix.  Built from the sort's runs on first use, then
-        kept for every tree of the fit."""
-        if self._ranks is None:
-            ranks = self._column_ranks()
-            self._ranks = ranks.astype(np.uint16) if ranks.max() < 1 << 16 else ranks
-        return self._ranks
-
-
-class RunSums(_Presorted):
-    """A fit's presorted columns and their runs of equal values, for trees
+class RunSums:
+    """A fit's coded columns and their runs of equal values, for trees
     whose weights count rows and whose targets are the 0/1 ``labels``
-    (RF's bootstrap trees).
+    (DT, and RF's bootstrap trees).
 
-    ``order`` is ``sort_columns(X)``.  Runs are numbered column after
-    column; ``codes[j, i]`` is twice the number of row ``i``'s run in
-    column ``j``, plus the row's label.  One ``np.bincount`` of a tree's
-    weights over the codes gives, for every run of every column, the
-    weight of its rows of each label.  These sums are exact integers, so
-    any order of addition gives the floats the sorted scan forms."""
+    Runs are numbered column after column, so a run's number is its rank
+    (``rank_columns``) plus the count of earlier columns' values:
+    ``codes[j, i]`` is twice the number of row ``i``'s run in column
+    ``j``, plus the row's label.  One ``np.bincount`` of a tree's weights
+    over the codes gives, for every run of every column, the weight of
+    its rows of each label.  These sums are exact integers, so any order
+    of addition gives the floats the sorted scan forms."""
 
     def __init__(self, X: np.ndarray, labels: np.ndarray) -> None:
-        self.order = sort_columns(X)
-        values = np.take_along_axis(X.T, self.order, axis=1)
-        first = np.ones(values.shape, dtype=bool)
-        first[:, 1:] = values[:, 1:] > values[:, :-1]
-        run = np.cumsum(first.ravel()).reshape(first.shape) - 1
-        self.codes = np.empty_like(run)
-        np.put_along_axis(self.codes, self.order, 2 * run, axis=1)
-        self.codes += labels
-        self.run_column = np.repeat(np.arange(len(first)), first.sum(axis=1))
-        self.run_value = values[first]
+        self.ranks, self.run_value, offsets = rank_columns(X)
+        self.codes = 2 * (self.ranks + offsets[:-1, None]) + labels
+        self.run_column = np.repeat(np.arange(X.shape[1]), np.diff(offsets))
 
     def root_split(self, cand, weights, wt, wt2) -> tuple[int, float] | None:
         """``_lowest_sse_split`` over the root's rows, those of positive
@@ -264,28 +255,28 @@ class RunSums(_Presorted):
         i = cut[np.argmin(_sse(nl, total_w - nl, sl, sl, total, total))]
         return int(column[i]), _midpoint(self.run_value[present[i]], self.run_value[present[i + 1]])
 
-    def _column_ranks(self) -> np.ndarray:
-        first_run = np.searchsorted(self.run_column, np.arange(len(self.codes)))
-        return (self.codes >> 1) - first_run[:, None]
 
-
-class PrefixScan(_Presorted):
-    """A fit's presorted columns, for trees of unit weights on every row
-    and every column a candidate (DT and GBT), with the part of the root
-    scan that does not depend on the targets: where each sorted column's
-    value changes, the counts on both sides and the threshold there.  A
-    tree's root then adds only its targets' prefix sums along the sorted
-    rows, so float targets give the sorted scan's bits."""
+class PrefixScan:
+    """A fit's coded columns, for trees of unit weights on every row, float
+    targets and every column a candidate (GBT), with the part of the root
+    scan that does not depend on the targets: ``order``, each column's
+    rows sorted stably by ``ranks`` (the float sort's order, since -0.0
+    and 0.0 share a rank), and where each sorted column's value changes,
+    the counts on both sides and the threshold there.  A tree's root then
+    adds only its targets' prefix sums along the sorted rows, so float
+    targets give the sorted scan's bits."""
 
     def __init__(self, X: np.ndarray) -> None:
         n = X.shape[0]
-        self.order = sort_columns(X)
-        values = np.take_along_axis(X.T, self.order, axis=1)
-        f, pos = np.divmod(np.flatnonzero(values[:, 1:] > values[:, :-1]), n - 1)
+        self.ranks, values, offsets = rank_columns(X)
+        self.order = np.argsort(self.ranks, axis=1, kind="stable")
+        ranked = np.take_along_axis(self.ranks, self.order, axis=1)
+        f, pos = np.divmod(np.flatnonzero(ranked[:, 1:] != ranked[:, :-1]), n - 1)
         self.feature = f
         self.at = f * n + pos  # flat positions in the sorted columns
         self.last = f * n + n - 1
-        self.lo, self.hi = values[f, pos], values[f, pos + 1]
+        run = offsets[f] + ranked[f, pos]  # the value each change leaves
+        self.lo, self.hi = values[run], values[run + 1]
         self.nl = (pos + 1).astype(np.float64)
         self.nr = n - self.nl
 
@@ -302,18 +293,9 @@ class PrefixScan(_Presorted):
         if self.feature.size == 0:
             return None
         sl, total = self._prefix_sums(wt)
-        # 0/1 targets (DT) square to themselves
-        sl2, total2 = (sl, total) if np.array_equal(wt2, wt) else self._prefix_sums(wt2)
+        sl2, total2 = self._prefix_sums(wt2)
         i = int(np.argmin(_sse(self.nl, self.nr, sl, sl2, total, total2)))
         return int(self.feature[i]), _midpoint(self.lo[i], self.hi[i])
-
-    def _column_ranks(self) -> np.ndarray:
-        new_value = np.zeros(self.order.size, dtype=np.intp)
-        new_value[self.at + 1] = 1
-        sorted_ranks = np.cumsum(new_value.reshape(self.order.shape), axis=1)
-        ranks = np.empty_like(sorted_ranks)
-        np.put_along_axis(ranks, self.order, sorted_ranks, axis=1)
-        return ranks
 
 
 def build_tree(
@@ -328,20 +310,19 @@ def build_tree(
 ) -> _FlatTree:
     """Grow a regression tree on real targets (labels or residuals).
 
-    ``presorted`` is ``X`` sorted once per fit and shared by every tree
-    grown on ``X``; its ``root_split`` finds the root's split, so it must
-    suit the weights and targets (``RunSums`` or ``PrefixScan``).  Row
-    ``i`` counts ``weights[i]`` times (a bootstrap multiplicity); rows of
-    weight 0 are left out, and ``min_samples_split`` compares with the
-    weight sum.
+    ``presorted`` is ``X`` coded once per fit (``rank_columns``) and
+    shared by every tree grown on ``X``; its ``root_split`` finds the
+    root's split, so it must suit the weights and targets (``RunSums`` for
+    0/1 targets, ``PrefixScan`` for unit weights).  Row ``i`` counts
+    ``weights[i]`` times (a bootstrap multiplicity); rows of weight 0 are
+    left out, and ``min_samples_split`` compares with the weight sum.
 
     A node holds its rows in ascending order.  One below the root that
-    goes on to split sorts them stably by ``presorted.ranks()`` per
-    candidate column, so ties stay in row order; a one-split tree builds
-    no ranks.  With unit weights the prefix sums therefore run in the
-    order a stable argsort of the node's rows gives, and with 0/1
-    targets every sum is an exact integer, so a forest tree equals the
-    tree grown on its bootstrap copy ``X[rows]``.
+    goes on to split sorts them stably by ``presorted.ranks`` per
+    candidate column, so ties stay in row order.  With unit weights the
+    prefix sums therefore run in the order a stable argsort of the node's
+    rows gives, and with 0/1 targets every sum is an exact integer, so a
+    forest tree equals the tree grown on its bootstrap copy ``X[rows]``.
 
     A node splits whenever it is impure, large enough, within depth, and
     some candidate feature varies, even when the best split has zero
@@ -382,7 +363,7 @@ def build_tree(
         if depth == 0:
             best = presorted.root_split(cand, weights, wt, wt2)
         else:
-            ranks = presorted.ranks()
+            ranks = presorted.ranks
             if n_cand is None:
                 lists = idx[np.argsort(ranks[:, idx], axis=1, kind="stable")]
             else:
@@ -422,7 +403,7 @@ class DecisionTreeCART(BinaryClassifier):
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self.tree_ = build_tree(
-            X, y.astype(np.float64), PrefixScan(X), np.ones(len(X)), None,
+            X, y.astype(np.float64), RunSums(X, y), np.ones(len(X)), None,
             self.max_depth, self.min_samples_split, None,
         )
 
@@ -433,6 +414,7 @@ class DecisionTreeCART(BinaryClassifier):
         return {"trees": _pack_trees([self.tree_])}
 
     def state_from_dict(self, state: dict) -> None:
+        state_within(state["trees"], "value", (None,), 0.0, high=1.0)  # the leaves' scores
         (self.tree_,) = _load_trees(state["trees"], 1, self.n_features_)
 
 

@@ -1166,11 +1166,20 @@ class TestErrorPaths:
                 lambda s: s["trees"]["left"].__setitem__(0, len(s["trees"]["left"])),
                 "does not follow its parent",
             ),
+            ("DT", lambda s: s["trees"]["value"].__setitem__(-1, 7.0), "'value' must hold"),
+            ("GMM", lambda s: s["weights"].__setitem__(0, 0.0), "'weights' must hold values > 0"),
+            ("GNB", lambda s: s["variances"][1].__setitem__(0, -1.0), "'variances' must hold"),
+            (
+                "KMEANS",
+                lambda s: s.update(cluster_fractions=[-3.0, 9.0]),
+                "'cluster_fractions' must hold",
+            ),
         ],
         ids=[
             "LR-weights", "KNN-train_X", "KNN-train_y", "KNN-train_X-nan",
             "KNN-train_y-fraction", "KNN-train_y-label", "GNB-means",
-            "MLP-params", "DT-feature", "DT-child",
+            "MLP-params", "DT-feature", "DT-child", "DT-leaf-value", "GMM-weight",
+            "GNB-variance", "KMEANS-fractions",
         ],
     )
     def test_malformed_model_state_reported(

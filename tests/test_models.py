@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from urlsleuth import cli
+from urlsleuth.config import load_run_config
 from urlsleuth.errors import ArtifactError, ModelError
 from urlsleuth.models import (
     FAMILIES,
@@ -31,6 +33,8 @@ from urlsleuth.models.linear import LinearSvmSubgradient, LogisticRegressionGD
 from urlsleuth.models.neighbors import KNearestNeighbors
 from urlsleuth.models.neural import MlpClassifier
 from urlsleuth.models.trees import DecisionTreeCART, RandomForest
+from urlsleuth.pipeline import fit_chain
+from urlsleuth.synth import materialize_run
 
 import oracles
 from conftest import columns_matrix, edit_arrays, records_to_lists
@@ -670,9 +674,16 @@ class TestPersistence:
             ("RF", lambda s: s["trees"]["offsets"].__setitem__(-1, 10**6)),
             ("RF", lambda s: s["trees"]["left"].__setitem__(0, 0)),
             ("GBT", lambda s: s["trees"]["right"].__setitem__(0, s["trees"]["offsets"][1])),
+            # values no fit writes, which would score outside [0, 1] or as NaN, or fail
+            ("GMM", lambda s: s["weights"].__setitem__(0, 0.0)),
+            ("GMM", lambda s: s["variances"][1].__setitem__(2, -1.0)),
+            ("GNB", lambda s: s["variances"][0].__setitem__(0, 0.0)),
+            ("DT", lambda s: s["trees"]["value"].__setitem__(-1, 7.0)),
+            ("KMEANS", lambda s: s.update(cluster_fractions=[-3.0, 9.0])),
         ],
         ids=["KNN-fewer-rows-than-k", "DT-child-cycle", "KMEANS-cluster_fractions", "RF-n_trees",
-             "RF-empty-tree", "RF-offsets-past-nodes", "RF-child-cycle", "GBT-child-past-tree"],
+             "RF-empty-tree", "RF-offsets-past-nodes", "RF-child-cycle", "GBT-child-past-tree",
+             "GMM-weight", "GMM-variance", "GNB-variance", "DT-leaf-value", "KMEANS-fractions"],
     )
     def test_state_that_cannot_score_rejected(self, family, cut, blob_data):
         x, y = blob_data
@@ -731,6 +742,17 @@ def tie_heavy_data(seed: int, n: int = 160, d: int = 6) -> tuple[np.ndarray, np.
     x = np.round(rng.normal(size=(n, d)), 1)
     y = (x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(scale=0.7, size=n) > 0).astype(np.int64)
     return x, y
+
+
+@pytest.fixture(scope="module")
+def acceptance_matrix(tmp_path_factory) -> np.ndarray:
+    """The training matrix ``train`` fits its models on for the acceptance
+    corpus (4 x 2000 synthetic URLs at seed 20, 2/1/1 split)."""
+    cfg = load_run_config(materialize_run(tmp_path_factory.mktemp("acceptance"), seed=20))
+    plan, data = cli._run_data(cfg)
+    urls = [url for ds_id in plan.train_ids for url in data[ds_id][0]]
+    labels = np.concatenate([data[ds_id][1] for ds_id in plan.train_ids])
+    return fit_chain(urls, labels, top_k=cfg.features.selector_top_k)[1]
 
 
 ORACLE_STATES = {"DT": oracles.dt_state, "RF": oracles.rf_state, "GBT": oracles.gbt_state}
@@ -805,11 +827,14 @@ class TestTreeOracle:
         got = saved_state_bytes(family, params, x, y, seed=data_seed + 3)
         assert got == oracle_state_bytes(family, params, x, y, seed=data_seed + 3)
 
-    def test_columns_sorted_by_value_then_row(self):
-        x, _ = tie_heavy_data(0, n=500)
-        rows = np.arange(len(x))
-        want = [np.lexsort((rows, x[:, j])) for j in range(x.shape[1])]
-        assert np.array_equal(trees.sort_columns(x), np.array(want))
+    def test_coded_order_is_the_float_sort(self, acceptance_matrix):
+        # Rows sorted by rank are the rows sorted by value, then row, with
+        # -0.0 and 0.0 tied as the float sort ties them.
+        signed = np.random.default_rng(3).choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], (300, 4))
+        for x in (acceptance_matrix, tie_heavy_data(0, n=500)[0], signed):
+            rows = np.arange(len(x))
+            want = [np.lexsort((rows, x[:, j])) for j in range(x.shape[1])]
+            assert np.array_equal(trees.PrefixScan(x).order, np.array(want))
 
     def test_continuous_columns_match_oracle(self, blob_data, noisy_data):
         for x, y in (blob_data, noisy_data):
@@ -898,7 +923,10 @@ class TestRootSplit:
         x = np.array(data.draw(cells, label="x"), dtype=np.float64).reshape(n, d) / 2
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="y"))
         counts = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
-        weights = np.array(data.draw(counts, label="weights"), dtype=np.float64)
+        if data.draw(st.booleans(), label="unit weights"):  # DT's root, or RF's without bootstrap
+            weights = np.ones(n)
+        else:
+            weights = np.array(data.draw(counts, label="weights"), dtype=np.float64)
         max_features = data.draw(st.sampled_from([None, "sqrt", 1, 2, 9]), label="max_features")
         cand = root_candidates(d, max_features, data.draw(st.integers(0, 3), label="seed"))
         targets = y.astype(np.float64)
@@ -906,7 +934,8 @@ class TestRootSplit:
         wt2 = wt * targets
         runs = trees.RunSums(x, y)
         present = weights > 0
-        lists = runs.order[present[runs.order]].reshape(d, -1)  # cut to the root's rows
+        order = np.argsort(x.T, axis=1, kind="stable")
+        lists = order[present[order]].reshape(d, -1)  # cut to the root's rows
         expected = trees._lowest_sse_split(x, cand, lists, weights, wt, wt2)
         assert runs.root_split(cand, weights, wt, wt2) == expected
 
@@ -925,25 +954,21 @@ class TestRootSplit:
                 st.lists(st.floats(-1, 1), min_size=n, max_size=n), label="targets"))
             wt = ones * targets
             wt2 = wt * targets
-            expected = trees._lowest_sse_split(x, np.arange(d), scan.order, ones, wt, wt2)
+            order = np.argsort(x.T, axis=1, kind="stable")
+            expected = trees._lowest_sse_split(x, np.arange(d), order, ones, wt, wt2)
             assert scan.root_split(np.arange(d), ones, wt, wt2) == expected
 
     @staticmethod
     def spied(monkeypatch) -> list[str]:
-        """What ``build_tree`` calls from now: ``"ranks"`` for each rank
-        build and ``"scan"`` for each sorted scan below a root."""
+        """What a fit calls from now: ``"code"`` for each coding of the
+        columns and ``"scan"`` for each sorted scan below a root."""
         calls = []
-        targets = [
-            (trees.RunSums, "_column_ranks", "ranks"),
-            (trees.PrefixScan, "_column_ranks", "ranks"),
-            (trees, "_lowest_sse_split", "scan"),
-        ]
-        for owner, name, label in targets:
-            def spy(*args, _label=label, _original=getattr(owner, name)):
+        for name, label in (("rank_columns", "code"), ("_lowest_sse_split", "scan")):
+            def spy(*args, _label=label, _original=getattr(trees, name)):
                 calls.append(_label)
                 return _original(*args)
 
-            monkeypatch.setattr(owner, name, spy)
+            monkeypatch.setattr(trees, name, spy)
         return calls
 
     def test_ranks_index_each_columns_distinct_values(self):
@@ -954,15 +979,15 @@ class TestRootSplit:
         for matrix, labels, dtype in ((x, y, np.uint16), (wide, np.arange(70000) % 2, np.intp)):
             want = np.array([np.unique(column, return_inverse=True)[1] for column in matrix.T])
             for presorted in (trees.RunSums(matrix, labels), trees.PrefixScan(matrix)):
-                assert presorted.ranks().dtype == dtype
-                assert np.array_equal(presorted.ranks(), want)
+                assert presorted.ranks.dtype == dtype
+                assert np.array_equal(presorted.ranks, want)
 
     def test_one_split_forest_builds_no_sorted_lists(self, blob_data, monkeypatch):
         x, y = blob_data
         calls = self.spied(monkeypatch)
         model = fit_model(ModelSpec("RF", {"n_trees": 20}, seed=0), x, y)
         assert [len(tree.feature) for tree in model.classifier.trees_] == [3] * 20
-        assert calls == []
+        assert calls == ["code"]  # no sorted lists, and the columns coded once
 
     @pytest.mark.parametrize(
         "family, params",
@@ -976,5 +1001,5 @@ class TestRootSplit:
         model = fit_model(ModelSpec(family, params, seed=0), x, y)
         grown = [model.classifier.tree_] if family == "DT" else model.classifier.trees_
         assert all(len(tree.feature) > 3 for tree in grown)
-        assert calls.count("ranks") == 1
+        assert calls.count("code") == 1
         assert calls.count("scan") >= len(grown)
