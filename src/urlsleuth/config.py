@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, ModelError
-from .evaluation import METRIC_NAMES
+from .evaluation import check_metric
 from .models import FAMILIES, HYPERPARAMETER_SCHEMA
 from .models.base import check_int, check_real
 
@@ -82,12 +82,6 @@ class RunConfig:
         return self.grids.get(family, DEFAULT_GRIDS[family])
 
 
-def _tuning_metric(where: str, value) -> str:
-    if value not in METRIC_NAMES:
-        raise ConfigError(f"{where} must be one of {', '.join(METRIC_NAMES)}; got {value!r}")
-    return value
-
-
 def _output_dir(where: str, value) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{where} must be a non-empty string")
@@ -111,7 +105,7 @@ _FEATURE_KEYS = {
     "projection_variance": partial(check_real, low=0.0, strict=True, high=1.0, allow_none=True),
 }
 _RUN_KEYS = {
-    "tuning_metric": _tuning_metric,
+    "tuning_metric": check_metric,
     "seed": partial(check_int, low=0),
     "output_dir": _output_dir,
 }

@@ -18,13 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .fileio import csv_text
 
 METRIC_NAMES = ("acc", "pcsn", "rec", "f1", "auc")
 GATED_METRICS = ("acc", "pcsn", "f1", "auc")  # rec excluded: baseline rec is 1
 FAILED_GATE_RANK = 10
 MAX_SURVIVOR_RANK = 9
+
+
+def check_metric(name: str, value) -> str:
+    """``value`` if it is one of ``METRIC_NAMES``; anything else raises
+    ``ConfigError`` naming ``name``."""
+    if value not in METRIC_NAMES:
+        raise ConfigError(f"{name} must be one of {', '.join(METRIC_NAMES)}; got {value!r}")
+    return value
 
 
 def round_half_up(x: float) -> int:

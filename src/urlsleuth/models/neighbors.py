@@ -13,10 +13,11 @@ from .base import (
 # derivation in ``KNearestNeighbors._score`` needs 1, and the margin covers
 # the rounding of the allowance and of the comparison themselves.
 _ROUNDOFF_FACTOR = 8.0
-# Float64 elements one query block may use per temporary (1 MiB).  On
-# the 10,000 seed-20 bulk rows, blocks of 2^18 and 2^17 elements held 4.1
-# and 2.0 MiB beside the scores and scored in 0.367 and 0.369 s (medians
-# of 15 alternating runs, one thread of a shared 2-vCPU VM).
+# Float64 elements one query block, or one brute-force chunk of more than
+# one query, may use per temporary (1 MiB).  On the 10,000 seed-20 bulk
+# rows, blocks of 2^18 and 2^17 elements held 4.1 and 2.0 MiB beside the
+# scores and scored in 0.367 and 0.369 s (medians of 15 alternating runs,
+# one thread of a shared 2-vCPU VM).
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -45,7 +46,6 @@ class KNearestNeighbors(BinaryClassifier):
     """
 
     family = "KNN"
-    _CHUNK = 32  # brute-force queries per chunk: a (32, n, d) temporary
 
     def __init__(self, k: int = 5):
         super().__init__()
@@ -68,12 +68,14 @@ class KNearestNeighbors(BinaryClassifier):
 
     def _brute_force(self, X: np.ndarray) -> np.ndarray:
         """Scores from every pair's distance: the reference the fast path matches."""
+        n, d = self.train_X_.shape
+        rows = max(1, _BLOCK_ELEMENTS // (n * d))  # a (rows, n, d) temporary
         out = np.empty(len(X), dtype=np.float64)
-        for start in range(0, len(X), self._CHUNK):
-            chunk = X[start : start + self._CHUNK]
+        for start in range(0, len(X), rows):
+            chunk = X[start : start + rows]
             d2 = ((chunk[:, None, :] - self.train_X_[None, :, :]) ** 2).sum(axis=2)
             nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-            out[start : start + self._CHUNK] = self.train_y_[nearest].mean(axis=1)
+            out[start : start + rows] = self.train_y_[nearest].mean(axis=1)
         return out
 
     def _score(self, X: np.ndarray) -> np.ndarray:

@@ -37,13 +37,13 @@ import numpy as np
 
 from .charlm import SIDES, LmScorePair, _blocks
 from .errors import ArtifactError, CatalogMismatchError, ConfigError, DataError, ModelError
-from .evaluation import compute_metrics
+from .evaluation import check_metric, compute_metrics
 from .fileio import (
     json_text, parse_json, read_artifact_bytes, read_json, write_json_atomic,
     write_text_atomic,
 )
 from .models import ModelSpec, TrainedModel, fit_model
-from .models.base import array_record, check_real, state_array
+from .models.base import array_record, check_int, check_real, state_array
 from .urlfeat import CATALOG_VERSION, catalog, extract_matrix
 
 PIPELINE_ARTIFACT_TAG = "urlsleuth-pipeline"
@@ -127,8 +127,7 @@ def _mutual_information(bins: np.ndarray, labels: np.ndarray, n_bins: int) -> np
 def fit_selector(X, y, top_k: int) -> Selector:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+    top_k = check_int("top_k", top_k, 1)
     d = X.shape[1]
     if top_k > d:
         warnings.warn(
@@ -344,6 +343,7 @@ def fit_chain(
     ``projection_variance`` projects them onto the principal components
     that keep that share of their variance; ``None`` projects nothing.
     """
+    check_int("top_k", top_k, 1)
     check_real(
         "projection_variance", projection_variance, 0.0, strict=True, high=1.0, allow_none=True
     )
@@ -399,6 +399,7 @@ def grid_search(
     val_sets = list(val_sets)
     if not val_sets:
         raise ConfigError("grid search requires at least one validation set")
+    check_metric("target_metric", target_metric)
     X_train, y_train = train_pool
     names = list(grid.keys())
     best: TrainedModel | None = None

@@ -4,9 +4,11 @@ Everything here is computed from the URL string alone: no DNS, no fetches,
 no public-suffix data.  ``_split`` is the one decomposition: it places a
 URL's scheme, host, port, path, query, fragment and TLD by offset, and
 both feature extractors, the blocked pass and the per-URL
-``_feature_dict``, read the parts from those offsets.  The feature roster
-is frozen per catalog version so that feature matrices stay comparable
-across runs; ``catalog()`` returns the active version.
+``_feature_dict``, read the parts from those offsets.  ``catalog()``
+returns the feature roster and its version as read at import from the
+shipped manifest ``data/feature_catalog_v1.json``, their one declaration.
+A version's roster is frozen so that feature matrices stay comparable
+across runs; a new roster needs a new manifest file and version.
 
 ``extract_matrix`` works through blocks of whole URLs, about 8k
 characters each (the block size of the character LM's scorer), so that
@@ -35,17 +37,17 @@ pass must match it bit for bit.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import string
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .charlm import _blocks
-
-CATALOG_VERSION = "lex78-v1"
 
 _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+\-.]*)://")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
@@ -290,75 +292,21 @@ def _feature_dict(url: str) -> dict[str, float]:
     return f
 
 
-def _build_catalog() -> FeatureCatalog:
-    entries: list[CatalogEntry] = [
-        CatalogEntry("url_length", "length", "characters in the full URL"),
-        CatalogEntry("host_length", "length", "characters in the host"),
-        CatalogEntry("path_length", "length", "characters in the path part"),
-        CatalogEntry("query_length", "length", "characters in the query string"),
-        CatalogEntry("fragment_length", "length", "characters in the fragment, 0 when absent"),
-        CatalogEntry("tld_length", "length", "characters in the last dot-separated host label"),
-        CatalogEntry("scheme_length", "length", "characters in the scheme, 0 when absent"),
-        CatalogEntry("longest_path_segment_length", "length", "length of the longest path segment"),
-        CatalogEntry("longest_token_length", "length", "length of the longest alphanumeric token"),
-        CatalogEntry("longest_host_label_length", "length", "length of the longest host label"),
-        CatalogEntry("longest_digit_run_length", "length", "longest run of consecutive digits"),
-        CatalogEntry("longest_letter_run_length", "length", "longest run of consecutive letters"),
-    ]
-    for ch, name in SPECIAL_CHAR_FEATURES:
-        entries.append(CatalogEntry(name, "count", f"occurrences of {ch!r} in the URL"))
-    entries += [
-        CatalogEntry("digit_count", "count", "ASCII digits in the URL"),
-        CatalogEntry("letter_count", "count", "ASCII letters in the URL"),
-        CatalogEntry("special_char_count", "count", "characters that are not ASCII letters or digits"),
-        CatalogEntry("vowel_count", "count", "vowels (aeiou, either case) in the URL"),
-        CatalogEntry("uppercase_count", "count", "uppercase ASCII letters in the URL"),
-        CatalogEntry("host_digit_count", "count", "ASCII digits in the host"),
-        CatalogEntry("host_letter_count", "count", "ASCII letters in the host"),
-        CatalogEntry("host_hyphen_count", "count", "hyphens in the host"),
-        CatalogEntry("host_dot_count", "count", "dots in the host"),
-        CatalogEntry("path_digit_count", "count", "ASCII digits in the path"),
-        CatalogEntry("query_digit_count", "count", "ASCII digits in the query string"),
-        CatalogEntry("host_label_count", "count", "non-empty dot-separated host labels"),
-        CatalogEntry("path_segment_count", "count", "non-empty path segments"),
-        CatalogEntry("query_param_count", "count", "'&'-separated query parameters"),
-        CatalogEntry("encoded_char_count", "count", "percent-encoded byte escapes (%XX)"),
-        CatalogEntry("digit_ratio", "ratio", "digit_count / url_length"),
-        CatalogEntry("letter_ratio", "ratio", "letter_count / url_length"),
-        CatalogEntry("special_ratio", "ratio", "special_char_count / url_length"),
-        CatalogEntry("vowel_letter_ratio", "ratio", "vowel_count / letter_count, 0 when no letters"),
-        CatalogEntry("uppercase_letter_ratio", "ratio", "uppercase_count / letter_count, 0 when no letters"),
-        CatalogEntry("host_url_length_ratio", "ratio", "host_length / url_length"),
-        CatalogEntry("has_scheme", "boolean", "URL carries an explicit scheme"),
-        CatalogEntry("is_https", "boolean", "scheme is https"),
-        CatalogEntry("is_ip_host", "boolean", "host is a dotted-quad IPv4 literal"),
-        CatalogEntry("has_port", "boolean", "host carries an explicit numeric port"),
-        CatalogEntry("has_at_symbol", "boolean", "URL contains '@'"),
-        CatalogEntry("has_double_slash", "boolean", "'//' occurs beyond the scheme separator"),
-        CatalogEntry("has_punycode_label", "boolean", "some host label starts with 'xn--'"),
-        CatalogEntry("is_short_host", "boolean", "host is 7 characters or fewer (shortener heuristic)"),
-        CatalogEntry("has_query", "boolean", "URL has a '?' query part, possibly empty"),
-        CatalogEntry("has_fragment", "boolean", "URL has a '#' fragment part, possibly empty"),
-        CatalogEntry("url_entropy", "entropy", "character entropy of the full URL, bits"),
-        CatalogEntry("host_entropy", "entropy", "character entropy of the host, bits"),
-        CatalogEntry("path_entropy", "entropy", "character entropy of the path, bits"),
-        CatalogEntry("query_entropy", "entropy", "character entropy of the query string, bits"),
-        CatalogEntry("token_count", "token", "alphanumeric tokens in the URL"),
-        CatalogEntry("mean_token_length", "token", "mean alphanumeric token length"),
-        CatalogEntry("host_token_count", "token", "alphanumeric tokens in the host"),
-        CatalogEntry("path_token_count", "token", "alphanumeric tokens in the path"),
-        CatalogEntry("query_token_count", "token", "alphanumeric tokens in the query string"),
-        CatalogEntry("mean_path_segment_length", "token", "mean path segment length"),
-        CatalogEntry("mean_host_label_length", "token", "mean host label length"),
-    ]
-    cat = FeatureCatalog(version=CATALOG_VERSION, entries=tuple(entries))
+def _load_catalog() -> FeatureCatalog:
+    """The catalog that the shipped manifest declares."""
+    path = Path(__file__).parent / "data" / "feature_catalog_v1.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    entries = tuple(CatalogEntry(**entry) for entry in manifest["entries"])
+    cat = FeatureCatalog(version=manifest["version"], entries=entries)
     assert len(cat.entries) == 78, f"catalog has {len(cat.entries)} entries, expected 78"
     assert len(set(cat.names)) == 78, "catalog names must be unique"
     return cat
 
 
-_CATALOG = _build_catalog()
+_CATALOG = _load_catalog()
+CATALOG_VERSION = _CATALOG.version
 _NAMES = _CATALOG.names
+_ENTROPIES = ("url_entropy", "host_entropy", "path_entropy", "query_entropy")
 
 
 def catalog() -> FeatureCatalog:
@@ -557,9 +505,9 @@ def _source_columns() -> dict[str, list[int]]:
 def _gather_plan() -> tuple[np.ndarray, np.ndarray]:
     """Source columns of every feature in catalog order, and where each
     feature's run of them starts, for one ``np.add.reduceat``; features
-    set later (the entropies) sum the zero column."""
+    set later (the entropies) sum the zero column, unknown ones raise."""
     sources = _source_columns()
-    groups = [sources.get(name, [_ZERO]) for name in _NAMES]
+    groups = [[_ZERO] if name in _ENTROPIES else sources[name] for name in _NAMES]
     return np.concatenate(groups), np.cumsum([0] + [len(g) for g in groups[:-1]])
 
 
@@ -581,7 +529,7 @@ _RATIOS = np.array([[_COLUMN[num], _COLUMN[den]] for num, den in (
 # compared with the count that sets them.
 _THRESHOLD_COLUMNS = [_COLUMN["has_at_symbol"], _COLUMN["has_double_slash"]]
 _THRESHOLDS = np.array([1, 2])
-_ENTROPY_COLUMNS = [_COLUMN[name] for name in ("url_entropy", "host_entropy", "path_entropy", "query_entropy")]
+_ENTROPY_COLUMNS = [_COLUMN[name] for name in _ENTROPIES]
 _ENTROPY_SEGMENTS = [0, 1 + _HOST, 1 + _PATH, 1 + _QUERY]  # the URL, then each region
 
 

@@ -127,6 +127,48 @@ class TestRejection:
             parse_run_config(raw, BASE)
         assert str(exc.value) == f"unknown keys in {message}"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw.update(output_dir=""), "output_dir must be a non-empty string"),
+            (lambda raw: raw.update(output_dir=3), "output_dir must be a non-empty string"),
+            (lambda raw: raw.update(partition=[1, 1, 1]), "partition must be an object"),
+            (lambda raw: raw.update(language_model=3), "language_model must be an object"),
+            (lambda raw: raw.update(features="none"), "features must be an object"),
+            (lambda raw: raw["datasets"].__setitem__(1, "d1.csv"), "datasets[1] must be an object"),
+            (lambda raw: raw.update(grids={"KNN": [3]}), "grids.KNN must be an object"),
+            (lambda raw: raw["datasets"][0].update(id=""), "datasets[0].id must be a non-empty string"),
+            (lambda raw: raw["datasets"][0].update(id=7), "datasets[0].id must be a non-empty string"),
+            (
+                lambda raw: raw["datasets"][2].update(path=""),
+                "datasets[2].path must be a non-empty string",
+            ),
+            (
+                lambda raw: raw["datasets"][2].update(path=None),
+                "datasets[2].path must be a non-empty string",
+            ),
+            (
+                lambda raw: raw["datasets"][0].update(label_map={}),
+                "datasets[0].label_map must be a non-empty object",
+            ),
+            (lambda raw: raw.update(datasets=[]), "datasets must be a non-empty list"),
+            (lambda raw: raw.update(datasets={"id": "d0"}), "datasets must be a non-empty list"),
+            (lambda raw: raw.update(grids=["KNN"]), "grids must be an object keyed by model family"),
+        ],
+        ids=[
+            "output_dir-empty", "output_dir-int", "partition-list", "language_model-int",
+            "features-str", "dataset-str", "grid-list", "dataset-id-empty", "dataset-id-int",
+            "dataset-path-empty", "dataset-path-null", "label_map-empty", "datasets-empty",
+            "datasets-object", "grids-list",
+        ],
+    )
+    def test_malformed_value_rejected(self, edit, message):
+        raw = minimal_raw()
+        edit(raw)
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(raw, BASE)
+        assert str(exc.value) == message
+
     def test_duplicate_dataset_ids(self):
         raw = minimal_raw()
         raw["datasets"][1]["id"] = "d0"

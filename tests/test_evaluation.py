@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import struct
 
 import numpy as np
@@ -406,6 +407,11 @@ class TestCsvRendering:
         ("dataset_id,family,acc,pcsn,rec,f1,auc\nd,LR,1,1,1,1,\n", "auc '' is not a finite float"),
         ("dataset_id,family,acc,pcsn,rec,f1,auc\nd,LR,nan,1,1,1,1\n", "acc 'nan' is not a finite"),
         ("dataset_id,family,acc,pcsn,rec,f1,auc\nd,LR,1,1,1,1,1\n\n", "line 3 has 0 fields"),
+        pytest.param(
+            "dataset_id,family,acc,pcsn,rec,f1,auc\n" + "d" * (csv.field_size_limit() + 1),
+            f"metrics file m.csv is not CSV: field larger than field limit ({csv.field_size_limit()})",
+            id="field-over-csv-limit",
+        ),
     ])
     def test_malformed_metric_reports_name_the_file(self, text, message):
         with pytest.raises(DataError, match="metrics file m.csv") as exc:

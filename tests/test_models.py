@@ -37,7 +37,7 @@ from urlsleuth.pipeline import fit_chain
 from urlsleuth.synth import materialize_run
 
 import oracles
-from conftest import columns_matrix, edit_arrays, records_to_lists
+from conftest import bytes_beside_result, columns_matrix, edit_arrays, records_to_lists
 
 SUPERVISED_FAMILIES = ("LR", "LINEAR_SVM", "DT", "RF", "GBT", "KNN", "GNB", "MLP")
 UNSUPERVISED_FAMILIES = ("KMEANS", "GMM")
@@ -277,8 +277,21 @@ class TestKnn:
         q[::50] = x[: len(q[::50])]  # queries equal to training rows
         clf = KNearestNeighbors(k=k).fit(x, y)
         assert np.array_equal(clf.score_batch(q), knn_oracle(x, y, q, k))
-        # the brute-force scan crosses its 32-row chunk boundary
+        # the brute-force scan crosses its chunk boundaries (32 rows here)
         assert np.array_equal(clf._brute_force(q[:70]), knn_oracle(x, y, q[:70], k))
+
+    def test_brute_force_chunks_stay_within_the_block_budget(self):
+        # 32 * n * d elements (10 MiB) far exceed the block budget, so each
+        # chunk takes 3 queries: one temporary of at most _BLOCK_ELEMENTS.
+        rng = np.random.default_rng(21)
+        n, d, k = 1000, 40, 5
+        assert 32 * n * d > 8 * neighbors._BLOCK_ELEMENTS
+        x = rng.normal(size=(n, d))
+        y = (rng.random(n) > 0.5).astype(np.int64)
+        q = rng.normal(size=(70, d))
+        clf = KNearestNeighbors(k=k).fit(x, y)
+        assert bytes_beside_result(clf._brute_force, q) < 2 * 8 * neighbors._BLOCK_ELEMENTS
+        assert np.array_equal(clf._brute_force(q), knn_oracle(x, y, q, k))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -335,7 +348,7 @@ class TestKnn:
         x = np.vstack([np.tile([[1.0, 0.0]], (100, 1)), np.full((20, 2), 5.0)])
         y = np.zeros(120, dtype=np.int64)
         y[:3] = 1
-        q = np.zeros((40, 2))  # more than one 32-row brute-force chunk
+        q = np.zeros((40, 2))
         assert neighbors.candidate_count(k, len(x)) < 100
         clf = KNearestNeighbors(k=k).fit(x, y)
         fell_back = []

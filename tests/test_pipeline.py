@@ -224,8 +224,17 @@ class TestSelector:
     def test_nonpositive_top_k_rejected(self):
         x = np.ones((4, 2))
         y = np.array([0, 1, 0, 1])
-        with pytest.raises(ConfigError, match="top_k"):
+        with pytest.raises(ModelError) as raised:
             fit_selector(x, y, top_k=0)
+        assert str(raised.value) == "top_k must be an integer >= 1, got 0"
+
+    @pytest.mark.parametrize("top_k", [2.5, True], ids=["2.5", "true"])
+    def test_non_integer_top_k_rejected(self, top_k):
+        x = np.ones((4, 2))
+        y = np.array([0, 1, 0, 1])
+        with pytest.raises(ModelError) as raised:
+            fit_selector(x, y, top_k=top_k)
+        assert str(raised.value) == f"top_k must be an integer >= 1, got {top_k!r}"
 
 
 class TestProjection:
@@ -377,6 +386,19 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="validation"):
             grid_search("KNN", {"k": [1]}, (x, y), [])
 
+    @pytest.mark.parametrize("metric", ["mcc", "family"])
+    def test_unknown_target_metric_rejected_before_any_fit(self, blob_data, monkeypatch, metric):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a grid point was fitted")
+
+        monkeypatch.setattr("urlsleuth.pipeline.fit_model", no_fit)
+        x, y = blob_data
+        with pytest.raises(ConfigError) as raised:
+            grid_search("KNN", {"k": [1]}, (x, y), [(x, y)], target_metric=metric)
+        assert str(raised.value) == (
+            f"target_metric must be one of acc, pcsn, rec, f1, auc; got {metric!r}"
+        )
+
 
 class TestFitPipeline:
     def test_end_to_end_learns_the_corpus(self, url_corpus):
@@ -471,6 +493,17 @@ class TestFitChain:
         assert str(raised.value) == (
             "projection_variance must be None or a finite number > 0.0 and <= 1.0, got 1.5"
         )
+
+    @pytest.mark.parametrize("top_k", [0, 2.5, True], ids=["0", "2.5", "true"])
+    def test_top_k_checked_before_any_fit(self, url_corpus, monkeypatch, top_k):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the LM pair was fitted")
+
+        monkeypatch.setattr(LmScorePair, "fit", no_fit)
+        urls, labels = url_corpus
+        with pytest.raises(ModelError) as raised:
+            fit_chain(urls, labels, top_k=top_k)
+        assert str(raised.value) == f"top_k must be an integer >= 1, got {top_k!r}"
 
 
 # Over 16,384 predicted positions: a lone URL longer than one scoring block.
@@ -796,6 +829,15 @@ class TestPipelinePersistence:
         write_json_atomic(payload, path)
         with pytest.raises(ArtifactError, match="unsupported pipeline artifact version"):
             load_pipeline(path)
+
+    @pytest.mark.parametrize("field", ["artifact", "format_version"])
+    def test_missing_header_field_rejected(self, url_corpus, tmp_path, field):
+        path, payload, _ = self._saved(url_corpus, tmp_path)
+        del payload[field]
+        write_json_atomic(payload, path)
+        with pytest.raises(ArtifactError) as raised:
+            load_pipeline(path)
+        assert str(raised.value) == f"artifact is missing the {field!r} field"
 
     def test_missing_field_rejected(self, url_corpus, tmp_path):
         path, payload, _ = self._saved(url_corpus, tmp_path)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 import string
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urlsleuth import urlfeat
 from urlsleuth.synth import generate_dataset
 from urlsleuth.urlfeat import (
     _SCALAR_MAX_LENGTH,
@@ -192,7 +192,7 @@ class TestCatalog:
         c = catalog()
         assert len(c) == 78
         assert len(set(c.names)) == 78
-        assert c.version == CATALOG_VERSION
+        assert c.version == CATALOG_VERSION == "lex78-v1"
 
     def test_category_breakdown(self):
         counts = Counter(e.category for e in catalog().entries)
@@ -208,16 +208,21 @@ class TestCatalog:
     def test_every_entry_described(self):
         assert all(e.description for e in catalog().entries)
 
-    def test_shipped_manifest_matches_live_catalog(self):
-        shipped = json.loads(
-            resources.files("urlsleuth.data").joinpath("feature_catalog_v1.json").read_text()
+    def test_name_without_an_extractor_raises(self, monkeypatch):
+        # The blocked pass refuses a catalog name it does not compute,
+        # where it would otherwise fill that column with zeros.
+        names = tuple("host_dots" if n == "host_dot_count" else n for n in NAMES)
+        monkeypatch.setattr(urlfeat, "_NAMES", names)
+        with pytest.raises(KeyError, match="host_dots"):
+            urlfeat._gather_plan()
+
+    def test_shipped_manifest_is_frozen(self):
+        # The manifest is the roster's one declaration: a new roster is a
+        # new manifest file and catalog version, never an edit of this one.
+        data = resources.files("urlsleuth.data").joinpath("feature_catalog_v1.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "b0496b41d866e6b168fd9c684bc5432c29007a66b55c7dacaba28737c9d63f00"
         )
-        live = catalog()
-        entries = [
-            {"name": e.name, "category": e.category, "description": e.description}
-            for e in live.entries
-        ]
-        assert shipped == {"version": live.version, "entries": entries}
 
 
 class TestExtractLexical:
