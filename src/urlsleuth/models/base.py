@@ -1,8 +1,8 @@
 """Shared contract for the eleven classifier families.
 
-Every family exposes the same surface: ``fit(X, y)``, ``score_batch(X)``
-(a malicious-confidence in [0, 1] per row), and ``predict_batch(X)``
-(label 1 iff score >= 0.5).  Fitting is deterministic given the
+Every family exposes the same surface: ``fit(X, y)`` and
+``score_batch(X)``, a malicious-confidence in [0, 1] per row whose label
+is 1 iff the score is >= 0.5.  Fitting is deterministic given the
 hyperparameters, the seed, and the data.
 """
 
@@ -304,9 +304,6 @@ class BinaryClassifier(abc.ABC):
                 f"expected {self.n_features_} features, got {X.shape[1]}"
             )
         return self._score(X)
-
-    def predict_batch(self, X) -> np.ndarray:
-        return (self.score_batch(X) >= 0.5).astype(np.int64)
 
     @abc.abstractmethod
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None: ...

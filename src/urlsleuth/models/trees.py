@@ -10,15 +10,17 @@ the boosted regression trees.  Ties break toward the lower feature
 index, then the lower threshold, so split choice is deterministic.
 
 The one coding is each cell's rank among its column's distinct values
-(``rank_columns``), and a fit derives all else from it.  DT and RF sum
-each run of equal values in a column with one ``np.bincount`` per
-tree, as a histogram splitter does (LightGBM, Ke et al., NeurIPS 2017):
-their weights are ones or bootstrap counts and their targets 0 or 1, so
-every sum is an exact integer and equals the prefix sum of the sorted
-scan.  GBT's residuals are floats, so its roots keep the prefix sums
-along the rows sorted by rank, and what does not depend on the targets
-(change positions, counts, thresholds) is worked out once per fit.
-Nodes below the root sort their own rows by the same ranks.
+(``rank_columns``), and a fit derives all else from it: exact integer
+run sums at DT/RF roots, the sorted scan everywhere else.  At their
+roots DT and RF sum each run of equal values in a column with one
+``np.bincount`` per tree, as a histogram splitter does (LightGBM, Ke et
+al., NeurIPS 2017): their weights are ones or bootstrap counts and their
+targets 0 or 1, so every sum is an exact integer and equals the prefix
+sum of the sorted scan.  The sorted scan (``PrefixScan``) sorts a node's
+rows stably by rank and adds prefix sums along them.  GBT's residuals
+are floats, whose sums depend on that order; its roots share one scan,
+whose change positions, counts and thresholds are worked out once per
+fit.
 """
 
 from __future__ import annotations
@@ -154,11 +156,6 @@ def rank_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ranks, values, offsets
 
 
-# Sorted-list cells scanned per block of candidate features, so the
-# block's temporaries stay small and cached.
-_BLOCK_CELLS = 1 << 15
-
-
 def _sse(nl, nr, sl, sl2, total, total2):
     """Summed squared error of the two sides of each candidate split, from
     the left side's weight, sum and sum of squares and the node's."""
@@ -170,47 +167,6 @@ def _midpoint(lo: float, hi: float) -> float:
     or ``lo`` where the midpoint rounds up to ``hi``."""
     thr = lo + (hi - lo) / 2.0
     return float(lo if thr >= hi else thr)
-
-
-def _lowest_sse_split(
-    X: np.ndarray,
-    cand: np.ndarray,
-    sorted_lists: np.ndarray,
-    weights: np.ndarray,
-    wt: np.ndarray,
-    wt2: np.ndarray,
-) -> tuple[int, float] | None:
-    """The first lowest-SSE (feature, threshold) over the candidates, lower
-    feature first, then lower threshold; None when no candidate varies.
-
-    ``sorted_lists[j]`` holds the node's rows sorted by column ``j``.
-    Prefix sums of ``weights``, ``wt`` and ``wt2`` run along each list, and
-    the SSE is taken only where the value changes.
-    """
-    m = sorted_lists.shape[1]
-    step = max(1, _BLOCK_CELLS // m)
-    best_sse = math.inf
-    best = None
-    for b in range(0, len(cand), step):
-        feats = cand[b:b + step]
-        rows = sorted_lists[feats]
-        vals = X[rows, feats[:, None]]
-        f, pos = np.divmod(np.flatnonzero(vals[:, 1:] > vals[:, :-1]), m - 1)
-        if f.size == 0:
-            continue
-        cw = np.cumsum(weights[rows], axis=1)
-        csum = np.cumsum(wt[rows], axis=1)
-        csum2 = np.cumsum(wt2[rows], axis=1)
-        total, total2 = csum[f, -1], csum2[f, -1]
-        nl = cw[f, pos]
-        nr = cw[f, -1] - nl
-        sl, sl2 = csum[f, pos], csum2[f, pos]
-        sse = _sse(nl, nr, sl, sl2, total, total2)
-        i = int(np.argmin(sse))
-        if sse[i] < best_sse:
-            best_sse = sse[i]
-            best = (int(feats[f[i]]), _midpoint(vals[f[i], pos[i]], vals[f[i], pos[i] + 1]))
-    return best
 
 
 class RunSums:
@@ -227,12 +183,13 @@ class RunSums:
     of addition gives the floats the sorted scan forms."""
 
     def __init__(self, X: np.ndarray, labels: np.ndarray) -> None:
-        self.ranks, self.run_value, offsets = rank_columns(X)
-        self.codes = 2 * (self.ranks + offsets[:-1, None]) + labels
+        self.coding = rank_columns(X)  # the scans below the root read it too
+        ranks, self.run_value, offsets = self.coding
+        self.codes = 2 * (ranks + offsets[:-1, None]) + labels
         self.run_column = np.repeat(np.arange(X.shape[1]), np.diff(offsets))
 
     def root_split(self, cand, weights, wt, wt2) -> tuple[int, float] | None:
-        """``_lowest_sse_split`` over the root's rows, those of positive
+        """``PrefixScan.split`` over the root's rows, those of positive
         ``weights``; ``wt`` is ``weights`` times the labels, so it equals
         ``wt2``."""
         codes = self.codes if len(cand) == len(self.codes) else self.codes[cand]
@@ -257,45 +214,57 @@ class RunSums:
 
 
 class PrefixScan:
-    """A fit's coded columns, for trees of unit weights on every row, float
-    targets and every column a candidate (GBT), with the part of the root
-    scan that does not depend on the targets: ``order``, each column's
-    rows sorted stably by ``ranks`` (the float sort's order, since -0.0
-    and 0.0 share a rank), and where each sorted column's value changes,
-    the counts on both sides and the threshold there.  A tree's root then
-    adds only its targets' prefix sums along the sorted rows, so float
-    targets give the sorted scan's bits."""
+    """The sorted scan of a node, with the part that does not depend on the
+    targets: ``lists``, the node's rows ``idx`` sorted stably by rank in
+    each column of ``cand`` (the float sort's order, since -0.0 and 0.0
+    share a rank), ``ranked``, their ranks, and where each sorted list's
+    rank changes, the weights on both sides.  ``split`` then adds only the
+    targets' prefix sums along the lists, so float targets give the bits
+    of a stable sort of the node's rows by value.  ``coding`` is the fit's
+    ``rank_columns``; GBT builds its root's scan once per fit, and every
+    node below a root builds its own."""
 
-    def __init__(self, X: np.ndarray) -> None:
-        n = X.shape[0]
-        self.ranks, values, offsets = rank_columns(X)
-        self.order = np.argsort(self.ranks, axis=1, kind="stable")
-        ranked = np.take_along_axis(self.ranks, self.order, axis=1)
-        f, pos = np.divmod(np.flatnonzero(ranked[:, 1:] != ranked[:, :-1]), n - 1)
-        self.feature = f
-        self.at = f * n + pos  # flat positions in the sorted columns
-        self.last = f * n + n - 1
-        run = offsets[f] + ranked[f, pos]  # the value each change leaves
-        self.lo, self.hi = values[run], values[run + 1]
-        self.nl = (pos + 1).astype(np.float64)
-        self.nr = n - self.nl
+    def __init__(self, coding, cand: np.ndarray, idx: np.ndarray, weights: np.ndarray) -> None:
+        self.coding, self.cand = coding, cand
+        ranks = coding[0]
+        self.lists = idx[np.argsort(ranks[cand[:, None], idx], axis=1, kind="stable")]
+        self.ranked = ranks[cand[:, None], self.lists]
+        m = idx.size
+        change = np.flatnonzero(self.ranked[:, 1:] != self.ranked[:, :-1])
+        f = change // (m - 1)
+        self.at = change + f  # flat positions in the sorted lists
+        self.last = f * m + m - 1
+        self.nl, total = self._prefix_sums(weights)
+        self.nr = total - self.nl
 
     def _prefix_sums(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``v``'s prefix sums along each sorted column, where its value
-        changes and over the whole column."""
-        sums = v[self.order]
+        """``v``'s prefix sums along each sorted list, where its rank
+        changes and over the whole list."""
+        sums = v[self.lists]
         np.cumsum(sums, axis=1, out=sums)
         flat = sums.ravel()
         return flat[self.at], flat[self.last]
 
-    def root_split(self, cand, weights, wt, wt2) -> tuple[int, float] | None:
-        """``_lowest_sse_split`` over every row and column."""
-        if self.feature.size == 0:
+    def split(self, wt, wt2) -> tuple[int, float] | None:
+        """The first lowest-SSE (feature, threshold), lower feature first,
+        then lower threshold; None when no candidate varies.  ``wt`` is the
+        weights times the targets, ``wt2`` that times the targets again."""
+        if self.at.size == 0:
             return None
         sl, total = self._prefix_sums(wt)
         sl2, total2 = self._prefix_sums(wt2)
-        i = int(np.argmin(_sse(self.nl, self.nr, sl, sl2, total, total2)))
-        return int(self.feature[i]), _midpoint(self.lo[i], self.hi[i])
+        best = self.at[np.argmin(_sse(self.nl, self.nr, sl, sl2, total, total2))]
+        f, pos = divmod(int(best), self.lists.shape[1])
+        j = int(self.cand[f])
+        # The node's own next rank, as it may lack its column's next value;
+        # widened, as a uint16 rank plus its column's offset may overflow.
+        _, values, offsets = self.coding
+        lo, hi = values[offsets[j] + self.ranked[f, pos:pos + 2].astype(np.intp)]
+        return j, _midpoint(lo, hi)
+
+    def root_split(self, cand, weights, wt, wt2) -> tuple[int, float] | None:
+        """``split``: a root's scan is built with its ``cand`` and ``weights``."""
+        return self.split(wt, wt2)
 
 
 def build_tree(
@@ -310,19 +279,21 @@ def build_tree(
 ) -> _FlatTree:
     """Grow a regression tree on real targets (labels or residuals).
 
-    ``presorted`` is ``X`` coded once per fit (``rank_columns``) and
-    shared by every tree grown on ``X``; its ``root_split`` finds the
+    ``presorted`` holds ``X`` coded once per fit (``rank_columns``) and
+    is shared by every tree grown on ``X``; its ``root_split`` finds the
     root's split, so it must suit the weights and targets (``RunSums`` for
-    0/1 targets, ``PrefixScan`` for unit weights).  Row ``i`` counts
-    ``weights[i]`` times (a bootstrap multiplicity); rows of weight 0 are
-    left out, and ``min_samples_split`` compares with the weight sum.
+    0/1 targets, a ``PrefixScan`` of every row and column for unit
+    weights).  Row ``i`` counts ``weights[i]`` times (a bootstrap
+    multiplicity); rows of weight 0 are left out, and
+    ``min_samples_split`` compares with the weight sum.
 
     A node holds its rows in ascending order.  One below the root that
-    goes on to split sorts them stably by ``presorted.ranks`` per
-    candidate column, so ties stay in row order.  With unit weights the
-    prefix sums therefore run in the order a stable argsort of the node's
-    rows gives, and with 0/1 targets every sum is an exact integer, so a
-    forest tree equals the tree grown on its bootstrap copy ``X[rows]``.
+    goes on to split builds a ``PrefixScan`` of its rows over its
+    candidate columns, whose stable sort keeps ties in row order.  With
+    unit weights the prefix sums therefore run in the order a stable
+    argsort of the node's rows gives, and with 0/1 targets every sum is an
+    exact integer, so a forest tree equals the tree grown on its
+    bootstrap copy ``X[rows]``.
 
     A node splits whenever it is impure, large enough, within depth, and
     some candidate feature varies, even when the best split has zero
@@ -363,14 +334,7 @@ def build_tree(
         if depth == 0:
             best = presorted.root_split(cand, weights, wt, wt2)
         else:
-            ranks = presorted.ranks
-            if n_cand is None:
-                lists = idx[np.argsort(ranks[:, idx], axis=1, kind="stable")]
-            else:
-                # only the candidates' rows are filled, and only they are read
-                lists = np.empty((d, idx.size), dtype=np.intp)
-                lists[cand] = idx[np.argsort(ranks[cand[:, None], idx], axis=1, kind="stable")]
-            best = _lowest_sse_split(X, cand, lists, weights, wt, wt2)
+            best = PrefixScan(presorted.coding, cand, idx, weights).split(wt, wt2)
         if best is None:
             continue
         j, thr = best
@@ -503,8 +467,8 @@ class GradientBoostedTrees(BinaryClassifier):
         p0 = float(y.mean())  # in (0, 1): both classes are required
         self.f0_ = math.log(p0 / (1.0 - p0))
         raw = np.full(len(X), self.f0_, dtype=np.float64)
-        scan = PrefixScan(X)
         ones = np.ones(len(X))
+        scan = PrefixScan(rank_columns(X), np.arange(X.shape[1]), np.arange(len(X)), ones)
         self.trees_ = []
         for _ in range(self.n_trees):
             p = sigmoid(raw)

@@ -41,6 +41,7 @@ import json
 import math
 import re
 import string
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -296,7 +297,12 @@ def _load_catalog() -> FeatureCatalog:
     """The catalog that the shipped manifest declares."""
     path = Path(__file__).parent / "data" / "feature_catalog_v1.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    entries = tuple(CatalogEntry(**entry) for entry in manifest["entries"])
+    # Interned, so the one-URL path's lookups match the literal keys of
+    # ``_feature_dict`` by identity.
+    entries = tuple(
+        CatalogEntry(**{**entry, "name": sys.intern(entry["name"])})
+        for entry in manifest["entries"]
+    )
     cat = FeatureCatalog(version=manifest["version"], entries=entries)
     assert len(cat.entries) == 78, f"catalog has {len(cat.entries)} entries, expected 78"
     assert len(set(cat.names)) == 78, "catalog names must be unique"

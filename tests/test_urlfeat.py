@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import string
+import sys
 from collections import Counter
 from importlib import resources
 
@@ -207,6 +208,11 @@ class TestCatalog:
 
     def test_every_entry_described(self):
         assert all(e.description for e in catalog().entries)
+
+    def test_names_are_interned(self):
+        # The one-URL path looks every name up in a dict keyed by string
+        # literals; interned names match those keys by identity.
+        assert all(sys.intern(name) is name for name in catalog().names)
 
     def test_name_without_an_extractor_raises(self, monkeypatch):
         # The blocked pass refuses a catalog name it does not compute,
