@@ -741,11 +741,14 @@ class TestPersistence:
 GOLDEN_TREES_SHA256 = "712ae62c29b209458fe674119985c11b0d9281ab83dd217585c1216db812292c"
 
 
-def tie_heavy_data(seed: int, n: int = 160, d: int = 6) -> tuple[np.ndarray, np.ndarray]:
-    """Columns rounded to one decimal (many tied values) and noisy labels,
-    so trees grow deep and nodes meet equal-SSE candidate splits."""
+def tie_heavy_data(
+    seed: int, n: int = 160, d: int = 6, decimals: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns rounded to ``decimals`` decimals (one by default: many tied
+    values) and noisy labels, so trees grow deep and nodes meet equal-SSE
+    candidate splits."""
     rng = np.random.default_rng(seed)
-    x = np.round(rng.normal(size=(n, d)), 1)
+    x = np.round(rng.normal(size=(n, d)), decimals)
     y = (x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(scale=0.7, size=n) > 0).astype(np.int64)
     return x, y
 
@@ -824,8 +827,13 @@ class TestTreeOracle:
     # On data seed 5 an unstable column sort changes the float prefix sums
     # of GBT residuals enough to pick another split.
     @pytest.mark.parametrize("data_seed", [0, 5])
-    def test_saved_trees_match_oracle(self, family, params, data_seed):
-        x, y = tie_heavy_data(data_seed)
+    # Whole numbers leave each column a handful of distinct values; three
+    # decimals leave most values distinct, so a node below the root often
+    # lacks its column's next distinct value and takes the upper threshold
+    # from its own next rank.
+    @pytest.mark.parametrize("decimals", [0, 1, 3], ids=lambda k: f"decimals={k}")
+    def test_saved_trees_match_oracle(self, family, params, data_seed, decimals):
+        x, y = tie_heavy_data(data_seed, decimals=decimals)
         got = saved_state_bytes(family, params, x, y, seed=data_seed + 3)
         assert got == oracle_state_bytes(family, params, x, y, seed=data_seed + 3)
 
